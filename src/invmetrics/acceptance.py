@@ -29,7 +29,7 @@ from .domains import (
     grid_from_predicate,
     rasterize,
 )
-from .mobius import disk_automorphism
+from .mobius import disk_automorphism, is_infinity
 from .poincare import poincare_distance, rho_vec
 
 HALF_LOG3 = 0.5493061443340548          # atanh(1/2)
@@ -357,7 +357,7 @@ def criterion_10(quick: bool = False) -> CriterionResult:
     desc = conf.annulus_automorphisms(0.1)
     for theta in np.linspace(0.1, 2 * math.pi - 0.1, 25):
         fixed = desc.rotation(float(theta)).mobius.fixed_points()
-        if any(not _at_infinity(p) and 0.1 < abs(p) < 1.0 for p in fixed.points):
+        if any(not is_infinity(p) and 0.1 < abs(p) < 1.0 for p in fixed.points):
             rigidity_ok = False  # a nontrivial rotation fixing an annulus point
         fixed = desc.inversion(float(theta)).mobius.fixed_points()
         if fixed.kind != FixedKind.TWO:
@@ -370,12 +370,6 @@ def criterion_10(quick: bool = False) -> CriterionResult:
                            f"{equality_only_rotations}, gap {verdict.gap:.9f}, "
                            f"isotropy {iso_ok}, rigidity {rigidity_ok}",
                            f"gap {WATT_GAP:.9f} +- 1e-06, all True")
-
-
-def _at_infinity(p):
-    from .mobius import is_infinity
-
-    return is_infinity(p)
 
 
 def criterion_11(quick: bool = False) -> CriterionResult:

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .kobayashi import kob_distance
-from .mobius import MobiusMap, as_finite, mobius_is_identity_given_three_fixed
+from .mobius import MobiusMap, as_finite, is_infinity, mobius_is_identity_given_three_fixed
 
 _VALIDATION_SPACING = 0.04
 
@@ -292,17 +292,11 @@ def maskit_demo(domain: Domain, g, p1, p2, p3, tol: float = 1e-9) -> str:
     if mob is None:
         raise NotMobiusRepresentable(f"{g!r} carries no Mobius representation")
     for p in (p1, p2, p3):
-        if not is_point_at_infinity(p) and not contains(domain, as_finite(p)):
+        if not is_infinity(p) and not contains(domain, as_finite(p)):
             raise OutOfDomain(f"{p!r} not in {domain!r}")
     if mobius_is_identity_given_three_fixed(mob, p1, p2, p3, tol):
         return "identity"
     raise TheoremViolation("three fixed points without identity coefficients")
-
-
-def is_point_at_infinity(p) -> bool:
-    from .mobius import is_infinity
-
-    return is_infinity(p)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from typing import Callable, Union
 import numpy as np
 from scipy import ndimage
 
-from .errors import OutOfDomain, ParseError, Unsupported, ValidationError
-from .mobius import MobiusMap, as_finite, is_infinity
-from .poincare import rho_vec
+from .errors import LiftFailure, OutOfDomain, ParseError, Unsupported, ValidationError
+from .mobius import as_finite, is_infinity
+from .poincare import halfplane_rho_vec
 
 DECK_STEP = 2j * math.pi
 FRAME_MARGIN = 1.1  # frame extends 10% beyond the domain's bounding circle
@@ -284,41 +284,32 @@ class CoveringAtlas:
     """Universal-cover data for a catalog domain.
 
     ``cover`` maps model coordinates onto the domain, ``lift`` is the
-    principal local inverse, ``density`` is the domain's hyperbolic
-    density, and ``model_to_disk`` is a biholomorphism from the model onto
-    the unit disk, through which model distances and geodesics are
-    computed.  For covered domains ``deck_generator`` is the translation
-    w -> w + 2*pi*i represented as a Mobius map, and ``tail_bound`` gives a
-    certified lower bound on the model distance from a lift to the k-th
-    deck translate of another lift.
+    principal local inverse, and ``model_to_disk`` is a biholomorphism
+    from the model onto the unit disk, through which model geodesics are
+    computed.  For covered domains the deck group is generated by the
+    translation w -> w + ``deck_step``.  It moves only Im w, and the model
+    distance grows with that offset, so the distance between two points
+    is the model distance to the nearest deck translate, in closed form
+    (``kobayashi.lift_infimum_vec``).
     """
 
     domain: Domain
     model: str
     cover: Callable
     lift: Callable
-    density: Callable
     model_to_disk: Callable
     model_to_disk_deriv: Callable
     disk_to_model: Callable
-    deck_generator: MobiusMap | None = None
     deck_step: complex = 0j
-    model_walls: tuple = (0.0,)
 
     @property
     def has_deck(self) -> bool:
-        return self.deck_generator is not None
+        return self.deck_step != 0
 
     def model_density(self, w):
         """Density of the model metric, pulled back from the disk."""
         z = self.model_to_disk(w)
         return np.abs(self.model_to_disk_deriv(w)) / (1.0 - np.abs(z) ** 2)
-
-    def model_distance(self, w1, w2) -> float:
-        return float(rho_vec(self.model_to_disk(w1), self.model_to_disk(w2)))
-
-    def model_distance_vec(self, w1, w2) -> np.ndarray:
-        return rho_vec(self.model_to_disk(w1), self.model_to_disk(w2))
 
     def model_geodesic_point(self, w1, w2, t: float):
         """Constant-speed model geodesic, via the disk conjugation."""
@@ -328,36 +319,25 @@ class CoveringAtlas:
                               complex(self.model_to_disk(w2)), t)
         return self.disk_to_model(z)
 
-    def tail_bound(self, w1, w2, k: int):
-        """Lower bound on model distance from w1 to w2 + 2*pi*i*k', |k'| >= k.
-
-        The model lies in a half-plane on each side of every vertical wall,
-        and a half-plane distance is monotone in the vertical offset, so its
-        closed form with the offset reduced to 2*pi*k - |Im w1 - Im w2| is a
-        certified lower bound; the best wall wins.  For the band both walls
-        matter: the outer one alone is far too weak near the inner edge.
-        """
-        if not self.has_deck:
-            return math.inf
-        a = np.real(w1)
-        b = np.real(w2)
-        gap = 2.0 * math.pi * abs(k) - np.abs(np.imag(w1) - np.imag(w2))
-        y2 = np.maximum(gap, 0.0) ** 2
-        num = (a - b) ** 2 + y2
-        best = None
-        for wall in self.model_walls:
-            t2 = num / ((a + b - 2.0 * wall) ** 2 + y2)
-            best = t2 if best is None else np.maximum(best, t2)
-        return np.arctanh(np.sqrt(np.minimum(best, 1.0 - 1e-16)))
-
 
 def halfplane_distance(w1: complex, w2: complex) -> float:
     """Closed-form distance of the left half-plane Re w < 0."""
     w1, w2 = as_finite(w1), as_finite(w2)
     if w1.real >= 0 or w2.real >= 0:
         raise OutOfDomain("points must have negative real part")
-    t = abs(w1 - w2) / abs(w1 + w2.conjugate())
-    return math.atanh(t)
+    return float(halfplane_rho_vec(w1, w2))
+
+
+def _log_lift(domain: Domain) -> Callable:
+    """Principal branch of log, the lift of the domains covered through exp."""
+    def lift(z):
+        if isinstance(z, np.ndarray):
+            return np.log(z.astype(complex))
+        z = as_finite(z)
+        if not contains(domain, z):
+            raise LiftFailure(f"{z!r} has no lift in the model of {domain!r}")
+        return cmath.log(z)
+    return lift
 
 
 def covering_atlas(domain: Domain) -> CoveringAtlas:
@@ -370,64 +350,36 @@ def covering_atlas(domain: Domain) -> CoveringAtlas:
         return CoveringAtlas(
             domain=domain, model="disk",
             cover=ident, lift=ident,
-            density=lambda z: density_vec(domain, z),
             model_to_disk=ident,
             model_to_disk_deriv=lambda w: np.ones_like(np.asarray(w, dtype=complex))
             if isinstance(w, np.ndarray) else 1.0,
             disk_to_model=ident,
         )
 
-    if isinstance(domain, HalfPlane):
+    if isinstance(domain, (HalfPlane, PuncturedDisk)):
+        # the punctured disk is the left half-plane modulo w -> w + 2 pi i
+        covered = isinstance(domain, PuncturedDisk)
         ident = lambda w: w
         return CoveringAtlas(
             domain=domain, model="left-half-plane",
-            cover=ident, lift=ident,
-            density=lambda z: density_vec(domain, z),
+            cover=np.exp if covered else ident,
+            lift=_log_lift(domain) if covered else ident,
             model_to_disk=_cayley_lhp,
             model_to_disk_deriv=_cayley_lhp_deriv,
             disk_to_model=lambda z: (1.0 + z) / (z - 1.0),
-        )
-
-    if isinstance(domain, PuncturedDisk):
-        def lift(z):
-            if isinstance(z, np.ndarray):
-                return np.log(z.astype(complex))
-            z = as_finite(z)
-            if not contains(domain, z):
-                from .errors import LiftFailure
-                raise LiftFailure(f"{z!r} has no lift in the left half-plane")
-            return cmath.log(z)
-
-        return CoveringAtlas(
-            domain=domain, model="left-half-plane",
-            cover=np.exp, lift=lift,
-            density=lambda z: density_vec(domain, z),
-            model_to_disk=_cayley_lhp,
-            model_to_disk_deriv=_cayley_lhp_deriv,
-            disk_to_model=lambda z: (1.0 + z) / (z - 1.0),
-            deck_generator=MobiusMap(1.0, DECK_STEP, 0.0, 1.0),
-            deck_step=DECK_STEP,
+            deck_step=DECK_STEP if covered else 0j,
         )
 
     if isinstance(domain, Annulus):
         log_r = math.log(domain.r)
-        big_l = -log_r
-        scale = 1j * math.pi / big_l
-
-        def _band_exp(w):
-            # clamp deck translates that would overflow: the image is then
-            # numerically on the disk boundary, where the distance saturates
-            # (300 keeps |u|^2 finite through the complex division too)
-            arg = scale * (np.asarray(w, dtype=complex) - log_r)
-            arg = arg.real.clip(max=300.0) + 1j * arg.imag
-            return np.exp(arg)
+        scale = 1j * math.pi / -log_r
 
         def band_to_disk(w):
-            u = _band_exp(w)
+            u = np.exp(scale * (np.asarray(w, dtype=complex) - log_r))
             return (u - 1j) / (u + 1j)
 
         def band_to_disk_deriv(w):
-            u = _band_exp(w)
+            u = np.exp(scale * (np.asarray(w, dtype=complex) - log_r))
             return (2j / (u + 1j) ** 2) * u * scale
 
         def disk_to_band(z):
@@ -436,25 +388,13 @@ def covering_atlas(domain: Domain) -> CoveringAtlas:
                 return log_r + np.log(u) / scale
             return log_r + cmath.log(u) / scale
 
-        def lift(z):
-            if isinstance(z, np.ndarray):
-                return np.log(z.astype(complex))
-            z = as_finite(z)
-            if not contains(domain, z):
-                from .errors import LiftFailure
-                raise LiftFailure(f"{z!r} has no lift in the band")
-            return cmath.log(z)
-
         return CoveringAtlas(
             domain=domain, model="band",
-            cover=np.exp, lift=lift,
-            density=lambda z: density_vec(domain, z),
+            cover=np.exp, lift=_log_lift(domain),
             model_to_disk=band_to_disk,
             model_to_disk_deriv=band_to_disk_deriv,
             disk_to_model=disk_to_band,
-            deck_generator=MobiusMap(1.0, DECK_STEP, 0.0, 1.0),
             deck_step=DECK_STEP,
-            model_walls=(0.0, log_r),
         )
 
     raise Unsupported(f"unknown domain {domain!r}")
@@ -509,21 +449,39 @@ def grid_annulus(r: float, spacing: float) -> GridDomain:
 GRID_FORMAT_VERSION = 1
 
 
-def grid_save(grid: GridDomain) -> bytes:
-    """Canonical text encoding; byte-exact on round trip."""
-    rows = ["".join("1" if v else "0" for v in row) for row in grid.mask]
+def grid_save(frame, **meta) -> bytes:
+    """Canonical text encoding; byte-exact on round trip.
+
+    ``frame`` is a GridDomain or anything else with ``origin``, ``spacing``
+    and ``mask`` (a ball raster); ``meta`` entries follow the grid fields.
+    """
+    height, width = frame.mask.shape
     payload = {
         "format_version": GRID_FORMAT_VERSION,
-        "origin": [grid.origin.real, grid.origin.imag],
-        "spacing": grid.spacing,
-        "width": grid.width,
-        "height": grid.height,
-        "rows": rows,
+        "origin": [frame.origin.real, frame.origin.imag],
+        "spacing": frame.spacing,
+        "width": width,
+        "height": height,
+        "rows": ["".join("1" if v else "0" for v in row) for row in frame.mask],
+        **meta,
     }
     return (json.dumps(payload, indent=1) + "\n").encode("utf-8")
 
 
-def _parse_grid_payload(payload: dict) -> GridDomain:
+def grid_frame_load(data):
+    """(payload, origin, spacing, mask) of a file in the grid format.
+
+    Checks the format but not the GridDomain invariants, which a ball
+    raster saved in the same format need not meet.
+    """
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    try:
+        payload = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, line=exc.lineno, offset=exc.colno) from exc
+    if not isinstance(payload, dict):
+        raise ParseError("top-level value must be an object")
     version = payload.get("format_version")
     if version != GRID_FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
@@ -546,17 +504,10 @@ def _parse_grid_payload(payload: dict) -> GridDomain:
         if set(row) - {"0", "1"}:
             raise ParseError(f"row {iy} contains characters other than 0/1")
         mask[iy] = np.frombuffer(row.encode("ascii"), dtype=np.uint8) == ord("1")
-    return GridDomain(origin=complex(ox, oy), spacing=spacing, mask=mask)
+    return payload, complex(ox, oy), spacing, mask
 
 
 def grid_load(data) -> GridDomain:
     """Parse the grid-domain file format; ValidationError on bad invariants."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        payload = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, offset=exc.colno) from exc
-    if not isinstance(payload, dict):
-        raise ParseError("top-level value must be an object")
-    return _parse_grid_payload(payload)
+    _, origin, spacing, mask = grid_frame_load(data)
+    return GridDomain(origin=origin, spacing=spacing, mask=mask)

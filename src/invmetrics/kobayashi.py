@@ -2,9 +2,12 @@
 
 Catalog domains use the covering route: the distance between two points
 is the infimum over deck translates of the model distance between their
-lifts, enumerated outward with a certified tail bound.  Grid domains get
-a certified interval instead: an upper bound from a weighted shortest
-path and a lower bound from the finite holomorphic-map dictionary.
+lifts.  The deck group shifts only Im w of a lift w = log z, and the
+model distance grows with that offset, so the infimum sits at the
+nearest translate and has a closed form (``lift_infimum_vec``).  Grid
+domains get a certified interval instead: an upper bound from a weighted
+shortest path and a lower bound from the finite holomorphic-map
+dictionary.
 """
 
 from __future__ import annotations
@@ -12,12 +15,12 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .domains import (
+    DECK_STEP,
     Annulus,
     CoveringAtlas,
     Disk,
@@ -29,20 +32,38 @@ from .domains import (
     contains_vec,
     covering_atlas,
     density_vec,
+    grid_frame_load,
     grid_from_predicate,
+    grid_save,
     rasterize,
 )
 from .errors import (
     DegenerateEndpoints,
     Disconnected,
-    NonConvergence,
+    LiftFailure,
     OutOfDomain,
+    ParseError,
     Unsupported,
 )
 from .mobius import as_finite
-from .poincare import poincare_distance, rho_vec
+from .poincare import abs2_minus, halfplane_rho_vec, rho_vec
 
-_DECK_ITER_CAP = 10000
+TAU = 2.0 * math.pi
+# Every point that ``contains`` accepts lies at least one float step (a
+# relative 2**-53) inside each boundary circle, so no true wall gap is
+# smaller; computed gaps are raised to it, keeping the kernel finite.
+_MIN_GAP = 2.0 ** -54
+
+
+# scipy.sparse costs about 10 MB at import and only the graph paths need it
+coo_matrix = _csgraph_dijkstra = None
+
+
+def _load_sparse():
+    global coo_matrix, _csgraph_dijkstra
+    if _csgraph_dijkstra is None:
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 
 @dataclass(frozen=True)
@@ -117,47 +138,17 @@ class MetricBall:
 
 def ball_save(ball: MetricBall) -> bytes:
     """Grid-domain file format plus {metric, center, radius} metadata."""
-    import json
-
-    rows = ["".join("1" if v else "0" for v in row) for row in ball.mask]
-    payload = {
-        "format_version": 1,
-        "origin": [ball.origin.real, ball.origin.imag],
-        "spacing": ball.spacing,
-        "width": ball.width,
-        "height": ball.height,
-        "rows": rows,
-        "metric": ball.metric,
-        "center": [ball.center.real, ball.center.imag],
-        "radius": ball.radius,
-    }
-    return (json.dumps(payload, indent=1) + "\n").encode("utf-8")
+    return grid_save(ball, metric=ball.metric, center=[ball.center.real, ball.center.imag],
+                     radius=ball.radius)
 
 
 def ball_load(data) -> MetricBall:
     """Parse a ball export; the domain reference is not serialized."""
-    import json
-
-    from .errors import ParseError
-
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    payload, origin, spacing, mask = grid_frame_load(data)
     try:
-        payload = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, offset=exc.colno) from exc
-    try:
-        mask = np.array(
-            [[ch == "1" for ch in row] for row in payload["rows"]], dtype=bool)
-        return MetricBall(
-            domain=None,
-            center=complex(*payload["center"]),
-            radius=float(payload["radius"]),
-            metric=str(payload["metric"]),
-            origin=complex(*payload["origin"]),
-            spacing=float(payload["spacing"]),
-            mask=mask,
-        )
+        return MetricBall(domain=None, center=complex(*payload["center"]),
+                          radius=float(payload["radius"]), metric=str(payload["metric"]),
+                          origin=origin, spacing=spacing, mask=mask)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"missing or ill-typed field: {exc}") from exc
 
@@ -166,53 +157,89 @@ def ball_load(data) -> MetricBall:
 # Covering-route distances
 # ---------------------------------------------------------------------------
 
-def lift_infimum(atlas: CoveringAtlas, p, q, tol: float = 1e-9) -> float:
-    """Distance through the cover: inf over deck translates of lift distances."""
-    return _lift_argmin(atlas, p, q, tol)[0]
+class Lift(NamedTuple):
+    """Lifts w = log z of covered-domain points, as ``lift_infimum_vec`` reads them.
 
-
-def _lift_argmin(atlas: CoveringAtlas, p, q, tol: float = 1e-9):
-    """(value, deck index, lift of p, lift of q) with deterministic ties."""
-    wp = atlas.lift(p)
-    wq = atlas.lift(q)
-    best = atlas.model_distance(wp, wq)
-    kbest = 0
-    if not atlas.has_deck:
-        return best, 0, wp, wq
-    k = 1
-    while k <= _DECK_ITER_CAP:
-        if atlas.tail_bound(wp, wq, k) > best + tol:
-            return best, kbest, wp, wq
-        for s in (k, -k):
-            d = atlas.model_distance(wp, wq + atlas.deck_step * s)
-            if d < best:
-                best, kbest = d, s
-        k += 1
-    raise NonConvergence("deck enumeration exceeded its iteration budget")
-
-
-def lift_infimum_vec(atlas: CoveringAtlas, wp, wq, cap: float | None = None,
-                     tol: float = 1e-9) -> np.ndarray:
-    """Vectorized deck infimum over arrays of lifted points.
-
-    With ``cap`` given, cells whose tail bound already exceeds the cap are
-    not refined further; their returned value is then only guaranteed to
-    be correct when it is below the cap (enough for sublevel rasters).
+    ``outer`` and ``inner`` are the gaps from Re w to the walls 0 and log r
+    (None on the punctured disk), computed from |z| to keep their digits.
+    ``height`` is the height in the half-plane model up to a common factor:
+    sin(pi * nearer gap / L) on the annulus, L = log(1/r); ``outer`` else.
     """
-    best = np.asarray(atlas.model_distance_vec(wp, wq), dtype=float)
-    if not atlas.has_deck:
-        return best
-    k = 1
-    while k <= 500:
-        tails = np.asarray(atlas.tail_bound(wp, wq, k), dtype=float)
-        limit = best if cap is None else np.minimum(best, cap)
-        if not (tails <= limit + tol).any():
-            return best
-        for s in (k, -k):
-            d = atlas.model_distance_vec(wp, wq + atlas.deck_step * s)
-            np.minimum(best, d, out=best)
-        k += 1
-    raise NonConvergence("vector deck enumeration exceeded its iteration budget")
+
+    im: np.ndarray
+    outer: np.ndarray
+    inner: np.ndarray | None
+    height: np.ndarray
+
+
+def _log_ratio(z, c: float) -> np.ndarray:
+    """log(|z| / c), with full relative accuracy next to the circle |z| = c."""
+    m = np.abs(z) / c
+    with np.errstate(divide="ignore"):
+        return np.where((m > 0.5) & (m < 2.0),
+                        0.5 * np.log1p(abs2_minus(z, c) / (c * c)), np.log(m))
+
+
+def lift_points(domain: Domain, z):
+    """Lifts for ``lift_infimum_vec``: the points themselves on the disk and
+    half-plane, a ``Lift`` on the covered domains.  No membership checks."""
+    z = np.asarray(z, dtype=complex)
+    if isinstance(domain, (Disk, HalfPlane)):
+        return z
+    outer = np.maximum(-_log_ratio(z, 1.0), _MIN_GAP)
+    if isinstance(domain, PuncturedDisk):
+        return Lift(np.angle(z), outer, None, outer)
+    inner = np.maximum(_log_ratio(z, domain.r), _MIN_GAP)
+    scale = math.pi / -math.log(domain.r)
+    return Lift(np.angle(z), outer, inner, np.sin(scale * np.minimum(inner, outer)))
+
+
+def lift_infimum_vec(atlas: CoveringAtlas, wp, wq) -> np.ndarray:
+    """Model distance between lifts at the nearest deck translate, elementwise.
+
+    ``wp`` and ``wq`` come from ``lift_points`` and broadcast together.
+    Sending the model to the upper half-plane, where
+    sinh d = |u - v| / (2 sqrt(Im u Im v)), gives with the offset
+    dy = Im(wp - wq) reduced to the nearest translate, |dy| <= pi:
+
+    * punctured disk: sinh d = |dw| / (2 sqrt(Re wp Re wq));
+    * annulus: sinh d = sqrt(sinh^2(k dy) + sin^2(k dx)) / sqrt(sin t_p sin t_q),
+      with k = pi / (2L), dx = Re(wp - wq) and t the model angle pi(Re w - log r)/L.
+    """
+    domain = atlas.domain
+    if isinstance(domain, Disk):
+        return rho_vec(wp, wq)
+    if isinstance(domain, HalfPlane):
+        return halfplane_rho_vec(wp, wq)
+    dy = wp.im - wq.im
+    dy = dy - TAU * np.round(dy / TAU)
+    if isinstance(domain, PuncturedDisk):
+        dw = np.hypot(wq.outer - wp.outer, dy)
+        return np.arcsinh(dw / (2.0 * np.sqrt(wp.height * wq.height)))
+    k = math.pi / (2.0 * -math.log(domain.r))
+    # Re(wp - wq), read off the wall the pair is nearer to
+    dx = np.where(wp.inner + wq.inner < wp.outer + wq.outer,
+                  wp.inner - wq.inner, wq.outer - wp.outer)
+    a = k * np.abs(dy)
+    heights = wp.height * wq.height
+    with np.errstate(over="ignore"):
+        s = np.hypot(np.sinh(a), np.sin(k * dx)) / np.sqrt(heights)
+    # sinh a overflows only on very thin annuli; there asinh s = a - log(heights)/2
+    return np.where(a < 700.0, np.arcsinh(s), a - 0.5 * np.log(heights))
+
+
+def lift_infimum(atlas: CoveringAtlas, p, q, tol: float = 1e-9) -> float:
+    """Distance through the cover: inf over deck translates of lift distances.
+
+    The closed form of ``lift_infimum_vec`` is exact up to rounding, so
+    ``tol`` no longer bounds an enumeration; it is kept for callers.
+    """
+    for z in (p, q):
+        if not contains(atlas.domain, z):
+            raise LiftFailure(f"{z!r} has no lift in the model of {atlas.domain!r}")
+    wp = lift_points(atlas.domain, as_finite(p))
+    wq = lift_points(atlas.domain, as_finite(q))
+    return float(lift_infimum_vec(atlas, wp, wq))
 
 
 def _pair_distance_vec(domain: Domain, atlas: CoveringAtlas | None,
@@ -222,19 +249,15 @@ def _pair_distance_vec(domain: Domain, atlas: CoveringAtlas | None,
         ub = _point_density_bounds(domain, a)
         vb = _point_density_bounds(domain, b)
         return np.abs(a - b) * np.maximum(ub, vb)
-    if isinstance(domain, Disk):
-        return rho_vec(a, b)
-    if isinstance(domain, HalfPlane):
-        return rho_vec(atlas.model_to_disk(a), atlas.model_to_disk(b))
-    return lift_infimum_vec(atlas, np.log(a.astype(complex)), np.log(b.astype(complex)))
+    return lift_infimum_vec(atlas, lift_points(domain, a), lift_points(domain, b))
 
 
 def kob_distance(domain: Domain, p, q, tol: float = 1e-9) -> DistanceInterval:
     """Certified interval around the Kobayashi distance.
 
-    Disk and half-plane are exact (degenerate interval); punctured disk
-    and annulus are exact to ``tol`` through the covering route; grids get
-    a genuine two-sided interval.
+    Catalog domains are exact up to rounding: a degenerate interval on
+    the disk and half-plane, [value - tol, value] through the covering
+    route; grids get a genuine two-sided interval.
     """
     p, q = as_finite(p), as_finite(q)
     if not contains(domain, p):
@@ -243,20 +266,13 @@ def kob_distance(domain: Domain, p, q, tol: float = 1e-9) -> DistanceInterval:
         raise OutOfDomain(f"{q!r} not in {domain!r}")
     if p == q:
         return DistanceInterval(0.0, 0.0)
-    if isinstance(domain, Disk):
-        d = poincare_distance(p, q)
-        return DistanceInterval(d, d)
-    if isinstance(domain, HalfPlane):
-        from .domains import halfplane_distance
-
-        d = halfplane_distance(p, q)
-        return DistanceInterval(d, d)
-    if isinstance(domain, (PuncturedDisk, Annulus)):
-        v = lift_infimum(covering_atlas(domain), p, q, tol)
-        return DistanceInterval(max(v - tol, 0.0), v)
     if isinstance(domain, GridDomain):
         return _grid_interval(domain, p, q)
-    raise Unsupported(f"unknown domain {domain!r}")
+    atlas = covering_atlas(domain)
+    v = lift_infimum(atlas, p, q, tol)
+    if atlas.has_deck:
+        return DistanceInterval(max(v - tol, 0.0), v)
+    return DistanceInterval(v, v)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +291,7 @@ def _grid_graph(grid: GridDomain):
     the corresponding polyline from above.  Diagonal steps require both
     orthogonal corner cells, which keeps the polyline inside the domain.
     """
+    _load_sparse()
     cached = _GRID_GRAPH_CACHE.get(grid)
     if cached is not None:
         return cached
@@ -395,10 +412,17 @@ def geodesic(domain: Domain, p, q, samples: int = 256) -> PolyPath:
     if p == q:
         raise DegenerateEndpoints("geodesic endpoints coincide")
     atlas = covering_atlas(domain)
-    _, kstar, wp, wq = _lift_argmin(atlas, p, q)
-    wq = wq + atlas.deck_step * kstar if atlas.has_deck else wq
+    wp, wq = complex(atlas.lift(p)), complex(atlas.lift(q))
+    shift = 0j
+    if atlas.has_deck:
+        # nearest deck translate of q's lift, then a vertical shift (an
+        # isometry of the model) that centers the pair on Im w = 0 and so
+        # keeps the band's exponential small
+        wq += DECK_STEP * round((wp.imag - wq.imag) / TAU)
+        shift = 0.5j * (wp.imag + wq.imag)
     ts = np.linspace(0.0, 1.0, samples)
-    ws = [atlas.model_geodesic_point(wp, wq, float(t)) for t in ts]
+    ws = [atlas.model_geodesic_point(wp - shift, wq - shift, float(t)) + shift
+          for t in ts]
     if atlas.has_deck:
         verts = [complex(np.exp(w)) for w in ws]
     else:
@@ -447,6 +471,7 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float,
         if not contains(domain, z):
             raise OutOfDomain(f"{z!r} not in {domain!r}")
 
+    _load_sparse()
     h = grid_spacing
     if isinstance(domain, Disk):
         reach = max(abs(z) for z in endpoints)
@@ -546,23 +571,14 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float,
 # Ball rasters
 # ---------------------------------------------------------------------------
 
-def distance_field(domain: Domain, center, grid: GridDomain,
-                   cap: float | None = None) -> np.ndarray:
+def distance_field(domain: Domain, center, grid: GridDomain) -> np.ndarray:
     """Distances from ``center`` to every cell center of ``grid`` (catalog only)."""
-    center = as_finite(center)
     atlas = covering_atlas(domain)
     cells = grid.centers
-    if isinstance(domain, Disk):
-        out = rho_vec(center, cells)
-    elif isinstance(domain, HalfPlane):
-        out = rho_vec(atlas.model_to_disk(center), atlas.model_to_disk(cells))
-    else:
-        inside = contains_vec(domain, cells)
-        out = np.full(cells.shape, np.inf)
-        wq = np.log(cells[inside].astype(complex))
-        wp = atlas.lift(center)
-        out[inside] = lift_infimum_vec(atlas, wp, wq, cap=cap)
-    out[~grid.mask] = np.inf
+    inside = grid.mask & contains_vec(domain, cells)
+    out = np.full(cells.shape, np.inf)
+    out[inside] = lift_infimum_vec(atlas, lift_points(domain, as_finite(center)),
+                                   lift_points(domain, cells[inside]))
     return out
 
 
@@ -580,8 +596,7 @@ def kob_ball_raster(domain: Domain, center, radius: float,
         grid = _halfplane_ball_frame(domain, center, radius, spacing)
     else:
         grid = rasterize(domain, spacing)
-    dist = distance_field(domain, center, grid, cap=radius * 1.02)
-    mask = grid.mask & (dist < radius)
+    mask = distance_field(domain, center, grid) < radius
     idx = grid.cell_index(center)
     if idx is not None and grid.mask[idx[1], idx[0]]:
         mask[idx[1], idx[0]] = True  # the center's own cell is always in

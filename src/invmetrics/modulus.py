@@ -18,14 +18,22 @@ import math
 
 import numpy as np
 from scipy import ndimage
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import cg
 
 from .domains import GridDomain, STRUCT_4
 from .errors import NonPositive, SolverDivergence, ValidationError, WrongConnectivity
 
 _CG_RTOL = 1e-10
 _CG_MAXITER = 1_000_000
+
+# scipy.sparse costs about 10 MB at import and only the solver needs it
+coo_matrix = cg = None
+
+
+def _load_sparse():
+    global coo_matrix, cg
+    if cg is None:
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.linalg import cg
 
 
 def conformal_modulus(grid: GridDomain, inner_label: int, outer_label: int) -> float:
@@ -41,6 +49,7 @@ def conformal_modulus(grid: GridDomain, inner_label: int, outer_label: int) -> f
     if outer_label != unbounded:
         raise ValidationError(f"label {outer_label} is not the unbounded component")
 
+    _load_sparse()
     mask = grid.mask
     h, w = mask.shape
     near_domain = ndimage.binary_dilation(mask, STRUCT_4)

@@ -27,31 +27,67 @@ def check_in_disk(z) -> complex:
 
 def poincare_distance(z, w) -> float:
     """Hyperbolic distance between two points of the open unit disk."""
-    z = check_in_disk(z)
-    w = check_in_disk(w)
-    t = abs(z - w) / abs(1.0 - z * w.conjugate())
-    return math.atanh(t)
+    return float(rho_vec(check_in_disk(z), check_in_disk(w)))
+
+
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's splitting constant for float64
+
+
+def _square(a):
+    """a*a as three floats whose sum is exact (Dekker's split a = hi + lo)."""
+    hi = _SPLIT * a - (_SPLIT * a - a)
+    lo = a - hi
+    return hi * hi, 2.0 * hi * lo, lo * lo
+
+
+def abs2_minus(z, c):
+    """|z|^2 - c^2 without the cancellation of the naive difference.
+
+    (|z| - c)(|z| + c) keeps twelve digits unless |z| is within 1e-3 of c.
+    There the nine exact parts of the three squares are added with
+    error-free two-sums (Ogita, Rump and Oishi's Sum2), as accurately as
+    double-double arithmetic would: a point one float step from the
+    circle still gets its gap to nearly full relative precision.
+    """
+    z = np.asarray(z, dtype=complex)
+    m = np.abs(z)
+    gap = m - c
+    out = np.asarray(gap * (m + c))
+    near = np.abs(gap) < 1e-3 * c
+    if near.any():
+        zn = z[near]
+        terms = (*_square(zn.real), *_square(zn.imag), *(-t for t in _square(np.float64(c))))
+        total, err = terms[0], 0.0
+        for t in terms[1:]:
+            s = total + t
+            b = s - total
+            err = err + ((total - (s - b)) + (t - b))
+            total = s
+        out[near] = total + err
+    return out
 
 
 def rho_vec(z, w):
     """Vectorized distance; no domain checks, intended for rasters.
 
-    Saturates near 19 once an argument is within one ulp of the boundary
-    (a 0/0 there means both points collapsed onto the rim, i.e., the true
-    distance exceeds what float64 can resolve through this formula).
+    Uses sinh rho = |z - w| / sqrt((1 - |z|^2)(1 - |w|^2)) with both
+    factors from ``abs2_minus``, so nothing cancels: points within 1e-12
+    of the rim keep their digits and large distances do not saturate.
+    A point on or outside the rim is at infinite distance.
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.abs(z - w) / np.abs(1.0 - z * np.conjugate(w))
-    t = np.nan_to_num(t, nan=1.0, posinf=1.0)
-    return np.arctanh(np.minimum(t, np.nextafter(1.0, 0.0)))
+    gz = np.maximum(-abs2_minus(z, 1.0), 0.0)
+    gw = np.maximum(-abs2_minus(w, 1.0), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.arcsinh(np.abs(z - w) / np.sqrt(gz * gw))
 
 
-def disk_density(z) -> float:
-    """Density 1 / (1 - |z|^2) of the unit-disk metric."""
-    z = check_in_disk(z)
-    return 1.0 / (1.0 - abs(z) ** 2)
+def halfplane_rho_vec(z, w):
+    """Left half-plane Re z < 0 distance, no checks: sinh rho = |z - w| / (2 sqrt(Re z Re w))."""
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    return np.arcsinh(np.abs(z - w) / (2.0 * np.sqrt(z.real * w.real)))
 
 
 def poincare_geodesic(z, w, t: float):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .domains import Domain, GridDomain, STRUCT_4, STRUCT_8, covering_atlas
+from .domains import Annulus, Domain, GridDomain, STRUCT_4, STRUCT_8, covering_atlas
 from .errors import (
     CoverScaleTooLarge,
     EmptyRegion,
@@ -25,6 +25,7 @@ from .errors import (
     Unsupported,
     ValidationError,
 )
+from .kobayashi import lift_infimum_vec, lift_points
 
 
 @dataclass(frozen=True)
@@ -142,10 +143,6 @@ def winding_number(poly: SimplePolygon, z) -> int:
             tuple((x * scale, y * scale) for (x, y) in poly.vertices2))
         return scaled.winding_point2(qx, qy)
     return poly.winding_point2(qx, qy)
-
-
-def winding_number_cell(poly: SimplePolygon, ix: int, iy: int) -> int:
-    return poly.winding_point2(2 * ix, 2 * iy)
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +328,22 @@ def injectivity_lower_bound(domain: Domain, ball) -> float:
     """
     if isinstance(domain, GridDomain):
         raise Unsupported("injectivity bounds need a catalog atlas")
-    atlas = covering_atlas(domain)
-    if not atlas.has_deck:
+    if not covering_atlas(domain).has_deck:
         return math.inf
     cells = ball.centers[ball.mask]
     if cells.size == 0:
         raise OutOfDomain("the ball raster is empty")
-    lifts = np.log(cells.astype(complex))
-    deck = atlas.model_distance_vec(lifts, lifts + atlas.deck_step)
-    return (float(np.min(deck)) - 1e-9) / 2.0
+    lifts = lift_points(domain, cells)
+    if isinstance(domain, Annulus):
+        # sinh d(w, w + 2 pi i) = sinh(pi^2 / L) / sin t, least where sin t is
+        # largest; past float range asinh(sinh(a) / h) = a - log h
+        a = math.pi ** 2 / -math.log(domain.r)
+        h = float(lifts.height.max())
+        loop = math.asinh(math.sinh(a) / h) if a < 700.0 else a - math.log(h)
+    else:
+        # sinh d(w, w + 2 pi i) = pi / |Re w| on the punctured disk
+        loop = math.asinh(math.pi / float(lifts.outer.max()))
+    return (loop - 1e-9) / 2.0
 
 
 def nerve_cover(domain: Domain, ball, r_cover: float) -> NerveGraph:
@@ -361,37 +365,32 @@ def nerve_cover(domain: Domain, ball, r_cover: float) -> NerveGraph:
     cells = ball.centers[ball.mask]
     if cells.size == 0:
         raise OutOfDomain("the ball raster is empty")
+    lifts = lift_points(domain, cells)
 
-    if atlas.has_deck:
-        lifts = np.log(cells.astype(complex))
-
-        def dist_from(i):
-            from .kobayashi import lift_infimum_vec
-            return lift_infimum_vec(atlas, lifts[i], lifts)
-    else:
-        disk_pts = atlas.model_to_disk(cells)
-
-        def dist_from(i):
-            from .poincare import rho_vec
-            return rho_vec(disk_pts[i], disk_pts)
+    def dist_from(i):
+        return lift_infimum_vec(atlas, lift_points(domain, cells[i]), lifts)
 
     center_ids = [0]
-    dist_rows = [dist_from(0)]
-    mindist = dist_rows[0].copy()
+    mindist = dist_from(0)
+    covered = [mindist < r_cover]  # one boolean row per center
     while True:
         nxt = int(np.argmax(mindist))
         if mindist[nxt] <= r_cover:
             break
         center_ids.append(nxt)
         row = dist_from(nxt)
-        dist_rows.append(row)
+        covered.append(row < r_cover)
         np.minimum(mindist, row, out=mindist)
-    rows = np.vstack(dist_rows)  # centers x cells
-    covered = rows < r_cover
 
+    # Each cell's set of covering centers is a clique of the nerve.  Cells
+    # share few distinct sets, so deduplicate the packed column patterns
+    # before the Python loop over cliques.
     m = len(center_ids)
-    cliques = {tuple(np.nonzero(covered[:, j])[0].tolist())
-               for j in range(covered.shape[1])}
+    packed = np.ascontiguousarray(np.packbits(covered, axis=0).T)
+    patterns = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
+    members = np.unpackbits(patterns.view(np.uint8).reshape(len(patterns), -1),
+                            axis=1)[:, :m]
+    cliques = [np.flatnonzero(bits).tolist() for bits in members]
     edges = set()
     witness_triangles = set()
     for clique in cliques:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from invmetrics.domains import (
     rasterize,
 )
 from invmetrics.errors import Unsupported, ValidationError, ParseError
+from invmetrics.kobayashi import lift_infimum
 from invmetrics.topology import connectivity_number
 
 TAU = 2 * math.pi
@@ -122,31 +124,30 @@ class TestCoveringAtlas:
         with pytest.raises(Unsupported):
             covering_atlas(square_with_hole_grid)
 
-    def test_tail_bound_is_monotone_lower_bound(self):
-        atlas = covering_atlas(Annulus(0.1))
-        wp = atlas.lift(math.sqrt(0.1))
-        wq = atlas.lift(-0.5)
-        bounds = [float(atlas.tail_bound(wp, wq, k)) for k in range(1, 6)]
-        assert all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
-        for k in range(1, 6):
-            actual = atlas.model_distance(wp, wq + atlas.deck_step * k)
-            assert actual >= float(atlas.tail_bound(wp, wq, k)) - 1e-12
-
-    @given(st.floats(0.02, 0.9), st.floats(0.01, 0.98), st.floats(0.01, 0.98),
-           st.floats(0, TAU), st.floats(0, TAU), st.integers(1, 6))
-    @settings(max_examples=120, deadline=None)
-    def test_tail_bound_certifies_every_translate(self, r, sp, sq, tp, tq, k):
-        # the bound at index k must sit below the model distance to every
-        # deck translate with index at least k, for any annulus
-        domain = Annulus(r)
-        atlas = covering_atlas(domain)
-        zp = (r + sp * (1 - r)) * complex(math.cos(tp), math.sin(tp))
-        zq = (r + sq * (1 - r)) * complex(math.cos(tq), math.sin(tq))
-        wp, wq = atlas.lift(zp), atlas.lift(zq)
-        bound = float(atlas.tail_bound(wp, wq, k))
-        for kk in (k, k + 1, k + 2, -k, -k - 1):
-            actual = atlas.model_distance(wp, wq + atlas.deck_step * kk)
-            assert bound <= actual + 1e-9
+    @given(st.floats(0.02, 0.95), st.floats(0.01, 0.99), st.floats(0.01, 0.99),
+           st.floats(0, TAU), st.floats(0, TAU), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_nearest_translate_matches_enumeration(self, r, sp, sq, tp, tq, punctured):
+        # the closed form at the nearest deck translate must equal the least
+        # half-plane distance over the translates |k| <= 50, found by brute
+        # force in complex arithmetic; the points sit at fractions sp, sq of
+        # the band width (of log 1/r = 5 on the punctured disk)
+        domain = PuncturedDisk() if punctured else Annulus(r)
+        log_r = -5.0 if punctured else math.log(r)
+        zp = cmath.rect(math.exp(log_r * (1 - sp)), tp)
+        zq = cmath.rect(math.exp(log_r * (1 - sq)), tq)
+        wp = cmath.log(zp) - 1j * cmath.log(zp).imag   # common rotation: Im wp = 0
+        wq = cmath.log(zq) - 1j * cmath.log(zp).imag + 2j * math.pi * np.arange(-50, 51)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if punctured:
+                u, v = -1j * wp, -1j * wq       # left half-plane onto the upper one
+            else:
+                scale = 1j * math.pi / -log_r   # band onto the upper half-plane
+                u, v = np.exp(scale * (wp - log_r)), np.exp(scale * (wq - log_r))
+            translates = np.arcsinh(np.abs(u - v) / (2 * np.sqrt(u.imag * v.imag)))
+        brute = float(np.nanmin(translates))
+        value = lift_infimum(covering_atlas(domain), zp, zq)
+        assert value == pytest.approx(brute, rel=1e-10, abs=1e-12)
 
 
 class TestGridDomain:

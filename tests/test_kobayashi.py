@@ -59,13 +59,12 @@ class TestLiftInfimum:
     @pytest.mark.parametrize("r", [0.05, 0.1, 0.3, 0.6])
     def test_antipodal_core_closed_form(self, r):
         # the mid-circle is a projected model geodesic, so the antipodal
-        # distance closes to pi^2 / (2 log(1/r)) for every inner radius;
-        # thin annuli lose a few digits to cancellation near the disk rim
+        # distance closes to pi^2 / (2 log(1/r)) for every inner radius
         atlas = covering_atlas(Annulus(r))
         s = math.sqrt(r)
         value = lift_infimum(atlas, s, -s)
         assert value == pytest.approx(math.pi**2 / (2 * math.log(1 / r)),
-                                      abs=1e-7)
+                                      abs=1e-12)
 
     def test_lift_failure_outside(self):
         atlas = covering_atlas(Annulus(0.1))

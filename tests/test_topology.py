@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -204,6 +206,17 @@ class TestNerve:
             ball = kob_ball_raster(Annulus(0.1), SQRT_TENTH, radius, 0.01)
             nerve = nerve_cover(Annulus(0.1), ball, 0.7)
             assert nerve.cycle_rank == connectivity_number(ball.mask) == expected
+
+    def test_pinned_annulus_nerve(self):
+        # sha256 of json.dumps([edges, triangles]) as computed by the former
+        # deck-enumeration kernel, which agrees with the closed form here
+        ball = kob_ball_raster(Annulus(0.1), 1j * SQRT_TENTH, 1.5, 0.02)
+        nerve = nerve_cover(Annulus(0.1), ball, 0.5)
+        assert (ball.cell_count(), nerve.vertex_count) == (3411, 42)
+        assert (len(nerve.edges), len(nerve.triangles), nerve.cycle_rank) == (89, 51, 0)
+        digest = hashlib.sha256(json.dumps([nerve.edges, nerve.triangles]).encode())
+        assert digest.hexdigest() == (
+            "81e28591e870afbf6969de72a4879bc827a0b4f66ab99c7f7411e95b318db369")
 
     def test_cover_scale_guard(self):
         ball = kob_ball_raster(Annulus(0.1), SQRT_TENTH, 0.5, 0.02)
