@@ -205,9 +205,7 @@ def criterion_6(quick: bool = False) -> CriterionResult:
 
 
 def _winding_values(poly, labels, lab):
-    ys, xs = np.nonzero(labels == lab)
-    return {poly.winding_point2(2 * ix, 2 * iy)
-            for ix, iy in zip(xs.tolist(), ys.tolist())}
+    return set(np.unique(poly.winding_field(labels.shape)[labels == lab]).tolist())
 
 
 def criterion_7(quick: bool = False) -> CriterionResult:

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .mobius import as_finite, disk_automorphism
 from .poincare import rho_vec
+from .topology import border_labels, connectivity_number
 
 _DICTIONARY_SEED = 20260810
 _ROTATION_COPIES = 8
@@ -160,19 +161,20 @@ def _catalog_dictionary(domain) -> MapDictionary:
     return _build_dictionary(domain)
 
 
-_GRID_DICTIONARIES: "weakref.WeakKeyDictionary[GridDomain, MapDictionary]" = (
-    weakref.WeakKeyDictionary())
+# Entries only: a cached MapDictionary would hold its grid strongly and keep
+# the weak key, and every grid ever queried, alive.
+_GRID_ENTRIES: "weakref.WeakKeyDictionary[GridDomain, tuple]" = weakref.WeakKeyDictionary()
 
 
 def default_dictionary(domain: Domain) -> MapDictionary:
     """Catalog dictionary: identity/inclusion, one reciprocal per hole, and
     eight automorphism post-compositions of each."""
     if isinstance(domain, GridDomain):
-        cached = _GRID_DICTIONARIES.get(domain)
-        if cached is None:
-            cached = _build_dictionary(domain)
-            _GRID_DICTIONARIES[domain] = cached
-        return cached
+        entries = _GRID_ENTRIES.get(domain)
+        if entries is None:
+            entries = _build_dictionary(domain).entries
+            _GRID_ENTRIES[domain] = entries
+        return MapDictionary(domain, entries)
     return _catalog_dictionary(domain)
 
 
@@ -362,7 +364,7 @@ def car_ball_components(domain: Domain, p, radius: float,
         comp = labels == lab
         halo = ndimage.binary_dilation(comp, STRUCT_8)
         relcomp = not bool((halo & boundary_cells).any())
-        conn = _connectivity_of(comp)
+        conn = connectivity_number(comp)
         if relcomp:
             _check_no_enclosed_interior_hole(grid, comp, dist_to_complement)
         components.append(ComponentReport(
@@ -378,21 +380,10 @@ def car_ball_components(domain: Domain, p, radius: float,
                                components=tuple(components))
 
 
-def _connectivity_of(mask: np.ndarray) -> int:
-    comp_labels, comp_count = ndimage.label(~mask, structure=STRUCT_8)
-    border = np.unique(np.concatenate([
-        comp_labels[0, :], comp_labels[-1, :],
-        comp_labels[:, 0], comp_labels[:, -1]]))
-    border = border[border > 0]
-    return comp_count - len(set(border.tolist()))
-
-
 def _check_no_enclosed_interior_hole(grid: GridDomain, comp: np.ndarray,
                                      dist_to_complement: np.ndarray):
     hole_labels, hole_count = ndimage.label(~comp, structure=STRUCT_8)
-    border = set(np.unique(np.concatenate([
-        hole_labels[0, :], hole_labels[-1, :],
-        hole_labels[:, 0], hole_labels[:, -1]])).tolist()) - {0}
+    border = border_labels(hole_labels)
     for lab in range(1, hole_count + 1):
         if lab in border:
             continue

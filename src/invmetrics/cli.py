@@ -186,10 +186,9 @@ def _cmd_separate(args) -> int:
         k2 = k2 if k2 is not None else (bounded[1] if len(bounded) > 1 else unbounded)
     poly = top.separating_cycle(grid, k1, k2)
     lines = [f"k1: {k1}", f"k2: {k2}", f"vertices: {len(poly)}"]
+    field = poly.winding_field(labels.shape)
     for lab, name in ((k1, "k1"), (k2, "k2")):
-        ys, xs = np.nonzero(labels == lab)
-        values = sorted({poly.winding_point2(2 * ix, 2 * iy)
-                         for ix, iy in zip(xs.tolist(), ys.tolist())})
+        values = np.unique(field[labels == lab]).tolist()
         lines.append(f"winding_{name}: {' '.join(str(v) for v in values)}")
     text = "\n".join(lines) + "\n" + poly.to_text()
     _emit(text, args.out)

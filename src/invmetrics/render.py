@@ -6,6 +6,7 @@ import numpy as np
 from scipy import ndimage
 
 from .domains import STRUCT_8
+from .topology import border_labels
 
 _BALL_COLOR = "#3b6fd4"
 _DOMAIN_COLOR = "#d9d9d9"
@@ -28,8 +29,7 @@ def render_ball_svg(domain_mask: np.ndarray, ball_mask: np.ndarray) -> str:
     """
     h, w = domain_mask.shape
     labels, count = ndimage.label(~domain_mask, structure=STRUCT_8)
-    unbounded = {int(v) for v in np.unique(np.concatenate(
-        [labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])) if v > 0}
+    unbounded = border_labels(labels)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -65,9 +65,17 @@ def connectivity_number(mask: np.ndarray) -> int:
     if border.any():
         raise ValidationError("the region must not touch the frame border")
     labels, count = ndimage.label(~mask, structure=STRUCT_8)
-    touching = set(np.unique(np.concatenate([
-        labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])).tolist()) - {0}
-    return count - len(touching)
+    return count - len(border_labels(labels))
+
+
+def border_labels(labels: np.ndarray) -> set:
+    """Nonzero labels of a label raster that touch the frame border.
+
+    Complement components meeting the border all belong to the unbounded
+    component of the plane.
+    """
+    ring = np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])
+    return set(np.unique(ring).tolist()) - {0}
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +89,8 @@ class SimplePolygon:
     Vertices are stored in doubled integer coordinates (odd numbers are
     half-integers), so crossing tests against cell centers (even doubled
     coordinates) are exact integer arithmetic with no ties.
+    ``winding_point2`` answers one point; ``winding_field`` answers every
+    cell center of a frame at once for axis-parallel polygons.
     """
 
     vertices2: tuple
@@ -128,6 +138,34 @@ class SimplePolygon:
                 total -= 1
         return total
 
+    def winding_field(self, shape) -> np.ndarray:
+        """Winding number around every cell center of an h x w frame.
+
+        Equals ``winding_point2(2 ix, 2 iy)`` at [iy, ix] for polygons with
+        axis-parallel edges on odd doubled coordinates, the contours of
+        ``separating_cycle``.  Under the half-open crossing rule a vertical
+        edge adds its direction (+1 up) to the centers left of it in the
+        rows it spans: a difference array, summed down the rows and then
+        leftward along them, gives every center in one pass.
+        """
+        h, w = shape
+        v = np.asarray(self.vertices2, dtype=np.int64)
+        nxt = np.roll(v, -1, axis=0)
+        if not ((v % 2).all() and (v == nxt).any(axis=1).all()):
+            raise ValidationError("winding_field needs axis-parallel edges on odd coordinates")
+        vertical = v[:, 0] == nxt[:, 0]
+        x, y1, y2 = v[vertical, 0], v[vertical, 1], nxt[vertical, 1]
+        sign = np.sign(y2 - y1)
+        col = np.clip((x + 1) // 2, 0, w)  # one past the last column left of the edge
+        row0 = np.clip((np.minimum(y1, y2) + 1) // 2, 0, h)
+        row1 = np.clip((np.maximum(y1, y2) + 1) // 2, 0, h)
+        diff = np.zeros((h + 1, w + 1), dtype=np.int64)
+        np.add.at(diff, (row0, col), sign)
+        np.add.at(diff, (row1, col), -sign)
+        rows = np.cumsum(diff[:h], axis=0)
+        # column 0 collects edges left of the frame, which wind no center
+        return np.cumsum(rows[:, :0:-1], axis=1)[:, ::-1]
+
 
 def winding_number(poly: SimplePolygon, z) -> int:
     """Exact winding number of the polygon around a point off the polygon."""
@@ -156,67 +194,41 @@ def _trace_outer_contour(blob: np.ndarray):
     rightmost turn is taken, matching the foreground-4 convention.
     Returns None when the traced cycle revisits a vertex.
     """
-    ys, xs = np.nonzero(blob)
-    if len(xs) == 0:
+    rows = np.flatnonzero(blob.any(axis=1))
+    if len(rows) == 0:
         return None
     h, w = blob.shape
+    pad = np.zeros((h + 2, w + 2), dtype=bool)
+    pad[1:-1, 1:-1] = blob
+    # Lattice vertex (2i - 1, 2j - 1) sits at [j, i] of these views of the
+    # cells to its south-west, south-east, north-west and north-east.
+    sw, se, nw, ne = pad[:-1, :-1], pad[:-1, 1:], pad[1:, :-1], pad[1:, 1:]
+    # One bit per boundary edge leaving the vertex with the blob on its left.
+    leaving = (sw & ~nw) | (se & ~sw) << 1 | (nw & ~ne) << 2 | (ne & ~se) << 3
+    bit = {(-2, 0): 1, (0, -2): 2, (0, 2): 4, (2, 0): 8}
 
-    def cell(ix, iy):
-        return 0 <= ix < w and 0 <= iy < h and blob[iy, ix]
-
-    edges = {}
-    for ix, iy in zip(xs.tolist(), ys.tolist()):
-        bl = (2 * ix - 1, 2 * iy - 1)
-        br = (2 * ix + 1, 2 * iy - 1)
-        tr = (2 * ix + 1, 2 * iy + 1)
-        tl = (2 * ix - 1, 2 * iy + 1)
-        if not cell(ix, iy - 1):
-            edges.setdefault(bl, []).append(br)
-        if not cell(ix + 1, iy):
-            edges.setdefault(br, []).append(tr)
-        if not cell(ix, iy + 1):
-            edges.setdefault(tr, []).append(tl)
-        if not cell(ix - 1, iy):
-            edges.setdefault(tl, []).append(bl)
-
-    # The bottom-most then left-most boundary edge lies on the outer cycle.
-    iy0 = int(ys.min())
-    ix0 = int(xs[ys == iy0].min())
-    start = (2 * ix0 - 1, 2 * iy0 - 1)
+    # The bottom-most then left-most cell's bottom edge lies on the outer
+    # cycle, and is the only boundary edge leaving its left end.
+    iy0 = int(rows[0])
+    start = (2 * int(np.argmax(blob[iy0])) - 1, 2 * iy0 - 1)
     path = [start]
     seen = {start}
-    current = start
-    prev_dir = None
+    x, y = start
+    dx, dy = 2, 0
     while True:
-        outs = edges.get(current, [])
-        if not outs:
+        x, y = x + dx, y + dy
+        if (x, y) == start:
+            return path
+        if (x, y) in seen:
             return None
-        if len(outs) == 1 or prev_dir is None:
-            nxt = outs[0]
-        else:
-            # rightmost turn relative to the incoming direction
-            def turn_rank(cand):
-                dx, dy = cand[0] - current[0], cand[1] - current[1]
-                px, py = prev_dir
-                crossz = px * dy - py * dx
-                dot = px * dx + py * dy
-                if crossz < 0:
-                    return 0  # right turn
-                if crossz == 0 and dot > 0:
-                    return 1  # straight
-                return 2      # left turn
-            nxt = min(outs, key=turn_rank)
-        outs.remove(nxt)
-        prev_dir = (nxt[0] - current[0], nxt[1] - current[1])
-        if nxt == start:
-            path.append(nxt)
-            break
-        if nxt in seen:
-            return None
-        seen.add(nxt)
-        path.append(nxt)
-        current = nxt
-    return path[:-1]
+        seen.add((x, y))
+        path.append((x, y))
+        out = int(leaving[(y + 1) // 2, (x + 1) // 2])
+        # rightmost turn first; no boundary edge leaves back along its twin
+        for d in ((dy, -dx), (dx, dy), (-dy, dx)):
+            if out & bit[d]:
+                dx, dy = d
+                break
 
 
 def _compress_collinear(vertices):
@@ -237,7 +249,11 @@ def separating_cycle(grid: GridDomain, k1_label: int, k2_label: int) -> SimplePo
 
     The polygon is the outer contour of the widest dilation of the first
     component that keeps two cells of clearance from every other
-    complement cell, so both sides of the contour are domain cells.
+    complement cell, so both sides of the contour are domain cells.  A
+    contour is accepted when its exact winding field over the frame
+    (``SimplePolygon.winding_field``, one difference-array pass) reads 1
+    on every cell of the first component and 0 on every cell of the
+    second.
     """
     labels, count, unbounded = grid.complement_labels
     if k1_label == k2_label:
@@ -263,21 +279,10 @@ def separating_cycle(grid: GridDomain, k1_label: int, k2_label: int) -> SimplePo
             continue
         poly = SimplePolygon(tuple(_compress_collinear(contour)),
                              origin=grid.origin, spacing=grid.spacing)
-        if _winding_ok(poly, labels, k1_label, k2_label):
+        field = poly.winding_field(labels.shape)
+        if (field[k1] == 1).all() and (field[labels == k2_label] == 0).all():
             return poly
     raise NoCorridor("no dilation step yields a simple separating contour")
-
-
-def _winding_ok(poly: SimplePolygon, labels, k1_label, k2_label) -> bool:
-    for lab, expected in ((k1_label, 1), (k2_label, 0)):
-        ys, xs = np.nonzero(labels == lab)
-        for ix, iy in zip(xs.tolist(), ys.tolist()):
-            try:
-                if poly.winding_point2(2 * ix, 2 * iy) != expected:
-                    return False
-            except OnBoundary:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

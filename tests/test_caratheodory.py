@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from invmetrics.caratheodory import (
     default_dictionary,
     subharmonicity_check,
 )
-from invmetrics.domains import Annulus, Disk, rasterize
+from invmetrics.domains import Annulus, Disk, grid_load, grid_save, rasterize
 from invmetrics.errors import EmptyBall, MarginTooSmall, OutOfDomain
 from invmetrics.kobayashi import kob_distance
 from invmetrics.poincare import poincare_distance, rho_vec
@@ -42,6 +44,16 @@ class TestDictionary:
         reciprocals = [t for t in d.tags()
                        if t.startswith("reciprocal") and "aut" not in t]
         assert len(reciprocals) == 2
+
+    def test_cached_grid_entries_do_not_keep_the_grid_alive(self, pants_grid):
+        grid = grid_load(grid_save(pants_grid))
+        first = default_dictionary(grid)
+        assert default_dictionary(grid).entries is first.entries
+        kob_distance(grid, 0.05 + 0.6j, -0.05 - 0.6j)
+        ref = weakref.ref(grid)
+        del grid, first
+        gc.collect()
+        assert ref() is None
 
     def test_entries_map_into_disk(self, pants_grid):
         d = default_dictionary(pants_grid)

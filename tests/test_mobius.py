@@ -2,12 +2,13 @@ import cmath
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bounded_complex
 from invmetrics.errors import DegenerateMap, NotFixed
 from invmetrics.mobius import (
+    COEFF_EPS,
     INFINITY,
     FixedKind,
     MapClass,
@@ -168,12 +169,16 @@ class TestThreeFixedPoints:
 
 class TestCanonicalForm:
     @given(nondegenerate_maps())
+    @example(MobiusMap(-1.57e-14, 1 + 1j, 1 + 1j, 1))  # b = -3.77e-15 + 1j
     @settings(max_examples=80)
     def test_first_nonzero_coefficient_sign(self, m):
+        # zero is relative, as in the canonicalization: to the largest
+        # coefficient for the coefficient, to |x| for its real part
+        top = max(abs(m.a), abs(m.b), abs(m.c), abs(m.d))
         for x in (m.a, m.b, m.c, m.d):
-            if abs(x) > 1e-12:
-                assert x.real > 0 or (x.real == 0 and x.imag >= 0) \
-                    or abs(x.real) < 1e-15
+            if abs(x) > COEFF_EPS * top:
+                assert x.real > COEFF_EPS * abs(x) \
+                    or (abs(x.real) <= COEFF_EPS * abs(x) and x.imag >= 0)
                 break
 
     @given(nondegenerate_maps())

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from invmetrics.domains import Annulus, Disk, PuncturedDisk, grid_annulus
+from invmetrics.domains import Annulus, Disk, PuncturedDisk, grid_annulus, grid_from_predicate
 from invmetrics.errors import (
     CoverScaleTooLarge,
     EmptyRegion,
@@ -16,6 +18,9 @@ from invmetrics.errors import (
 from invmetrics.kobayashi import kob_ball_raster
 from invmetrics.topology import (
     SimplePolygon,
+    _compress_collinear,
+    _trace_outer_contour,
+    border_labels,
     connectivity_number,
     flood_components,
     injectivity_lower_bound,
@@ -64,6 +69,13 @@ class TestConnectivity:
 
     def test_pair_of_pants(self, pants_grid):
         assert connectivity_number(pants_grid.mask) == 2
+
+    def test_border_labels(self):
+        labels = np.array([[0, 1, 0, 0],
+                           [0, 2, 3, 0],
+                           [4, 0, 5, 0],
+                           [0, 0, 6, 0]])
+        assert border_labels(labels) == {1, 4, 6}
 
     def test_empty_region(self):
         with pytest.raises(EmptyRegion):
@@ -115,6 +127,95 @@ class TestWinding:
             SimplePolygon(((-1, -1), (1, -1), (-1, -1), (1, 1)))
 
 
+def _reference_contour(blob):
+    """Reference tracer: a cell-by-cell table of boundary edges, then the walk."""
+    ys, xs = np.nonzero(blob)
+    if len(xs) == 0:
+        return None
+    h, w = blob.shape
+
+    def cell(ix, iy):
+        return 0 <= ix < w and 0 <= iy < h and blob[iy, ix]
+
+    edges = {}
+    for ix, iy in zip(xs.tolist(), ys.tolist()):
+        bl, br = (2 * ix - 1, 2 * iy - 1), (2 * ix + 1, 2 * iy - 1)
+        tr, tl = (2 * ix + 1, 2 * iy + 1), (2 * ix - 1, 2 * iy + 1)
+        for side, a, b in (((ix, iy - 1), bl, br), ((ix + 1, iy), br, tr),
+                           ((ix, iy + 1), tr, tl), ((ix - 1, iy), tl, bl)):
+            if not cell(*side):
+                edges.setdefault(a, []).append(b)
+    iy0 = int(ys.min())
+    start = (2 * int(xs[ys == iy0].min()) - 1, 2 * iy0 - 1)
+    path, seen, current, prev = [start], {start}, start, None
+
+    def turn_rank(cand):
+        dx, dy = cand[0] - current[0], cand[1] - current[1]
+        crossz = prev[0] * dy - prev[1] * dx
+        if crossz < 0:
+            return 0
+        return 1 if crossz == 0 and prev[0] * dx + prev[1] * dy > 0 else 2
+
+    while True:
+        outs = edges.get(current, [])
+        if not outs:
+            return None
+        nxt = outs[0] if len(outs) == 1 or prev is None else min(outs, key=turn_rank)
+        outs.remove(nxt)
+        prev = (nxt[0] - current[0], nxt[1] - current[1])
+        if nxt == start:
+            return path
+        if nxt in seen:
+            return None
+        seen.add(nxt)
+        path.append(nxt)
+        current = nxt
+
+
+@st.composite
+def blobs(draw):
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cells = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    return np.array(cells, dtype=bool).reshape(h, w)
+
+
+class TestWindingField:
+    @given(blobs())
+    @settings(max_examples=300, deadline=None)
+    def test_contour_matches_cellwise_reference(self, blob):
+        assert _trace_outer_contour(blob) == _reference_contour(blob)
+
+    @given(blobs(), st.booleans(), st.integers(-3, 3), st.integers(-3, 3),
+           st.integers(-2, 3), st.integers(-2, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_field_matches_point_oracle(self, blob, reverse, sx, sy, dh, dw):
+        # blobs may fill the frame, so contours run along the border ring;
+        # shifting and resizing the frame puts polygon edges outside it on
+        # every side
+        contour = _trace_outer_contour(blob)
+        assume(contour is not None)
+        vertices = _compress_collinear(contour)
+        assume(len(vertices) >= 4)
+        if reverse:
+            vertices = vertices[::-1]
+        poly = SimplePolygon(tuple((x + 2 * sx, y + 2 * sy) for x, y in vertices))
+        h, w = max(blob.shape[0] + dh, 1), max(blob.shape[1] + dw, 1)
+        field = poly.winding_field((h, w))
+        assert field.shape == (h, w)
+        oracle = [[poly.winding_point2(2 * ix, 2 * iy) for ix in range(w)]
+                  for iy in range(h)]
+        assert field.tolist() == oracle
+        assert set(np.unique(field).tolist()) <= {0, -1 if reverse else 1}
+
+    @pytest.mark.parametrize("vertices2", [
+        ((-1, -1), (3, -1), (3, 3), (1, 5)),   # diagonal edge
+        ((0, 0), (2, 0), (2, 2), (0, 2)),      # corners on cell centers
+    ])
+    def test_off_lattice_polygons_rejected(self, vertices2):
+        with pytest.raises(ValidationError, match="axis-parallel"):
+            SimplePolygon(vertices2).winding_field((4, 4))
+
+
 class TestSeparatingCycle:
     def test_annulus_hole_vs_unbounded(self):
         grid = grid_annulus(0.25, 0.02)
@@ -138,6 +239,26 @@ class TestSeparatingCycle:
         ys, xs = np.nonzero(labels == holes[1])
         assert {poly.winding_point2(2 * ix, 2 * iy)
                 for ix, iy in zip(xs.tolist(), ys.tolist())} == {0}
+
+    @pytest.mark.parametrize("fixture, digest", [
+        ("annulus", "ba664a9052d45b9e7402c894a3c2672e70d2bf5b2d66842b4de7a2594db598f7"),
+        ("pants0.02", "4ed42ed0027bc023df9768a0bae27259caa2328884b08d2e85dbee36a23ccdde"),
+        ("pants0.005", "8cb25cbef421bf1886430b101dc1857c15a981dea0705a7cc190428e358e4243"),
+    ])
+    def test_pinned_vertices(self, fixture, digest):
+        # sha256 of json.dumps(vertices2) as computed by the cell-by-cell
+        # contour tracer and point-by-point winding check
+        if fixture == "annulus":
+            grid = grid_annulus(0.25, 0.02)
+        else:
+            grid = grid_from_predicate(
+                lambda z: (np.abs(z) < 1.0) & (np.abs(z - 0.45) > 0.25)
+                & (np.abs(z + 0.45) > 0.25), 1.0, float(fixture[5:]))
+        labels, count, unbounded = grid.complement_labels
+        holes = [lab for lab in range(1, count + 1) if lab != unbounded]
+        k2 = unbounded if fixture == "annulus" else holes[1]
+        poly = separating_cycle(grid, holes[0], k2)
+        assert hashlib.sha256(json.dumps(poly.vertices2).encode()).hexdigest() == digest
 
     def test_same_labels_rejected(self, pants_grid):
         with pytest.raises(ValidationError):
