@@ -20,7 +20,7 @@ from invmetrics.modulus import (
 )
 
 R = float(sys.argv[1]) if len(sys.argv) > 1 else 0.25
-SPACINGS = [0.04, 0.02, 0.01, 0.005]
+SPACINGS = [0.04, 0.02, 0.01, 0.005, 0.0025]
 
 
 def main():
@@ -34,7 +34,7 @@ def main():
         value = conformal_modulus(grid, inner, 3 - inner)
         elapsed = time.perf_counter() - start
         rhat = canonical_annulus_radius(value)
-        print(f"{h:8.3f} {value:10.6f} {abs(value - exact) / exact:9.2e} "
+        print(f"{h:8.4f} {value:10.6f} {abs(value - exact) / exact:9.2e} "
               f"{rhat:8.4f} {elapsed:6.2f}")
 
 

@@ -93,7 +93,19 @@ class WrongConnectivity(InvMetricsError):
 
 
 class SolverDivergence(InvMetricsError):
-    """The linear solver failed to reach the target residual."""
+    """The linear solver failed to reach the target residual.
+
+    ``iterations`` and ``residual`` (the true relative residual
+    ||b - Ax|| / ||b||) record the solver state when it stopped.
+    """
+
+    def __init__(self, message, iterations=None, residual=None):
+        self.iterations = iterations
+        self.residual = residual
+        if iterations is not None:
+            message = (f"{message} after {iterations} iterations "
+                       f"(relative residual {residual:.3e})")
+        super().__init__(message)
 
 
 class CoverScaleTooLarge(InvMetricsError):

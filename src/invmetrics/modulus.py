@@ -10,11 +10,19 @@ domain, with doubled conductance on the cut edges so the effective
 boundary sits at the edge midpoints; pinning values on domain cells
 instead shifts every boundary half a cell inward, which already costs
 about 2% of the modulus at a spacing of 0.01.
+
+The linear system is solved by conjugate gradients preconditioned with
+one V-cycle of smoothed-aggregation multigrid (Vanek, Mandel & Brezina,
+Computing 56, 1996), which converges in about 8 iterations at any
+spacing where plain CG needs hundreds. A solution is returned only when
+its true residual ||b - Ax|| is at most _CG_RTOL times ||b||; otherwise
+SolverDivergence reports the iterations and the residual.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 from scipy import ndimage
@@ -23,17 +31,70 @@ from .domains import GridDomain, STRUCT_4
 from .errors import NonPositive, SolverDivergence, ValidationError, WrongConnectivity
 
 _CG_RTOL = 1e-10
-_CG_MAXITER = 1_000_000
+_CG_MAXITER = 200
+# smoothed-aggregation multigrid: damped-Jacobi weight, sweeps before and
+# after each coarse correction, and the size at which a level is factored
+_JACOBI_OMEGA = 2.0 / 3.0
+_SMOOTHING_SWEEPS = 2
+_COARSEST_UNKNOWNS = 1500
 
 # scipy.sparse costs about 10 MB at import and only the solver needs it
-coo_matrix = cg = None
+coo_matrix = diags = LinearOperator = cg = splu = None
 
 
 def _load_sparse():
-    global coo_matrix, cg
+    global coo_matrix, diags, LinearOperator, cg, splu
     if cg is None:
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.linalg import cg
+        from scipy.sparse import coo_matrix, diags
+        from scipy.sparse.linalg import LinearOperator, cg, splu
+
+
+def _multigrid(matrix, iy, ix):
+    """Smoothed-aggregation multigrid for CG: one V-cycle per application.
+
+    Each level aggregates its unknowns into 2x2 blocks of cells, keyed by
+    (iy // 2, ix // 2), smooths the piecewise-constant prolongator once with
+    damped Jacobi, P = (I - w D^-1 A) P0, and passes P^T A P down until at
+    most _COARSEST_UNKNOWNS remain; that level is factored once.
+    """
+    levels = []
+    a = matrix
+    while a.shape[0] > _COARSEST_UNKNOWNS:
+        iy, ix = iy // 2, ix // 2
+        width = int(ix.max()) + 1
+        blocks, aggregate = np.unique(iy * width + ix, return_inverse=True)
+        n = a.shape[0]
+        p0 = coo_matrix((np.ones(n), (np.arange(n), aggregate)),
+                        shape=(n, len(blocks))).tocsr()
+        smoother = _JACOBI_OMEGA / a.diagonal()
+        p = (p0 - diags(smoother) @ (a @ p0)).tocsr()
+        pt = p.T.tocsr()
+        levels.append((a, smoother, p, pt))
+        a = pt @ (a @ p)
+        iy, ix = np.divmod(blocks, width)
+    # a partial, not a closure over itself, so the hierarchy is freed by
+    # reference counting as soon as the solve returns
+    return LinearOperator(matrix.shape, dtype=float,
+                          matvec=partial(_v_cycle, levels, splu(a.tocsc())))
+
+
+def _v_cycle(levels, coarsest, r):
+    """Apply one V-cycle to the residual r.
+
+    The same damped-Jacobi sweeps run before and after each coarse
+    correction, so the cycle is a symmetric positive definite operator,
+    as CG requires.
+    """
+    if not levels:
+        return coarsest.solve(r)
+    a, smoother, p, pt = levels[0]
+    x = smoother * r
+    for _ in range(_SMOOTHING_SWEEPS - 1):
+        x += smoother * (r - a @ x)
+    x += p @ _v_cycle(levels[1:], coarsest, pt @ (r - a @ x))
+    for _ in range(_SMOOTHING_SWEEPS):
+        x += smoother * (r - a @ x)
+    return x
 
 
 def conformal_modulus(grid: GridDomain, inner_label: int, outer_label: int) -> float:
@@ -62,9 +123,7 @@ def conformal_modulus(grid: GridDomain, inner_label: int, outer_label: int) -> f
     index = -np.ones((h, w), dtype=np.int64)
     n_unknown = int(mask.sum())
     index[mask] = np.arange(n_unknown)
-    rows, cols, data = [], [], []
-    rhs = np.zeros(n_unknown)
-    degree = np.zeros(n_unknown)
+    rows, cols, cut_rows, cut_values = [], [], [], []
     for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0)):
         src = (slice(max(0, -dy), h - max(0, dy)),
                slice(max(0, -dx), w - max(0, dx)))
@@ -72,26 +131,34 @@ def conformal_modulus(grid: GridDomain, inner_label: int, outer_label: int) -> f
                slice(max(0, dx), w - max(0, -dx)))
         # domain-domain edges, conductance 1
         pair = mask[src] & mask[dst]
-        i = index[src][pair]
-        j = index[dst][pair]
-        rows.append(i)
-        cols.append(j)
-        data.append(-np.ones(len(i)))
-        np.add.at(degree, i, 1.0)
+        rows.append(index[src][pair])
+        cols.append(index[dst][pair])
         # domain-ghost cut edges, conductance 2 (boundary at the midpoint)
         cut = mask[src] & ghost[dst]
-        i2 = index[src][cut]
-        np.add.at(degree, i2, 2.0)
-        np.add.at(rhs, i2, 2.0 * values[dst][cut])
-    rows.append(np.arange(n_unknown))
-    cols.append(np.arange(n_unknown))
-    data.append(degree)
+        cut_rows.append(index[src][cut])
+        cut_values.append(values[dst][cut])
+    rows, cols, cut_rows = (np.concatenate(x) for x in (rows, cols, cut_rows))
+    degree = (np.bincount(rows, minlength=n_unknown)
+              + 2.0 * np.bincount(cut_rows, minlength=n_unknown))
+    rhs = 2.0 * np.bincount(cut_rows, np.concatenate(cut_values), n_unknown)
+    diagonal = np.arange(n_unknown)
     matrix = coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate([-np.ones(len(rows)), degree]),
+         (np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal]))),
         shape=(n_unknown, n_unknown)).tocsr()
-    solution, info = cg(matrix, rhs, rtol=_CG_RTOL, maxiter=_CG_MAXITER)
-    if info != 0:
-        raise SolverDivergence(f"conjugate gradients stopped with code {info}")
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    solution, info = cg(matrix, rhs, rtol=_CG_RTOL, maxiter=_CG_MAXITER,
+                        M=_multigrid(matrix, *np.nonzero(mask)), callback=count)
+    # the recurrence residual CG stops on can drift from the true one
+    residual = float(np.linalg.norm(rhs - matrix @ solution) / np.linalg.norm(rhs))
+    if info != 0 or not residual <= _CG_RTOL:
+        raise SolverDivergence(f"conjugate gradients stopped with code {info}",
+                               iterations, residual)
     values[mask] = solution
 
     energy = 0.0

@@ -134,6 +134,15 @@ class TestModulus:
         radius = float(out.splitlines()[1].split(": ")[1])
         assert radius == pytest.approx(0.25, rel=0.05)
 
+    def test_pinned_output(self, capsys):
+        # the exact stdout of the earlier plain-CG solver; the solver may
+        # change, the printed digits may not
+        code, out, _ = run(capsys, "modulus", "--domain", "annulus:0.25",
+                           "--spacing", "0.01")
+        assert code == 0
+        assert out == ("modulus: 0.220535723\n"
+                       "canonical_inner_radius: 0.250156936\n")
+
     def test_grid_file(self, capsys, annulus_file):
         code, out, _ = run(capsys, "modulus", "--domain", f"grid:{annulus_file}")
         assert code == 0

@@ -1,8 +1,21 @@
+import gc
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+import invmetrics
+from invmetrics import modulus
 from invmetrics.domains import grid_annulus, grid_from_predicate
-from invmetrics.errors import NonPositive, ValidationError, WrongConnectivity
+from invmetrics.errors import (
+    NonPositive,
+    SolverDivergence,
+    ValidationError,
+    WrongConnectivity,
+)
 from invmetrics.modulus import (
     bounded_complement_label,
     canonical_annulus_radius,
@@ -32,18 +45,38 @@ class TestConcentricAnnulus:
         assert value == pytest.approx(LOG2_OVER_TAU, rel=0.02)
 
 
+def square_frame(spacing):
+    def pred(z):
+        return ((np.abs(z.real) < 1) & (np.abs(z.imag) < 1)
+                & ~((np.abs(z.real) <= 0.5) & (np.abs(z.imag) <= 0.5)))
+
+    return grid_from_predicate(pred, 1.0, spacing)
+
+
+def moved_annulus(spacing):
+    """The rotated, scaled, off-centre ring of acceptance criterion 11."""
+    def pred(z):
+        w = (z - (0.11 + 0.06j)) * np.exp(-0.5j) / 0.9
+        return (np.abs(w) > 0.25) & (np.abs(w) < 1.0)
+
+    return grid_from_predicate(pred, 0.9, spacing * 0.9, center=0.11 + 0.06j)
+
+
+@pytest.fixture
+def patch_cg(monkeypatch):
+    """Replace the solver's ``cg`` with ``fake(real_cg, matrix, rhs, **kwargs)``."""
+    modulus._load_sparse()
+    real = modulus.cg
+
+    def install(fake):
+        monkeypatch.setattr(modulus, "cg", lambda a, b, **kw: fake(real, a, b, **kw))
+    return install
+
+
 class TestSquareFrame:
-    @staticmethod
-    def _square(spacing):
-        def pred(z):
-            return ((np.abs(z.real) < 1) & (np.abs(z.imag) < 1)
-                    & ~((np.abs(z.real) <= 0.5) & (np.abs(z.imag) <= 0.5)))
-
-        return grid_from_predicate(pred, 1.0, spacing)
-
     def test_positive_and_resolution_stable(self):
-        coarse = ring_modulus(self._square(0.02))
-        fine = ring_modulus(self._square(0.01))
+        coarse = ring_modulus(square_frame(0.02))
+        fine = ring_modulus(square_frame(0.01))
         assert coarse > 0
         assert abs(fine - coarse) / coarse <= 0.01
 
@@ -101,3 +134,86 @@ class TestGuards:
         inner = bounded_complement_label(grid)
         with pytest.raises(ValidationError):
             conformal_modulus(grid, 3 - inner, inner)
+
+
+class TestSolver:
+    @pytest.mark.parametrize("grid", [
+        lambda: grid_annulus(0.25, 0.01),
+        lambda: grid_annulus(0.25, 0.005),
+        lambda: moved_annulus(0.01),
+        lambda: square_frame(0.01),
+        lambda: grid_annulus(0.96, 0.01),    # four cells wide
+        lambda: grid_annulus(0.25, 0.05),    # below the coarsest multigrid level
+    ], ids=["ring-0.01", "ring-0.005", "moved-ring", "square-frame",
+            "thin-ring", "coarse-ring"])
+    def test_matches_direct_solve(self, grid, patch_cg):
+        grid = grid()
+        value = ring_modulus(grid)
+        patch_cg(lambda real, a, b, **kw: (splu(a.tocsc()).solve(b), 0))
+        assert value == pytest.approx(ring_modulus(grid), rel=1e-12, abs=0)
+
+    def test_iterations_bounded_at_fine_spacing(self, patch_cg):
+        steps = []
+
+        def counted(real, a, b, callback=None, **kw):
+            def step(x):
+                steps.append(1)
+                if callback is not None:
+                    callback(x)
+            return real(a, b, callback=step, **kw)
+        patch_cg(counted)
+        ring_modulus(grid_annulus(0.25, 0.005))
+        assert 0 < len(steps) <= 20
+
+    def test_hierarchy_freed_without_cycle_collector(self):
+        # a hierarchy kept alive by a reference cycle waits for a full
+        # collection, and grows peak memory across repeated solves
+        grid = grid_annulus(0.25, 0.02)
+        ring_modulus(grid)
+        gc.collect()
+        gc.disable()
+        try:
+            ring_modulus(grid)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_unconverged_vector_rejected(self, patch_cg):
+        def perturbed(real, a, b, callback, **kw):
+            x, info = real(a, b, callback=callback, **kw)
+            for _ in range(3):
+                callback(x)
+            return x + 1e-6, info
+        patch_cg(perturbed)
+        with pytest.raises(SolverDivergence) as caught:
+            ring_modulus(grid_annulus(0.25, 0.05))
+        err = caught.value
+        assert err.iterations >= 3
+        assert err.residual > modulus._CG_RTOL
+        assert f"after {err.iterations} iterations" in str(err)
+        assert f"relative residual {err.residual:.3e}" in str(err)
+
+    def test_exhausted_budget_rejected(self, patch_cg):
+        def stalled(real, a, b, callback, maxiter, **kw):
+            x = np.zeros_like(b)
+            for _ in range(maxiter):
+                callback(x)
+            return x, maxiter
+        patch_cg(stalled)
+        with pytest.raises(SolverDivergence) as caught:
+            ring_modulus(grid_annulus(0.25, 0.05))
+        err = caught.value
+        assert err.iterations == modulus._CG_MAXITER
+        assert err.residual == 1.0
+        assert f"code {modulus._CG_MAXITER} after {err.iterations} iterations" in str(err)
+
+
+def test_import_leaves_sparse_unloaded():
+    src = os.path.dirname(os.path.dirname(invmetrics.__file__))
+    code = ("import sys, invmetrics; "
+            "print(sorted(m for m in ('scipy.sparse', 'scipy.sparse.linalg') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
