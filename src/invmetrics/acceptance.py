@@ -23,8 +23,6 @@ from .domains import (
     Disk,
     HalfPlane,
     PuncturedDisk,
-    covering_atlas,
-    density_vec,
     grid_annulus,
     grid_from_predicate,
     rasterize,
@@ -88,11 +86,8 @@ def criterion_1(quick: bool = False) -> CriterionResult:
 
 def criterion_2(quick: bool = False) -> CriterionResult:
     """Covering-route distance on the punctured disk."""
-    atlas = covering_atlas(PuncturedDisk())
-    value = kob.lift_infimum(atlas, math.exp(-1), math.exp(-2), tol=1e-12)
-    from .domains import halfplane_distance
-
-    closed = halfplane_distance(-1 + 0j, -2 + 0j)
+    value = kob.kob_distance(PuncturedDisk(), math.exp(-1), math.exp(-2)).upper
+    closed = float(HalfPlane().distance(-1 + 0j, -2 + 0j))
     err = max(abs(value - HALF_LOG2), abs(value - closed))
     return CriterionResult(2, "covering-infimum", err <= 1e-8,
                            f"{value:.9f} (err {err:.2e})",
@@ -103,11 +98,11 @@ def criterion_3(quick: bool = False) -> CriterionResult:
     """Annulus deck infimum vs geodesic line integral vs closed form."""
     s = math.sqrt(0.1)
     domain = Annulus(0.1)
-    value = kob.lift_infimum(covering_atlas(domain), s, -s, tol=1e-12)
+    value = kob.kob_distance(domain, s, -s).upper
     path = kob.geodesic(domain, s, -s, samples=512)
     verts = np.asarray(path.vertices)
     mids = (verts[:-1] + verts[1:]) / 2.0
-    integral = float((np.abs(np.diff(verts)) * density_vec(domain, mids)).sum())
+    integral = float((np.abs(np.diff(verts)) * domain.density(mids)).sum())
     err_geo = abs(value - integral)
     err_closed = abs(value - ANNULUS_CORE_HALF)
     passed = err_geo <= 1e-3 and err_closed <= 1e-3

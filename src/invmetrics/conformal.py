@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import Annulus, Disk, Domain, GridDomain, contains, contains_vec, rasterize
+from .domains import Annulus, Disk, Domain, GridDomain, contains, rasterize
 from .errors import (
     NotFixed,
     NotMobiusRepresentable,
@@ -51,7 +51,7 @@ class HoloSelfMap:
         pts = samples.centers[samples.mask]
         values = np.asarray(self.func(pts), dtype=complex)
         if not np.isfinite(values.view(float)).all() \
-                or not contains_vec(self.domain, values).all():
+                or not self.domain.contains(values).all():
             raise ValidationError(
                 f"map {self.tag!r} does not send the domain into itself")
 
@@ -267,7 +267,7 @@ class AutomorphismGroupDesc:
         mods = np.exp(rng.uniform(math.log(r), 0.0, samples))
         pts = mods * np.exp(2j * math.pi * rng.uniform(0, 1, samples))
         for g in (self.rotation(0.9), self.inversion(0.4)):
-            if not contains_vec(self.domain, g(pts)).all():
+            if not self.domain.contains(g(pts)).all():
                 raise ValidationError(f"{g.tag} does not map the annulus onto itself")
         inv = self.inversion(0.4)
         if not (inv.mobius @ inv.mobius).is_identity(1e-12):

@@ -1,9 +1,13 @@
 """Domain catalog, raster grid domains, and universal-cover data.
 
-Catalog variants (unit disk, left half-plane, punctured disk, annulus)
-carry exact hyperbolic densities and, for the covered ones, an explicit
-covering atlas built on the exponential map.  Arbitrary bounded domains
-are represented as boolean occupancy grids.
+Each catalog variant (unit disk, left half-plane, punctured disk,
+annulus) is a class that owns its mathematics: membership, the exact
+hyperbolic density, the lift of points to a model of its universal
+cover, the model distance at the nearest deck translate, and the maps
+between that model and the unit disk.  The methods are vectorized and do
+no membership checks; a scalar is a 0-d array.  The checked scalar entry
+points (``contains``, ``density``, ``covering_atlas``) follow the
+classes.  Arbitrary bounded domains are boolean occupancy grids.
 """
 
 from __future__ import annotations
@@ -13,39 +17,198 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import LiftFailure, OutOfDomain, ParseError, Unsupported, ValidationError
+from .errors import OutOfDomain, ParseError, Unsupported, ValidationError
 from .mobius import as_finite, is_infinity
-from .poincare import halfplane_rho_vec
+from .poincare import abs2_minus, halfplane_rho_vec, poincare_geodesic, rho_vec
 
 DECK_STEP = 2j * math.pi
+TAU = 2.0 * math.pi
 FRAME_MARGIN = 1.1  # frame extends 10% beyond the domain's bounding circle
+# A point that ``contains`` accepts can lie less than a float step inside a
+# wall (0.6 * exp(1.1875i) in Annulus(0.6) has gap 4.7e-17).  Computed gaps
+# are raised to this floor, far below the gaps of such points, which keeps
+# the kernel finite: a product of two heights stays a normal float.
+_MIN_GAP = 2.0 ** -500
+# np.abs(z) is within a few float steps of |z|, so it can only put z on the
+# wrong side of a circle it lies this close to (relative)
+_ABS_SLACK = 2.0 ** -50
 
 STRUCT_4 = ndimage.generate_binary_structure(2, 1)
 STRUCT_8 = ndimage.generate_binary_structure(2, 2)
 
 
+def _array(z) -> np.ndarray:
+    return np.asarray(z, dtype=complex)
+
+
+# ---------------------------------------------------------------------------
+# Models of the universal cover
+# ---------------------------------------------------------------------------
+
+class Lift(NamedTuple):
+    """Lifts w = log z of covered-domain points, as ``distance`` reads them.
+
+    ``outer`` and ``inner`` are the gaps from Re w to the walls 0 and log r
+    (None on the punctured disk), computed from |z| to keep their digits.
+    ``height`` is the height in the half-plane model up to a common factor:
+    sin(pi * nearer gap / L) on the annulus, L = log(1/r); ``outer`` else.
+    """
+
+    im: np.ndarray
+    outer: np.ndarray
+    inner: np.ndarray | None
+    height: np.ndarray
+
+
+def _log_ratio(z, c: float) -> np.ndarray:
+    """log(|z| / c), with full relative accuracy next to the circle |z| = c."""
+    m = np.abs(z) / c
+    with np.errstate(divide="ignore"):
+        return np.where((m > 0.5) & (m < 2.0),
+                        0.5 * np.log1p(abs2_minus(z, c) / (c * c)), np.log(m))
+
+
+def _inside(z, m, c: float) -> np.ndarray:
+    """|z| < c, read off m = np.abs(z) but never true on or past the circle.
+
+    np.abs can round a point on or just past the circle below c; where m
+    is that close to c, the exact sign of |z|^2 - c^2 decides instead.
+    Points np.abs rounds up to c or beyond stay outside.
+    """
+    out = m < c
+    edge = out & (m >= c - _ABS_SLACK * c)
+    if np.count_nonzero(edge):
+        out = np.array(out)
+        out[edge] = abs2_minus(z[edge], c) < 0.0
+    return out
+
+
+def _outside(z, m, c: float) -> np.ndarray:
+    """|z| > c, as ``_inside`` with the sides swapped."""
+    out = m > c
+    edge = out & (m <= c + _ABS_SLACK * c)
+    if np.count_nonzero(edge):
+        out = np.array(out)
+        out[edge] = abs2_minus(z[edge], c) > 0.0
+    return out
+
+
+def _deck_offset(wp: Lift, wq: Lift) -> np.ndarray:
+    """Im(wp - wq) reduced to the nearest deck translate, |dy| <= pi."""
+    dy = wp.im - wq.im
+    return dy - TAU * np.round(dy / TAU)
+
+
+def _cayley_lhp(w):
+    """Left half-plane Re w < 0 onto the unit disk."""
+    w = np.asarray(w, dtype=complex) if isinstance(w, np.ndarray) else complex(w)
+    return (w + 1.0) / (w - 1.0)
+
+
+def _cayley_lhp_inverse(z):
+    return (1.0 + z) / (z - 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Catalog variants
 # ---------------------------------------------------------------------------
+#
+# The covered domains (punctured disk, annulus) are covered through exp:
+# their model is the left half-plane, resp. the band log r < Re w < 0, the
+# deck group is generated by w -> w + ``deck_step``, and ``distance`` is
+# the model distance to the nearest translate, in closed form.  Sending
+# the model to the upper half-plane, where
+# sinh d = |u - v| / (2 sqrt(Im u Im v)), gives with the offset
+# dy = Im(wp - wq) reduced to the nearest translate, |dy| <= pi:
+#
+# * punctured disk: sinh d = |dw| / (2 sqrt(Re wp Re wq));
+# * annulus: sinh d = sqrt(sinh^2(k dy) + sin^2(k dx)) / sqrt(sin t_p sin t_q),
+#   with k = pi / (2L), dx = Re(wp - wq) and t the model angle pi(Re w - log r)/L.
+#
+# The disk and the half-plane are their own models, with no deck group.
 
 @dataclass(frozen=True)
 class Disk:
     """The open unit disk."""
+
+    deck_step = 0j
+
+    def contains(self, z):
+        z = _array(z)
+        return _inside(z, np.abs(z), 1.0)
+
+    def density(self, z):
+        return 1.0 / (1.0 - np.abs(_array(z)) ** 2)
+
+    def lift(self, z):
+        return _array(z)
+
+    def distance(self, wp, wq):
+        return rho_vec(wp, wq)
+
+    def to_disk(self, w):
+        return w
+
+    def from_disk(self, z):
+        return z
 
 
 @dataclass(frozen=True)
 class HalfPlane:
     """The left half-plane Re z < 0."""
 
+    deck_step = 0j
+    to_disk = staticmethod(_cayley_lhp)
+    from_disk = staticmethod(_cayley_lhp_inverse)
+
+    def contains(self, z):
+        return _array(z).real < 0.0
+
+    def density(self, z):
+        return 1.0 / (2.0 * np.abs(_array(z).real))
+
+    def lift(self, z):
+        return _array(z)
+
+    def distance(self, wp, wq):
+        return halfplane_rho_vec(wp, wq)
+
 
 @dataclass(frozen=True)
 class PuncturedDisk:
     """The unit disk minus the origin."""
+
+    deck_step = DECK_STEP
+    to_disk = staticmethod(_cayley_lhp)
+    from_disk = staticmethod(_cayley_lhp_inverse)
+
+    def contains(self, z):
+        z = _array(z)
+        m = np.abs(z)
+        return (m > 0.0) & _inside(z, m, 1.0)
+
+    def density(self, z):
+        m = np.abs(_array(z))
+        return 1.0 / (2.0 * m * np.log(1.0 / m))
+
+    def lift(self, z) -> Lift:
+        z = _array(z)
+        outer = np.maximum(-_log_ratio(z, 1.0), _MIN_GAP)
+        return Lift(np.angle(z), outer, None, outer)
+
+    def distance(self, wp: Lift, wq: Lift):
+        dw = np.hypot(wq.outer - wp.outer, _deck_offset(wp, wq))
+        return np.arcsinh(dw / (2.0 * np.sqrt(wp.height * wq.height)))
+
+    def deck_loop_length(self, lifts: Lift) -> float:
+        """Least model distance from a lift to its translate by ``deck_step``."""
+        # sinh d(w, w + 2 pi i) = pi / |Re w|
+        return math.asinh(math.pi / float(lifts.outer.max()))
 
 
 @dataclass(frozen=True)
@@ -53,10 +216,64 @@ class Annulus:
     """The round annulus r < |z| < 1."""
 
     r: float
+    deck_step = DECK_STEP
 
     def __post_init__(self):
         if not (0.0 < self.r < 1.0):
             raise ValidationError(f"annulus inner radius must be in (0, 1): {self.r!r}")
+
+    def contains(self, z):
+        z = _array(z)
+        m = np.abs(z)
+        return _outside(z, m, self.r) & _inside(z, m, 1.0)
+
+    def density(self, z):
+        m = np.abs(_array(z))
+        big_l = math.log(1.0 / self.r)
+        return math.pi / (2.0 * m * big_l * np.sin(math.pi * np.log(m) / math.log(self.r)))
+
+    def lift(self, z) -> Lift:
+        z = _array(z)
+        outer = np.maximum(-_log_ratio(z, 1.0), _MIN_GAP)
+        inner = np.maximum(_log_ratio(z, self.r), _MIN_GAP)
+        scale = math.pi / -math.log(self.r)
+        return Lift(np.angle(z), outer, inner, np.sin(scale * np.minimum(inner, outer)))
+
+    def distance(self, wp: Lift, wq: Lift):
+        dy = _deck_offset(wp, wq)
+        k = math.pi / (2.0 * -math.log(self.r))
+        # Re(wp - wq), read off the wall the pair is nearer to
+        dx = np.where(wp.inner + wq.inner < wp.outer + wq.outer,
+                      wp.inner - wq.inner, wq.outer - wp.outer)
+        a = k * np.abs(dy)
+        heights = wp.height * wq.height
+        with np.errstate(over="ignore"):
+            s = np.hypot(np.sinh(a), np.sin(k * dx)) / np.sqrt(heights)
+        # sinh a overflows only on very thin annuli; there asinh s = a - log(heights)/2
+        return np.where(a < 700.0, np.arcsinh(s), a - 0.5 * np.log(heights))
+
+    def deck_loop_length(self, lifts: Lift) -> float:
+        """Least model distance from a lift to its translate by ``deck_step``."""
+        # sinh d(w, w + 2 pi i) = sinh(pi^2 / L) / sin t, least where sin t is
+        # largest; past float range asinh(sinh(a) / h) = a - log h
+        a = math.pi ** 2 / -math.log(self.r)
+        h = float(lifts.height.max())
+        return math.asinh(math.sinh(a) / h) if a < 700.0 else a - math.log(h)
+
+    def to_disk(self, w):
+        """The band log r < Re w < 0 onto the unit disk."""
+        log_r = math.log(self.r)
+        scale = 1j * math.pi / -log_r
+        u = np.exp(scale * (_array(w) - log_r))
+        return (u - 1j) / (u + 1j)
+
+    def from_disk(self, z):
+        log_r = math.log(self.r)
+        scale = 1j * math.pi / -log_r
+        u = 1j * (1.0 + z) / (1.0 - z)
+        if isinstance(u, np.ndarray):
+            return log_r + np.log(u) / scale
+        return log_r + cmath.log(u) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +376,17 @@ class GridDomain:
         radius = float(np.abs(cells - center).max()) + self.spacing
         return center, radius
 
-    def contains_point(self, z) -> bool:
-        if is_infinity(z):
-            return False
-        idx = self.cell_index(z)
-        if idx is None:
-            return False
-        ix, iy = idx
-        return bool(self.mask[iy, ix])
+    def contains(self, z):
+        """Membership of the cells containing z; False outside the frame."""
+        z = _array(z)
+        # a coordinate too large for an int casts to one outside the frame
+        with np.errstate(invalid="ignore"):
+            ix = np.floor((z.real - self.origin.real) / self.spacing + 0.5).astype(int)
+            iy = np.floor((z.imag - self.origin.imag) / self.spacing + 0.5).astype(int)
+        ok = (ix >= 0) & (ix < self.width) & (iy >= 0) & (iy < self.height)
+        out = np.zeros(z.shape, dtype=bool)
+        out[ok] = self.mask[iy[ok], ix[ok]]
+        return out
 
     def distance_to_complement(self, z) -> float:
         """Exact Euclidean distance from z to the union of complement cells."""
@@ -188,53 +408,24 @@ class GridDomain:
         return float(np.sqrt(dx * dx + dy * dy).min())
 
 
-Domain = Union[Disk, HalfPlane, PuncturedDisk, Annulus, GridDomain]
+CatalogDomain = Union[Disk, HalfPlane, PuncturedDisk, Annulus]
+Domain = Union[CatalogDomain, GridDomain]
 
 
 # ---------------------------------------------------------------------------
-# Membership and density
+# Checked scalar entry points
 # ---------------------------------------------------------------------------
 
 def contains(domain: Domain, z) -> bool:
     """Membership test; total (INFINITY belongs to no domain here)."""
+    if not isinstance(domain, Domain):
+        raise Unsupported(f"unknown domain {domain!r}")
     if is_infinity(z):
         return False
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         return False
-    if isinstance(domain, Disk):
-        return abs(z) < 1.0
-    if isinstance(domain, HalfPlane):
-        return z.real < 0.0
-    if isinstance(domain, PuncturedDisk):
-        return 0.0 < abs(z) < 1.0
-    if isinstance(domain, Annulus):
-        return domain.r < abs(z) < 1.0
-    if isinstance(domain, GridDomain):
-        return domain.contains_point(z)
-    raise Unsupported(f"unknown domain {domain!r}")
-
-
-def contains_vec(domain: Domain, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    if isinstance(domain, Disk):
-        return np.abs(z) < 1.0
-    if isinstance(domain, HalfPlane):
-        return z.real < 0.0
-    if isinstance(domain, PuncturedDisk):
-        m = np.abs(z)
-        return (m > 0.0) & (m < 1.0)
-    if isinstance(domain, Annulus):
-        m = np.abs(z)
-        return (m > domain.r) & (m < 1.0)
-    if isinstance(domain, GridDomain):
-        ix = np.floor((z.real - domain.origin.real) / domain.spacing + 0.5).astype(int)
-        iy = np.floor((z.imag - domain.origin.imag) / domain.spacing + 0.5).astype(int)
-        ok = (ix >= 0) & (ix < domain.width) & (iy >= 0) & (iy < domain.height)
-        out = np.zeros(z.shape, dtype=bool)
-        out[ok] = domain.mask[iy[ok], ix[ok]]
-        return out
-    raise Unsupported(f"unknown domain {domain!r}")
+    return bool(domain.contains(z))
 
 
 def density(domain: Domain, z) -> float:
@@ -244,61 +435,25 @@ def density(domain: Domain, z) -> float:
     z = as_finite(z)
     if not contains(domain, z):
         raise OutOfDomain(f"{z!r} not in {domain!r}")
-    return float(density_vec(domain, np.asarray(z)))
-
-
-def density_vec(domain: Domain, z: np.ndarray) -> np.ndarray:
-    """Vectorized density; no membership checks."""
-    z = np.asarray(z, dtype=complex)
-    if isinstance(domain, Disk):
-        return 1.0 / (1.0 - np.abs(z) ** 2)
-    if isinstance(domain, HalfPlane):
-        return 1.0 / (2.0 * np.abs(z.real))
-    if isinstance(domain, PuncturedDisk):
-        m = np.abs(z)
-        return 1.0 / (2.0 * m * np.log(1.0 / m))
-    if isinstance(domain, Annulus):
-        m = np.abs(z)
-        big_l = math.log(1.0 / domain.r)
-        return math.pi / (2.0 * m * big_l * np.sin(math.pi * np.log(m) / math.log(domain.r)))
-    raise Unsupported(f"no closed-form density for {domain!r}")
-
-
-# ---------------------------------------------------------------------------
-# Covering atlases
-# ---------------------------------------------------------------------------
-
-def _cayley_lhp(w):
-    """Left half-plane Re w < 0 onto the unit disk."""
-    w = np.asarray(w, dtype=complex) if isinstance(w, np.ndarray) else complex(w)
-    return (w + 1.0) / (w - 1.0)
-
-
-def _cayley_lhp_deriv(w):
-    return -2.0 / (np.asarray(w, dtype=complex) - 1.0) ** 2 if isinstance(w, np.ndarray) \
-        else -2.0 / (complex(w) - 1.0) ** 2
+    return float(domain.density(z))
 
 
 @dataclass(frozen=True)
 class CoveringAtlas:
-    """Universal-cover data for a catalog domain.
+    """Universal-cover data of a catalog domain, read off its class.
 
-    ``cover`` maps model coordinates onto the domain, ``lift`` is the
-    principal local inverse, and ``model_to_disk`` is a biholomorphism
-    from the model onto the unit disk, through which model geodesics are
-    computed.  For covered domains the deck group is generated by the
-    translation w -> w + ``deck_step``.  It moves only Im w, and the model
-    distance grows with that offset, so the distance between two points
-    is the model distance to the nearest deck translate, in closed form
-    (``kobayashi.lift_infimum_vec``).
+    ``lift`` sends points to the model of the universal cover in the form
+    the domain's ``distance`` reads (the points themselves on the disk and
+    half-plane, a ``Lift`` of w = log z on the covered domains).
+    ``model_to_disk`` is a biholomorphism from the model onto the unit
+    disk, through which model geodesics are computed, and
+    ``disk_to_model`` its inverse.  For covered domains the deck group is
+    generated by the translation w -> w + ``deck_step``.
     """
 
-    domain: Domain
-    model: str
-    cover: Callable
+    domain: CatalogDomain
     lift: Callable
     model_to_disk: Callable
-    model_to_disk_deriv: Callable
     disk_to_model: Callable
     deck_step: complex = 0j
 
@@ -306,98 +461,19 @@ class CoveringAtlas:
     def has_deck(self) -> bool:
         return self.deck_step != 0
 
-    def model_density(self, w):
-        """Density of the model metric, pulled back from the disk."""
-        z = self.model_to_disk(w)
-        return np.abs(self.model_to_disk_deriv(w)) / (1.0 - np.abs(z) ** 2)
-
     def model_geodesic_point(self, w1, w2, t: float):
         """Constant-speed model geodesic, via the disk conjugation."""
-        from .poincare import poincare_geodesic
-
         z = poincare_geodesic(complex(self.model_to_disk(w1)),
                               complex(self.model_to_disk(w2)), t)
         return self.disk_to_model(z)
 
 
-def halfplane_distance(w1: complex, w2: complex) -> float:
-    """Closed-form distance of the left half-plane Re w < 0."""
-    w1, w2 = as_finite(w1), as_finite(w2)
-    if w1.real >= 0 or w2.real >= 0:
-        raise OutOfDomain("points must have negative real part")
-    return float(halfplane_rho_vec(w1, w2))
-
-
-def _log_lift(domain: Domain) -> Callable:
-    """Principal branch of log, the lift of the domains covered through exp."""
-    def lift(z):
-        if isinstance(z, np.ndarray):
-            return np.log(z.astype(complex))
-        z = as_finite(z)
-        if not contains(domain, z):
-            raise LiftFailure(f"{z!r} has no lift in the model of {domain!r}")
-        return cmath.log(z)
-    return lift
-
-
 def covering_atlas(domain: Domain) -> CoveringAtlas:
-    """Build the covering atlas of a catalog domain."""
-    if isinstance(domain, GridDomain):
-        raise Unsupported("grid domains carry no explicit covering atlas")
-
-    if isinstance(domain, Disk):
-        ident = lambda w: w
-        return CoveringAtlas(
-            domain=domain, model="disk",
-            cover=ident, lift=ident,
-            model_to_disk=ident,
-            model_to_disk_deriv=lambda w: np.ones_like(np.asarray(w, dtype=complex))
-            if isinstance(w, np.ndarray) else 1.0,
-            disk_to_model=ident,
-        )
-
-    if isinstance(domain, (HalfPlane, PuncturedDisk)):
-        # the punctured disk is the left half-plane modulo w -> w + 2 pi i
-        covered = isinstance(domain, PuncturedDisk)
-        ident = lambda w: w
-        return CoveringAtlas(
-            domain=domain, model="left-half-plane",
-            cover=np.exp if covered else ident,
-            lift=_log_lift(domain) if covered else ident,
-            model_to_disk=_cayley_lhp,
-            model_to_disk_deriv=_cayley_lhp_deriv,
-            disk_to_model=lambda z: (1.0 + z) / (z - 1.0),
-            deck_step=DECK_STEP if covered else 0j,
-        )
-
-    if isinstance(domain, Annulus):
-        log_r = math.log(domain.r)
-        scale = 1j * math.pi / -log_r
-
-        def band_to_disk(w):
-            u = np.exp(scale * (np.asarray(w, dtype=complex) - log_r))
-            return (u - 1j) / (u + 1j)
-
-        def band_to_disk_deriv(w):
-            u = np.exp(scale * (np.asarray(w, dtype=complex) - log_r))
-            return (2j / (u + 1j) ** 2) * u * scale
-
-        def disk_to_band(z):
-            u = 1j * (1.0 + z) / (1.0 - z)
-            if isinstance(u, np.ndarray):
-                return log_r + np.log(u) / scale
-            return log_r + cmath.log(u) / scale
-
-        return CoveringAtlas(
-            domain=domain, model="band",
-            cover=np.exp, lift=_log_lift(domain),
-            model_to_disk=band_to_disk,
-            model_to_disk_deriv=band_to_disk_deriv,
-            disk_to_model=disk_to_band,
-            deck_step=DECK_STEP,
-        )
-
-    raise Unsupported(f"unknown domain {domain!r}")
+    """Covering atlas of a catalog domain."""
+    if not isinstance(domain, CatalogDomain):
+        raise Unsupported(f"no explicit covering atlas for {domain!r}")
+    return CoveringAtlas(domain, domain.lift, domain.to_disk, domain.from_disk,
+                         domain.deck_step)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +509,7 @@ def rasterize(domain: Domain, spacing: float) -> GridDomain:
         return domain
     if isinstance(domain, HalfPlane):
         raise Unsupported("the half-plane is unbounded; rasterize a ball instead")
-    return grid_from_predicate(lambda z: contains_vec(domain, z), 1.0, spacing)
+    return grid_from_predicate(domain.contains, 1.0, spacing)
 
 
 def grid_annulus(r: float, spacing: float) -> GridDomain:

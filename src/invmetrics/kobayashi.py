@@ -4,7 +4,10 @@ Catalog domains use the covering route: the distance between two points
 is the infimum over deck translates of the model distance between their
 lifts.  The deck group shifts only Im w of a lift w = log z, and the
 model distance grows with that offset, so the infimum sits at the
-nearest translate and has a closed form (``lift_infimum_vec``).  Grid
+nearest translate and has a closed form.  Each catalog class in
+``domains`` owns that route (``domain.distance(domain.lift(p),
+domain.lift(q))``, vectorized); this module adds the checked entry
+points, geodesics, curve lengths and ball rasters on top of it.  Grid
 domains get a certified interval instead: an upper bound from a weighted
 shortest path and a lower bound from the finite holomorphic-map
 dictionary.
@@ -12,26 +15,23 @@ dictionary.
 
 from __future__ import annotations
 
+import cmath
 import math
 import weakref
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .domains import (
-    DECK_STEP,
+    TAU,
     Annulus,
     CoveringAtlas,
     Disk,
     Domain,
     GridDomain,
     HalfPlane,
-    PuncturedDisk,
     contains,
-    contains_vec,
     covering_atlas,
-    density_vec,
     grid_frame_load,
     grid_from_predicate,
     grid_save,
@@ -44,15 +44,9 @@ from .errors import (
     OutOfDomain,
     ParseError,
     Unsupported,
+    ValidationError,
 )
 from .mobius import as_finite
-from .poincare import abs2_minus, halfplane_rho_vec, rho_vec
-
-TAU = 2.0 * math.pi
-# Every point that ``contains`` accepts lies at least one float step (a
-# relative 2**-53) inside each boundary circle, so no true wall gap is
-# smaller; computed gaps are raised to it, keeping the kernel finite.
-_MIN_GAP = 2.0 ** -54
 
 
 # scipy.sparse costs about 10 MB at import and only the graph paths need it
@@ -76,7 +70,7 @@ class DistanceInterval:
 
     def __post_init__(self):
         if not (0.0 <= self.lower <= self.upper + 1e-15):
-            raise ValueError(f"ill-formed interval [{self.lower}, {self.upper}]")
+            raise ValidationError(f"ill-formed interval [{self.lower}, {self.upper}]")
 
     @property
     def width(self) -> float:
@@ -99,7 +93,7 @@ class PolyPath:
     def __post_init__(self):
         verts = tuple(as_finite(v) for v in self.vertices)
         if len(verts) < 2:
-            raise ValueError("a path needs at least two vertices")
+            raise ValidationError("a path needs at least two vertices")
         object.__setattr__(self, "vertices", verts)
 
     def __len__(self):
@@ -157,99 +151,14 @@ def ball_load(data) -> MetricBall:
 # Covering-route distances
 # ---------------------------------------------------------------------------
 
-class Lift(NamedTuple):
-    """Lifts w = log z of covered-domain points, as ``lift_infimum_vec`` reads them.
-
-    ``outer`` and ``inner`` are the gaps from Re w to the walls 0 and log r
-    (None on the punctured disk), computed from |z| to keep their digits.
-    ``height`` is the height in the half-plane model up to a common factor:
-    sin(pi * nearer gap / L) on the annulus, L = log(1/r); ``outer`` else.
-    """
-
-    im: np.ndarray
-    outer: np.ndarray
-    inner: np.ndarray | None
-    height: np.ndarray
-
-
-def _log_ratio(z, c: float) -> np.ndarray:
-    """log(|z| / c), with full relative accuracy next to the circle |z| = c."""
-    m = np.abs(z) / c
-    with np.errstate(divide="ignore"):
-        return np.where((m > 0.5) & (m < 2.0),
-                        0.5 * np.log1p(abs2_minus(z, c) / (c * c)), np.log(m))
-
-
-def lift_points(domain: Domain, z):
-    """Lifts for ``lift_infimum_vec``: the points themselves on the disk and
-    half-plane, a ``Lift`` on the covered domains.  No membership checks."""
-    z = np.asarray(z, dtype=complex)
-    if isinstance(domain, (Disk, HalfPlane)):
-        return z
-    outer = np.maximum(-_log_ratio(z, 1.0), _MIN_GAP)
-    if isinstance(domain, PuncturedDisk):
-        return Lift(np.angle(z), outer, None, outer)
-    inner = np.maximum(_log_ratio(z, domain.r), _MIN_GAP)
-    scale = math.pi / -math.log(domain.r)
-    return Lift(np.angle(z), outer, inner, np.sin(scale * np.minimum(inner, outer)))
-
-
-def lift_infimum_vec(atlas: CoveringAtlas, wp, wq) -> np.ndarray:
-    """Model distance between lifts at the nearest deck translate, elementwise.
-
-    ``wp`` and ``wq`` come from ``lift_points`` and broadcast together.
-    Sending the model to the upper half-plane, where
-    sinh d = |u - v| / (2 sqrt(Im u Im v)), gives with the offset
-    dy = Im(wp - wq) reduced to the nearest translate, |dy| <= pi:
-
-    * punctured disk: sinh d = |dw| / (2 sqrt(Re wp Re wq));
-    * annulus: sinh d = sqrt(sinh^2(k dy) + sin^2(k dx)) / sqrt(sin t_p sin t_q),
-      with k = pi / (2L), dx = Re(wp - wq) and t the model angle pi(Re w - log r)/L.
-    """
+def lift_infimum(atlas: CoveringAtlas, p, q) -> float:
+    """Distance through the cover: the model distance between the lifts
+    at the nearest deck translate, in closed form (``domain.distance``)."""
     domain = atlas.domain
-    if isinstance(domain, Disk):
-        return rho_vec(wp, wq)
-    if isinstance(domain, HalfPlane):
-        return halfplane_rho_vec(wp, wq)
-    dy = wp.im - wq.im
-    dy = dy - TAU * np.round(dy / TAU)
-    if isinstance(domain, PuncturedDisk):
-        dw = np.hypot(wq.outer - wp.outer, dy)
-        return np.arcsinh(dw / (2.0 * np.sqrt(wp.height * wq.height)))
-    k = math.pi / (2.0 * -math.log(domain.r))
-    # Re(wp - wq), read off the wall the pair is nearer to
-    dx = np.where(wp.inner + wq.inner < wp.outer + wq.outer,
-                  wp.inner - wq.inner, wq.outer - wp.outer)
-    a = k * np.abs(dy)
-    heights = wp.height * wq.height
-    with np.errstate(over="ignore"):
-        s = np.hypot(np.sinh(a), np.sin(k * dx)) / np.sqrt(heights)
-    # sinh a overflows only on very thin annuli; there asinh s = a - log(heights)/2
-    return np.where(a < 700.0, np.arcsinh(s), a - 0.5 * np.log(heights))
-
-
-def lift_infimum(atlas: CoveringAtlas, p, q, tol: float = 1e-9) -> float:
-    """Distance through the cover: inf over deck translates of lift distances.
-
-    The closed form of ``lift_infimum_vec`` is exact up to rounding, so
-    ``tol`` no longer bounds an enumeration; it is kept for callers.
-    """
     for z in (p, q):
-        if not contains(atlas.domain, z):
-            raise LiftFailure(f"{z!r} has no lift in the model of {atlas.domain!r}")
-    wp = lift_points(atlas.domain, as_finite(p))
-    wq = lift_points(atlas.domain, as_finite(q))
-    return float(lift_infimum_vec(atlas, wp, wq))
-
-
-def _pair_distance_vec(domain: Domain, atlas: CoveringAtlas | None,
-                       a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact (catalog) or upper-bound (grid) distances, elementwise."""
-    if isinstance(domain, GridDomain):
-        ub = _point_density_bounds(domain, a)
-        vb = _point_density_bounds(domain, b)
-        return np.abs(a - b) * np.maximum(ub, vb)
-    return lift_infimum_vec(atlas, lift_points(domain, a), lift_points(domain, b))
+        if not contains(domain, z):
+            raise LiftFailure(f"{z!r} has no lift in the model of {domain!r}")
+    return float(domain.distance(domain.lift(as_finite(p)), domain.lift(as_finite(q))))
 
 
 def kob_distance(domain: Domain, p, q, tol: float = 1e-9) -> DistanceInterval:
@@ -268,9 +177,8 @@ def kob_distance(domain: Domain, p, q, tol: float = 1e-9) -> DistanceInterval:
         return DistanceInterval(0.0, 0.0)
     if isinstance(domain, GridDomain):
         return _grid_interval(domain, p, q)
-    atlas = covering_atlas(domain)
-    v = lift_infimum(atlas, p, q, tol)
-    if atlas.has_deck:
+    v = float(domain.distance(domain.lift(p), domain.lift(q)))
+    if domain.deck_step:
         return DistanceInterval(max(v - tol, 0.0), v)
     return DistanceInterval(v, v)
 
@@ -382,7 +290,6 @@ def curve_length(domain: Domain, path: PolyPath, rel_tol: float = 1e-8,
     for v in path.vertices:
         if not contains(domain, v):
             raise OutOfDomain(f"path vertex {v!r} leaves {domain!r}")
-    atlas = None if isinstance(domain, GridDomain) else covering_atlas(domain)
     prev = None
     for level in range(max_levels):
         pieces = 1 << level
@@ -393,9 +300,15 @@ def curve_length(domain: Domain, path: PolyPath, rel_tol: float = 1e-8,
                 pts.append(a + (b - a) * t)
             pts.append(np.array([b]))
         samples = np.concatenate(pts)
-        if level > 0 and not contains_vec(domain, samples).all():
+        if level > 0 and not domain.contains(samples).all():
             raise OutOfDomain("a refinement sample leaves the domain")
-        total = float(_pair_distance_vec(domain, atlas, samples[:-1], samples[1:]).sum())
+        a, b = samples[:-1], samples[1:]
+        if isinstance(domain, GridDomain):
+            lengths = np.abs(a - b) * np.maximum(_point_density_bounds(domain, a),
+                                                 _point_density_bounds(domain, b))
+        else:
+            lengths = domain.distance(domain.lift(a), domain.lift(b))
+        total = float(lengths.sum())
         if prev is not None and abs(total - prev) <= rel_tol * max(abs(total), 1e-30):
             return total
         prev = total
@@ -412,13 +325,15 @@ def geodesic(domain: Domain, p, q, samples: int = 256) -> PolyPath:
     if p == q:
         raise DegenerateEndpoints("geodesic endpoints coincide")
     atlas = covering_atlas(domain)
-    wp, wq = complex(atlas.lift(p)), complex(atlas.lift(q))
+    wp, wq = p, q
     shift = 0j
     if atlas.has_deck:
-        # nearest deck translate of q's lift, then a vertical shift (an
-        # isometry of the model) that centers the pair on Im w = 0 and so
-        # keeps the band's exponential small
-        wq += DECK_STEP * round((wp.imag - wq.imag) / TAU)
+        # covered through exp: the model points are the principal logs, q's
+        # moved to the nearest deck translate, then a vertical shift (an
+        # isometry of the model) centers the pair on Im w = 0 and so keeps
+        # the band's exponential small
+        wp, wq = cmath.log(p), cmath.log(q)
+        wq += atlas.deck_step * round((wp.imag - wq.imag) / TAU)
         shift = 0.5j * (wp.imag + wq.imag)
     ts = np.linspace(0.0, 1.0, samples)
     ws = [atlas.model_geodesic_point(wp - shift, wq - shift, float(t)) + shift
@@ -485,7 +400,7 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float,
     xs = origin.real + h * np.arange(n)
     ys = origin.imag + h * np.arange(n)
     centers = xs[None, :] + 1j * ys[:, None]
-    mask = contains_vec(domain, centers)
+    mask = domain.contains(centers)
     idx = np.arange(n * n).reshape(n, n)
 
     needs_segment_check = isinstance(domain, Annulus)
@@ -513,7 +428,7 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float,
             continue
         a = centers[src][ok]
         b = centers[dst][ok]
-        lam = density_vec(domain, (a + b) / 2.0)
+        lam = domain.density((a + b) / 2.0)
         weights.append(np.abs(b - a) * lam)
         rows.append(idx[src][ok])
         cols.append(idx[dst][ok])
@@ -540,7 +455,7 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float,
                 t = s / 8.0
                 good &= np.abs(z + (cand - z) * t) > domain.r
             cand, cand_idx = cand[good], cand_idx[good]
-        lam = density_vec(domain, (cand + z) / 2.0)
+        lam = domain.density((cand + z) / 2.0)
         ex_rows.append(np.full(cand.shape, node))
         ex_cols.append(cand_idx)
         ex_w.append(np.abs(cand - z) * lam)
@@ -549,11 +464,11 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float,
         p, q = complex(p), complex(q)
         if abs(q - p) <= link_reach:
             samples = p + (q - p) * np.linspace(0.0, 1.0, 9)
-            if contains_vec(domain, samples).all():
+            if domain.contains(samples).all():
                 ex_rows.append(np.array([n * n + 2 * i]))
                 ex_cols.append(np.array([n * n + 2 * i + 1]))
                 ex_w.append(np.array([abs(q - p)
-                                      * float(density_vec(domain, np.asarray((p + q) / 2)))]))
+                                      * float(domain.density((p + q) / 2))]))
 
     rows = np.concatenate(rows + ex_rows)
     cols = np.concatenate(cols + ex_cols)
@@ -573,12 +488,10 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float,
 
 def distance_field(domain: Domain, center, grid: GridDomain) -> np.ndarray:
     """Distances from ``center`` to every cell center of ``grid`` (catalog only)."""
-    atlas = covering_atlas(domain)
     cells = grid.centers
-    inside = grid.mask & contains_vec(domain, cells)
+    inside = grid.mask & domain.contains(cells)
     out = np.full(cells.shape, np.inf)
-    out[inside] = lift_infimum_vec(atlas, lift_points(domain, as_finite(center)),
-                                   lift_points(domain, cells[inside]))
+    out[inside] = domain.distance(domain.lift(as_finite(center)), domain.lift(cells[inside]))
     return out
 
 
@@ -610,13 +523,12 @@ def _halfplane_ball_frame(domain: HalfPlane, center: complex, radius: float,
     """Frame around the Euclidean disk the half-plane ball occupies."""
     from .poincare import poincare_ball_euclidean
 
-    atlas = covering_atlas(domain)
-    ec, er = poincare_ball_euclidean(complex(atlas.model_to_disk(center)), radius)
-    pts = [atlas.disk_to_model(ec + er), atlas.disk_to_model(ec - er),
-           atlas.disk_to_model(ec + 1j * er)]
+    ec, er = poincare_ball_euclidean(complex(domain.to_disk(center)), radius)
+    pts = [domain.from_disk(ec + er), domain.from_disk(ec - er),
+           domain.from_disk(ec + 1j * er)]
     ctr, rad = _circumcircle(*(complex(p) for p in pts))
-    return grid_from_predicate(lambda z: contains_vec(domain, z),
-                               bounding_radius=rad, spacing=spacing, center=ctr)
+    return grid_from_predicate(domain.contains, bounding_radius=rad, spacing=spacing,
+                               center=ctr)
 
 
 def _circumcircle(z1: complex, z2: complex, z3: complex):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .errors import DegenerateMap, Inconsistent, NotFixed, OutOfDomain
+from .errors import DegenerateMap, Inconsistent, NotFixed, OutOfDomain, ValidationError
 
 # Post-normalization threshold below which a coefficient counts as zero.
 COEFF_EPS = 1e-12
@@ -245,7 +245,7 @@ def mobius_is_identity_given_three_fixed(
     for i in range(3):
         for j in range(i + 1, 3):
             if points_equal(pts[i], pts[j]):
-                raise ValueError(f"fixed points must be pairwise distinct: {pts!r}")
+                raise ValidationError(f"fixed points must be pairwise distinct: {pts!r}")
     for p in pts:
         image = m.apply(p)
         if is_infinity(p):

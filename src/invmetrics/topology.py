@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .domains import Annulus, Domain, GridDomain, STRUCT_4, STRUCT_8, covering_atlas
+from .domains import STRUCT_4, STRUCT_8, CatalogDomain, Domain, GridDomain
 from .errors import (
     CoverScaleTooLarge,
     EmptyRegion,
@@ -25,7 +25,6 @@ from .errors import (
     Unsupported,
     ValidationError,
 )
-from .kobayashi import lift_infimum_vec, lift_points
 
 
 @dataclass(frozen=True)
@@ -331,24 +330,14 @@ def injectivity_lower_bound(domain: Domain, ball) -> float:
     Half the minimal model distance from the lifted ball cells to their
     own deck translates; infinite for domains with a trivial cover.
     """
-    if isinstance(domain, GridDomain):
-        raise Unsupported("injectivity bounds need a catalog atlas")
-    if not covering_atlas(domain).has_deck:
+    if not isinstance(domain, CatalogDomain):
+        raise Unsupported("injectivity bounds need a catalog domain")
+    if not domain.deck_step:
         return math.inf
     cells = ball.centers[ball.mask]
     if cells.size == 0:
         raise OutOfDomain("the ball raster is empty")
-    lifts = lift_points(domain, cells)
-    if isinstance(domain, Annulus):
-        # sinh d(w, w + 2 pi i) = sinh(pi^2 / L) / sin t, least where sin t is
-        # largest; past float range asinh(sinh(a) / h) = a - log h
-        a = math.pi ** 2 / -math.log(domain.r)
-        h = float(lifts.height.max())
-        loop = math.asinh(math.sinh(a) / h) if a < 700.0 else a - math.log(h)
-    else:
-        # sinh d(w, w + 2 pi i) = pi / |Re w| on the punctured disk
-        loop = math.asinh(math.pi / float(lifts.outer.max()))
-    return (loop - 1e-9) / 2.0
+    return (domain.deck_loop_length(domain.lift(cells)) - 1e-9) / 2.0
 
 
 def nerve_cover(domain: Domain, ball, r_cover: float) -> NerveGraph:
@@ -358,22 +347,19 @@ def nerve_cover(domain: Domain, ball, r_cover: float) -> NerveGraph:
     row-major scan for ties) until every ball cell is within ``r_cover``
     of a center.  Edges join centers whose disks share a ball cell.
     """
-    if isinstance(domain, GridDomain):
-        raise Unsupported("nerve covers need a catalog atlas")
     inj = injectivity_lower_bound(domain, ball)
     if not (r_cover > 0):
         raise ValidationError("cover radius must be positive")
     if r_cover > inj / 2.0:
         raise CoverScaleTooLarge(
             f"cover radius {r_cover:g} exceeds half the injectivity bound {inj:g}")
-    atlas = covering_atlas(domain)
     cells = ball.centers[ball.mask]
     if cells.size == 0:
         raise OutOfDomain("the ball raster is empty")
-    lifts = lift_points(domain, cells)
+    lifts = domain.lift(cells)
 
     def dist_from(i):
-        return lift_infimum_vec(atlas, lift_points(domain, cells[i]), lifts)
+        return domain.distance(domain.lift(cells[i]), lifts)
 
     center_ids = [0]
     mindist = dist_from(0)

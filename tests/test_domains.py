@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,10 +23,47 @@ from invmetrics.domains import (
     rasterize,
 )
 from invmetrics.errors import Unsupported, ValidationError, ParseError
-from invmetrics.kobayashi import lift_infimum
+from invmetrics.kobayashi import kob_distance, lift_infimum
 from invmetrics.topology import connectivity_number
 
 TAU = 2 * math.pi
+
+
+def _float_steps(x, k: int):
+    """x moved by k float steps (toward +inf for k > 0)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _near_walls(domain) -> np.ndarray:
+    """Points within three float steps of every wall of ``domain``."""
+    steps = range(-3, 4)
+    theta = np.linspace(-math.pi, math.pi, 97)
+    if isinstance(domain, GridDomain):
+        # walls are the cell edges, half a spacing off the cell centers
+        h = domain.spacing
+        xs = domain.origin.real + h * (np.arange(-1, domain.width) + 0.5)
+        ys = domain.origin.imag + h * (np.arange(-1, domain.height) + 0.5)
+        cx = domain.origin.real + h * np.arange(domain.width)
+        cy = domain.origin.imag + h * np.arange(domain.height)
+        pts = [(_float_steps(xs, k)[None, :] + 1j * cy[:, None]).ravel() for k in steps]
+        pts += [(cx[None, :] + 1j * _float_steps(ys, k)[:, None]).ravel() for k in steps]
+        return np.concatenate(pts)
+    if isinstance(domain, HalfPlane):
+        im = np.linspace(-3.0, 3.0, 97)
+        return np.concatenate([_float_steps(np.zeros_like(im), k) + 1j * im for k in steps])
+    radii = [1.0] + ([domain.r] if isinstance(domain, Annulus) else [])
+    pts = [_float_steps(c * np.cos(theta), j) + 1j * _float_steps(c * np.sin(theta), k)
+           for c in radii for j in steps for k in steps]
+    if isinstance(domain, PuncturedDisk):
+        pts += [complex(_float_steps(0.0, j), _float_steps(0.0, k)) * np.ones(1)
+                for j in steps for k in steps]
+    return np.concatenate(pts)
+
+
+SCALAR_CASES = [Disk(), HalfPlane(), PuncturedDisk(), Annulus(0.1), Annulus(0.9),
+                rasterize(Annulus(0.5), 0.1)]
 
 
 class TestContains:
@@ -42,6 +80,43 @@ class TestContains:
     ])
     def test_catalog(self, domain, z, expected):
         assert contains(domain, z) is expected
+
+    @pytest.mark.parametrize("domain", SCALAR_CASES)
+    def test_scalar_call_is_the_0d_call(self, domain):
+        rng = np.random.default_rng(3)
+        interior = rng.uniform(-1.2, 1.2, 400) + 1j * rng.uniform(-1.2, 1.2, 400)
+        points = np.concatenate([_near_walls(domain), interior])
+        scalar = [contains(domain, z) for z in points.tolist()]
+        assert scalar == [bool(domain.contains(np.asarray(z))) for z in points.tolist()]
+        if isinstance(domain, GridDomain):
+            return
+        inside = points[scalar].tolist()
+        assert len(inside) > 100
+        with np.errstate(all="ignore"):  # densities overflow on the walls
+            np.testing.assert_array_equal([density(domain, z) for z in inside],
+                                          [float(domain.density(z)) for z in inside])
+
+    @pytest.mark.parametrize("domain", SCALAR_CASES[:5])
+    def test_never_accepts_a_point_on_or_past_a_wall(self, domain):
+        # np.abs rounds |z| and can put such points inside; exact rational
+        # arithmetic decides here
+        points = _near_walls(domain)
+        accepted = points[domain.contains(points)]
+        assert accepted.size > 100
+        for z in accepted.tolist():
+            x, y = Fraction(z.real), Fraction(z.imag)
+            if isinstance(domain, HalfPlane):
+                assert x < 0
+                continue
+            assert x * x + y * y < 1
+            if isinstance(domain, Annulus):
+                assert x * x + y * y > Fraction(domain.r) ** 2
+
+    def test_non_domain_is_unsupported(self):
+        with pytest.raises(Unsupported):
+            contains(object(), 0.5)
+        with pytest.raises(Unsupported):
+            kob_distance("disk", 0, 0.5)
 
 
 class TestDensity:
@@ -87,38 +162,57 @@ class TestDensity:
             assert gap6 <= 1e-3
 
 
+def _assert_deck_invariant(domain):
+    """exp(w + k deck_step) = z for the lift w = log z of points z."""
+    atlas = covering_atlas(domain)
+    rng = np.random.default_rng(7)
+    r = getattr(domain, "r", 0.0)
+    z = (r + (1 - r) * rng.uniform(0.01, 0.99, 50)) * np.exp(1j * rng.uniform(-4, 4, 50))
+    lift = atlas.lift(z)
+    for k in range(-2, 3):
+        images = np.exp(-lift.outer + 1j * lift.im + atlas.deck_step * k)
+        assert np.abs(images - z).max() <= 1e-12
+
+
 class TestCoveringAtlas:
     def test_punctured_cover_value(self):
-        atlas = covering_atlas(PuncturedDisk())
-        assert complex(atlas.cover(-1 + 0j)) == pytest.approx(math.exp(-1))
+        lift = covering_atlas(PuncturedDisk()).lift(math.exp(-1))
+        assert float(lift.outer) == pytest.approx(1.0, abs=1e-15)  # w = -1
+        assert float(lift.im) == 0.0
 
     def test_punctured_deck_invariance(self):
-        atlas = covering_atlas(PuncturedDisk())
-        for k in range(-3, 4):
-            image = complex(atlas.cover(-1 + 0j + atlas.deck_step * k))
-            assert image == pytest.approx(math.exp(-1), abs=1e-10)
+        _assert_deck_invariant(PuncturedDisk())
+
+    def test_annulus_deck_invariance(self):
+        _assert_deck_invariant(Annulus(0.1))
 
     def test_annulus_midline_covers_core_circle(self):
-        atlas = covering_atlas(Annulus(0.1))
-        image = complex(atlas.cover(math.log(0.1) / 2 + 0j))
-        assert image == pytest.approx(math.sqrt(0.1), abs=1e-12)
+        lift = covering_atlas(Annulus(0.1)).lift(math.sqrt(0.1))
+        assert -float(lift.outer) == pytest.approx(math.log(0.1) / 2, abs=1e-12)
+        assert float(lift.inner) == pytest.approx(-math.log(0.1) / 2, abs=1e-12)
+        assert float(lift.height) == pytest.approx(1.0, abs=1e-12)
 
     def test_trivial_atlases_have_no_deck(self):
         assert not covering_atlas(Disk()).has_deck
         assert not covering_atlas(HalfPlane()).has_deck
 
-    @pytest.mark.parametrize("domain", [PuncturedDisk(), Annulus(0.1)])
+    @pytest.mark.parametrize("domain", [PuncturedDisk(), Annulus(0.1), Disk(), HalfPlane(),
+                                        Annulus(0.6), Annulus(0.9)])
     def test_local_isometry_by_finite_differences(self, domain):
-        atlas = covering_atlas(domain)
+        # the distance through the cover has the density as its
+        # infinitesimal form: d(z - h u, z + h u) / 2h -> density(z)
         rng = np.random.default_rng(5)
-        log_r = math.log(domain.r) if isinstance(domain, Annulus) else -4.0
-        for _ in range(25):
-            w = complex(rng.uniform(log_r * 0.95, -0.05), rng.uniform(-3, 3))
-            h = 1e-6
-            deriv = (complex(atlas.cover(w + h)) - complex(atlas.cover(w - h))) / (2 * h)
-            lhs = density(domain, complex(atlas.cover(w))) * abs(deriv)
-            rhs = float(atlas.model_density(w))
-            assert abs(lhs - rhs) / rhs <= 1e-6
+        r = getattr(domain, "r", 0.0)
+        for _ in range(300):
+            if isinstance(domain, HalfPlane):
+                z = complex(-rng.uniform(0.01, 3), rng.uniform(-3, 3))
+            else:
+                z = (r + (1 - r) * rng.uniform(0.01, 0.99)) * np.exp(1j * rng.uniform(-4, 4))
+            u = np.exp(1j * rng.uniform(0, TAU))
+            lam = density(domain, z)
+            h = 1e-4 / lam
+            slope = kob_distance(domain, z - h * u, z + h * u).upper / (2 * h)
+            assert abs(slope - lam) / lam <= 1e-6
 
     def test_grid_unsupported(self, square_with_hole_grid):
         with pytest.raises(Unsupported):
@@ -198,11 +292,11 @@ class TestGridAnnulus:
 
     def test_origin_cell_false(self):
         grid = grid_annulus(0.25, 0.02)
-        assert not grid.contains_point(0)
+        assert not contains(grid, 0)
 
     def test_core_cell_true(self):
         grid = grid_annulus(0.25, 0.02)
-        assert grid.contains_point(0.6)
+        assert contains(grid, 0.6)
 
     def test_spacing_guard(self):
         with pytest.raises(ValidationError):

@@ -12,14 +12,13 @@ from invmetrics.domains import (
     HalfPlane,
     PuncturedDisk,
     covering_atlas,
-    density_vec,
     grid_annulus,
-    halfplane_distance,
 )
 from invmetrics.errors import (
     DegenerateEndpoints,
     LiftFailure,
     OutOfDomain,
+    ValidationError,
 )
 from invmetrics.kobayashi import (
     PolyPath,
@@ -43,9 +42,9 @@ SQRT_TENTH = math.sqrt(0.1)
 class TestLiftInfimum:
     def test_punctured_pair_matches_halfplane_form(self):
         atlas = covering_atlas(PuncturedDisk())
-        value = lift_infimum(atlas, math.exp(-1), math.exp(-2), tol=1e-10)
+        value = lift_infimum(atlas, math.exp(-1), math.exp(-2))
         assert value == pytest.approx(HALF_LOG2, abs=1e-10)
-        assert value == pytest.approx(halfplane_distance(-1, -2), abs=1e-12)
+        assert value == pytest.approx(float(HalfPlane().distance(-1, -2)), abs=1e-12)
 
     def test_equal_points(self):
         atlas = covering_atlas(Annulus(0.1))
@@ -141,6 +140,10 @@ class TestCurveLength:
     def test_degenerate_path(self):
         assert curve_length(Disk(), PolyPath((0.1, 0.1))) == 0.0
 
+    def test_single_vertex_path_rejected(self):
+        with pytest.raises(ValidationError):
+            PolyPath((0.1,))
+
     def test_disk_diameter_segment(self):
         length = curve_length(Disk(), PolyPath((0, 0.5)))
         assert length == pytest.approx(HALF_LOG3, abs=1e-8)
@@ -168,7 +171,7 @@ class TestCurveLength:
         ts = (np.arange(400) + 0.5) / 400
         for a, b in zip(verts[:-1], verts[1:]):
             pts = a + (b - a) * ts
-            quad += float(abs(b - a) / 400 * density_vec(Annulus(0.1), pts).sum())
+            quad += float(abs(b - a) / 400 * Annulus(0.1).density(pts).sum())
         assert length == pytest.approx(quad, rel=1e-4)
 
     @given(st.lists(disk_points(0.8), min_size=2, max_size=5))

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bounded_complex
-from invmetrics.errors import DegenerateMap, NotFixed
+from invmetrics.errors import DegenerateMap, NotFixed, ValidationError
 from invmetrics.mobius import (
     COEFF_EPS,
     INFINITY,
@@ -162,7 +162,7 @@ class TestThreeFixedPoints:
                 m, fp.points[0], fp.points[1], 0.77 + 0.1j, 1e-7)
 
     def test_duplicate_points_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             mobius_is_identity_given_three_fixed(
                 MobiusMap.identity(), 1, 1, 2, 1e-9)
 
