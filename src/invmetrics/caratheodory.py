@@ -337,7 +337,7 @@ def car_ball_components(domain: Domain, p, radius: float,
     p = as_finite(p)
     if not contains(domain, p):
         raise OutOfDomain(f"{p!r} not in {domain!r}")
-    if radius <= 0:
+    if not (radius > 0):
         raise EmptyBall(f"ball radius must be positive: {radius!r}")
     if isinstance(domain, GridDomain):
         grid = domain

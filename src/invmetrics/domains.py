@@ -408,6 +408,26 @@ class GridDomain:
         return float(np.sqrt(dx * dx + dy * dy).min())
 
 
+def cell_pairs(mask_a: np.ndarray, mask_b: np.ndarray, dx: int, dy: int):
+    """Flat indices (i, j) of the cells i of ``mask_a`` whose neighbour j, one
+    move (dx, dy) away, is a cell of ``mask_b``; row-major in i.
+
+    dx counts columns and dy rows, and j = i + dy * width + dx.  Every lattice
+    graph of the package (grid bounds, inner distances, the modulus
+    Laplacian) takes its edges from here.
+    """
+    h, w = mask_a.shape
+    y0, x0 = max(0, -dy), max(0, -dx)
+    # a move as long as the frame leaves no pair (and no negative slice end)
+    ny, nx = max(0, h - abs(dy)), max(0, w - abs(dx))
+    pair = np.zeros((h, w), dtype=bool)
+    pair[y0:y0 + ny, x0:x0 + nx] = (mask_a[y0:y0 + ny, x0:x0 + nx]
+                                    & mask_b[max(0, dy):max(0, dy) + ny,
+                                             max(0, dx):max(0, dx) + nx])
+    i = np.flatnonzero(pair)
+    return i, i + (dy * w + dx)
+
+
 CatalogDomain = Union[Disk, HalfPlane, PuncturedDisk, Annulus]
 Domain = Union[CatalogDomain, GridDomain]
 
@@ -489,8 +509,9 @@ def grid_from_predicate(predicate: Callable[[np.ndarray], np.ndarray],
     ``predicate`` receives a complex ndarray of cell centers and returns a
     boolean array; a cell is a domain cell iff its center satisfies it.
     """
-    if spacing <= 0:
-        raise ValidationError(f"spacing must be positive: {spacing!r}")
+    for name, value in (("spacing", spacing), ("bounding radius", bounding_radius)):
+        if not (value > 0) or not math.isfinite(value):
+            raise ValidationError(f"{name} must be positive and finite: {value!r}")
     half = FRAME_MARGIN * bounding_radius
     n = int(round(2.0 * half / spacing)) + 1
     origin = complex(center) - half * (1 + 1j)

@@ -21,15 +21,17 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .domains import (
+    FRAME_MARGIN,
     TAU,
-    Annulus,
     CoveringAtlas,
     Disk,
     Domain,
     GridDomain,
     HalfPlane,
+    cell_pairs,
     contains,
     covering_atlas,
     grid_frame_load,
@@ -203,32 +205,27 @@ def _grid_graph(grid: GridDomain):
     cached = _GRID_GRAPH_CACHE.get(grid)
     if cached is not None:
         return cached
-    h, w = grid.mask.shape
-    bound = grid.density_upper_bound
-    idx = np.arange(h * w).reshape(h, w)
+    mask = grid.mask.ravel()
+    bound = grid.density_upper_bound.ravel()
     rows, cols, weights = [], [], []
     for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
-        if dy >= 0:
-            src = np.s_[: h - dy, : w - dx] if dx else np.s_[: h - dy, :]
-            dst = np.s_[dy:, dx:] if dx else np.s_[dy:, :]
-        else:
-            src = np.s_[-dy:, : w - dx]
-            dst = np.s_[: h + dy, dx:]
-        ok = grid.mask[src] & grid.mask[dst]
+        i, j = cell_pairs(grid.mask, grid.mask, dx, dy)
         if dx and dy:
             # corner guard: both orthogonal neighbors must be domain cells
-            ok &= grid.mask[src[0], dst[1]] & grid.mask[dst[0], src[1]]
-        step = math.hypot(dx, dy) * grid.spacing
-        wgt = step * np.maximum(bound[src], bound[dst])
-        rows.append(idx[src][ok])
-        cols.append(idx[dst][ok])
-        weights.append(wgt[ok])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    weights = np.concatenate(weights)
-    graph = coo_matrix((weights, (rows, cols)), shape=(h * w, h * w)).tocsr()
+            ok = mask[i + dx] & mask[j - dx]
+            i, j = i[ok], j[ok]
+        rows.append(i)
+        cols.append(j)
+        weights.append(math.hypot(dx, dy) * grid.spacing * np.maximum(bound[i], bound[j]))
+    graph = _csr_graph(rows, cols, weights, mask.size)
     _GRID_GRAPH_CACHE[grid] = graph
     return graph
+
+
+def _csr_graph(rows, cols, weights, n_nodes: int):
+    """Sparse graph from per-move lists of edge arrays."""
+    return coo_matrix((np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n_nodes, n_nodes)).tocsr()
 
 
 def _point_density_bounds(grid: GridDomain, pts: np.ndarray) -> np.ndarray:
@@ -345,20 +342,23 @@ def geodesic(domain: Domain, p, q, samples: int = 256) -> PolyPath:
     return PolyPath(tuple(verts))
 
 
-def inner_distance(domain: Domain, p, q, grid_spacing: float,
-                   move_radius: int = 8) -> float:
+# Coprime lattice moves reach this many cells: fine enough a direction
+# quantization that the inner distance converges well inside acceptance C7.
+_MOVE_RADIUS = 8
+
+
+def inner_distance(domain: Domain, p, q, grid_spacing: float) -> float:
     """Shortest weighted cell-graph path with density line-integral weights.
 
-    Converges to the true distance as the spacing shrinks; the move
-    neighborhood controls the direction quantization of the lattice.
+    Converges to the true distance as the spacing shrinks.  The graph is
+    ``inner_distance_many``'s; its move reach is fixed, not a parameter.
     """
     p, q = as_finite(p), as_finite(q)
     if p == q:
         if not contains(domain, p):
             raise OutOfDomain(f"{p!r} not in {domain!r}")
         return 0.0
-    return float(inner_distance_many(domain, [(p, q)], grid_spacing,
-                                     move_radius=move_radius)[0])
+    return float(inner_distance_many(domain, [(p, q)], grid_spacing)[0])
 
 
 def _coprime_moves(radius: int):
@@ -373,110 +373,101 @@ def _coprime_moves(radius: int):
     return moves
 
 
-def inner_distance_many(domain: Domain, pairs, grid_spacing: float,
-                        move_radius: int = 8) -> np.ndarray:
-    """Batch inner distances over one shared cell graph."""
+def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarray:
+    """Batch inner distances over one shared cell graph.
+
+    The cells of a raster frame are joined by every coprime lattice move of
+    at most ``_MOVE_RADIUS`` cells (``domains.cell_pairs``, the kernel of
+    every lattice graph here); the reach is a constant, not a knob.  Each
+    endpoint is linked to the cells within that reach, and a close pair
+    directly.  An edge weighs its length times the density at its
+    midpoint, and is kept only if its interior sub-samples and that
+    midpoint lie in the domain.  The frame is ``rasterize``'s, except on
+    the disk, where it is cropped to a square about the endpoints
+    (geodesically convex disks about 0 keep the competing paths near them).
+    """
     if isinstance(domain, GridDomain):
         raise Unsupported("inner distance is defined for catalog domains")
-    endpoints = []
-    for p, q in pairs:
-        endpoints.append(as_finite(p))
-        endpoints.append(as_finite(q))
+    pairs = [(as_finite(p), as_finite(q)) for p, q in pairs]
+    endpoints = [z for pair in pairs for z in pair]
     for z in endpoints:
         if not contains(domain, z):
             raise OutOfDomain(f"{z!r} not in {domain!r}")
-
-    _load_sparse()
     h = grid_spacing
     if isinstance(domain, Disk):
-        reach = max(abs(z) for z in endpoints)
-        half = min(1.0 - h, reach + (move_radius + 2) * h + 0.02)
-    elif isinstance(domain, HalfPlane):
-        raise Unsupported("inner distance on the half-plane is not rasterized")
+        # Hyperbolic disks about 0 are geodesically convex (Beardon, The
+        # Geometry of Discrete Groups, section 7), so the geodesics stay within
+        # the endpoints' reach of 0; a few moves beyond it, the square holds
+        # every competing path with far fewer cells than the whole disk.
+        reach = max((abs(z) for z in endpoints), default=0.0)
+        half = min(1.0 - h, reach + (_MOVE_RADIUS + 2) * h + 0.02)
+        frame = grid_from_predicate(domain.contains, half / FRAME_MARGIN, h)
     else:
-        half = 1.0 + h
-    n = int(math.ceil(2.0 * half / h)) + 1
-    origin = complex(-half, -half)
-    xs = origin.real + h * np.arange(n)
-    ys = origin.imag + h * np.arange(n)
-    centers = xs[None, :] + 1j * ys[:, None]
-    mask = domain.contains(centers)
-    idx = np.arange(n * n).reshape(n, n)
+        frame = rasterize(domain, h)
+    if not pairs:
+        return np.zeros(0)
 
-    needs_segment_check = isinstance(domain, Annulus)
+    _load_sparse()
+    cells = frame.mask.size
+    centers = frame.centers.ravel()
+    # distance in cells to the nearest frame cell outside the domain; the
+    # cleared border ring of the disk crop lies in the disk and does not count
+    near = ndimage.distance_transform_edt(domain.contains(frame.centers)).ravel()
+
+    def inside(a, b, steps):
+        """Whether the samples a + (b - a) k / steps, 0 < k < steps, and the
+        midpoint, where the weight reads the density, are in the domain."""
+        t = np.append(np.arange(1, steps) / steps, 0.5)[:, None]
+        return domain.contains(a + (b - a) * t).all(axis=0)
+
     rows, cols, weights = [], [], []
-    for dx, dy in _coprime_moves(move_radius):
-        if dy >= 0 and dx >= 0:
-            src = np.s_[: n - dy, : n - dx]
-            dst = np.s_[dy:, dx:]
-        elif dy >= 0:
-            src = np.s_[: n - dy, -dx:]
-            dst = np.s_[dy:, : n + dx]
-        ok = mask[src] & mask[dst]
-        if needs_segment_check and ok.any():
-            a = centers[src][ok]
-            b = centers[dst][ok]
-            inner_ok = np.ones(a.shape, dtype=bool)
-            steps = max(2, int(math.ceil(2 * math.hypot(dx, dy))))
-            for s in range(1, steps):
-                t = s / steps
-                inner_ok &= np.abs(a + (b - a) * t) > domain.r
-            tmp = np.zeros(ok.shape, dtype=bool)
-            tmp[ok] = inner_ok
-            ok = tmp
-        if not ok.any():
-            continue
-        a = centers[src][ok]
-        b = centers[dst][ok]
-        lam = domain.density((a + b) / 2.0)
-        weights.append(np.abs(b - a) * lam)
-        rows.append(idx[src][ok])
-        cols.append(idx[dst][ok])
+    for dx, dy in _coprime_moves(_MOVE_RADIUS):
+        i, j = cell_pairs(frame.mask, frame.mask, dx, dy)
+        length = math.hypot(dx, dy)
+        # a sample outside the domain lies within length / 2 of an end and,
+        # where every hole holds a cell centre, within two cells of a frame
+        # cell outside, so only edges with an end in that band are sampled
+        band = np.flatnonzero(np.minimum(near[i], near[j]) <= length / 2 + 2)
+        drop = band[~inside(centers[i[band]], centers[j[band]], max(2, math.ceil(2 * length)))]
+        if drop.size:
+            i, j = np.delete(i, drop), np.delete(j, drop)
+        a, b = centers[i], centers[j]
+        rows.append(i)
+        cols.append(j)
+        weights.append(np.abs(b - a) * domain.density((a + b) / 2.0))
 
-    # extra nodes: two per pair, linked to every reachable nearby cell
-    n_nodes = n * n + len(endpoints)
-    ex_rows, ex_cols, ex_w = [], [], []
-    link_reach = move_radius * h
+    # extra nodes, two per pair, linked to the cells within a move's reach
+    link_reach = _MOVE_RADIUS * h
+    frame_index = np.arange(cells).reshape(frame.mask.shape)
     for e, z in enumerate(endpoints):
-        node = n * n + e
-        ix = int(math.floor((z.real - origin.real) / h + 0.5))
-        iy = int(math.floor((z.imag - origin.imag) / h + 0.5))
-        r = move_radius
-        x0, x1 = max(0, ix - r), min(n, ix + r + 1)
-        y0, y1 = max(0, iy - r), min(n, iy + r + 1)
-        sub = mask[y0:y1, x0:x1]
-        cand = centers[y0:y1, x0:x1][sub]
-        cand_idx = idx[y0:y1, x0:x1][sub]
-        keep = np.abs(cand - z) <= link_reach
-        cand, cand_idx = cand[keep], cand_idx[keep]
-        if needs_segment_check and cand.size:
-            good = np.ones(cand.shape, dtype=bool)
-            for s in range(1, 8):
-                t = s / 8.0
-                good &= np.abs(z + (cand - z) * t) > domain.r
-            cand, cand_idx = cand[good], cand_idx[good]
-        lam = domain.density((cand + z) / 2.0)
-        ex_rows.append(np.full(cand.shape, node))
-        ex_cols.append(cand_idx)
-        ex_w.append(np.abs(cand - z) * lam)
+        cell = frame.cell_index(z)
+        if cell is None:
+            raise Disconnected(f"{z!r} lies outside the cell frame at spacing {h!r}")
+        ix, iy = cell
+        window = np.s_[max(0, iy - _MOVE_RADIUS):iy + _MOVE_RADIUS + 1,
+                       max(0, ix - _MOVE_RADIUS):ix + _MOVE_RADIUS + 1]
+        k = frame_index[window][frame.mask[window]]
+        k = k[np.abs(centers[k] - z) <= link_reach]
+        k = k[inside(z, centers[k], 8)]
+        rows.append(np.full(k.shape, cells + e))
+        cols.append(k)
+        weights.append(np.abs(centers[k] - z) * domain.density((centers[k] + z) / 2.0))
     # direct endpoint-to-endpoint links for very close pairs
-    for i, (p, q) in enumerate(pairs):
-        p, q = complex(p), complex(q)
-        if abs(q - p) <= link_reach:
-            samples = p + (q - p) * np.linspace(0.0, 1.0, 9)
-            if domain.contains(samples).all():
-                ex_rows.append(np.array([n * n + 2 * i]))
-                ex_cols.append(np.array([n * n + 2 * i + 1]))
-                ex_w.append(np.array([abs(q - p)
-                                      * float(domain.density((p + q) / 2))]))
+    for e, (p, q) in enumerate(pairs):
+        samples = p + (q - p) * np.linspace(0.0, 1.0, 9)
+        if abs(q - p) <= link_reach and domain.contains(samples).all():
+            rows.append(np.array([cells + 2 * e]))
+            cols.append(np.array([cells + 2 * e + 1]))
+            weights.append(np.array([abs(q - p) * float(domain.density((p + q) / 2))]))
 
-    rows = np.concatenate(rows + ex_rows)
-    cols = np.concatenate(cols + ex_cols)
-    weights = np.concatenate(weights + ex_w)
-    graph = coo_matrix((weights, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
-    sources = [n * n + 2 * i for i in range(len(pairs))]
+    graph = _csr_graph(rows, cols, weights, cells + len(endpoints))
+    if not (graph.data >= 0).all():
+        # a midpoint off the domain on an edge outside the band: a hole that
+        # holds no cell centre
+        raise ValidationError(f"spacing {h!r} is too coarse to resolve {domain!r}")
+    sources = cells + 2 * np.arange(len(pairs))
     dist = _csgraph_dijkstra(graph, directed=False, indices=sources)
-    out = np.array([dist[i, n * n + 2 * i + 1] for i in range(len(pairs))])
+    out = dist[np.arange(len(pairs)), sources + 1]
     if not np.isfinite(out).all():
         raise Disconnected("an endpoint failed to connect to the cell graph")
     return out
@@ -503,7 +494,7 @@ def kob_ball_raster(domain: Domain, center, radius: float,
     center = as_finite(center)
     if not contains(domain, center):
         raise OutOfDomain(f"{center!r} not in {domain!r}")
-    if radius <= 0:
+    if not (radius > 0):
         raise OutOfDomain(f"ball radius must be positive: {radius!r}")
     if isinstance(domain, HalfPlane):
         grid = _halfplane_ball_frame(domain, center, radius, spacing)
@@ -520,25 +511,12 @@ def kob_ball_raster(domain: Domain, center, radius: float,
 
 def _halfplane_ball_frame(domain: HalfPlane, center: complex, radius: float,
                           spacing: float) -> GridDomain:
-    """Frame around the Euclidean disk the half-plane ball occupies."""
-    from .poincare import poincare_ball_euclidean
+    """Frame around the Euclidean disk the half-plane ball occupies.
 
-    ec, er = poincare_ball_euclidean(complex(domain.to_disk(center)), radius)
-    pts = [domain.from_disk(ec + er), domain.from_disk(ec - er),
-           domain.from_disk(ec + 1j * er)]
-    ctr, rad = _circumcircle(*(complex(p) for p in pts))
-    return grid_from_predicate(domain.contains, bounding_radius=rad, spacing=spacing,
-                               center=ctr)
-
-
-def _circumcircle(z1: complex, z2: complex, z3: complex):
-    ax, ay = z1.real, z1.imag
-    bx, by = z2.real, z2.imag
-    cx, cy = z3.real, z3.imag
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    ux = ((ax**2 + ay**2) * (by - cy) + (bx**2 + by**2) * (cy - ay)
-          + (cx**2 + cy**2) * (ay - by)) / d
-    uy = ((ax**2 + ay**2) * (cx - bx) + (bx**2 + by**2) * (ax - cx)
-          + (cx**2 + cy**2) * (bx - ax)) / d
-    center = complex(ux, uy)
-    return center, abs(center - z1)
+    Under the density 1/(2|Re z|) the ball of radius R about x + iy is the
+    disk with centre x cosh 2R + iy and radius |x| sinh 2R.
+    """
+    x, y = center.real, center.imag
+    with np.errstate(over="ignore"):  # an infinite radius fails the frame's own check
+        cosh, sinh = float(np.cosh(2.0 * radius)), float(np.sinh(2.0 * radius))
+    return grid_from_predicate(domain.contains, abs(x) * sinh, spacing, complex(x * cosh, y))

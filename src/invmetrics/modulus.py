@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 from scipy import ndimage
 
-from .domains import GridDomain, STRUCT_4
+from .domains import STRUCT_4, GridDomain, cell_pairs
 from .errors import NonPositive, SolverDivergence, ValidationError, WrongConnectivity
 
 _CG_RTOL = 1e-10
@@ -116,27 +116,23 @@ def conformal_modulus(grid: GridDomain, inner_label: int, outer_label: int) -> f
     near_domain = ndimage.binary_dilation(mask, STRUCT_4)
     inner_ghost = (labels == inner_label) & near_domain
     outer_ghost = (labels == outer_label) & near_domain
-    values = np.zeros((h, w))
-    values[inner_ghost] = 1.0
+    # flat arrays, indexed by the cell numbers cell_pairs returns
+    values = inner_ghost.ravel().astype(float)
     ghost = inner_ghost | outer_ghost
 
-    index = -np.ones((h, w), dtype=np.int64)
+    index = -np.ones(h * w, dtype=np.int64)
     n_unknown = int(mask.sum())
-    index[mask] = np.arange(n_unknown)
+    index[mask.ravel()] = np.arange(n_unknown)
     rows, cols, cut_rows, cut_values = [], [], [], []
-    for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-        src = (slice(max(0, -dy), h - max(0, dy)),
-               slice(max(0, -dx), w - max(0, dx)))
-        dst = (slice(max(0, dy), h - max(0, -dy)),
-               slice(max(0, dx), w - max(0, -dx)))
+    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         # domain-domain edges, conductance 1
-        pair = mask[src] & mask[dst]
-        rows.append(index[src][pair])
-        cols.append(index[dst][pair])
+        i, j = cell_pairs(mask, mask, dx, dy)
+        rows.append(index[i])
+        cols.append(index[j])
         # domain-ghost cut edges, conductance 2 (boundary at the midpoint)
-        cut = mask[src] & ghost[dst]
-        cut_rows.append(index[src][cut])
-        cut_values.append(values[dst][cut])
+        i, j = cell_pairs(mask, ghost, dx, dy)
+        cut_rows.append(index[i])
+        cut_values.append(values[j])
     rows, cols, cut_rows = (np.concatenate(x) for x in (rows, cols, cut_rows))
     degree = (np.bincount(rows, minlength=n_unknown)
               + 2.0 * np.bincount(cut_rows, minlength=n_unknown))
@@ -159,19 +155,14 @@ def conformal_modulus(grid: GridDomain, inner_label: int, outer_label: int) -> f
     if info != 0 or not residual <= _CG_RTOL:
         raise SolverDivergence(f"conjugate gradients stopped with code {info}",
                                iterations, residual)
-    values[mask] = solution
+    values[mask.ravel()] = solution
 
     energy = 0.0
-    for dy, dx in ((0, 1), (1, 0)):
-        src = (slice(0, h - dy), slice(0, w - dx))
-        dst = (slice(dy, h), slice(dx, w))
-        pair = mask[src] & mask[dst]
-        diff = values[src][pair] - values[dst][pair]
-        energy += float((diff * diff).sum())
-        for a, b in ((src, dst), (dst, src)):
-            cut = mask[a] & ghost[b]
-            diff = values[a][cut] - values[b][cut]
-            energy += 2.0 * float((diff * diff).sum())
+    for dx, dy in ((1, 0), (0, 1)):
+        for a, b, conductance in ((mask, mask, 1.0), (mask, ghost, 2.0), (ghost, mask, 2.0)):
+            i, j = cell_pairs(a, b, dx, dy)
+            diff = values[i] - values[j]
+            energy += conductance * float((diff * diff).sum())
     if energy <= 0:
         raise SolverDivergence("Dirichlet energy vanished; degenerate input")
     return 1.0 / energy

@@ -14,6 +14,7 @@ from invmetrics.domains import (
     GridDomain,
     HalfPlane,
     PuncturedDisk,
+    cell_pairs,
     contains,
     covering_atlas,
     density,
@@ -282,6 +283,23 @@ class TestGridDomain:
         blob = grid_save(grid_annulus(0.5, 0.1)).decode()
         with pytest.raises(ParseError):
             grid_load(blob.replace("1", "x", 1))
+
+
+class TestCellPairs:
+    @pytest.mark.parametrize("move", [
+        (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1),
+        (2, -1), (-3, 2), (1, -4), (5, -3), (0, 12), (-10, 1)])
+    def test_matches_double_loop(self, move):
+        rng = np.random.default_rng(11)
+        mask_a, mask_b = rng.random((2, 7, 9)) < 0.6
+        dx, dy = move
+        h, w = mask_a.shape
+        expected = [(y * w + x, (y + dy) * w + x + dx)
+                    for y in range(h) for x in range(w)
+                    if mask_a[y, x] and 0 <= y + dy < h and 0 <= x + dx < w
+                    and mask_b[y + dy, x + dx]]
+        i, j = cell_pairs(mask_a, mask_b, dx, dy)
+        assert list(zip(i.tolist(), j.tolist())) == expected
 
 
 class TestGridAnnulus:

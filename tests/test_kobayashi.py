@@ -1,4 +1,6 @@
+import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import annulus_points, disk_points
+from invmetrics import kobayashi
+from invmetrics.caratheodory import car_ball_components
 from invmetrics.domains import (
     Annulus,
     Disk,
@@ -13,11 +17,16 @@ from invmetrics.domains import (
     PuncturedDisk,
     covering_atlas,
     grid_annulus,
+    grid_from_predicate,
+    rasterize,
 )
 from invmetrics.errors import (
     DegenerateEndpoints,
+    Disconnected,
+    EmptyBall,
     LiftFailure,
     OutOfDomain,
+    Unsupported,
     ValidationError,
 )
 from invmetrics.kobayashi import (
@@ -27,6 +36,7 @@ from invmetrics.kobayashi import (
     curve_length,
     geodesic,
     inner_distance,
+    inner_distance_many,
     kob_ball_raster,
     kob_distance,
     lift_infimum,
@@ -129,6 +139,24 @@ class TestGridInterval:
             interval = kob_distance(coarse_annulus, p, q)
             assert interval.lower <= analytic <= interval.upper
             assert interval.certified
+
+    def test_graph_matches_double_loop(self):
+        grid = grid_annulus(0.3, 0.05)
+        m, bound, (h, w) = grid.mask, grid.density_upper_bound, grid.mask.shape
+        expected = {}
+        for y in range(h):
+            for x in range(w):
+                for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
+                    u, v = x + dx, y + dy
+                    # diagonal steps need both corner cells
+                    if (0 <= v < h and u < w and m[y, x] and m[v, u]
+                            and m[y, u] and m[v, x]):
+                        expected[y * w + x, v * w + u] = (
+                            math.hypot(dx, dy) * grid.spacing
+                            * max(bound[y, x], bound[v, u]))
+        graph = kobayashi._grid_graph(grid).tocoo()
+        assert dict(zip(zip(graph.row.tolist(), graph.col.tolist()),
+                        graph.data.tolist())) == expected
 
     def test_same_cell_pair(self, coarse_annulus):
         interval = kob_distance(coarse_annulus, 0.6, 0.601)
@@ -235,12 +263,77 @@ class TestBallRaster:
         assert ball.cell_count() > 0
         assert (ball.centers[ball.mask].real < 0).all()
 
+    def test_halfplane_frame_is_the_closed_form_disk(self):
+        x, y, radius = -0.7, 0.4, 0.9
+        centre = complex(x * math.cosh(2 * radius), y)
+        rim = centre + abs(x) * math.sinh(2 * radius) * np.exp(1j * np.linspace(0, 6, 16))
+        np.testing.assert_allclose(HalfPlane().distance(complex(x, y), rim), radius, rtol=1e-12)
+        ball = kob_ball_raster(HalfPlane(), complex(x, y), radius, 0.02)
+        frame_centre = ball.origin + 0.5 * ball.spacing * (ball.width - 1) * (1 + 1j)
+        assert abs(frame_centre - centre) < ball.spacing
+
     def test_export_round_trip(self):
         ball = kob_ball_raster(Disk(), 0.2, 0.5, 0.05)
         again = ball_load(ball_save(ball))
         assert again.metric == "kobayashi"
         assert again.radius == ball.radius
         assert np.array_equal(again.mask, ball.mask)
+
+
+NAN = float("nan")
+
+# Inner distances of the cell graph before its edges came from
+# domains.cell_pairs: acceptance C7's 20 disk pairs at spacing 0.01 and 0.005
+# (bit-exact, the disk frame is unchanged) ...
+C7_INNER_001 = [
+    0.941090867966171, 0.9791050673294921, 0.5939612350356078,
+    1.147461863304492, 1.0983906159196526, 1.6202041803826492,
+    0.5668931286075463, 0.34155338036235955, 0.6103520189854763,
+    1.0791196384515904, 0.5183127470397372, 0.134005728944803,
+    1.1058768820606746, 0.4126255452593226, 0.22537217126123585,
+    0.832058981587353, 0.4884032133580056, 0.4600269797019957,
+    0.23090797871366858, 0.8334212380207137,
+]
+C7_INNER_0005 = [
+    0.9414230004923061, 0.9795784753195422, 0.5941661111716245,
+    1.147972473743225, 1.0989544122678263, 1.621338356081591,
+    0.5672482320394917, 0.3416340242885728, 0.6105574794548401,
+    1.0795678216654647, 0.5184977720138116, 0.13403500612146022,
+    1.106388119050706, 0.41275578400708174, 0.22544247864216593,
+    0.83250052650421, 0.4886597623554028, 0.4601328731402807,
+    0.23102408365028868, 0.8336966807268043,
+]
+# ... and _ring_pairs(r) in Annulus(r), _PUNCTURED_PAIRS under the key None,
+# at spacing 0.01 (the frame's half-width moved from 1 + h to 1.1, which
+# changes the cell centres in their last digits)
+RING_INNER_001 = {
+    0.02: [1.2678314588296127, 0.9673878039366276, 1.9681546203262539],
+    0.1: [2.1473484001069147, 1.1865477777441202, 2.380680742268024],
+    0.5: [7.125107330861956, 3.4199747642780696, 5.9651215016585715],
+    0.9: [46.87207695661997, 22.380555830847864, 37.46699966986576],
+    None: [1.0824888044559753, 1.0593755017331894, 1.3012987067918516],
+}
+_PUNCTURED_PAIRS = [(0.3, -0.3), (0.05 + 0.02j, -0.6j),
+                    (cmath.rect(0.8, 1.0), cmath.rect(0.2, 2.5))]
+
+
+def _c7_pairs():
+    """Acceptance C7's sample of disk pairs."""
+    rng = np.random.default_rng(707)
+    pairs = []
+    while len(pairs) < 20:
+        z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
+        w = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
+        if abs(z) < 0.7 and abs(w) < 0.7 and abs(z - w) > 0.05:
+            pairs.append((z, w))
+    return pairs
+
+
+def _ring_pairs(r):
+    """An antipodal pair on the core circle and two pairs across the ring."""
+    rho, mid = math.sqrt(r), (1 + r) / 2
+    return [(rho, -rho), (cmath.rect(rho, 0.4), cmath.rect(mid, 1.9)),
+            (cmath.rect(mid, -0.3), cmath.rect(0.5 * (1 + mid), -2.8))]
 
 
 class TestInnerDistance:
@@ -252,9 +345,83 @@ class TestInnerDistance:
         assert value == pytest.approx(HALF_LOG3, abs=5e-3)
 
     def test_annulus_antipodal(self):
-        value = inner_distance(Annulus(0.1), SQRT_TENTH, -SQRT_TENTH, 0.005,
-                               move_radius=6)
+        value = inner_distance(Annulus(0.1), SQRT_TENTH, -SQRT_TENTH, 0.005)
         assert value == pytest.approx(ANNULUS_CORE_HALF, abs=2e-2)
+
+    def test_diagonal_midpoint_in_the_hole(self):
+        # at this spacing some diagonal edges have both thirds outside the
+        # hole but the midpoint, where the weight is read, inside it
+        value = inner_distance(Annulus(0.25), 0.5, -0.5, 0.02)
+        exact = kob_distance(Annulus(0.25), 0.5, -0.5).upper
+        assert value == pytest.approx(exact, abs=2e-2)
+
+    @pytest.mark.parametrize("spacing, expected", [(0.01, C7_INNER_001),
+                                                   (0.005, C7_INNER_0005)])
+    def test_pinned_disk(self, spacing, expected):
+        assert inner_distance_many(Disk(), _c7_pairs(), spacing).tolist() == expected
+
+    @pytest.mark.parametrize("r", sorted(RING_INNER_001, key=str))
+    def test_pinned_covered(self, r):
+        domain, pairs = ((PuncturedDisk(), _PUNCTURED_PAIRS) if r is None
+                         else (Annulus(r), _ring_pairs(r)))
+        values = inner_distance_many(domain, pairs, 0.01)
+        np.testing.assert_allclose(values, RING_INNER_001[r], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("r", [0.02, 0.1, 0.5, 0.9])
+    def test_segment_band_is_sound(self, r, monkeypatch):
+        # an edge is sampled only near the complement; sampling every edge
+        # (a zero distance transform puts all of them in the band) must
+        # drop no further edge
+        graphs = []
+        build = kobayashi._csr_graph
+        monkeypatch.setattr(kobayashi, "_csr_graph",
+                            lambda *args: graphs.append(build(*args)) or graphs[-1])
+        inner_distance_many(Annulus(r), _ring_pairs(r), 0.02)
+        monkeypatch.setattr(kobayashi, "ndimage", SimpleNamespace(
+            distance_transform_edt=lambda inside: np.zeros(inside.shape)))
+        inner_distance_many(Annulus(r), _ring_pairs(r), 0.02)
+        banded, full = graphs
+        assert banded.shape == full.shape and (banded != full).nnz == 0
+
+    @pytest.mark.parametrize("domain", [Disk(), Annulus(0.3), PuncturedDisk()])
+    def test_no_pairs(self, domain):
+        assert inner_distance_many(domain, [], 0.01).shape == (0,)
+
+    def test_coarse_frame_uses_the_direct_link(self):
+        # one domain cell at spacing 0.5: the pair is joined directly
+        value = inner_distance(Disk(), 0, 0.5, 0.5)
+        assert value == pytest.approx(0.5 * float(Disk().density(0.25)), rel=1e-15)
+
+
+def _pred_disk(z):
+    return np.abs(z) < 1
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: rasterize(Disk(), NAN), ValidationError),
+    (lambda: grid_from_predicate(_pred_disk, NAN, 0.1), ValidationError),
+    (lambda: grid_from_predicate(_pred_disk, math.inf, 0.1), ValidationError),
+    (lambda: grid_from_predicate(_pred_disk, 0.0, 0.1), ValidationError),
+    (lambda: grid_from_predicate(_pred_disk, 1.0, math.inf), ValidationError),
+    (lambda: kob_ball_raster(Disk(), 0, 0.5, NAN), ValidationError),
+    (lambda: kob_ball_raster(Disk(), 0, NAN, 0.05), OutOfDomain),
+    (lambda: kob_ball_raster(HalfPlane(), -1, 400.0, 0.05), ValidationError),
+    (lambda: kob_ball_raster(HalfPlane(), -1, math.inf, 0.05), ValidationError),
+    (lambda: car_ball_components(Disk(), 0, NAN, spacing=0.05), EmptyBall),
+    (lambda: inner_distance(Disk(), 0, 0.5, NAN), ValidationError),
+    (lambda: inner_distance(Disk(), 0, 0.5, 0.0), ValidationError),
+    (lambda: inner_distance(Disk(), 0, 0.5, -0.01), ValidationError),
+    # an endpoint in the disk but past the cropped frame
+    (lambda: inner_distance(Disk(), 0, 0.999, 0.01), Disconnected),
+    # the raster misses the hole, and an edge midpoint falls into it
+    (lambda: inner_distance(Annulus(0.1), 0.5, -0.5, 0.3), ValidationError),
+    (lambda: inner_distance_many(HalfPlane(), [(-1, -2)], 0.01), Unsupported),
+    (lambda: inner_distance_many(grid_annulus(0.5, 0.05), [(0.7, -0.7)], 0.01),
+     Unsupported),
+])
+def test_bad_raster_inputs_raise_named_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestDistanceDecreasing:
