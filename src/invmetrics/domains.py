@@ -590,8 +590,10 @@ def grid_frame_load(data):
         rows = payload["rows"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"missing or ill-typed field: {exc}") from exc
-    if spacing <= 0:
-        raise ValidationError(f"spacing must be positive: {spacing!r}")
+    if not (spacing > 0 and math.isfinite(spacing)):
+        raise ValidationError(f"spacing must be positive and finite: {spacing!r}")
+    if not (math.isfinite(ox) and math.isfinite(oy)):
+        raise ValidationError(f"origin must be finite: {[ox, oy]!r}")
     if len(rows) != height:
         raise ParseError(f"expected {height} rows, got {len(rows)}")
     mask = np.zeros((height, width), dtype=bool)

@@ -52,13 +52,13 @@ from .mobius import as_finite
 
 
 # scipy.sparse costs about 10 MB at import and only the graph paths need it
-coo_matrix = _csgraph_dijkstra = None
+coo_matrix = csr_matrix = _csgraph_dijkstra = None
 
 
 def _load_sparse():
-    global coo_matrix, _csgraph_dijkstra
+    global coo_matrix, csr_matrix, _csgraph_dijkstra
     if _csgraph_dijkstra is None:
-        from scipy.sparse import coo_matrix
+        from scipy.sparse import coo_matrix, csr_matrix
         from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 
@@ -217,15 +217,10 @@ def _grid_graph(grid: GridDomain):
         rows.append(i)
         cols.append(j)
         weights.append(math.hypot(dx, dy) * grid.spacing * np.maximum(bound[i], bound[j]))
-    graph = _csr_graph(rows, cols, weights, mask.size)
+    graph = coo_matrix((np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(mask.size, mask.size)).tocsr()
     _GRID_GRAPH_CACHE[grid] = graph
     return graph
-
-
-def _csr_graph(rows, cols, weights, n_nodes: int):
-    """Sparse graph from per-move lists of edge arrays."""
-    return coo_matrix((np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n_nodes, n_nodes)).tocsr()
 
 
 def _point_density_bounds(grid: GridDomain, pts: np.ndarray) -> np.ndarray:
@@ -345,6 +340,12 @@ def geodesic(domain: Domain, p, q, samples: int = 256) -> PolyPath:
 # Coprime lattice moves reach this many cells: fine enough a direction
 # quantization that the inner distance converges well inside acceptance C7.
 _MOVE_RADIUS = 8
+# Each pair's search stops past this multiple of the pair's closed-form
+# distance plus this many cells, and reruns unlimited if that misses the target.
+_LIMIT_FACTOR = 1.05
+_LIMIT_CELLS = 16
+# rows gathered at a time when assembling the inner-distance graph
+_CSR_BLOCK = 2048
 
 
 def inner_distance(domain: Domain, p, q, grid_spacing: float) -> float:
@@ -385,6 +386,11 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     midpoint lie in the domain.  The frame is ``rasterize``'s, except on
     the disk, where it is cropped to a square about the endpoints
     (geodesically convex disks about 0 keep the competing paths near them).
+
+    Each pair gets its own search on a graph that stores both directions of
+    every edge.  The search stops once it passes a margin over the pair's
+    closed-form distance and reruns with no limit if that missed the target,
+    so each value is the graph's own shortest path either way.
     """
     if isinstance(domain, GridDomain):
         raise Unsupported("inner distance is defined for catalog domains")
@@ -420,8 +426,24 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         t = np.append(np.arange(1, steps) / steps, 0.5)[:, None]
         return domain.contains(a + (b - a) * t).all(axis=0)
 
-    rows, cols, weights = [], [], []
-    for dx, dy in _coprime_moves(_MOVE_RADIUS):
+    def edge_weights(a, b):
+        """Length times the density at the midpoint."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.abs(b - a) * domain.density((a + b) / 2.0)
+        if not (np.isfinite(w) & (w >= 0)).all():
+            # a midpoint off the domain on an edge outside the band: a hole
+            # that holds no cell centre
+            raise ValidationError(f"spacing {h!r} is too coarse to resolve {domain!r}")
+        return w
+
+    height, width = frame.mask.shape
+    # the moves that fit in the frame; each has its own flat offset, and
+    # weights[m, i] weighs the edge from cell i to cell i + offsets[m] (NaN: none)
+    moves = [(dx, dy) for dx, dy in _coprime_moves(_MOVE_RADIUS)
+             if abs(dx) < width and dy < height]
+    offsets = np.array([dy * width + dx for dx, dy in moves])
+    weights = np.full((len(moves), cells), np.nan)
+    for m, (dx, dy) in enumerate(moves):
         i, j = cell_pairs(frame.mask, frame.mask, dx, dy)
         length = math.hypot(dx, dy)
         # a sample outside the domain lies within length / 2 of an end and,
@@ -431,14 +453,12 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         drop = band[~inside(centers[i[band]], centers[j[band]], max(2, math.ceil(2 * length)))]
         if drop.size:
             i, j = np.delete(i, drop), np.delete(j, drop)
-        a, b = centers[i], centers[j]
-        rows.append(i)
-        cols.append(j)
-        weights.append(np.abs(b - a) * domain.density((a + b) / 2.0))
+        weights[m, i] = edge_weights(centers[i], centers[j])
 
     # extra nodes, two per pair, linked to the cells within a move's reach
     link_reach = _MOVE_RADIUS * h
     frame_index = np.arange(cells).reshape(frame.mask.shape)
+    ends, links, link_weights = [], [], []
     for e, z in enumerate(endpoints):
         cell = frame.cell_index(z)
         if cell is None:
@@ -449,28 +469,96 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         k = frame_index[window][frame.mask[window]]
         k = k[np.abs(centers[k] - z) <= link_reach]
         k = k[inside(z, centers[k], 8)]
-        rows.append(np.full(k.shape, cells + e))
-        cols.append(k)
-        weights.append(np.abs(centers[k] - z) * domain.density((centers[k] + z) / 2.0))
+        ends.append(np.full(k.shape, cells + e))
+        links.append(k)
+        link_weights.append(edge_weights(z, centers[k]))
     # direct endpoint-to-endpoint links for very close pairs
     for e, (p, q) in enumerate(pairs):
         samples = p + (q - p) * np.linspace(0.0, 1.0, 9)
         if abs(q - p) <= link_reach and domain.contains(samples).all():
-            rows.append(np.array([cells + 2 * e]))
-            cols.append(np.array([cells + 2 * e + 1]))
-            weights.append(np.array([abs(q - p) * float(domain.density((p + q) / 2))]))
+            ends.append(np.array([cells + 2 * e]))
+            links.append(np.array([cells + 2 * e + 1]))
+            link_weights.append(edge_weights(p, np.array([q])))
 
-    graph = _csr_graph(rows, cols, weights, cells + len(endpoints))
-    if not (graph.data >= 0).all():
-        # a midpoint off the domain on an edge outside the band: a hole that
-        # holds no cell centre
-        raise ValidationError(f"spacing {h!r} is too coarse to resolve {domain!r}")
-    sources = cells + 2 * np.arange(len(pairs))
-    dist = _csgraph_dijkstra(graph, directed=False, indices=sources)
-    out = dist[np.arange(len(pairs)), sources + 1]
-    if not np.isfinite(out).all():
-        raise Disconnected("an endpoint failed to connect to the cell graph")
+    graph = _symmetric_graph(weights, offsets, np.concatenate(ends), np.concatenate(links),
+                             np.concatenate(link_weights), cells + len(endpoints))
+    ps, qs = np.array(pairs).T
+    limits = _LIMIT_FACTOR * domain.distance(domain.lift(ps), domain.lift(qs)) + _LIMIT_CELLS * h
+    out = np.empty(len(pairs))
+    for k, limit in enumerate(limits):
+        source = cells + 2 * k
+        # the search settles only nodes within the limit of the source, and
+        # the target's value does not depend on the unsettled ones
+        out[k] = _csgraph_dijkstra(graph, directed=True, indices=source, limit=limit)[source + 1]
+        if not math.isfinite(out[k]):
+            out[k] = _csgraph_dijkstra(graph, directed=True, indices=source)[source + 1]
+            if not math.isfinite(out[k]):
+                raise Disconnected("an endpoint failed to connect to the cell graph")
     return out
+
+
+def _symmetric_graph(weights, offsets, ends, links, link_weights, n_nodes: int):
+    """CSR graph of the cell lattice and the endpoint links, both directions
+    of every edge stored, so that a directed search walks it as undirected.
+
+    ``weights[m, i]`` weighs the edge between cells i and i + offsets[m]
+    (NaN: no edge); each link joins the extra node ``ends[k]`` to the node
+    ``links[k]``.  The rows are gathered straight from ``weights`` a block of
+    ``_CSR_BLOCK`` cells at a time, with no doubled edge list in memory.
+    """
+    moves, cells = weights.shape
+    # directed lattice moves, by ascending column offset; move m backwards
+    # reads the weight stored at the row's lower neighbour, shift cells down
+    signed = np.concatenate([-offsets, offsets])
+    order = np.argsort(signed)
+    column_offset = signed[order]
+    move = np.tile(np.arange(moves), 2)[order]
+    shift = np.minimum(column_offset, 0)
+    # the links in both directions, by row; a row's links come after its
+    # lattice moves, since extra nodes follow the cells
+    extra_rows = np.concatenate([ends, links])
+    extra_cols = np.concatenate([links, ends])
+    extra_order = np.lexsort((extra_cols, extra_rows))
+    extra_rows, extra_cols = extra_rows[extra_order], extra_cols[extra_order]
+    extra_weights = np.concatenate([link_weights, link_weights])[extra_order]
+
+    nnz = 2 * (weights.size - np.count_nonzero(np.isnan(weights))) + extra_rows.size
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=np.int32)
+    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
+    # one row per directed move, copied from contiguous weights, then turned
+    # into one row per cell so that the NaN-free entries come out in CSR order
+    gathered = np.empty((len(order), _CSR_BLOCK))
+    lattice = np.empty((_CSR_BLOCK, len(order)))
+    at = 0
+    for r0 in range(0, n_nodes, _CSR_BLOCK):
+        r1 = min(r0 + _CSR_BLOCK, n_nodes)
+        n = max(min(r1, cells) - r0, 0)
+        for c, (m, s) in enumerate(zip(move, shift)):
+            # rows r < -s have no lower neighbour for this move
+            lo, hi = max(r0 + s, 0), max(r0 + n + s, 0)
+            gathered[c, :lo - r0 - s] = np.nan
+            gathered[c, lo - r0 - s:n] = weights[m, lo:hi]
+        block = lattice[:n]
+        block[...] = gathered[:, :n].T
+        edge = ~np.isnan(block)
+        block_data = block[edge]
+        block_cols = (np.arange(r0, r0 + n)[:, None] + column_offset)[edge]
+        counts = np.zeros(r1 - r0, dtype=np.intp)
+        counts[:n] = np.count_nonzero(edge, axis=1)
+        e0, e1 = np.searchsorted(extra_rows, [r0, r1])
+        if e1 > e0:
+            row = extra_rows[e0:e1] - r0
+            # after the last lattice entry of its row
+            where = np.cumsum(counts)[row]
+            block_data = np.insert(block_data, where, extra_weights[e0:e1])
+            block_cols = np.insert(block_cols, where, extra_cols[e0:e1])
+            counts += np.bincount(row, minlength=r1 - r0)
+        data[at:at + block_data.size] = block_data
+        indices[at:at + block_cols.size] = block_cols
+        indptr[r0 + 1:r1 + 1] = at + np.cumsum(counts)
+        at += block_data.size
+    return csr_matrix((data, indices, indptr), shape=(n_nodes, n_nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -278,6 +279,14 @@ class TestGridDomain:
         spacing = square_with_hole_grid.spacing
         with pytest.raises(ValidationError):
             grid_load(blob.replace(f'"spacing": {spacing!r}', '"spacing": 0.0'))
+
+    @pytest.mark.parametrize("field, value", [
+        ("spacing", math.nan), ("spacing", math.inf), ("origin", [math.nan, 0.0])])
+    def test_load_rejects_non_finite_fields(self, square_with_hole_grid, field, value):
+        payload = json.loads(grid_save(square_with_hole_grid))
+        payload[field] = value
+        with pytest.raises(ValidationError):
+            grid_load(json.dumps(payload))
 
     def test_bad_row_content(self):
         blob = grid_save(grid_annulus(0.5, 0.1)).decode()

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from types import SimpleNamespace
 
@@ -279,6 +280,15 @@ class TestBallRaster:
         assert again.radius == ball.radius
         assert np.array_equal(again.mask, ball.mask)
 
+    @pytest.mark.parametrize("field, value", [
+        ("spacing", math.nan), ("spacing", math.inf), ("origin", [math.nan, 0.0])])
+    def test_load_rejects_non_finite_fields(self, field, value):
+        blob = ball_save(kob_ball_raster(Disk(), 0.2, 0.5, 0.05))
+        payload = json.loads(blob)
+        payload[field] = value
+        with pytest.raises(ValidationError):
+            ball_load(json.dumps(payload))
+
 
 NAN = float("nan")
 
@@ -336,6 +346,15 @@ def _ring_pairs(r):
             (cmath.rect(mid, -0.3), cmath.rect(0.5 * (1 + mid), -2.8))]
 
 
+def _record_graphs(monkeypatch):
+    """List that collects every graph inner_distance_many assembles."""
+    graphs = []
+    build = kobayashi._symmetric_graph
+    monkeypatch.setattr(kobayashi, "_symmetric_graph",
+                        lambda *args: graphs.append(build(*args)) or graphs[-1])
+    return graphs
+
+
 class TestInnerDistance:
     def test_equal_points(self):
         assert inner_distance(Disk(), 0.3, 0.3, 0.01) == 0.0
@@ -372,16 +391,70 @@ class TestInnerDistance:
         # an edge is sampled only near the complement; sampling every edge
         # (a zero distance transform puts all of them in the band) must
         # drop no further edge
-        graphs = []
-        build = kobayashi._csr_graph
-        monkeypatch.setattr(kobayashi, "_csr_graph",
-                            lambda *args: graphs.append(build(*args)) or graphs[-1])
+        graphs = _record_graphs(monkeypatch)
         inner_distance_many(Annulus(r), _ring_pairs(r), 0.02)
         monkeypatch.setattr(kobayashi, "ndimage", SimpleNamespace(
             distance_transform_edt=lambda inside: np.zeros(inside.shape)))
         inner_distance_many(Annulus(r), _ring_pairs(r), 0.02)
         banded, full = graphs
         assert banded.shape == full.shape and (banded != full).nnz == 0
+
+    @pytest.mark.parametrize("domain, pairs, spacing, undirected_edges", [
+        (Annulus(0.1), _ring_pairs(0.1), 0.02, 431827),
+        (Annulus(0.5), _ring_pairs(0.5), 0.02, 306543),
+        (Disk(), [(0, 0.5)], 0.5, 3),
+    ])
+    def test_graph_stores_both_directions(self, domain, pairs, spacing, undirected_edges,
+                                          monkeypatch):
+        # undirected_edges: the edge count of the graph when each edge was
+        # stored once and searched with directed=False
+        graphs = _record_graphs(monkeypatch)
+        inner_distance_many(domain, pairs, spacing)
+        graph, = graphs
+        assert graph.nnz == 2 * undirected_edges
+        assert (graph != graph.T).nnz == 0
+        assert graph.indices.dtype == np.int32
+
+    @pytest.mark.parametrize("block", [3, 7, 2048])
+    def test_blocked_assembly_matches_an_edge_list(self, block, monkeypatch):
+        # a 6 x 5 frame with random edges and links, assembled in blocks
+        # that split rows, links and extra nodes every way
+        rng = np.random.default_rng(block)
+        cells, width = 30, 5
+        offsets = np.array([1, width - 1, width, width + 1, 2 * width + 1])
+        weights = rng.random((offsets.size, cells))
+        neighbour = np.arange(cells) + offsets[:, None]
+        weights[(neighbour >= cells) | (rng.random(weights.shape) < 0.3)] = np.nan
+        ends = np.array([30, 30, 31, 32, 30, 33, 33])
+        links = np.array([0, 29, 14, 14, 31, 2, 32])
+        link_weights = rng.random(ends.size)
+        monkeypatch.setattr(kobayashi, "_CSR_BLOCK", block)
+        kobayashi._load_sparse()
+        graph = kobayashi._symmetric_graph(weights, offsets, ends, links, link_weights, 35)
+        m, i = np.nonzero(~np.isnan(weights))
+        a = np.concatenate([i, ends])
+        b = np.concatenate([i + offsets[m], links])
+        w = np.concatenate([weights[m, i], link_weights])
+        expected = kobayashi.coo_matrix((np.concatenate([w, w]), (np.concatenate([a, b]),
+                                                                  np.concatenate([b, a]))),
+                                        shape=(35, 35)).tocsr()
+        expected.sort_indices()
+        assert graph.has_sorted_indices
+        assert np.array_equal(graph.indptr, expected.indptr)
+        assert np.array_equal(graph.indices, expected.indices)
+        assert np.array_equal(graph.data, expected.data)
+
+    def test_limit_miss_falls_back_to_the_full_search(self, monkeypatch):
+        # no margin: every limited search stops short of its target
+        kobayashi._load_sparse()
+        limits = []
+        search = kobayashi._csgraph_dijkstra
+        monkeypatch.setattr(kobayashi, "_csgraph_dijkstra", lambda *args, **kwargs: (
+            limits.append(kwargs.get("limit", math.inf)) or search(*args, **kwargs)))
+        monkeypatch.setattr(kobayashi, "_LIMIT_FACTOR", 0.0)
+        monkeypatch.setattr(kobayashi, "_LIMIT_CELLS", 0)
+        assert inner_distance_many(Disk(), _c7_pairs(), 0.01).tolist() == C7_INNER_001
+        assert limits == [0.0, math.inf] * 20
 
     @pytest.mark.parametrize("domain", [Disk(), Annulus(0.3), PuncturedDisk()])
     def test_no_pairs(self, domain):
@@ -415,6 +488,8 @@ def _pred_disk(z):
     (lambda: inner_distance(Disk(), 0, 0.999, 0.01), Disconnected),
     # the raster misses the hole, and an edge midpoint falls into it
     (lambda: inner_distance(Annulus(0.1), 0.5, -0.5, 0.3), ValidationError),
+    # an edge midpoint exactly at 0, where the annulus density has no value
+    (lambda: inner_distance(Annulus(0.1), 0.5, -0.5, 0.2), ValidationError),
     (lambda: inner_distance_many(HalfPlane(), [(-1, -2)], 0.01), Unsupported),
     (lambda: inner_distance_many(grid_annulus(0.5, 0.05), [(0.7, -0.7)], 0.01),
      Unsupported),
