@@ -298,7 +298,10 @@ class GridDomain:
         self.origin = as_finite(self.origin)
         if not (self.spacing > 0) or not math.isfinite(self.spacing):
             raise ValidationError(f"grid spacing must be positive: {self.spacing!r}")
-        mask = np.asarray(self.mask, dtype=bool)
+        # a read-only copy: the caches keyed on this grid (graph, dictionary,
+        # modulus system, cached properties) hold only while the mask does
+        mask = np.array(self.mask, dtype=bool)
+        mask.flags.writeable = False
         if mask.ndim != 2 or mask.shape[0] < 3 or mask.shape[1] < 3:
             raise ValidationError(f"mask must be 2-D and at least 3x3: {mask.shape}")
         if not mask.any():

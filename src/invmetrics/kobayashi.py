@@ -344,8 +344,10 @@ _MOVE_RADIUS = 8
 # distance plus this many cells, and reruns unlimited if that misses the target.
 _LIMIT_FACTOR = 1.05
 _LIMIT_CELLS = 16
-# rows gathered at a time when assembling the inner-distance graph
-_CSR_BLOCK = 2048
+# frame rows whose edges are weighed at a time when assembling the
+# inner-distance graph, and graph rows gathered at a time from those weights
+_BAND_ROWS = 24
+_CSR_BLOCK = 256
 
 
 def inner_distance(domain: Domain, p, q, grid_spacing: float) -> float:
@@ -437,23 +439,35 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         return w
 
     height, width = frame.mask.shape
-    # the moves that fit in the frame; each has its own flat offset, and
-    # weights[m, i] weighs the edge from cell i to cell i + offsets[m] (NaN: none)
+    # the moves that fit in the frame, each with its own flat offset
     moves = [(dx, dy) for dx, dy in _coprime_moves(_MOVE_RADIUS)
              if abs(dx) < width and dy < height]
     offsets = np.array([dy * width + dx for dx, dy in moves])
-    weights = np.full((len(moves), cells), np.nan)
-    for m, (dx, dy) in enumerate(moves):
-        i, j = cell_pairs(frame.mask, frame.mask, dx, dy)
-        length = math.hypot(dx, dy)
-        # a sample outside the domain lies within length / 2 of an end and,
-        # where every hole holds a cell centre, within two cells of a frame
-        # cell outside, so only edges with an end in that band are sampled
-        band = np.flatnonzero(np.minimum(near[i], near[j]) <= length / 2 + 2)
-        drop = band[~inside(centers[i[band]], centers[j[band]], max(2, math.ceil(2 * length)))]
-        if drop.size:
-            i, j = np.delete(i, drop), np.delete(j, drop)
-        weights[m, i] = edge_weights(centers[i], centers[j])
+
+    def band_weights(y0, y1, out):
+        """out[m, k] weighs the edge from cell y0 * width + k, in rows y0 to
+        y1 - 1, to that cell plus offsets[m] (NaN: none)."""
+        out.fill(np.nan)
+        # the least distance to the outside over the ends of the band's edges
+        closest = near[y0 * width:(y1 + _MOVE_RADIUS) * width].min()
+        for m, (dx, dy) in enumerate(moves):
+            rows = frame.mask[y0:y1 + dy]
+            k = cell_pairs(rows, rows, dx, dy)[0]
+            i = k + y0 * width
+            j = i + offsets[m]
+            length = math.hypot(dx, dy)
+            # a sample outside the domain lies within length / 2 of an end and,
+            # where every hole holds a cell centre, within two cells of a frame
+            # cell outside, so only edges with an end in that band are sampled
+            if closest <= length / 2 + 2:
+                band = np.flatnonzero(np.minimum(near[i], near[j]) <= length / 2 + 2)
+                drop = band[~inside(centers[i[band]], centers[j[band]],
+                                    max(2, math.ceil(2 * length)))]
+                if drop.size:
+                    k = np.delete(k, drop)
+                    i = k + y0 * width
+                    j = i + offsets[m]
+            out[m, k] = edge_weights(centers[i], centers[j])
 
     # extra nodes, two per pair, linked to the cells within a move's reach
     link_reach = _MOVE_RADIUS * h
@@ -480,7 +494,10 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
             links.append(np.array([cells + 2 * e + 1]))
             link_weights.append(edge_weights(p, np.array([q])))
 
-    graph = _symmetric_graph(weights, offsets, np.concatenate(ends), np.concatenate(links),
+    # the lattice edges before any is dropped, to size the graph
+    edges = sum(cell_pairs(frame.mask, frame.mask, dx, dy)[0].size for dx, dy in moves)
+    graph = _symmetric_graph(band_weights, offsets, frame.mask.shape, edges,
+                             np.concatenate(ends), np.concatenate(links),
                              np.concatenate(link_weights), cells + len(endpoints))
     ps, qs = np.array(pairs).T
     limits = _LIMIT_FACTOR * domain.distance(domain.lift(ps), domain.lift(qs)) + _LIMIT_CELLS * h
@@ -497,23 +514,29 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     return out
 
 
-def _symmetric_graph(weights, offsets, ends, links, link_weights, n_nodes: int):
+def _symmetric_graph(band_weights, offsets, shape, edges: int, ends, links, link_weights,
+                     n_nodes: int):
     """CSR graph of the cell lattice and the endpoint links, both directions
     of every edge stored, so that a directed search walks it as undirected.
 
-    ``weights[m, i]`` weighs the edge between cells i and i + offsets[m]
-    (NaN: no edge); each link joins the extra node ``ends[k]`` to the node
-    ``links[k]``.  The rows are gathered straight from ``weights`` a block of
-    ``_CSR_BLOCK`` cells at a time, with no doubled edge list in memory.
+    ``band_weights(y0, y1, out)`` fills ``out[m, k]`` with the weight of the
+    edge between cell ``y0 * width + k`` of frame rows y0 to y1 - 1 and that
+    cell plus ``offsets[m]`` (NaN: no edge); there are at most ``edges`` such
+    edges.  Each link joins the extra node ``ends[k]`` to the node
+    ``links[k]``.  The rows are filled one band of ``_BAND_ROWS`` frame rows
+    at a time: a forward entry reads the weight of its own cell, a backward
+    one the weight at its lower neighbour, at most ``_MOVE_RADIUS + 1`` rows
+    back, so no edge list and no weights beyond one band and those rows are
+    held in memory.
     """
-    moves, cells = weights.shape
+    height, width = shape
+    cells = height * width
     # directed lattice moves, by ascending column offset; move m backwards
-    # reads the weight stored at the row's lower neighbour, shift cells down
+    # reads the weight stored offsets[m] cells before the row
     signed = np.concatenate([-offsets, offsets])
     order = np.argsort(signed)
     column_offset = signed[order]
-    move = np.tile(np.arange(moves), 2)[order]
-    shift = np.minimum(column_offset, 0)
+    move = np.tile(np.arange(offsets.size), 2)[order]
     # the links in both directions, by row; a row's links come after its
     # lattice moves, since extra nodes follow the cells
     extra_rows = np.concatenate([ends, links])
@@ -522,42 +545,58 @@ def _symmetric_graph(weights, offsets, ends, links, link_weights, n_nodes: int):
     extra_rows, extra_cols = extra_rows[extra_order], extra_cols[extra_order]
     extra_weights = np.concatenate([link_weights, link_weights])[extra_order]
 
-    nnz = 2 * (weights.size - np.count_nonzero(np.isnan(weights))) + extra_rows.size
-    data = np.empty(nnz)
-    indices = np.empty(nnz, dtype=np.int32)
+    data = np.empty(2 * edges + extra_rows.size)
+    indices = np.empty(data.size, dtype=np.int32)
     indptr = np.zeros(n_nodes + 1, dtype=np.int32)
-    # one row per directed move, copied from contiguous weights, then turned
-    # into one row per cell so that the NaN-free entries come out in CSR order
-    gathered = np.empty((len(order), _CSR_BLOCK))
-    lattice = np.empty((_CSR_BLOCK, len(order)))
+    # the weights of the band's rows, after those of the _MOVE_RADIUS + 1
+    # rows before it, the farthest a backward move reaches (NaN before row 0)
+    back = (_MOVE_RADIUS + 1) * width
+    window = np.full((offsets.size, back + _BAND_ROWS * width), np.nan)
+    flat = window.ravel()
+    # graph rows r to r + n - 1, the band's cells a to a + n - 1: block[t, c]
+    # weighs directed move c at row r + t, flat[a + gather[t, c]], and leads
+    # to column r + column[t, c]
+    gather = (move * window.shape[1] + back + np.minimum(column_offset, 0)
+              + np.arange(_CSR_BLOCK)[:, None])
+    column = (np.arange(_CSR_BLOCK)[:, None] + column_offset).astype(np.int32)
+    block = np.empty(gather.shape)
+    edge = np.empty(gather.shape, dtype=bool)
     at = 0
-    for r0 in range(0, n_nodes, _CSR_BLOCK):
-        r1 = min(r0 + _CSR_BLOCK, n_nodes)
-        n = max(min(r1, cells) - r0, 0)
-        for c, (m, s) in enumerate(zip(move, shift)):
-            # rows r < -s have no lower neighbour for this move
-            lo, hi = max(r0 + s, 0), max(r0 + n + s, 0)
-            gathered[c, :lo - r0 - s] = np.nan
-            gathered[c, lo - r0 - s:n] = weights[m, lo:hi]
-        block = lattice[:n]
-        block[...] = gathered[:, :n].T
-        edge = ~np.isnan(block)
-        block_data = block[edge]
-        block_cols = (np.arange(r0, r0 + n)[:, None] + column_offset)[edge]
-        counts = np.zeros(r1 - r0, dtype=np.intp)
-        counts[:n] = np.count_nonzero(edge, axis=1)
-        e0, e1 = np.searchsorted(extra_rows, [r0, r1])
-        if e1 > e0:
-            row = extra_rows[e0:e1] - r0
-            # after the last lattice entry of its row
-            where = np.cumsum(counts)[row]
-            block_data = np.insert(block_data, where, extra_weights[e0:e1])
-            block_cols = np.insert(block_cols, where, extra_cols[e0:e1])
-            counts += np.bincount(row, minlength=r1 - r0)
-        data[at:at + block_data.size] = block_data
-        indices[at:at + block_cols.size] = block_cols
-        indptr[r0 + 1:r1 + 1] = at + np.cumsum(counts)
-        at += block_data.size
+    for y0 in range(0, height, _BAND_ROWS):
+        y1 = min(y0 + _BAND_ROWS, height)
+        window[:, :back] = window[:, -back:]
+        band_weights(y0, y1, window[:, back:back + (y1 - y0) * width])
+        for r in range(y0 * width, y1 * width, _CSR_BLOCK):
+            n = min(_CSR_BLOCK, y1 * width - r)
+            np.take(flat[r - y0 * width:], gather[:n], out=block[:n], mode="clip")
+            np.isnan(block[:n], out=edge[:n])
+            np.logical_not(edge[:n], out=edge[:n])
+            # the NaN-free entries, row by row
+            counts = np.count_nonzero(edge[:n], axis=1)
+            lattice = int(counts.sum())
+            data[at:at + lattice] = block[:n][edge[:n]]
+            indices[at:at + lattice] = column[:n][edge[:n]] + r
+            e0, e1 = np.searchsorted(extra_rows, [r, r + n])
+            if e1 > e0:
+                # each link after the last lattice entry of its row
+                row = extra_rows[e0:e1] - r
+                where = np.cumsum(counts)[row]
+                end = at + lattice + e1 - e0
+                data[at:end] = np.insert(data[at:at + lattice], where, extra_weights[e0:e1])
+                indices[at:end] = np.insert(indices[at:at + lattice], where, extra_cols[e0:e1])
+                counts += np.bincount(row, minlength=n)
+            indptr[r + 1:r + n + 1] = at + np.cumsum(counts)
+            at = int(indptr[r + n])
+    # the extra nodes' rows hold only links
+    e0 = np.searchsorted(extra_rows, cells)
+    tail = extra_rows.size - e0
+    data[at:at + tail] = extra_weights[e0:]
+    indices[at:at + tail] = extra_cols[e0:]
+    indptr[cells + 1:] = at + np.cumsum(np.bincount(extra_rows[e0:] - cells,
+                                                    minlength=n_nodes - cells))
+    # drop the room left by the edges band_weights dropped
+    data.resize(at + tail)
+    indices.resize(at + tail)
     return csr_matrix((data, indices, indptr), shape=(n_nodes, n_nodes))
 
 

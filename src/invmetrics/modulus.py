@@ -17,11 +17,19 @@ Computing 56, 1996), which converges in about 8 iterations at any
 spacing where plain CG needs hundreds. A solution is returned only when
 its true residual ||b - Ax|| is at most _CG_RTOL times ||b||; otherwise
 SolverDivergence reports the iterations and the residual.
+
+A grid has one such system, since validation fixes which component is
+inner and which outer.  Its matrix, right-hand side and preconditioner
+are kept per grid, for as long as the grid lives, so a repeat call pays
+only the solve; the ghost cells, boundary values and energy are
+recomputed on every call, and every call validates its labels, runs CG
+from zero and checks its residual.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from functools import partial
 
 import numpy as np
@@ -40,6 +48,11 @@ _COARSEST_UNKNOWNS = 1500
 
 # scipy.sparse costs about 10 MB at import and only the solver needs it
 coo_matrix = diags = LinearOperator = cg = splu = None
+
+
+# grid -> (matrix, rhs, preconditioner); no entry refers to its grid, so it
+# goes with the grid
+_SYSTEMS: "weakref.WeakKeyDictionary[GridDomain, tuple]" = weakref.WeakKeyDictionary()
 
 
 def _load_sparse():
@@ -68,12 +81,12 @@ def _multigrid(matrix, iy, ix):
                         shape=(n, len(blocks))).tocsr()
         smoother = _JACOBI_OMEGA / a.diagonal()
         p = (p0 - diags(smoother) @ (a @ p0)).tocsr()
-        pt = p.T.tocsr()
-        levels.append((a, smoother, p, pt))
-        a = pt @ (a @ p)
+        # the restriction is a transposed view of p, sharing its arrays
+        levels.append((a, smoother, p, p.T))
+        a = p.T.tocsr() @ (a @ p)
         iy, ix = np.divmod(blocks, width)
     # a partial, not a closure over itself, so the hierarchy is freed by
-    # reference counting as soon as the solve returns
+    # reference counting as soon as its grid is
     return LinearOperator(matrix.shape, dtype=float,
                           matvec=partial(_v_cycle, levels, splu(a.tocsc())))
 
@@ -97,6 +110,37 @@ def _v_cycle(levels, coarsest, r):
     return x
 
 
+def _assemble(mask, ghost, values):
+    """The 5-point system on the domain cells and its preconditioner.
+
+    Domain-domain edges have conductance 1 and domain-ghost cut edges
+    conductance 2, which puts the boundary at the cut-edge midpoints;
+    ``values`` holds the ghost values by flat cell number.
+    """
+    h, w = mask.shape
+    index = -np.ones(h * w, dtype=np.int64)
+    n_unknown = int(mask.sum())
+    index[mask.ravel()] = np.arange(n_unknown)
+    rows, cols, cut_rows, cut_values = [], [], [], []
+    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        i, j = cell_pairs(mask, mask, dx, dy)
+        rows.append(index[i])
+        cols.append(index[j])
+        i, j = cell_pairs(mask, ghost, dx, dy)
+        cut_rows.append(index[i])
+        cut_values.append(values[j])
+    rows, cols, cut_rows = (np.concatenate(x) for x in (rows, cols, cut_rows))
+    degree = (np.bincount(rows, minlength=n_unknown)
+              + 2.0 * np.bincount(cut_rows, minlength=n_unknown))
+    rhs = 2.0 * np.bincount(cut_rows, np.concatenate(cut_values), n_unknown)
+    diagonal = np.arange(n_unknown)
+    matrix = coo_matrix(
+        (np.concatenate([-np.ones(len(rows)), degree]),
+         (np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal]))),
+        shape=(n_unknown, n_unknown)).tocsr()
+    return matrix, rhs, _multigrid(matrix, *np.nonzero(mask))
+
+
 def conformal_modulus(grid: GridDomain, inner_label: int, outer_label: int) -> float:
     """Modulus of a grid domain whose complement has exactly two components."""
     labels, count, unbounded = grid.complement_labels
@@ -112,36 +156,15 @@ def conformal_modulus(grid: GridDomain, inner_label: int, outer_label: int) -> f
 
     _load_sparse()
     mask = grid.mask
-    h, w = mask.shape
     near_domain = ndimage.binary_dilation(mask, STRUCT_4)
     inner_ghost = (labels == inner_label) & near_domain
-    outer_ghost = (labels == outer_label) & near_domain
-    # flat arrays, indexed by the cell numbers cell_pairs returns
+    ghost = inner_ghost | ((labels == outer_label) & near_domain)
+    # flat array, indexed by the cell numbers cell_pairs returns
     values = inner_ghost.ravel().astype(float)
-    ghost = inner_ghost | outer_ghost
-
-    index = -np.ones(h * w, dtype=np.int64)
-    n_unknown = int(mask.sum())
-    index[mask.ravel()] = np.arange(n_unknown)
-    rows, cols, cut_rows, cut_values = [], [], [], []
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        # domain-domain edges, conductance 1
-        i, j = cell_pairs(mask, mask, dx, dy)
-        rows.append(index[i])
-        cols.append(index[j])
-        # domain-ghost cut edges, conductance 2 (boundary at the midpoint)
-        i, j = cell_pairs(mask, ghost, dx, dy)
-        cut_rows.append(index[i])
-        cut_values.append(values[j])
-    rows, cols, cut_rows = (np.concatenate(x) for x in (rows, cols, cut_rows))
-    degree = (np.bincount(rows, minlength=n_unknown)
-              + 2.0 * np.bincount(cut_rows, minlength=n_unknown))
-    rhs = 2.0 * np.bincount(cut_rows, np.concatenate(cut_values), n_unknown)
-    diagonal = np.arange(n_unknown)
-    matrix = coo_matrix(
-        (np.concatenate([-np.ones(len(rows)), degree]),
-         (np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal]))),
-        shape=(n_unknown, n_unknown)).tocsr()
+    system = _SYSTEMS.get(grid)
+    if system is None:
+        system = _SYSTEMS[grid] = _assemble(mask, ghost, values)
+    matrix, rhs, preconditioner = system
     iterations = 0
 
     def count(_):
@@ -149,7 +172,7 @@ def conformal_modulus(grid: GridDomain, inner_label: int, outer_label: int) -> f
         iterations += 1
 
     solution, info = cg(matrix, rhs, rtol=_CG_RTOL, maxiter=_CG_MAXITER,
-                        M=_multigrid(matrix, *np.nonzero(mask)), callback=count)
+                        M=preconditioner, callback=count)
     # the recurrence residual CG stops on can drift from the true one
     residual = float(np.linalg.norm(rhs - matrix @ solution) / np.linalg.norm(rhs))
     if info != 0 or not residual <= _CG_RTOL:

@@ -259,6 +259,17 @@ class TestGridDomain:
         with pytest.raises(ValidationError):
             GridDomain(origin=0j, spacing=0.1, mask=mask)
 
+    def test_mask_is_a_read_only_copy(self):
+        # the caches keyed on a grid assume its mask never changes
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[2, 2] = True
+        grid = GridDomain(origin=0j, spacing=0.1, mask=mask)
+        mask[2, 1] = True
+        assert np.flatnonzero(grid.mask).tolist() == [12]
+        with pytest.raises(ValueError):
+            grid.mask[2, 1] = True
+        assert np.flatnonzero(grid.mask).tolist() == [12]
+
     def test_zero_spacing_rejected(self):
         mask = np.zeros((5, 5), dtype=bool)
         mask[2, 2] = True

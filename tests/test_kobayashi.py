@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -415,34 +416,63 @@ class TestInnerDistance:
         assert (graph != graph.T).nnz == 0
         assert graph.indices.dtype == np.int32
 
-    @pytest.mark.parametrize("block", [3, 7, 2048])
-    def test_blocked_assembly_matches_an_edge_list(self, block, monkeypatch):
-        # a 6 x 5 frame with random edges and links, assembled in blocks
-        # that split rows, links and extra nodes every way
-        rng = np.random.default_rng(block)
-        cells, width = 30, 5
-        offsets = np.array([1, width - 1, width, width + 1, 2 * width + 1])
+    @pytest.mark.parametrize("band_rows, block", [
+        (3, 7), (kobayashi._MOVE_RADIUS + 1, 3), (kobayashi._MOVE_RADIUS + 1, 2048), (100, 7)])
+    def test_banded_assembly_matches_an_edge_list(self, band_rows, block, monkeypatch):
+        # a 29 x 5 frame with random edges and links, assembled in bands
+        # (fewer rows than a move reaches back, exactly that many, and the
+        # whole frame) and in blocks that split rows, links and extra nodes
+        # every way; the longest move reaches _MOVE_RADIUS + 1 rows back
+        rng = np.random.default_rng(band_rows * block)
+        height, width = 29, 5
+        cells, reach = height * width, kobayashi._MOVE_RADIUS
+        offsets = np.array([1, width - 1, width, width + 1, 2 * width + 1,
+                            reach * width - 1, reach * width + 2])
         weights = rng.random((offsets.size, cells))
         neighbour = np.arange(cells) + offsets[:, None]
-        weights[(neighbour >= cells) | (rng.random(weights.shape) < 0.3)] = np.nan
-        ends = np.array([30, 30, 31, 32, 30, 33, 33])
-        links = np.array([0, 29, 14, 14, 31, 2, 32])
+        weights[neighbour >= cells] = np.nan
+        # room for every edge before some are dropped, as cell_pairs counts them
+        edges = np.count_nonzero(neighbour < cells)
+        weights[rng.random(weights.shape) < 0.3] = np.nan
+        ends = np.array([145, 145, 146, 147, 145, 148, 148])
+        links = np.array([0, 144, 60, 60, 146, 2, 147])
         link_weights = rng.random(ends.size)
+
+        def band_weights(y0, y1, out):
+            out[...] = weights[:, y0 * width:y1 * width]
+
+        monkeypatch.setattr(kobayashi, "_BAND_ROWS", band_rows)
         monkeypatch.setattr(kobayashi, "_CSR_BLOCK", block)
         kobayashi._load_sparse()
-        graph = kobayashi._symmetric_graph(weights, offsets, ends, links, link_weights, 35)
+        graph = kobayashi._symmetric_graph(band_weights, offsets, (height, width), edges,
+                                           ends, links, link_weights, 150)
         m, i = np.nonzero(~np.isnan(weights))
         a = np.concatenate([i, ends])
         b = np.concatenate([i + offsets[m], links])
         w = np.concatenate([weights[m, i], link_weights])
         expected = kobayashi.coo_matrix((np.concatenate([w, w]), (np.concatenate([a, b]),
                                                                   np.concatenate([b, a]))),
-                                        shape=(35, 35)).tocsr()
+                                        shape=(150, 150)).tocsr()
         expected.sort_indices()
         assert graph.has_sorted_indices
         assert np.array_equal(graph.indptr, expected.indptr)
         assert np.array_equal(graph.indices, expected.indices)
         assert np.array_equal(graph.data, expected.data)
+
+    def test_peak_memory_is_the_graph(self, monkeypatch):
+        # edge weights are held a band of rows at a time, so the call's
+        # traced peak stays near the graph it returns; a moves x cells float
+        # array would add over a third of it here
+        graphs = _record_graphs(monkeypatch)
+        kobayashi._load_sparse()
+        tracemalloc.start()
+        try:
+            inner_distance_many(Disk(), _c7_pairs(), 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        graph, = graphs
+        assert peak < 1.2 * (graph.data.nbytes + graph.indices.nbytes + graph.indptr.nbytes)
 
     def test_limit_miss_falls_back_to_the_full_search(self, monkeypatch):
         # no margin: every limited search stops short of its target

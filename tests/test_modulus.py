@@ -178,6 +178,43 @@ class TestSolver:
         finally:
             gc.enable()
 
+    def test_second_call_reuses_the_system(self, monkeypatch):
+        grid = grid_annulus(0.25, 0.02)
+        first = ring_modulus(grid)
+        builds = []
+        build = modulus._multigrid
+        monkeypatch.setattr(modulus, "_multigrid",
+                            lambda *args: builds.append(1) or build(*args))
+        assert ring_modulus(grid) == first
+        assert builds == []
+        # an equal grid is another grid, with its own system
+        assert ring_modulus(grid_annulus(0.25, 0.02)) == first
+        assert builds == [1]
+
+    def test_system_goes_with_its_grid(self):
+        # the cached system holds no reference to its grid, so reference
+        # counting alone drops the entry
+        gc.collect()
+        gc.disable()
+        try:
+            grid = grid_annulus(0.25, 0.02)
+            before = len(modulus._SYSTEMS)
+            ring_modulus(grid)
+            assert len(modulus._SYSTEMS) == before + 1
+            del grid
+            assert len(modulus._SYSTEMS) == before
+        finally:
+            gc.enable()
+
+    def test_failed_solve_leaves_a_usable_system(self, patch_cg, monkeypatch):
+        expected = ring_modulus(grid_annulus(0.25, 0.05))
+        grid = grid_annulus(0.25, 0.05)
+        patch_cg(lambda real, a, b, **kw: (np.zeros_like(b), 0))
+        with pytest.raises(SolverDivergence):
+            ring_modulus(grid)
+        monkeypatch.undo()
+        assert ring_modulus(grid) == expected
+
     def test_unconverged_vector_rejected(self, patch_cg):
         def perturbed(real, a, b, callback, **kw):
             x, info = real(a, b, callback=callback, **kw)
