@@ -3,16 +3,15 @@
 Each catalog variant (unit disk, left half-plane, punctured disk,
 annulus) is a class that owns its mathematics: membership, the exact
 hyperbolic density, the lift of points to a model of its universal
-cover, the model distance at the nearest deck translate, and the maps
-between that model and the unit disk.  The methods are vectorized and do
-no membership checks; a scalar is a 0-d array.  The checked scalar entry
+cover, the model distance at the nearest deck translate, and the
+constant-speed geodesic in that model.  The methods are vectorized and
+do no membership checks; a scalar is a 0-d array.  The checked scalar entry
 points (``contains``, ``density``, ``covering_atlas``) follow the
 classes.  Arbitrary bounded domains are boolean occupancy grids.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -24,7 +23,13 @@ from scipy import ndimage
 
 from .errors import OutOfDomain, ParseError, Unsupported, ValidationError
 from .mobius import as_finite, is_infinity
-from .poincare import abs2_minus, halfplane_rho_vec, poincare_geodesic, rho_vec
+from .poincare import (
+    abs2_minus,
+    geodesic_weights,
+    halfplane_geodesic,
+    halfplane_rho_vec,
+    rho_vec,
+)
 
 DECK_STEP = 2j * math.pi
 TAU = 2.0 * math.pi
@@ -104,14 +109,16 @@ def _deck_offset(wp: Lift, wq: Lift) -> np.ndarray:
     return dy - TAU * np.round(dy / TAU)
 
 
-def _cayley_lhp(w):
-    """Left half-plane Re w < 0 onto the unit disk."""
-    w = np.asarray(w, dtype=complex) if isinstance(w, np.ndarray) else complex(w)
-    return (w + 1.0) / (w - 1.0)
+def _left_halfplane_geodesic(wp: complex, wq: complex, d, t) -> np.ndarray:
+    """Points at arclength t * d on the geodesic of Re w < 0 from wp to wq.
 
-
-def _cayley_lhp_inverse(z):
-    return (1.0 + z) / (z - 1.0)
+    The real parts must carry the digits of the gaps to the wall Re w = 0.
+    """
+    # u = -i w lies in the upper half-plane: log |u| and cot arg u = Re u / Im u
+    s, cot = halfplane_geodesic((math.log(abs(wp)), math.log(abs(wq))),
+                                (wp.imag / -wp.real, wq.imag / -wq.real), d, t)
+    # w = i u = e^s sin(arg u) (i cot(arg u) - 1)
+    return np.exp(s) / np.hypot(1.0, cot) * (1j * cot - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +138,10 @@ def _cayley_lhp_inverse(z):
 #   with k = pi / (2L), dx = Re(wp - wq) and t the model angle pi(Re w - log r)/L.
 #
 # The disk and the half-plane are their own models, with no deck group.
+#
+# ``geodesic(p, q, t)`` returns the points at arclength t d, with d the
+# pair's ``distance``, on the model geodesic between the lifts that
+# ``distance`` reads, projected back to the domain.
 
 @dataclass(frozen=True)
 class Disk:
@@ -151,11 +162,12 @@ class Disk:
     def distance(self, wp, wq):
         return rho_vec(wp, wq)
 
-    def to_disk(self, w):
-        return w
-
-    def from_disk(self, z):
-        return z
+    def geodesic(self, p: complex, q: complex, t):
+        # on the hyperboloid, z = X / (1 + X0), X = (1 + |z|^2, 2z) / (1 - |z|^2);
+        # every term of the denominator is positive (a + b <= 1)
+        a, b = np.exp(geodesic_weights(self.distance(p, q), t))
+        gp, gq = -abs2_minus(p, 1.0), -abs2_minus(q, 1.0)
+        return (a * p / gp + b * q / gq) / (0.5 * (1.0 - a - b) + a / gp + b / gq)
 
 
 @dataclass(frozen=True)
@@ -163,8 +175,6 @@ class HalfPlane:
     """The left half-plane Re z < 0."""
 
     deck_step = 0j
-    to_disk = staticmethod(_cayley_lhp)
-    from_disk = staticmethod(_cayley_lhp_inverse)
 
     def contains(self, z):
         return _array(z).real < 0.0
@@ -178,14 +188,15 @@ class HalfPlane:
     def distance(self, wp, wq):
         return halfplane_rho_vec(wp, wq)
 
+    def geodesic(self, p: complex, q: complex, t):
+        return _left_halfplane_geodesic(p, q, self.distance(p, q), t)
+
 
 @dataclass(frozen=True)
 class PuncturedDisk:
     """The unit disk minus the origin."""
 
     deck_step = DECK_STEP
-    to_disk = staticmethod(_cayley_lhp)
-    from_disk = staticmethod(_cayley_lhp_inverse)
 
     def contains(self, z):
         z = _array(z)
@@ -204,6 +215,14 @@ class PuncturedDisk:
     def distance(self, wp: Lift, wq: Lift):
         dw = np.hypot(wq.outer - wp.outer, _deck_offset(wp, wq))
         return np.arcsinh(dw / (2.0 * np.sqrt(wp.height * wq.height)))
+
+    def geodesic(self, p: complex, q: complex, t):
+        wp, wq = self.lift(p), self.lift(q)
+        # q's lift at the nearest deck translate, the pair centered on Im w = 0
+        dy = float(_deck_offset(wp, wq))
+        w = _left_halfplane_geodesic(complex(-wp.outer, 0.5 * dy), complex(-wq.outer, -0.5 * dy),
+                                     self.distance(wp, wq), t)
+        return np.exp(w + 1j * (float(wp.im) - 0.5 * dy))
 
     def deck_loop_length(self, lifts: Lift) -> float:
         """Least model distance from a lift to its translate by ``deck_step``."""
@@ -260,27 +279,32 @@ class Annulus:
         h = float(lifts.height.max())
         return math.asinh(math.sinh(a) / h) if a < 700.0 else a - math.log(h)
 
-    def to_disk(self, w):
-        """The band log r < Re w < 0 onto the unit disk."""
-        log_r = math.log(self.r)
-        scale = 1j * math.pi / -log_r
-        u = np.exp(scale * (_array(w) - log_r))
-        return (u - 1j) / (u + 1j)
+    def geodesic(self, p: complex, q: complex, t):
+        # u = exp(i scale (w - log r)) sends the band onto the upper half-plane,
+        # so log u = -scale Im w + i theta, theta = scale * inner gap, is kept
+        # in place of u, whose modulus overflows on thin annuli
+        wp, wq = self.lift(p), self.lift(q)
+        scale = math.pi / -math.log(self.r)
+        # q's lift at the nearest deck translate, the pair centered on Im w = 0
+        dy = float(_deck_offset(wp, wq))
 
-    def from_disk(self, z):
-        log_r = math.log(self.r)
-        scale = 1j * math.pi / -log_r
-        u = 1j * (1.0 + z) / (1.0 - z)
-        if isinstance(u, np.ndarray):
-            return log_r + np.log(u) / scale
-        return log_r + cmath.log(u) / scale
+        def cot(w: Lift) -> float:
+            # from the nearer wall: cot(pi - x) = -cot x
+            return math.copysign(1.0 / math.tan(scale * float(min(w.inner, w.outer))),
+                                 float(w.outer - w.inner))
+
+        s, cot_t = halfplane_geodesic((-0.5 * scale * dy, 0.5 * scale * dy), (cot(wp), cot(wq)),
+                                      self.distance(wp, wq), t)
+        # Re w = -(outer gap) = -(pi - theta) / scale
+        return np.exp(-np.arctan2(1.0, -cot_t) / scale
+                      + 1j * (float(wp.im) - 0.5 * dy - s / scale))
 
 
 # ---------------------------------------------------------------------------
 # Grid domains
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class GridDomain:
     """Bounded domain sampled on a square grid of cell centers.
 
@@ -288,6 +312,10 @@ class GridDomain:
     belongs to the domain.  Row 0 is the minimal-imaginary row.  The True
     cells must form a single 4-connected component and the border ring must
     be False, so the domain is bounded strictly inside the frame.
+
+    A grid is immutable (its fields cannot be reassigned and its mask is a
+    read-only copy), so the caches keyed on it by identity (graph,
+    dictionary, modulus system, cached properties) never go stale.
     """
 
     origin: complex
@@ -295,11 +323,9 @@ class GridDomain:
     mask: np.ndarray
 
     def __post_init__(self):
-        self.origin = as_finite(self.origin)
+        object.__setattr__(self, "origin", as_finite(self.origin))
         if not (self.spacing > 0) or not math.isfinite(self.spacing):
             raise ValidationError(f"grid spacing must be positive: {self.spacing!r}")
-        # a read-only copy: the caches keyed on this grid (graph, dictionary,
-        # modulus system, cached properties) hold only while the mask does
         mask = np.array(self.mask, dtype=bool)
         mask.flags.writeable = False
         if mask.ndim != 2 or mask.shape[0] < 3 or mask.shape[1] < 3:
@@ -314,7 +340,7 @@ class GridDomain:
         _, count = ndimage.label(mask, structure=STRUCT_4)
         if count != 1:
             raise ValidationError(f"domain cells form {count} 4-connected components")
-        self.mask = mask
+        object.__setattr__(self, "mask", mask)
 
     @property
     def height(self) -> int:
@@ -467,36 +493,25 @@ class CoveringAtlas:
 
     ``lift`` sends points to the model of the universal cover in the form
     the domain's ``distance`` reads (the points themselves on the disk and
-    half-plane, a ``Lift`` of w = log z on the covered domains).
-    ``model_to_disk`` is a biholomorphism from the model onto the unit
-    disk, through which model geodesics are computed, and
-    ``disk_to_model`` its inverse.  For covered domains the deck group is
-    generated by the translation w -> w + ``deck_step``.
+    half-plane, a ``Lift`` of w = log z on the covered domains).  For
+    covered domains the deck group is generated by the translation
+    w -> w + ``deck_step``.
     """
 
     domain: CatalogDomain
     lift: Callable
-    model_to_disk: Callable
-    disk_to_model: Callable
     deck_step: complex = 0j
 
     @property
     def has_deck(self) -> bool:
         return self.deck_step != 0
 
-    def model_geodesic_point(self, w1, w2, t: float):
-        """Constant-speed model geodesic, via the disk conjugation."""
-        z = poincare_geodesic(complex(self.model_to_disk(w1)),
-                              complex(self.model_to_disk(w2)), t)
-        return self.disk_to_model(z)
-
 
 def covering_atlas(domain: Domain) -> CoveringAtlas:
     """Covering atlas of a catalog domain."""
     if not isinstance(domain, CatalogDomain):
         raise Unsupported(f"no explicit covering atlas for {domain!r}")
-    return CoveringAtlas(domain, domain.lift, domain.to_disk, domain.from_disk,
-                         domain.deck_step)
+    return CoveringAtlas(domain, domain.lift, domain.deck_step)
 
 
 # ---------------------------------------------------------------------------

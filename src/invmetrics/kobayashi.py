@@ -15,7 +15,6 @@ dictionary.
 
 from __future__ import annotations
 
-import cmath
 import math
 import weakref
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ from scipy import ndimage
 
 from .domains import (
     FRAME_MARGIN,
-    TAU,
     CoveringAtlas,
     Disk,
     Domain,
@@ -33,7 +31,6 @@ from .domains import (
     HalfPlane,
     cell_pairs,
     contains,
-    covering_atlas,
     grid_frame_load,
     grid_from_predicate,
     grid_save,
@@ -86,16 +83,26 @@ class DistanceInterval:
         return self.lower <= value <= self.upper
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyPath:
-    """Polyline through the domain; consecutive segments sampled inside."""
+    """Polyline through the domain; consecutive segments sampled inside.
 
-    vertices: tuple
+    ``vertices`` is built once, from any sequence of finite points, as a
+    read-only 1-D complex ndarray; equality and hashing are by identity.
+    """
+
+    vertices: np.ndarray
 
     def __post_init__(self):
-        verts = tuple(as_finite(v) for v in self.vertices)
-        if len(verts) < 2:
+        try:
+            verts = np.array(self.vertices, dtype=complex)
+        except TypeError:
+            raise OutOfDomain("path vertices must be finite points, not INFINITY") from None
+        if verts.ndim != 1 or verts.size < 2:
             raise ValidationError("a path needs at least two vertices")
+        if not np.isfinite(verts).all():
+            raise OutOfDomain("path vertices must have finite coordinates")
+        verts.flags.writeable = False
         object.__setattr__(self, "vertices", verts)
 
     def __len__(self):
@@ -278,10 +285,10 @@ def curve_length(domain: Domain, path: PolyPath, rel_tol: float = 1e-8,
     ``rel_tol``.  On grid domains the pairwise values are upper bounds,
     so the result is an upper estimate there.
     """
-    verts = np.asarray(path.vertices, dtype=complex)
-    for v in path.vertices:
-        if not contains(domain, v):
-            raise OutOfDomain(f"path vertex {v!r} leaves {domain!r}")
+    verts = path.vertices
+    outside = np.flatnonzero(~domain.contains(verts))
+    if outside.size:
+        raise OutOfDomain(f"path vertex {verts[outside[0]]!r} leaves {domain!r}")
     prev = None
     for level in range(max_levels):
         pieces = 1 << level
@@ -308,7 +315,15 @@ def curve_length(domain: Domain, path: PolyPath, rel_tol: float = 1e-8,
 
 
 def geodesic(domain: Domain, p, q, samples: int = 256) -> PolyPath:
-    """Projected model geodesic between the optimal lift pair."""
+    """Projected model geodesic from p to q, sampled at ``samples`` vertices.
+
+    Vertex k lies at arclength k d / (samples - 1) from p, d the closed-form
+    distance, on the geodesic between the lifts ``distance`` reads (on the
+    covered domains, q's at the nearest deck translate).  All vertices come
+    from one vectorized closed form, ``domain.geodesic``.
+    """
+    if not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise ValidationError(f"samples must be an integer of at least 2: {samples!r}")
     if isinstance(domain, GridDomain):
         raise Unsupported("geodesics are available on catalog domains only")
     p, q = as_finite(p), as_finite(q)
@@ -316,25 +331,7 @@ def geodesic(domain: Domain, p, q, samples: int = 256) -> PolyPath:
         raise OutOfDomain("geodesic endpoints must lie in the domain")
     if p == q:
         raise DegenerateEndpoints("geodesic endpoints coincide")
-    atlas = covering_atlas(domain)
-    wp, wq = p, q
-    shift = 0j
-    if atlas.has_deck:
-        # covered through exp: the model points are the principal logs, q's
-        # moved to the nearest deck translate, then a vertical shift (an
-        # isometry of the model) centers the pair on Im w = 0 and so keeps
-        # the band's exponential small
-        wp, wq = cmath.log(p), cmath.log(q)
-        wq += atlas.deck_step * round((wp.imag - wq.imag) / TAU)
-        shift = 0.5j * (wp.imag + wq.imag)
-    ts = np.linspace(0.0, 1.0, samples)
-    ws = [atlas.model_geodesic_point(wp - shift, wq - shift, float(t)) + shift
-          for t in ts]
-    if atlas.has_deck:
-        verts = [complex(np.exp(w)) for w in ws]
-    else:
-        verts = [complex(w) for w in ws]
-    return PolyPath(tuple(verts))
+    return PolyPath(domain.geodesic(p, q, np.linspace(0.0, 1.0, samples)))
 
 
 # Coprime lattice moves reach this many cells: fine enough a direction

@@ -107,6 +107,47 @@ def poincare_geodesic(z, w, t: float):
     return move.inverse()(point)
 
 
+def _log_sinh(x):
+    """log sinh x for x >= 0 (-inf at 0), finite however large x is."""
+    with np.errstate(divide="ignore"):
+        return x + np.log(-np.expm1(-2.0 * x)) - math.log(2.0)
+
+
+def geodesic_weights(d, t):
+    """(log a, log b) with X(t) = a X(0) + b X(1) the constant-speed geodesic.
+
+    X are the points of the hyperboloid model (curvature -1, where the
+    distance is 2d), on which the geodesic through X(0) and X(1) is
+    [sinh((1 - t) 2d) X(0) + sinh(t 2d) X(1)] / sinh(2d).  Both weights lie
+    in [0, 1], a zero weight as log -inf, and a + b <= 1.
+    """
+    t = np.asarray(t, dtype=float)
+    top = _log_sinh(2.0 * d)
+    return _log_sinh((1.0 - t) * 2.0 * d) - top, _log_sinh(t * 2.0 * d) - top
+
+
+def halfplane_geodesic(s, cot, d, t):
+    """Upper half-plane geodesic in log-polar form, vectorized over t.
+
+    The endpoints are u_k = exp(s[k] + i theta_k), k = 0, 1, given by
+    s[k] and cot[k] = cot theta_k, at distance d.  Returns (s, cot theta) of
+    the points at arclength t * d from u_0.  On the hyperboloid the point
+    u = e^s (cos theta + i sin theta) has the null coordinates e^(+-s) / sin
+    theta and the third coordinate cot theta, all linear in the points, so
+    the first two are summed in log form: nothing overflows however large
+    |s| grows, and sin theta keeps its digits next to the real axis.
+    """
+    log_a, log_b = geodesic_weights(d, t)
+    # a dilation, an isometry, centers the pair on s = 0
+    mid = 0.5 * (s[0] + s[1])
+    s0, s1 = s[0] - mid, s[1] - mid
+    # -log sin theta of the endpoints
+    h0, h1 = math.log(math.hypot(1.0, cot[0])), math.log(math.hypot(1.0, cot[1]))
+    plus = np.logaddexp(log_a + (s0 + h0), log_b + (s1 + h1))
+    minus = np.logaddexp(log_a + (h0 - s0), log_b + (h1 - s1))
+    return mid + 0.5 * (plus - minus), np.exp(log_a) * cot[0] + np.exp(log_b) * cot[1]
+
+
 def poincare_ball_euclidean(center, radius: float):
     """Euclidean center and radius of the hyperbolic ball {rho(center,.) < radius}.
 

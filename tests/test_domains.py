@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -268,6 +269,19 @@ class TestGridDomain:
         assert np.flatnonzero(grid.mask).tolist() == [12]
         with pytest.raises(ValueError):
             grid.mask[2, 1] = True
+        assert np.flatnonzero(grid.mask).tolist() == [12]
+
+    @pytest.mark.parametrize("field, value", [("origin", 1j), ("spacing", 0.2),
+                                              ("mask", np.ones((5, 5), dtype=bool))])
+    def test_fields_cannot_be_reassigned(self, field, value):
+        # a reassigned field would leave the caches keyed on the grid stale
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[2, 2] = True
+        grid = GridDomain(origin=0j, spacing=0.1, mask=mask)
+        assert grid.density_upper_bound[2, 2] > 0  # a cached property still works
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(grid, field, value)
+        assert (grid.origin, grid.spacing) == (0j, 0.1)
         assert np.flatnonzero(grid.mask).tolist() == [12]
 
     def test_zero_spacing_rejected(self):

@@ -43,6 +43,7 @@ from invmetrics.kobayashi import (
     kob_distance,
     lift_infimum,
 )
+from invmetrics.mobius import INFINITY
 from invmetrics.poincare import poincare_ball_euclidean, poincare_distance
 
 HALF_LOG2 = 0.34657359027997264
@@ -236,6 +237,90 @@ class TestGeodesic:
     def test_degenerate_endpoints(self):
         with pytest.raises(DegenerateEndpoints):
             geodesic(Disk(), 0.3, 0.3)
+
+    @pytest.mark.parametrize("samples", [-1, 0, 1, 2.5])
+    def test_samples_must_be_an_integer_of_at_least_two(self, samples):
+        with pytest.raises(ValidationError):
+            geodesic(Annulus(0.1), 0.5, -0.5, samples=samples)
+
+
+def _random_pairs(domain, half: float, count: int = 200):
+    """``count`` pairs drawn uniformly from the square |Re z|, |Im z| < half,
+    points outside the domain rejected."""
+    rng = np.random.default_rng(0)
+    points = []
+    while len(points) < 2 * count:
+        z = rng.uniform(-half, half, 4096) + 1j * rng.uniform(-half, half, 4096)
+        points += z[domain.contains(z)].tolist()
+    return list(zip(points[0:2 * count:2], points[1:2 * count:2]))
+
+
+def _mp_distance(domain, p, q):
+    """The covered-domain distance at 60 digits: the least half-plane model
+    distance over the deck translates of q's lift next to the nearest one."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        wp, wq = mpmath.log(mpmath.mpc(p)), mpmath.log(mpmath.mpc(q))
+        if isinstance(domain, Annulus):
+            log_r = mpmath.log(mpmath.mpf(domain.r))
+            model = lambda w: mpmath.exp(1j * mpmath.pi * (w - log_r) / -log_r)  # noqa: E731
+        else:
+            model = lambda w: -1j * w  # noqa: E731
+        u = model(wp)
+        nearest = int(mpmath.nint((wp.imag - wq.imag) / (2 * mpmath.pi)))
+        values = []
+        for k in range(nearest - 1, nearest + 2):
+            v = model(wq + 2j * mpmath.pi * k)
+            values.append(mpmath.asinh(abs(u - v) / (2 * mpmath.sqrt(u.imag * v.imag))))
+        return min(values)
+
+
+class TestPolyPath:
+    def test_vertices_are_one_read_only_array(self):
+        path = geodesic(Annulus(0.1), 0.5, -0.5, samples=9)
+        assert isinstance(path.vertices, np.ndarray)
+        assert path.vertices.dtype == complex and path.vertices.shape == (9,)
+        with pytest.raises(ValueError):
+            path.vertices[3] = 0.5
+
+    def test_tuple_input_is_copied(self):
+        source = np.array([0.1, 0.2 + 0.1j, -0.3j])
+        path = PolyPath(tuple(source))
+        source[0] = 0.9
+        assert path.vertices.tolist() == [0.1, 0.2 + 0.1j, -0.3j]
+        assert not path.vertices.flags.writeable
+
+    @pytest.mark.parametrize("bad", [INFINITY, math.nan, complex(0.1, math.inf)])
+    def test_non_finite_vertex_out_of_domain(self, bad):
+        with pytest.raises(OutOfDomain):
+            PolyPath((0.1, bad, 0.2))
+
+    def test_single_vertex_rejected(self):
+        with pytest.raises(ValidationError):
+            PolyPath(np.array([0.1 + 0.1j]))
+
+
+class TestGeodesicRegimes:
+    """Far-apart pairs on thin annuli, where the distance reaches ~490, and
+    pairs next to the puncture."""
+
+    @pytest.mark.parametrize("domain, half", [(Annulus(0.5), 1.0), (Annulus(0.9), 1.0),
+                                              (Annulus(0.99), 1.0), (PuncturedDisk(), 0.01)])
+    def test_constant_speed_inside_the_domain(self, domain, half):
+        samples = 256
+        t = np.linspace(0.0, 1.0, samples)
+        for p, q in _random_pairs(domain, half):
+            path = geodesic(domain, p, q, samples=samples)
+            assert len(path) == samples
+            assert domain.contains(path.vertices).all()
+            d = _mp_distance(domain, p, q)
+            # kob_distance(p, v_k).upper for every vertex, as one array call;
+            # the first vertex is held to the tolerance of the second
+            along = domain.distance(domain.lift(p), domain.lift(path.vertices))
+            assert (np.abs(along - t * float(d)) <= 1e-9 * float(d) * np.maximum(t, t[1])).all()
+            k = samples // 2
+            mid = _mp_distance(domain, p, complex(path.vertices[k]))
+            assert abs(mid - t[k] * d) <= 1e-9 * t[k] * d
 
 
 class TestBallRaster:
