@@ -1,11 +1,13 @@
 """Caratheodory-type lower bounds from a finite holomorphic-map dictionary.
 
 The supremum over all holomorphic maps into the unit disk is replaced by
-a finite dictionary of catalog competitors (inclusions and reciprocals
-about the holes, plus disk-automorphism post-compositions).  The maximum
-over the dictionary is itself a pseudodistance of the same kind, so it
-is a certified lower bound everywhere, exact on the disk, and inherits
-the subharmonicity and compact-component behavior of the full distance.
+a finite dictionary of catalog competitors: the identity, Cayley map or
+inclusion, and one reciprocal about each hole.  rho is invariant under
+the disk automorphisms, so post-composing an entry with one cannot raise
+the maximum; the dictionary holds none.  The maximum over the dictionary
+is itself a pseudodistance of the same kind, so it is a certified lower
+bound everywhere, exact on the disk, and inherits the subharmonicity and
+compact-component behavior of the full distance.
 """
 
 from __future__ import annotations
@@ -39,12 +41,9 @@ from .errors import (
     Unsupported,
     ValidationError,
 )
-from .mobius import as_finite, disk_automorphism
+from .mobius import as_finite
 from .poincare import rho_vec
 from .topology import border_labels, connectivity_number
-
-_DICTIONARY_SEED = 20260810
-_ROTATION_COPIES = 8
 
 
 @dataclass(frozen=True)
@@ -90,25 +89,7 @@ def _sample_points(domain: Domain) -> np.ndarray:
     return grid.centers[grid.mask]
 
 
-def _rotation_post_compositions(entries, rng):
-    """Disk-automorphism post-compositions; isometric, so value-preserving."""
-    out = []
-    for entry in entries:
-        for j in range(_ROTATION_COPIES):
-            a = (rng.uniform(0, 0.8) * np.exp(2j * math.pi * rng.uniform()))
-            theta = rng.uniform(0, 2 * math.pi)
-            phi = disk_automorphism(complex(a), float(theta))
-
-            def func(z, base=entry.func, m=phi):
-                w = np.asarray(base(z), dtype=complex)
-                return (m.a * w + m.b) / (m.c * w + m.d)
-
-            out.append(DictionaryMap(f"{entry.tag} * aut{j}", func))
-    return out
-
-
 def _build_dictionary(domain: Domain) -> MapDictionary:
-    rng = np.random.default_rng(_DICTIONARY_SEED)
     if isinstance(domain, Disk):
         entries = [DictionaryMap("identity", lambda z: np.asarray(z, dtype=complex))]
         return MapDictionary(domain, tuple(entries))
@@ -122,18 +103,17 @@ def _build_dictionary(domain: Domain) -> MapDictionary:
         return MapDictionary(domain, tuple(entries))
     if isinstance(domain, Annulus):
         r = domain.r
-        base = [
+        entries = [
             DictionaryMap("inclusion", lambda z: np.asarray(z, dtype=complex)),
             DictionaryMap(f"reciprocal r0={r:g} about 0",
                           lambda z, r=r: r / np.asarray(z, dtype=complex)),
         ]
-        entries = base + _rotation_post_compositions(base, rng)
         dictionary = MapDictionary(domain, tuple(entries))
         _validate_entries(domain, dictionary.entries, _sample_points(domain))
         return dictionary
     if isinstance(domain, GridDomain):
         center, radius = domain.bounding_circle
-        base = [DictionaryMap(
+        entries = [DictionaryMap(
             "inclusion rescaled",
             lambda z, c=center, s=radius: (np.asarray(z, dtype=complex) - c) / s)]
         labels, count, unbounded = domain.complement_labels
@@ -146,10 +126,9 @@ def _build_dictionary(domain: Domain) -> MapDictionary:
             r0 = float(np.abs(cells[domain.mask] - w0).min()) - domain.spacing
             if r0 <= 0:
                 continue
-            base.append(DictionaryMap(
+            entries.append(DictionaryMap(
                 f"reciprocal r0={r0:.6g} about {w0:.6g}",
                 lambda z, w0=w0, r0=r0: r0 / (np.asarray(z, dtype=complex) - w0)))
-        entries = base + _rotation_post_compositions(base, rng)
         dictionary = MapDictionary(domain, tuple(entries))
         _validate_entries(domain, dictionary.entries, _sample_points(domain))
         return dictionary
@@ -167,8 +146,8 @@ _GRID_ENTRIES: "weakref.WeakKeyDictionary[GridDomain, tuple]" = weakref.WeakKeyD
 
 
 def default_dictionary(domain: Domain) -> MapDictionary:
-    """Catalog dictionary: identity/inclusion, one reciprocal per hole, and
-    eight automorphism post-compositions of each."""
+    """Catalog dictionary: the identity, Cayley map or (rescaled) inclusion,
+    and one reciprocal per hole."""
     if isinstance(domain, GridDomain):
         entries = _GRID_ENTRIES.get(domain)
         if entries is None:

@@ -59,17 +59,24 @@ def _parse_domain(text: str):
     if name == "annulus":
         try:
             return Annulus(float(arg))
-        except ValueError as exc:
+        except (ValueError, InvMetricsError) as exc:
             raise argparse.ArgumentTypeError(
                 f"annulus needs an inner radius, e.g. annulus:0.1 ({exc})")
     if name == "grid":
         try:
             return grid_load(Path(arg).read_bytes())
-        except OSError as exc:
-            raise argparse.ArgumentTypeError(f"cannot read grid file: {exc}")
+        except (OSError, ValueError, InvMetricsError) as exc:
+            raise argparse.ArgumentTypeError(f"cannot load grid file: {exc}")
     raise argparse.ArgumentTypeError(
         f"unknown domain {text!r}; use disk, halfplane, punctured, "
         "annulus:R, or grid:PATH")
+
+
+def _parse_grid(text: str) -> GridDomain:
+    domain = _parse_domain(text)
+    if not isinstance(domain, GridDomain):
+        raise argparse.ArgumentTypeError(f"expected grid:PATH, got {text!r}")
+    return domain
 
 
 def _parse_selfmap(text: str, domain):
@@ -285,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ball)
 
     p = sub.add_parser("separate", help="separating polygon with winding table")
-    p.add_argument("--grid", type=_parse_domain, required=True,
+    p.add_argument("--grid", type=_parse_grid, required=True,
                    help="grid:PATH domain descriptor")
     p.add_argument("--k1", type=int, default=None)
     p.add_argument("--k2", type=int, default=None)

@@ -6,8 +6,8 @@ hyperbolic density, the lift of points to a model of its universal
 cover, the model distance at the nearest deck translate, and the
 constant-speed geodesic in that model.  The methods are vectorized and
 do no membership checks; a scalar is a 0-d array.  The checked scalar entry
-points (``contains``, ``density``, ``covering_atlas``) follow the
-classes.  Arbitrary bounded domains are boolean occupancy grids.
+points (``contains``, ``density``) follow the classes.  Arbitrary bounded
+domains are boolean occupancy grids.
 """
 
 from __future__ import annotations
@@ -485,33 +485,6 @@ def density(domain: Domain, z) -> float:
     if not contains(domain, z):
         raise OutOfDomain(f"{z!r} not in {domain!r}")
     return float(domain.density(z))
-
-
-@dataclass(frozen=True)
-class CoveringAtlas:
-    """Universal-cover data of a catalog domain, read off its class.
-
-    ``lift`` sends points to the model of the universal cover in the form
-    the domain's ``distance`` reads (the points themselves on the disk and
-    half-plane, a ``Lift`` of w = log z on the covered domains).  For
-    covered domains the deck group is generated by the translation
-    w -> w + ``deck_step``.
-    """
-
-    domain: CatalogDomain
-    lift: Callable
-    deck_step: complex = 0j
-
-    @property
-    def has_deck(self) -> bool:
-        return self.deck_step != 0
-
-
-def covering_atlas(domain: Domain) -> CoveringAtlas:
-    """Covering atlas of a catalog domain."""
-    if not isinstance(domain, CatalogDomain):
-        raise Unsupported(f"no explicit covering atlas for {domain!r}")
-    return CoveringAtlas(domain, domain.lift, domain.deck_step)
 
 
 # ---------------------------------------------------------------------------

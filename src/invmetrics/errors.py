@@ -52,10 +52,6 @@ class Unsupported(InvMetricsError):
     """The operation is not defined for this domain variant."""
 
 
-class LiftFailure(InvMetricsError):
-    """No local inverse branch of the covering map contains the point."""
-
-
 class NonConvergence(InvMetricsError):
     """An enumeration or iteration failed to certify within its budget."""
 

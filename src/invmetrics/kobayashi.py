@@ -24,7 +24,6 @@ from scipy import ndimage
 
 from .domains import (
     FRAME_MARGIN,
-    CoveringAtlas,
     Disk,
     Domain,
     GridDomain,
@@ -39,7 +38,6 @@ from .domains import (
 from .errors import (
     DegenerateEndpoints,
     Disconnected,
-    LiftFailure,
     OutOfDomain,
     ParseError,
     Unsupported,
@@ -159,16 +157,6 @@ def ball_load(data) -> MetricBall:
 # ---------------------------------------------------------------------------
 # Covering-route distances
 # ---------------------------------------------------------------------------
-
-def lift_infimum(atlas: CoveringAtlas, p, q) -> float:
-    """Distance through the cover: the model distance between the lifts
-    at the nearest deck translate, in closed form (``domain.distance``)."""
-    domain = atlas.domain
-    for z in (p, q):
-        if not contains(domain, z):
-            raise LiftFailure(f"{z!r} has no lift in the model of {domain!r}")
-    return float(domain.distance(domain.lift(as_finite(p)), domain.lift(as_finite(q))))
-
 
 def kob_distance(domain: Domain, p, q, tol: float = 1e-9) -> DistanceInterval:
     """Certified interval around the Kobayashi distance.

@@ -84,10 +84,15 @@ def rho_vec(z, w):
 
 
 def halfplane_rho_vec(z, w):
-    """Left half-plane Re z < 0 distance, no checks: sinh rho = |z - w| / (2 sqrt(Re z Re w))."""
+    """Left half-plane Re z < 0 distance, no checks: sinh rho = |z - w| / (2 sqrt(Re z Re w)).
+
+    The square roots are taken one by one: the product Re z Re w leaves
+    the normal float range once both points are within about 1e-154 of
+    the wall, and reaches 0 a little further in.
+    """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    return np.arcsinh(np.abs(z - w) / (2.0 * np.sqrt(z.real * w.real)))
+    return np.arcsinh(np.abs(z - w) / (2.0 * np.sqrt(-z.real) * np.sqrt(-w.real)))
 
 
 def poincare_geodesic(z, w, t: float):

@@ -41,9 +41,14 @@ class TestDictionary:
 
     def test_grid_one_reciprocal_per_hole(self, pants_grid):
         d = default_dictionary(pants_grid)
-        reciprocals = [t for t in d.tags()
-                       if t.startswith("reciprocal") and "aut" not in t]
+        reciprocals = [t for t in d.tags() if t.startswith("reciprocal")]
         assert len(reciprocals) == 2
+
+    def test_base_maps_only(self, pants_grid):
+        # rho is invariant under disk automorphisms, so post-composed copies
+        # of an entry never raise the maximum; the dictionary holds none
+        assert len(default_dictionary(Annulus(0.1))) == 2
+        assert len(default_dictionary(pants_grid)) == 3
 
     def test_cached_grid_entries_do_not_keep_the_grid_alive(self, pants_grid):
         grid = grid_load(grid_save(pants_grid))
@@ -94,6 +99,26 @@ class TestCarLower:
             fp = complex(entry(np.asarray(p)))
             fq = complex(entry(np.asarray(q)))
             assert float(rho_vec(fp, fq)) <= value + 1e-12
+
+    def test_below_kobayashi_next_to_a_wall(self):
+        # 300 pairs per annulus with one point 1e-15..1e-9 (relative) inside
+        # a wall, where rounding in the entries is largest; the lower bound
+        # must stay finite and below the distance
+        rng = np.random.default_rng(0)
+        for r in (0.1, 0.5, 0.9):
+            domain = Annulus(r)
+            checked = 0
+            while checked < 300:
+                p = r ** rng.uniform(0.01, 0.99) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+                gap = 10.0 ** rng.uniform(-15, -9)
+                radius = r * (1 + gap) if rng.uniform() < 0.5 else 1 - gap
+                q = radius * np.exp(1j * rng.uniform(0, 2 * math.pi))
+                if not domain.contains(q):
+                    continue
+                lower = car_lower(domain, p, q)
+                assert math.isfinite(lower), (r, p, q)
+                assert lower <= kob_distance(domain, p, q).upper + 1e-9, (r, p, q)
+                checked += 1
 
     def test_dictionary_monotone_under_extension(self):
         domain = Annulus(0.1)

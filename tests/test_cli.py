@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,42 @@ class TestUsage:
     def test_missing_subcommand(self, capsys):
         code, _, _ = run(capsys)
         assert code == 1
+
+
+@pytest.fixture(scope="module")
+def bad_grid_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("bad-grids")
+    mask = np.zeros((7, 7), dtype=bool)
+    mask[1, 1] = mask[3, 3] = True  # two components: fails validation
+    files = {"malformed": b"{\"format_version\": 1,",
+             "not-utf8": b"\xff\xfe",
+             "disconnected": grid_save(SimpleNamespace(origin=0j, spacing=0.1, mask=mask))}
+    for name, data in files.items():
+        (folder / f"{name}.json").write_bytes(data)
+    return folder
+
+
+class TestBadDomainArguments:
+    @pytest.mark.parametrize("domain", ["annulus:1.5", "annulus:nan", "annulus:0"])
+    def test_invalid_annulus(self, capsys, domain):
+        code, _, err = run(capsys, "dist", "--domain", domain,
+                           "--p", "0.5,0", "--q", "0.6,0")
+        assert code == 1
+        assert "annulus" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["malformed", "not-utf8", "disconnected"])
+    def test_bad_grid_file(self, capsys, bad_grid_files, name):
+        path = bad_grid_files / f"{name}.json"
+        for argv in (("dist", "--domain", f"grid:{path}", "--p", "0,0", "--q", "0.1,0"),
+                     ("separate", "--grid", f"grid:{path}")):
+            code, _, err = run(capsys, *argv)
+            assert code == 1
+            assert "cannot load grid file" in err and "Traceback" not in err
+
+    def test_separate_rejects_catalog_domain(self, capsys):
+        code, _, err = run(capsys, "separate", "--grid", "annulus:0.3")
+        assert code == 1
+        assert "grid:PATH" in err and "Traceback" not in err
 
 
 class TestVerifyAll:

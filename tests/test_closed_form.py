@@ -114,6 +114,17 @@ def test_boundary_pairs_have_values():
         exact(HalfPlane(), complex(-1e-12), complex(-1e-12, 1)), rel=REL)
 
 
+def test_halfplane_heights_whose_product_underflows():
+    # Re p Re q = 1e-600 is below the float range; atanh of the ratio in
+    # exact() would need 600 digits, so the reference is the asinh form
+    p, q = complex(-1e-300), complex(-1e-300, 1)
+    with mpmath.workdps(60):
+        a, b = mpmath.mpc(p.real, p.imag), mpmath.mpc(q.real, q.imag)
+        want = float(mpmath.asinh(abs(a - b) / (2 * mpmath.sqrt(a.real * b.real))))
+    assert want == pytest.approx(690.775527898213705, rel=1e-15)
+    assert kob_distance(HalfPlane(), p, q).upper == pytest.approx(want, rel=REL)
+
+
 def test_thin_annulus_counterexample():
     # points quoted to four decimals with the true value 7.4223: it must lie
     # within the range the distance takes over the rounding box of the inputs

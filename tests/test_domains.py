@@ -18,7 +18,6 @@ from invmetrics.domains import (
     PuncturedDisk,
     cell_pairs,
     contains,
-    covering_atlas,
     density,
     grid_annulus,
     grid_load,
@@ -26,7 +25,7 @@ from invmetrics.domains import (
     rasterize,
 )
 from invmetrics.errors import Unsupported, ValidationError, ParseError
-from invmetrics.kobayashi import kob_distance, lift_infimum
+from invmetrics.kobayashi import kob_distance
 from invmetrics.topology import connectivity_number
 
 TAU = 2 * math.pi
@@ -167,19 +166,20 @@ class TestDensity:
 
 def _assert_deck_invariant(domain):
     """exp(w + k deck_step) = z for the lift w = log z of points z."""
-    atlas = covering_atlas(domain)
     rng = np.random.default_rng(7)
     r = getattr(domain, "r", 0.0)
     z = (r + (1 - r) * rng.uniform(0.01, 0.99, 50)) * np.exp(1j * rng.uniform(-4, 4, 50))
-    lift = atlas.lift(z)
+    lift = domain.lift(z)
     for k in range(-2, 3):
-        images = np.exp(-lift.outer + 1j * lift.im + atlas.deck_step * k)
+        images = np.exp(-lift.outer + 1j * lift.im + domain.deck_step * k)
         assert np.abs(images - z).max() <= 1e-12
 
 
 class TestCoveringAtlas:
+    """Universal-cover data each catalog class owns: ``lift`` and ``deck_step``."""
+
     def test_punctured_cover_value(self):
-        lift = covering_atlas(PuncturedDisk()).lift(math.exp(-1))
+        lift = PuncturedDisk().lift(math.exp(-1))
         assert float(lift.outer) == pytest.approx(1.0, abs=1e-15)  # w = -1
         assert float(lift.im) == 0.0
 
@@ -190,14 +190,14 @@ class TestCoveringAtlas:
         _assert_deck_invariant(Annulus(0.1))
 
     def test_annulus_midline_covers_core_circle(self):
-        lift = covering_atlas(Annulus(0.1)).lift(math.sqrt(0.1))
+        lift = Annulus(0.1).lift(math.sqrt(0.1))
         assert -float(lift.outer) == pytest.approx(math.log(0.1) / 2, abs=1e-12)
         assert float(lift.inner) == pytest.approx(-math.log(0.1) / 2, abs=1e-12)
         assert float(lift.height) == pytest.approx(1.0, abs=1e-12)
 
     def test_trivial_atlases_have_no_deck(self):
-        assert not covering_atlas(Disk()).has_deck
-        assert not covering_atlas(HalfPlane()).has_deck
+        assert Disk().deck_step == 0
+        assert HalfPlane().deck_step == 0
 
     @pytest.mark.parametrize("domain", [PuncturedDisk(), Annulus(0.1), Disk(), HalfPlane(),
                                         Annulus(0.6), Annulus(0.9)])
@@ -216,10 +216,6 @@ class TestCoveringAtlas:
             h = 1e-4 / lam
             slope = kob_distance(domain, z - h * u, z + h * u).upper / (2 * h)
             assert abs(slope - lam) / lam <= 1e-6
-
-    def test_grid_unsupported(self, square_with_hole_grid):
-        with pytest.raises(Unsupported):
-            covering_atlas(square_with_hole_grid)
 
     @given(st.floats(0.02, 0.95), st.floats(0.01, 0.99), st.floats(0.01, 0.99),
            st.floats(0, TAU), st.floats(0, TAU), st.booleans())
@@ -243,7 +239,7 @@ class TestCoveringAtlas:
                 u, v = np.exp(scale * (wp - log_r)), np.exp(scale * (wq - log_r))
             translates = np.arcsinh(np.abs(u - v) / (2 * np.sqrt(u.imag * v.imag)))
         brute = float(np.nanmin(translates))
-        value = lift_infimum(covering_atlas(domain), zp, zq)
+        value = kob_distance(domain, zp, zq).upper
         assert value == pytest.approx(brute, rel=1e-10, abs=1e-12)
 
 

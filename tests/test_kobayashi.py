@@ -17,7 +17,6 @@ from invmetrics.domains import (
     Disk,
     HalfPlane,
     PuncturedDisk,
-    covering_atlas,
     grid_annulus,
     grid_from_predicate,
     rasterize,
@@ -26,7 +25,6 @@ from invmetrics.errors import (
     DegenerateEndpoints,
     Disconnected,
     EmptyBall,
-    LiftFailure,
     OutOfDomain,
     Unsupported,
     ValidationError,
@@ -41,7 +39,6 @@ from invmetrics.kobayashi import (
     inner_distance_many,
     kob_ball_raster,
     kob_distance,
-    lift_infimum,
 )
 from invmetrics.mobius import INFINITY
 from invmetrics.poincare import poincare_ball_euclidean, poincare_distance
@@ -53,35 +50,40 @@ SQRT_TENTH = math.sqrt(0.1)
 
 
 class TestLiftInfimum:
+    """The covering route: the model distance between the lifts at the
+    nearest deck translate, read off ``kob_distance``."""
+
     def test_punctured_pair_matches_halfplane_form(self):
-        atlas = covering_atlas(PuncturedDisk())
-        value = lift_infimum(atlas, math.exp(-1), math.exp(-2))
+        value = kob_distance(PuncturedDisk(), math.exp(-1), math.exp(-2)).upper
         assert value == pytest.approx(HALF_LOG2, abs=1e-10)
         assert value == pytest.approx(float(HalfPlane().distance(-1, -2)), abs=1e-12)
 
     def test_equal_points(self):
-        atlas = covering_atlas(Annulus(0.1))
-        assert lift_infimum(atlas, 0.5, 0.5) == 0.0
+        domain = Annulus(0.1)
+        lift = domain.lift(0.5)
+        assert float(domain.distance(lift, lift)) == 0.0
+        assert kob_distance(domain, 0.5, 0.5).upper == 0.0
 
     def test_annulus_antipodal_core(self):
-        atlas = covering_atlas(Annulus(0.1))
-        value = lift_infimum(atlas, SQRT_TENTH, -SQRT_TENTH)
+        value = kob_distance(Annulus(0.1), SQRT_TENTH, -SQRT_TENTH).upper
         assert value == pytest.approx(ANNULUS_CORE_HALF, abs=1e-12)
 
     @pytest.mark.parametrize("r", [0.05, 0.1, 0.3, 0.6])
     def test_antipodal_core_closed_form(self, r):
         # the mid-circle is a projected model geodesic, so the antipodal
         # distance closes to pi^2 / (2 log(1/r)) for every inner radius
-        atlas = covering_atlas(Annulus(r))
         s = math.sqrt(r)
-        value = lift_infimum(atlas, s, -s)
+        value = kob_distance(Annulus(r), s, -s).upper
         assert value == pytest.approx(math.pi**2 / (2 * math.log(1 / r)),
                                       abs=1e-12)
 
     def test_lift_failure_outside(self):
-        atlas = covering_atlas(Annulus(0.1))
-        with pytest.raises(LiftFailure):
-            lift_infimum(atlas, 0.05, 0.5)
+        # a point in the hole, past the outer wall or on either wall has no
+        # lift, whichever argument it is
+        for outside in (0.05, 0.1, 1.0, -1.5j):
+            for p, q in ((outside, 0.5), (0.5, outside)):
+                with pytest.raises(OutOfDomain):
+                    kob_distance(Annulus(0.1), p, q)
 
 
 class TestKobDistance:
@@ -131,14 +133,13 @@ def coarse_annulus():
 
 class TestGridInterval:
     def test_contains_analytic_value(self, coarse_annulus):
-        atlas = covering_atlas(Annulus(0.25))
         rng = np.random.default_rng(12)
         for _ in range(10):
             p = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
             q = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
             if not (0.3 < abs(p) < 0.95 and 0.3 < abs(q) < 0.95):
                 continue
-            analytic = lift_infimum(atlas, p, q)
+            analytic = kob_distance(Annulus(0.25), p, q).upper
             interval = kob_distance(coarse_annulus, p, q)
             assert interval.lower <= analytic <= interval.upper
             assert interval.certified
