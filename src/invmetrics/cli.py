@@ -47,6 +47,16 @@ def _parse_complex(text: str) -> complex:
             f"expected RE,IM (e.g. 0.3,-0.1), got {text!r}") from exc
 
 
+def _parse_tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"expected a positive finite tolerance, got {text!r}")
+    return value
+
+
 def _parse_domain(text: str):
     name, _, arg = text.partition(":")
     name = name.lower()
@@ -80,8 +90,17 @@ def _parse_grid(text: str) -> GridDomain:
 
 
 def _parse_selfmap(text: str, domain):
+    """The self-map ``text`` names on ``domain``.  Its command reads it, once
+    --domain is known; a malformed ``text`` raises ArgumentTypeError."""
     name, _, arg = text.partition(":")
     name = name.lower()
+
+    def number() -> float:
+        try:
+            return float(arg)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"map {text!r} needs a number after the colon") from None
     if name == "identity":
         return conf.HoloSelfMap(domain, lambda z: np.asarray(z, complex),
                                 dfunc=lambda z: 1.0, tag="identity")
@@ -89,7 +108,7 @@ def _parse_selfmap(text: str, domain):
         return conf.HoloSelfMap(domain, lambda z: np.asarray(z, complex) ** 2,
                                 tag="square")
     if name == "rot":
-        theta = float(arg)
+        theta = number()
         phase = complex(math.cos(theta), math.sin(theta))
         return conf.HoloSelfMap(domain, lambda z: phase * np.asarray(z, complex),
                                 dfunc=lambda z: phase, tag=f"rot:{arg}")
@@ -98,13 +117,13 @@ def _parse_selfmap(text: str, domain):
         return conf.blaschke_product([a])
     if name == "annulus-rot":
         if not isinstance(domain, Annulus):
-            raise argparse.ArgumentTypeError("annulus-rot needs --domain annulus:R")
-        g = conf.AutomorphismGroupDesc(domain).rotation(float(arg))
+            raise argparse.ArgumentTypeError(f"map {text!r} needs --domain annulus:R")
+        g = conf.AutomorphismGroupDesc(domain).rotation(number())
         return conf.HoloSelfMap(domain, g, dfunc=g.derivative, tag=g.tag)
     if name == "annulus-inv":
         if not isinstance(domain, Annulus):
-            raise argparse.ArgumentTypeError("annulus-inv needs --domain annulus:R")
-        g = conf.AutomorphismGroupDesc(domain).inversion(float(arg))
+            raise argparse.ArgumentTypeError(f"map {text!r} needs --domain annulus:R")
+        g = conf.AutomorphismGroupDesc(domain).inversion(number())
         return conf.HoloSelfMap(domain, g, dfunc=g.derivative, tag=g.tag)
     raise argparse.ArgumentTypeError(
         f"unknown map {text!r}; use identity, square, rot:THETA, "
@@ -113,9 +132,12 @@ def _parse_selfmap(text: str, domain):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        raise SystemExit(self.usage_error(message))
+
+    def usage_error(self, message) -> int:
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        return 1
 
 
 def _emit(text: str, out: str | None):
@@ -275,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="kobayashi")
     p.add_argument("--p", type=_parse_complex, required=True)
     p.add_argument("--q", type=_parse_complex, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_parse_tolerance, default=1e-9)
     p.add_argument("--format", choices=["text", "csv"], default="text")
     add_common(p)
     p.set_defaults(func=_cmd_dist)
@@ -325,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--a", type=_parse_complex, required=True)
     p.add_argument("--b", type=_parse_complex, required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_parse_tolerance, default=1e-6)
     add_common(p)
     p.set_defaults(func=_cmd_watt)
 
@@ -333,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", type=_parse_domain, required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--a", type=_parse_complex, required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_parse_tolerance, default=1e-6)
     add_common(p)
     p.set_defaults(func=_cmd_cartan)
 
@@ -377,6 +399,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except argparse.ArgumentTypeError as exc:
+        # from --map, which its command reads once --domain is known
+        return parser.usage_error(f"argument --map: {exc}")
     except TheoremViolation as exc:
         print(f"TheoremViolation: {exc}", file=sys.stderr)
         return 2

@@ -34,6 +34,9 @@ from .poincare import (
 DECK_STEP = 2j * math.pi
 TAU = 2.0 * math.pi
 FRAME_MARGIN = 1.1  # frame extends 10% beyond the domain's bounding circle
+# Most cells a raster frame may hold (4096 x 4096): about 20 times the largest
+# frame the package's own sweeps build, the 881 x 881 frame at spacing 0.0025
+MAX_FRAME_CELLS = 4096 ** 2
 # A point that ``contains`` accepts can lie less than a float step inside a
 # wall (0.6 * exp(1.1875i) in Annulus(0.6) has gap 4.7e-17).  Computed gaps
 # are raised to this floor, far below the gaps of such points, which keeps
@@ -437,13 +440,12 @@ class GridDomain:
         return float(np.sqrt(dx * dx + dy * dy).min())
 
 
-def cell_pairs(mask_a: np.ndarray, mask_b: np.ndarray, dx: int, dy: int):
-    """Flat indices (i, j) of the cells i of ``mask_a`` whose neighbour j, one
-    move (dx, dy) away, is a cell of ``mask_b``; row-major in i.
+def cell_pair_mask(mask_a: np.ndarray, mask_b: np.ndarray, dx: int, dy: int) -> np.ndarray:
+    """True at the cells of ``mask_a`` whose neighbour one move (dx, dy) away,
+    dx columns and dy rows, is a cell of ``mask_b``; shaped like the masks.
 
-    dx counts columns and dy rows, and j = i + dy * width + dx.  Every lattice
-    graph of the package (grid bounds, inner distances, the modulus
-    Laplacian) takes its edges from here.
+    Every lattice graph of the package (grid bounds, inner distances, the
+    modulus Laplacian) takes its edges from here.
     """
     h, w = mask_a.shape
     y0, x0 = max(0, -dy), max(0, -dx)
@@ -453,8 +455,14 @@ def cell_pairs(mask_a: np.ndarray, mask_b: np.ndarray, dx: int, dy: int):
     pair[y0:y0 + ny, x0:x0 + nx] = (mask_a[y0:y0 + ny, x0:x0 + nx]
                                     & mask_b[max(0, dy):max(0, dy) + ny,
                                              max(0, dx):max(0, dx) + nx])
-    i = np.flatnonzero(pair)
-    return i, i + (dy * w + dx)
+    return pair
+
+
+def cell_pairs(mask_a: np.ndarray, mask_b: np.ndarray, dx: int, dy: int):
+    """Flat indices (i, j) of ``cell_pair_mask``'s cells i and their
+    neighbours j = i + dy * width + dx; row-major in i."""
+    i = np.flatnonzero(cell_pair_mask(mask_a, mask_b, dx, dy))
+    return i, i + (dy * mask_a.shape[1] + dx)
 
 
 CatalogDomain = Union[Disk, HalfPlane, PuncturedDisk, Annulus]
@@ -504,7 +512,12 @@ def grid_from_predicate(predicate: Callable[[np.ndarray], np.ndarray],
         if not (value > 0) or not math.isfinite(value):
             raise ValidationError(f"{name} must be positive and finite: {value!r}")
     half = FRAME_MARGIN * bounding_radius
-    n = int(round(2.0 * half / spacing)) + 1
+    side = 2.0 * half / spacing
+    # counted before anything is allocated; the quotient can overflow to inf
+    n = int(round(side)) + 1 if math.isfinite(side) else math.inf
+    if n * n > MAX_FRAME_CELLS:
+        raise ValidationError(f"a frame of half-width {half!r} at spacing {spacing!r} "
+                              f"exceeds the budget of {MAX_FRAME_CELLS} cells")
     origin = complex(center) - half * (1 + 1j)
     xs = origin.real + spacing * np.arange(n)
     ys = origin.imag + spacing * np.arange(n)

@@ -28,6 +28,7 @@ from .domains import (
     Domain,
     GridDomain,
     HalfPlane,
+    cell_pair_mask,
     cell_pairs,
     contains,
     grid_frame_load,
@@ -365,17 +366,22 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     """Batch inner distances over one shared cell graph.
 
     The cells of a raster frame are joined by every coprime lattice move of
-    at most ``_MOVE_RADIUS`` cells (``domains.cell_pairs``, the kernel of
-    every lattice graph here); the reach is a constant, not a knob.  Each
+    at most ``_MOVE_RADIUS`` cells (``domains.cell_pair_mask``, the kernel
+    of every lattice graph here); the reach is a constant, not a knob.  Each
     endpoint is linked to the cells within that reach, and a close pair
     directly.  An edge weighs its length times the density at its
     midpoint, and is kept only if its interior sub-samples and that
-    midpoint lie in the domain.  The frame is ``rasterize``'s, except on
-    the disk, where it is cropped to a square about the endpoints
-    (geodesically convex disks about 0 keep the competing paths near them).
+    midpoint lie in the domain.  Every edge midpoint is a point of the
+    half-spacing lattice, so the density is read from one table of that
+    lattice per band of frame rows, never evaluated per edge.  The frame is
+    ``rasterize``'s, except on the disk, where it is cropped to a round disk
+    about 0 that holds the endpoints (geodesically convex disks about 0
+    keep the competing paths near them).
 
     Each pair gets its own search on a graph that stores both directions of
-    every edge.  The search stops once it passes a margin over the pair's
+    every edge (one multi-source search to the largest limit measured about
+    twice as slow, as it settles every node within that limit of every
+    source).  The search stops once it passes a margin over the pair's
     closed-form distance and reruns with no limit if that missed the target,
     so each value is the graph's own shortest path either way.
     """
@@ -390,11 +396,11 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     if isinstance(domain, Disk):
         # Hyperbolic disks about 0 are geodesically convex (Beardon, The
         # Geometry of Discrete Groups, section 7), so the geodesics stay within
-        # the endpoints' reach of 0; a few moves beyond it, the square holds
-        # every competing path with far fewer cells than the whole disk.
+        # the endpoints' reach of 0; a few moves beyond it, the disk |z| <= half
+        # holds every competing path with far fewer cells than the whole disk.
         reach = max((abs(z) for z in endpoints), default=0.0)
         half = min(1.0 - h, reach + (_MOVE_RADIUS + 2) * h + 0.02)
-        frame = grid_from_predicate(domain.contains, half / FRAME_MARGIN, h)
+        frame = grid_from_predicate(lambda z: np.abs(z) <= half, half / FRAME_MARGIN, h)
     else:
         frame = rasterize(domain, h)
     if not pairs:
@@ -404,8 +410,9 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     cells = frame.mask.size
     centers = frame.centers.ravel()
     # distance in cells to the nearest frame cell outside the domain; the
-    # cleared border ring of the disk crop lies in the disk and does not count
+    # cells the disk crop leaves out lie in the disk and do not count
     near = ndimage.distance_transform_edt(domain.contains(frame.centers)).ravel()
+    cell_mask = frame.mask.ravel()
 
     def inside(a, b, steps):
         """Whether the samples a + (b - a) k / steps, 0 < k < steps, and the
@@ -413,14 +420,16 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         t = np.append(np.arange(1, steps) / steps, 0.5)[:, None]
         return domain.contains(a + (b - a) * t).all(axis=0)
 
+    # a kept edge with its midpoint off the domain: a hole that holds no cell
+    # centre, so no edge near it was sampled
+    too_coarse = f"spacing {h!r} is too coarse to resolve {domain!r}"
+
     def edge_weights(a, b):
         """Length times the density at the midpoint."""
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.abs(b - a) * domain.density((a + b) / 2.0)
         if not (np.isfinite(w) & (w >= 0)).all():
-            # a midpoint off the domain on an edge outside the band: a hole
-            # that holds no cell centre
-            raise ValidationError(f"spacing {h!r} is too coarse to resolve {domain!r}")
+            raise ValidationError(too_coarse)
         return w
 
     height, width = frame.mask.shape
@@ -429,30 +438,45 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
              if abs(dx) < width and dy < height]
     offsets = np.array([dy * width + dx for dx, dy in moves])
 
+    # the half-spacing lattice: the midpoint of cells (x, y) and (x + dx, y + dy)
+    # is its point (2x + dx, 2y + dy), and its even points are the cell centres,
+    # bit for bit; its columns 2x + dx run over x = 0 .. width - 1 for every dx,
+    # so that each move reads a whole strided slice
+    mid_x = frame.origin.real + (h / 2) * np.arange(-_MOVE_RADIUS, 2 * width + _MOVE_RADIUS - 1)
+
     def band_weights(y0, y1, out):
         """out[m, k] weighs the edge from cell y0 * width + k, in rows y0 to
         y1 - 1, to that cell plus offsets[m] (NaN: none)."""
         out.fill(np.nan)
+        n = y1 - y0
+        # the density at every midpoint of the band's edges: rows 2 y0 to
+        # 2 (y1 - 1) + _MOVE_RADIUS of the half-spacing lattice
+        mid_y = frame.origin.imag + (h / 2) * np.arange(2 * y0, 2 * y1 + _MOVE_RADIUS - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            table = domain.density(mid_x + 1j * mid_y[:, None])
+        off_domain = ~(np.isfinite(table) & (table >= 0))
         # the least distance to the outside over the ends of the band's edges
-        closest = near[y0 * width:(y1 + _MOVE_RADIUS) * width].min()
+        ends = np.s_[y0 * width:(y1 + _MOVE_RADIUS) * width]
+        closest = near[ends][cell_mask[ends]].min(initial=np.inf)
         for m, (dx, dy) in enumerate(moves):
             rows = frame.mask[y0:y1 + dy]
-            k = cell_pairs(rows, rows, dx, dy)[0]
-            i = k + y0 * width
-            j = i + offsets[m]
+            pair = cell_pair_mask(rows, rows, dx, dy)[:n]
             length = math.hypot(dx, dy)
             # a sample outside the domain lies within length / 2 of an end and,
             # where every hole holds a cell centre, within two cells of a frame
             # cell outside, so only edges with an end in that band are sampled
             if closest <= length / 2 + 2:
+                k = np.flatnonzero(pair)
+                i = k + y0 * width
+                j = i + offsets[m]
                 band = np.flatnonzero(np.minimum(near[i], near[j]) <= length / 2 + 2)
                 drop = band[~inside(centers[i[band]], centers[j[band]],
                                     max(2, math.ceil(2 * length)))]
-                if drop.size:
-                    k = np.delete(k, drop)
-                    i = k + y0 * width
-                    j = i + offsets[m]
-            out[m, k] = edge_weights(centers[i], centers[j])
+                pair.flat[k[drop]] = False
+            midpoints = np.s_[dy:dy + 2 * n:2, dx + _MOVE_RADIUS:dx + _MOVE_RADIUS + 2 * width:2]
+            if (pair & off_domain[midpoints]).any():
+                raise ValidationError(too_coarse)
+            np.multiply(table[midpoints], h * length, out=out[m].reshape(n, width), where=pair)
 
     # extra nodes, two per pair, linked to the cells within a move's reach
     link_reach = _MOVE_RADIUS * h
@@ -480,7 +504,8 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
             link_weights.append(edge_weights(p, np.array([q])))
 
     # the lattice edges before any is dropped, to size the graph
-    edges = sum(cell_pairs(frame.mask, frame.mask, dx, dy)[0].size for dx, dy in moves)
+    edges = sum(np.count_nonzero(cell_pair_mask(frame.mask, frame.mask, dx, dy))
+                for dx, dy in moves)
     graph = _symmetric_graph(band_weights, offsets, frame.mask.shape, edges,
                              np.concatenate(ends), np.concatenate(links),
                              np.concatenate(link_weights), cells + len(endpoints))

@@ -225,6 +225,37 @@ class TestBadDomainArguments:
         assert "grid:PATH" in err and "Traceback" not in err
 
 
+class TestBadSelfMapAndTolerance:
+    @pytest.mark.parametrize("argv", [
+        ("watt", "--domain", "disk", "--map", "annulus-rot:1", "--a", "0,0", "--b", "0.1,0"),
+        ("cartan", "--domain", "disk", "--map", "rot:abc", "--a", "0,0"),
+        ("cartan", "--domain", "disk", "--map", "foo", "--a", "0,0"),
+        ("cartan", "--domain", "annulus:0.5", "--map", "annulus-inv:", "--a", "0.7,0"),
+    ])
+    def test_malformed_map_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "argument --map: " in err and repr(argv[4]) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "abc"])
+    @pytest.mark.parametrize("argv", [
+        ("dist", "--domain", "disk", "--p", "0,0", "--q", "0.5,0"),
+        ("watt", "--domain", "disk", "--map", "rot:1", "--a", "0,0", "--b", "0.5,0"),
+        ("cartan", "--domain", "disk", "--map", "square", "--a", "0,0"),
+    ])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, argv, tol):
+        code, out, err = run(capsys, *argv, "--tol", tol)
+        assert code == 1 and out == ""
+        assert "argument --tol" in err and "Traceback" not in err
+
+    def test_spacing_past_the_frame_budget(self, capsys):
+        code, out, err = run(capsys, "ball", "--domain", "disk", "--center", "0,0",
+                             "--radius", "1", "--spacing", "1e-300")
+        assert code == 1 and out == ""
+        assert err.startswith("ValidationError: ") and "budget" in err
+
+
 class TestVerifyAll:
     def test_quick_suite_is_green(self, capsys):
         code, out, _ = run(capsys, "verify-all", "--quick")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import annulus_points
+from invmetrics import domains
 from invmetrics.domains import (
     Annulus,
     Disk,
@@ -20,6 +21,7 @@ from invmetrics.domains import (
     contains,
     density,
     grid_annulus,
+    grid_from_predicate,
     grid_load,
     grid_save,
     rasterize,
@@ -330,6 +332,33 @@ class TestCellPairs:
                     and mask_b[y + dy, x + dx]]
         i, j = cell_pairs(mask_a, mask_b, dx, dy)
         assert list(zip(i.tolist(), j.tolist())) == expected
+
+
+def _never_called(z):
+    raise AssertionError("the frame was allocated")
+
+
+class TestFrameBudget:
+    # the cell count is checked before the frame's centres exist, so these
+    # calls allocate nothing large
+    @pytest.mark.parametrize("radius, spacing", [
+        (1.0, 1e-300),             # 2.2e300 cells a side: numpy could not size it
+        (1e300, 1e-10),            # the side overflows to inf
+        (1024 / 1.1, 0.5),         # 4097 cells a side, one more than the budget allows
+    ])
+    def test_over_budget_raises(self, radius, spacing):
+        with pytest.raises(ValidationError, match="budget"):
+            grid_from_predicate(_never_called, radius, spacing)
+
+    def test_rasterize_over_budget_raises(self):
+        with pytest.raises(ValidationError, match="budget"):
+            rasterize(Disk(), 1e-300)
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(domains, "MAX_FRAME_CELLS", 25)
+        assert grid_from_predicate(lambda z: np.abs(z) < 1, 1.0 / 1.1, 0.5).mask.shape == (5, 5)
+        with pytest.raises(ValidationError, match="budget"):
+            grid_from_predicate(_never_called, 1.25 / 1.1, 0.5)
 
 
 class TestGridAnnulus:

@@ -6,17 +6,21 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from conftest import annulus_points, disk_points
 from invmetrics import kobayashi
 from invmetrics.caratheodory import car_ball_components
 from invmetrics.domains import (
+    FRAME_MARGIN,
     Annulus,
     Disk,
     HalfPlane,
     PuncturedDisk,
+    cell_pairs,
     grid_annulus,
     grid_from_predicate,
     rasterize,
@@ -379,26 +383,28 @@ class TestBallRaster:
 
 NAN = float("nan")
 
-# Inner distances of the cell graph before its edges came from
-# domains.cell_pairs: acceptance C7's 20 disk pairs at spacing 0.01 and 0.005
-# (bit-exact, the disk frame is unchanged) ...
+# Inner distances on acceptance C7's 20 disk pairs at spacing 0.01 and 0.005
+# since edge weights are read from one density table on the half-spacing
+# lattice: the table's midpoint coordinates and the constant edge lengths
+# differ from the per-edge (a + b) / 2 and |b - a| in the last bits, which
+# moved 12 and 16 of the values by at most 7.2e-16 relative ...
 C7_INNER_001 = [
-    0.941090867966171, 0.9791050673294921, 0.5939612350356078,
-    1.147461863304492, 1.0983906159196526, 1.6202041803826492,
-    0.5668931286075463, 0.34155338036235955, 0.6103520189854763,
-    1.0791196384515904, 0.5183127470397372, 0.134005728944803,
-    1.1058768820606746, 0.4126255452593226, 0.22537217126123585,
-    0.832058981587353, 0.4884032133580056, 0.4600269797019957,
-    0.23090797871366858, 0.8334212380207137,
+    0.941090867966171, 0.9791050673294923, 0.5939612350356079,
+    1.147461863304492, 1.0983906159196526, 1.6202041803826484,
+    0.5668931286075461, 0.34155338036235955, 0.6103520189854761,
+    1.0791196384515906, 0.5183127470397373, 0.134005728944803,
+    1.1058768820606746, 0.4126255452593225, 0.22537217126123577,
+    0.8320589815873528, 0.4884032133580056, 0.4600269797019956,
+    0.23090797871366858, 0.8334212380207136,
 ]
 C7_INNER_0005 = [
-    0.9414230004923061, 0.9795784753195422, 0.5941661111716245,
-    1.147972473743225, 1.0989544122678263, 1.621338356081591,
-    0.5672482320394917, 0.3416340242885728, 0.6105574794548401,
-    1.0795678216654647, 0.5184977720138116, 0.13403500612146022,
-    1.106388119050706, 0.41275578400708174, 0.22544247864216593,
-    0.83250052650421, 0.4886597623554028, 0.4601328731402807,
-    0.23102408365028868, 0.8336966807268043,
+    0.9414230004923064, 0.9795784753195428, 0.5941661111716243,
+    1.1479724737432255, 1.0989544122678263, 1.621338356081591,
+    0.5672482320394917, 0.3416340242885729, 0.6105574794548401,
+    1.079567821665465, 0.5184977720138118, 0.1340350061214603,
+    1.1063881190507057, 0.4127557840070817, 0.225442478642166,
+    0.8325005265042102, 0.4886597623554026, 0.4601328731402809,
+    0.2310240836502885, 0.8336966807268045,
 ]
 # ... and _ring_pairs(r) in Annulus(r), _PUNCTURED_PAIRS under the key None,
 # at spacing 0.01 (the frame's half-width moved from 1 + h to 1.1, which
@@ -433,13 +439,56 @@ def _ring_pairs(r):
             (cmath.rect(mid, -0.3), cmath.rect(0.5 * (1 + mid), -2.8))]
 
 
-def _record_graphs(monkeypatch):
-    """List that collects every graph inner_distance_many assembles."""
+def _record_graphs(monkeypatch, calls=None):
+    """List that collects every graph inner_distance_many assembles, and in
+    ``calls`` the arguments each was assembled from."""
     graphs = []
     build = kobayashi._symmetric_graph
-    monkeypatch.setattr(kobayashi, "_symmetric_graph",
-                        lambda *args: graphs.append(build(*args)) or graphs[-1])
+
+    def record(*args):
+        if calls is not None:
+            calls.append(args)
+        graphs.append(build(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(kobayashi, "_symmetric_graph", record)
     return graphs
+
+
+def _per_edge_band_weights(domain, frame):
+    """``band_weights`` weighing edge by edge, the reference for the density
+    table: each move's cell pairs, the interior sub-sample test near the
+    complement, and |b - a| times the density at (a + b) / 2 for each edge."""
+    height, width = frame.mask.shape
+    centers = frame.centers.ravel()
+    near = ndimage.distance_transform_edt(domain.contains(frame.centers)).ravel()
+    moves = [(dx, dy) for dx, dy in kobayashi._coprime_moves(kobayashi._MOVE_RADIUS)
+             if abs(dx) < width and dy < height]
+
+    def band_weights(y0, y1, out):
+        out.fill(np.nan)
+        for m, (dx, dy) in enumerate(moves):
+            rows = frame.mask[y0:y1 + dy]
+            k = cell_pairs(rows, rows, dx, dy)[0]
+            i = k + y0 * width
+            j = i + dy * width + dx
+            length = math.hypot(dx, dy)
+            band = np.flatnonzero(np.minimum(near[i], near[j]) <= length / 2 + 2)
+            steps = max(2, math.ceil(2 * length))
+            t = np.append(np.arange(1, steps) / steps, 0.5)[:, None]
+            a, b = centers[i[band]], centers[j[band]]
+            keep = np.ones(k.size, dtype=bool)
+            keep[band] = domain.contains(a + (b - a) * t).all(axis=0)
+            a, b = centers[i[keep]], centers[j[keep]]
+            out[m, k[keep]] = np.abs(b - a) * domain.density((a + b) / 2.0)
+
+    return band_weights, len(moves)
+
+
+def _assert_same_graph(graph, reference):
+    assert np.array_equal(graph.indptr, reference.indptr)
+    assert np.array_equal(graph.indices, reference.indices)
+    np.testing.assert_allclose(graph.data, reference.data, rtol=1e-12, atol=0)
 
 
 class TestInnerDistance:
@@ -544,6 +593,47 @@ class TestInnerDistance:
         assert np.array_equal(graph.indptr, expected.indptr)
         assert np.array_equal(graph.indices, expected.indices)
         assert np.array_equal(graph.data, expected.data)
+
+    @pytest.mark.parametrize("domain, pairs, spacing", [
+        (Annulus(0.1), _ring_pairs(0.1), 0.01),
+        (PuncturedDisk(), _PUNCTURED_PAIRS, 0.01),
+        # edges near the hole, dropped by the sub-sample test
+        (Annulus(0.5), _ring_pairs(0.5), 0.02),
+        (Annulus(0.25), [(0.5, -0.5)], 0.02),
+    ])
+    def test_density_table_matches_per_edge_weights(self, domain, pairs, spacing,
+                                                    monkeypatch):
+        calls = []
+        graphs = _record_graphs(monkeypatch, calls)
+        inner_distance_many(domain, pairs, spacing)
+        (graph,), ((_, offsets, *rest),) = graphs, calls
+        band_weights, moves = _per_edge_band_weights(domain, rasterize(domain, spacing))
+        assert moves == offsets.size
+        _assert_same_graph(graph, kobayashi._symmetric_graph(band_weights, offsets, *rest))
+
+    def test_disk_crop_keeps_the_edges_inside_it(self, monkeypatch):
+        # the round crop's graph is the square frame's, per-edge weighed,
+        # less every edge with an end outside |z| <= half
+        calls = []
+        graphs = _record_graphs(monkeypatch, calls)
+        pairs, h = _c7_pairs(), 0.01
+        inner_distance_many(Disk(), pairs, h)
+        (graph,), ((_, offsets, shape, _, ends, links, link_weights, nodes),) = graphs, calls
+        reach = max(abs(z) for pair in pairs for z in pair)
+        half = min(1.0 - h, reach + (kobayashi._MOVE_RADIUS + 2) * h + 0.02)
+        square = grid_from_predicate(Disk().contains, half / FRAME_MARGIN, h)
+        assert square.mask.shape == shape
+        band_weights, _ = _per_edge_band_weights(Disk(), square)
+        full = kobayashi._symmetric_graph(band_weights, offsets, shape,
+                                          int(square.mask.sum()) * offsets.size,
+                                          ends, links, link_weights, nodes)
+        crop = square.mask & (np.abs(square.centers) <= half)
+        keep = scipy.sparse.diags(np.append(crop.ravel(), np.ones(nodes - crop.size)))
+        reference = (keep @ full @ keep).tocsr()
+        reference.eliminate_zeros()
+        reference.sort_indices()
+        assert reference.nnz < full.nnz
+        _assert_same_graph(graph, reference)
 
     def test_peak_memory_is_the_graph(self, monkeypatch):
         # edge weights are held a band of rows at a time, so the call's
