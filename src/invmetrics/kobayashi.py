@@ -166,6 +166,8 @@ def kob_distance(domain: Domain, p, q, tol: float = 1e-9) -> DistanceInterval:
     the disk and half-plane, [value - tol, value] through the covering
     route; grids get a genuine two-sided interval.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and non-negative: {tol!r}")
     p, q = as_finite(p), as_finite(q)
     if not contains(domain, p):
         raise OutOfDomain(f"{p!r} not in {domain!r}")
@@ -190,11 +192,13 @@ _GRID_GRAPH_CACHE: "weakref.WeakKeyDictionary[GridDomain, object]" = (
 
 
 def _grid_graph(grid: GridDomain):
-    """Sparse 8-neighbor graph with certified length-bound weights.
+    """Sparse 8-neighbor graph weighed by the endpoint density bounds.
 
     Edge weight is the Euclidean step length times the larger endpoint
-    density bound, so every graph path bounds the hyperbolic length of
-    the corresponding polyline from above.  Diagonal steps require both
+    density bound.  That is not shown to bound the step's hyperbolic
+    length: a diagonal step next to the complement can pass a complement
+    cell (centre offset (-1, 2)) closer than either end, where 1/delta
+    exceeds the factor by up to 8.1%.  Diagonal steps require both
     orthogonal corner cells, which keeps the polyline inside the domain.
     """
     _load_sparse()
@@ -342,11 +346,6 @@ def inner_distance(domain: Domain, p, q, grid_spacing: float) -> float:
     Converges to the true distance as the spacing shrinks.  The graph is
     ``inner_distance_many``'s; its move reach is fixed, not a parameter.
     """
-    p, q = as_finite(p), as_finite(q)
-    if p == q:
-        if not contains(domain, p):
-            raise OutOfDomain(f"{p!r} not in {domain!r}")
-        return 0.0
     return float(inner_distance_many(domain, [(p, q)], grid_spacing)[0])
 
 
@@ -378,12 +377,16 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     about 0 that holds the endpoints (geodesically convex disks about 0
     keep the competing paths near them).
 
-    Each pair gets its own search on a graph that stores both directions of
-    every edge (one multi-source search to the largest limit measured about
-    twice as slow, as it settles every node within that limit of every
-    source).  The search stops once it passes a margin over the pair's
-    closed-form distance and reruns with no limit if that missed the target,
-    so each value is the graph's own shortest path either way.
+    The graph stores both directions of every lattice edge and one
+    outgoing row per pair, from its source p to the cells within a move's
+    reach.  Each pair gets its own search from that row (one multi-source
+    search to the largest limit settles every node within it of every
+    source, about twice as slow).  The target q is no node: its value is
+    the least dist[k] + w over q's links and the direct link of a close
+    pair, so no path runs through another pair's endpoint and no value
+    depends on its batch.  A search stops past a margin over the pair's
+    closed-form distance; a value above that margin is recomputed with no
+    limit, so each value is the graph's own shortest path either way.
     """
     if isinstance(domain, GridDomain):
         raise Unsupported("inner distance is defined for catalog domains")
@@ -478,11 +481,12 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
                 raise ValidationError(too_coarse)
             np.multiply(table[midpoints], h * length, out=out[m].reshape(n, width), where=pair)
 
-    # extra nodes, two per pair, linked to the cells within a move's reach
+    # the cells within a move's reach of an endpoint that a straight link
+    # joins to it inside the domain, and the links' weights
     link_reach = _MOVE_RADIUS * h
     frame_index = np.arange(cells).reshape(frame.mask.shape)
-    ends, links, link_weights = [], [], []
-    for e, z in enumerate(endpoints):
+
+    def links(z):
         cell = frame.cell_index(z)
         if cell is None:
             raise Disconnected(f"{z!r} lies outside the cell frame at spacing {h!r}")
@@ -492,52 +496,51 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         k = frame_index[window][frame.mask[window]]
         k = k[np.abs(centers[k] - z) <= link_reach]
         k = k[inside(z, centers[k], 8)]
-        ends.append(np.full(k.shape, cells + e))
-        links.append(k)
-        link_weights.append(edge_weights(z, centers[k]))
-    # direct endpoint-to-endpoint links for very close pairs
-    for e, (p, q) in enumerate(pairs):
+        return k, edge_weights(z, centers[k])
+
+    sources, targets = zip(*[(links(p), links(q)) for p, q in pairs])
+    # the direct link of a very close pair (inf: none)
+    direct = np.full(len(pairs), math.inf)
+    for k, (p, q) in enumerate(pairs):
         samples = p + (q - p) * np.linspace(0.0, 1.0, 9)
         if abs(q - p) <= link_reach and domain.contains(samples).all():
-            ends.append(np.array([cells + 2 * e]))
-            links.append(np.array([cells + 2 * e + 1]))
-            link_weights.append(edge_weights(p, np.array([q])))
+            direct[k] = edge_weights(p, np.array([q]))[0]
 
     # the lattice edges before any is dropped, to size the graph
     edges = sum(np.count_nonzero(cell_pair_mask(frame.mask, frame.mask, dx, dy))
                 for dx, dy in moves)
-    graph = _symmetric_graph(band_weights, offsets, frame.mask.shape, edges,
-                             np.concatenate(ends), np.concatenate(links),
-                             np.concatenate(link_weights), cells + len(endpoints))
+    graph = _lattice_graph(band_weights, offsets, frame.mask.shape, edges, sources)
     ps, qs = np.array(pairs).T
     limits = _LIMIT_FACTOR * domain.distance(domain.lift(ps), domain.lift(qs)) + _LIMIT_CELLS * h
     out = np.empty(len(pairs))
-    for k, limit in enumerate(limits):
-        source = cells + 2 * k
-        # the search settles only nodes within the limit of the source, and
-        # the target's value does not depend on the unsettled ones
-        out[k] = _csgraph_dijkstra(graph, directed=True, indices=source, limit=limit)[source + 1]
+    for k, (limit, (cols, w)) in enumerate(zip(limits, targets)):
+        # the search settles only the nodes within the limit of the source;
+        # a value within it is exact, as a shorter path would end at a
+        # settled link cell, and a value above it is recomputed unlimited
+        for bound in (limit, math.inf):
+            dist = _csgraph_dijkstra(graph, directed=True, indices=cells + k, limit=bound)
+            out[k] = min(direct[k], (dist[cols] + w).min(initial=math.inf))
+            if out[k] <= bound:
+                break
         if not math.isfinite(out[k]):
-            out[k] = _csgraph_dijkstra(graph, directed=True, indices=source)[source + 1]
-            if not math.isfinite(out[k]):
-                raise Disconnected("an endpoint failed to connect to the cell graph")
+            raise Disconnected("an endpoint failed to connect to the cell graph")
     return out
 
 
-def _symmetric_graph(band_weights, offsets, shape, edges: int, ends, links, link_weights,
-                     n_nodes: int):
-    """CSR graph of the cell lattice and the endpoint links, both directions
-    of every edge stored, so that a directed search walks it as undirected.
+def _lattice_graph(band_weights, offsets, shape, edges: int, sources):
+    """CSR graph of the cell lattice, both directions of every edge stored,
+    so that a directed search walks it as undirected, and one outgoing row
+    per source after the cells.
 
     ``band_weights(y0, y1, out)`` fills ``out[m, k]`` with the weight of the
     edge between cell ``y0 * width + k`` of frame rows y0 to y1 - 1 and that
     cell plus ``offsets[m]`` (NaN: no edge); there are at most ``edges`` such
-    edges.  Each link joins the extra node ``ends[k]`` to the node
-    ``links[k]``.  The rows are filled one band of ``_BAND_ROWS`` frame rows
-    at a time: a forward entry reads the weight of its own cell, a backward
-    one the weight at its lower neighbour, at most ``_MOVE_RADIUS + 1`` rows
-    back, so no edge list and no weights beyond one band and those rows are
-    held in memory.
+    edges.  Source s is node ``cells + s``, and ``sources[s]`` is the pair
+    (ascending cells, weights) of its links.  The rows are filled one band
+    of ``_BAND_ROWS`` frame rows at a time: a forward entry reads the weight
+    of its own cell, a backward one the weight at its lower neighbour, at
+    most ``_MOVE_RADIUS + 1`` rows back, so no edge list and no weights
+    beyond one band and those rows are held in memory.
     """
     height, width = shape
     cells = height * width
@@ -547,17 +550,10 @@ def _symmetric_graph(band_weights, offsets, shape, edges: int, ends, links, link
     order = np.argsort(signed)
     column_offset = signed[order]
     move = np.tile(np.arange(offsets.size), 2)[order]
-    # the links in both directions, by row; a row's links come after its
-    # lattice moves, since extra nodes follow the cells
-    extra_rows = np.concatenate([ends, links])
-    extra_cols = np.concatenate([links, ends])
-    extra_order = np.lexsort((extra_cols, extra_rows))
-    extra_rows, extra_cols = extra_rows[extra_order], extra_cols[extra_order]
-    extra_weights = np.concatenate([link_weights, link_weights])[extra_order]
 
-    data = np.empty(2 * edges + extra_rows.size)
+    data = np.empty(2 * edges + sum(k.size for k, _ in sources))
     indices = np.empty(data.size, dtype=np.int32)
-    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
+    indptr = np.zeros(cells + len(sources) + 1, dtype=np.int32)
     # the weights of the band's rows, after those of the _MOVE_RADIUS + 1
     # rows before it, the farthest a backward move reaches (NaN before row 0)
     back = (_MOVE_RADIUS + 1) * width
@@ -582,32 +578,21 @@ def _symmetric_graph(band_weights, offsets, shape, edges: int, ends, links, link
             np.isnan(block[:n], out=edge[:n])
             np.logical_not(edge[:n], out=edge[:n])
             # the NaN-free entries, row by row
-            counts = np.count_nonzero(edge[:n], axis=1)
-            lattice = int(counts.sum())
-            data[at:at + lattice] = block[:n][edge[:n]]
-            indices[at:at + lattice] = column[:n][edge[:n]] + r
-            e0, e1 = np.searchsorted(extra_rows, [r, r + n])
-            if e1 > e0:
-                # each link after the last lattice entry of its row
-                row = extra_rows[e0:e1] - r
-                where = np.cumsum(counts)[row]
-                end = at + lattice + e1 - e0
-                data[at:end] = np.insert(data[at:at + lattice], where, extra_weights[e0:e1])
-                indices[at:end] = np.insert(indices[at:at + lattice], where, extra_cols[e0:e1])
-                counts += np.bincount(row, minlength=n)
-            indptr[r + 1:r + n + 1] = at + np.cumsum(counts)
-            at = int(indptr[r + n])
-    # the extra nodes' rows hold only links
-    e0 = np.searchsorted(extra_rows, cells)
-    tail = extra_rows.size - e0
-    data[at:at + tail] = extra_weights[e0:]
-    indices[at:at + tail] = extra_cols[e0:]
-    indptr[cells + 1:] = at + np.cumsum(np.bincount(extra_rows[e0:] - cells,
-                                                    minlength=n_nodes - cells))
+            counts = np.cumsum(np.count_nonzero(edge[:n], axis=1))
+            end = at + int(counts[-1])
+            data[at:end] = block[:n][edge[:n]]
+            indices[at:end] = column[:n][edge[:n]] + r
+            indptr[r + 1:r + n + 1] = at + counts
+            at = end
+    for s, (k, w) in enumerate(sources):
+        data[at:at + k.size] = w
+        indices[at:at + k.size] = k
+        at += k.size
+        indptr[cells + s + 1] = at
     # drop the room left by the edges band_weights dropped
-    data.resize(at + tail)
-    indices.resize(at + tail)
-    return csr_matrix((data, indices, indptr), shape=(n_nodes, n_nodes))
+    data.resize(at)
+    indices.resize(at)
+    return csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import OutOfDomain
-from .mobius import as_finite, disk_automorphism
+from .errors import OutOfDomain, ValidationError
+from .mobius import as_finite
 
 
 def check_in_disk(z) -> complex:
@@ -96,20 +96,20 @@ def halfplane_rho_vec(z, w):
 
 
 def poincare_geodesic(z, w, t: float):
-    """Constant-speed geodesic with gamma(0) = z, gamma(1) = w.
+    """Constant-speed geodesic with gamma(0) = z, gamma(1) = w, 0 <= t <= 1.
 
-    For equal endpoints the curve is constant at z.
+    A 0-d call of ``Disk.geodesic``; for equal endpoints the curve is
+    constant at z.
     """
+    from .domains import Disk
+
     z = check_in_disk(z)
     w = check_in_disk(w)
+    if not 0.0 <= t <= 1.0:
+        raise ValidationError(f"geodesic parameter must lie in [0, 1]: {t!r}")
     if z == w:
         return z
-    move = disk_automorphism(z, 0.0)  # sends z to the origin
-    w1 = move(w)
-    r = abs(w1)
-    s = math.tanh(t * math.atanh(r))
-    point = (w1 / r) * s
-    return move.inverse()(point)
+    return complex(Disk().geodesic(z, w, t))
 
 
 def _log_sinh(x):

@@ -17,7 +17,7 @@ from invmetrics.caratheodory import (
     subharmonicity_check,
 )
 from invmetrics.domains import Annulus, Disk, grid_load, grid_save, rasterize
-from invmetrics.errors import EmptyBall, MarginTooSmall, OutOfDomain
+from invmetrics.errors import EmptyBall, MarginTooSmall, OutOfDomain, ValidationError
 from invmetrics.kobayashi import kob_distance
 from invmetrics.poincare import poincare_distance, rho_vec
 
@@ -146,6 +146,11 @@ class TestCarInterval:
         assert interval.lower == pytest.approx(0.011150751369669, abs=1e-9)
         assert interval.upper == pytest.approx(0.021245004523323, abs=1e-9)
         assert interval.width < 0.0105
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_bad_tol(self, tol):
+        with pytest.raises(ValidationError, match="tol"):
+            car_interval(Annulus(0.5), 0.7, -0.7, tol=tol)
 
 
 @pytest.fixture(scope="module")

@@ -51,6 +51,7 @@ HALF_LOG2 = 0.34657359027997264
 HALF_LOG3 = 0.5493061443340548
 ANNULUS_CORE_HALF = 2.1431573649805785  # pi^2 / (2 log 10)
 SQRT_TENTH = math.sqrt(0.1)
+NAN = float("nan")
 
 
 class TestLiftInfimum:
@@ -109,6 +110,13 @@ class TestKobDistance:
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
             kob_distance(Annulus(0.1), 0.05, 0.5)
+
+    @pytest.mark.parametrize("domain, p, q", [(Disk(), 0, 0.5), (HalfPlane(), -1, -2),
+                                              (Annulus(0.5), 0.7, -0.7)])
+    @pytest.mark.parametrize("tol", [NAN, -1.0, math.inf])
+    def test_bad_tol(self, domain, p, q, tol):
+        with pytest.raises(ValidationError, match="tol"):
+            kob_distance(domain, p, q, tol)
 
     @given(disk_points(0.9), disk_points(0.9), disk_points(0.9))
     @settings(max_examples=60)
@@ -381,8 +389,6 @@ class TestBallRaster:
             ball_load(json.dumps(payload))
 
 
-NAN = float("nan")
-
 # Inner distances on acceptance C7's 20 disk pairs at spacing 0.01 and 0.005
 # since edge weights are read from one density table on the half-spacing
 # lattice: the table's midpoint coordinates and the constant edge lengths
@@ -408,12 +414,14 @@ C7_INNER_0005 = [
 ]
 # ... and _ring_pairs(r) in Annulus(r), _PUNCTURED_PAIRS under the key None,
 # at spacing 0.01 (the frame's half-width moved from 1 + h to 1.1, which
-# changes the cell centres in their last digits)
+# changes the cell centres in their last digits; the antipodal pairs of
+# r = 0.1 and 0.9 moved up once no path could run through another pair's
+# endpoint)
 RING_INNER_001 = {
     0.02: [1.2678314588296127, 0.9673878039366276, 1.9681546203262539],
-    0.1: [2.1473484001069147, 1.1865477777441202, 2.380680742268024],
+    0.1: [2.147365345224361, 1.1865477777441202, 2.380680742268024],
     0.5: [7.125107330861956, 3.4199747642780696, 5.9651215016585715],
-    0.9: [46.87207695661997, 22.380555830847864, 37.46699966986576],
+    0.9: [46.872385714665135, 22.380555830847864, 37.46699966986576],
     None: [1.0824888044559753, 1.0593755017331894, 1.3012987067918516],
 }
 _PUNCTURED_PAIRS = [(0.3, -0.3), (0.05 + 0.02j, -0.6j),
@@ -443,7 +451,7 @@ def _record_graphs(monkeypatch, calls=None):
     """List that collects every graph inner_distance_many assembles, and in
     ``calls`` the arguments each was assembled from."""
     graphs = []
-    build = kobayashi._symmetric_graph
+    build = kobayashi._lattice_graph
 
     def record(*args):
         if calls is not None:
@@ -451,7 +459,7 @@ def _record_graphs(monkeypatch, calls=None):
         graphs.append(build(*args))
         return graphs[-1]
 
-    monkeypatch.setattr(kobayashi, "_symmetric_graph", record)
+    monkeypatch.setattr(kobayashi, "_lattice_graph", record)
     return graphs
 
 
@@ -522,6 +530,20 @@ class TestInnerDistance:
         values = inner_distance_many(domain, pairs, 0.01)
         np.testing.assert_allclose(values, RING_INNER_001[r], rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("domain, pairs, radii, spacing", [
+        (Annulus(0.5), _ring_pairs(0.5), (0.55, 0.95), 0.02),
+        (PuncturedDisk(), _PUNCTURED_PAIRS, (0.05, 0.9), 0.01),
+    ])
+    def test_values_do_not_depend_on_the_batch(self, domain, pairs, radii, spacing):
+        # the frame does not depend on the pairs here, so a pair's value in
+        # a batch is its value alone: no path runs through another pair's
+        # endpoint
+        rng = np.random.default_rng(12)
+        pairs = pairs + [tuple(cmath.rect(rng.uniform(*radii), rng.uniform(0, math.tau))
+                               for _ in range(2)) for _ in range(10)]
+        alone = [inner_distance_many(domain, [pair], spacing)[0] for pair in pairs]
+        assert inner_distance_many(domain, pairs, spacing).tolist() == alone
+
     @pytest.mark.parametrize("r", [0.02, 0.1, 0.5, 0.9])
     def test_segment_band_is_sound(self, r, monkeypatch):
         # an edge is sampled only near the complement; sampling every edge
@@ -535,29 +557,45 @@ class TestInnerDistance:
         banded, full = graphs
         assert banded.shape == full.shape and (banded != full).nnz == 0
 
-    @pytest.mark.parametrize("domain, pairs, spacing, undirected_edges", [
-        (Annulus(0.1), _ring_pairs(0.1), 0.02, 431827),
-        (Annulus(0.5), _ring_pairs(0.5), 0.02, 306543),
-        (Disk(), [(0, 0.5)], 0.5, 3),
+    @pytest.mark.parametrize("domain, pairs, spacing, entries", [
+        (Annulus(0.1), _ring_pairs(0.1), 0.02, 861855),
+        (Annulus(0.5), _ring_pairs(0.5), 0.02, 611319),
+        (Disk(), [(0, 0.5)], 0.5, 1),
     ])
-    def test_graph_stores_both_directions(self, domain, pairs, spacing, undirected_edges,
-                                          monkeypatch):
-        # undirected_edges: the edge count of the graph when each edge was
-        # stored once and searched with directed=False
+    def test_graph_stores_both_directions(self, domain, pairs, spacing, entries, monkeypatch):
+        # entries: every lattice edge twice, then each pair's links from its
+        # source p, one way; the target q is no node of the graph
         graphs = _record_graphs(monkeypatch)
         inner_distance_many(domain, pairs, spacing)
         graph, = graphs
-        assert graph.nnz == 2 * undirected_edges
-        assert (graph != graph.T).nnz == 0
+        # the disk's frame is cropped to |z| <= 0.5 at this spacing
+        frame = (grid_from_predicate(lambda z: np.abs(z) <= 0.5, 0.5 / FRAME_MARGIN, 0.5)
+                 if isinstance(domain, Disk) else rasterize(domain, spacing))
+        cells, reach = frame.mask.size, kobayashi._MOVE_RADIUS * spacing
+        assert graph.shape == (cells + len(pairs),) * 2
+        assert graph.nnz == entries
         assert graph.indices.dtype == np.int32
+        lattice = graph[:cells]
+        assert lattice.nnz == graph.indptr[cells] and (lattice[:, cells:]).nnz == 0
+        assert (lattice[:, :cells] != lattice[:, :cells].T).nnz == 0
+        # each source row holds p's links to the domain cells within a
+        # move's reach, which lie well inside the domain here
+        centers = frame.centers.ravel()
+        for s, (p, _) in enumerate(pairs):
+            row = graph[cells + s]
+            near = np.flatnonzero(frame.mask.ravel() & (np.abs(centers - p) <= reach))
+            assert np.array_equal(row.indices, near)
+            a = centers[near]
+            np.testing.assert_allclose(row.data, np.abs(a - p) * domain.density((a + p) / 2),
+                                       rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("band_rows, block", [
         (3, 7), (kobayashi._MOVE_RADIUS + 1, 3), (kobayashi._MOVE_RADIUS + 1, 2048), (100, 7)])
     def test_banded_assembly_matches_an_edge_list(self, band_rows, block, monkeypatch):
-        # a 29 x 5 frame with random edges and links, assembled in bands
-        # (fewer rows than a move reaches back, exactly that many, and the
-        # whole frame) and in blocks that split rows, links and extra nodes
-        # every way; the longest move reaches _MOVE_RADIUS + 1 rows back
+        # a 29 x 5 frame with random edges and source rows, assembled in
+        # bands (fewer rows than a move reaches back, exactly that many, and
+        # the whole frame) and in blocks that split rows every way; the
+        # longest move reaches _MOVE_RADIUS + 1 rows back
         rng = np.random.default_rng(band_rows * block)
         height, width = 29, 5
         cells, reach = height * width, kobayashi._MOVE_RADIUS
@@ -569,9 +607,10 @@ class TestInnerDistance:
         # room for every edge before some are dropped, as cell_pairs counts them
         edges = np.count_nonzero(neighbour < cells)
         weights[rng.random(weights.shape) < 0.3] = np.nan
-        ends = np.array([145, 145, 146, 147, 145, 148, 148])
-        links = np.array([0, 144, 60, 60, 146, 2, 147])
-        link_weights = rng.random(ends.size)
+        # five sources, one of them with no link
+        links = [np.array([0, 60, 144]), np.array([2]), np.array([], dtype=int),
+                 np.array([60, 61, 62, 100]), np.array([144])]
+        sources = [(k, rng.random(k.size)) for k in links]
 
         def band_weights(y0, y1, out):
             out[...] = weights[:, y0 * width:y1 * width]
@@ -579,16 +618,15 @@ class TestInnerDistance:
         monkeypatch.setattr(kobayashi, "_BAND_ROWS", band_rows)
         monkeypatch.setattr(kobayashi, "_CSR_BLOCK", block)
         kobayashi._load_sparse()
-        graph = kobayashi._symmetric_graph(band_weights, offsets, (height, width), edges,
-                                           ends, links, link_weights, 150)
+        graph = kobayashi._lattice_graph(band_weights, offsets, (height, width), edges, sources)
         m, i = np.nonzero(~np.isnan(weights))
-        a = np.concatenate([i, ends])
-        b = np.concatenate([i + offsets[m], links])
-        w = np.concatenate([weights[m, i], link_weights])
-        expected = kobayashi.coo_matrix((np.concatenate([w, w]), (np.concatenate([a, b]),
-                                                                  np.concatenate([b, a]))),
-                                        shape=(150, 150)).tocsr()
+        a = np.concatenate([i, i + offsets[m]]
+                           + [np.full(k.size, cells + s) for s, k in enumerate(links)])
+        b = np.concatenate([i + offsets[m], i] + links)
+        w = np.concatenate([weights[m, i], weights[m, i]] + [w for _, w in sources])
+        expected = kobayashi.coo_matrix((w, (a, b)), shape=(150, 150)).tocsr()
         expected.sort_indices()
+        assert graph.shape == (150, 150)
         assert graph.has_sorted_indices
         assert np.array_equal(graph.indptr, expected.indptr)
         assert np.array_equal(graph.indices, expected.indices)
@@ -609,7 +647,7 @@ class TestInnerDistance:
         (graph,), ((_, offsets, *rest),) = graphs, calls
         band_weights, moves = _per_edge_band_weights(domain, rasterize(domain, spacing))
         assert moves == offsets.size
-        _assert_same_graph(graph, kobayashi._symmetric_graph(band_weights, offsets, *rest))
+        _assert_same_graph(graph, kobayashi._lattice_graph(band_weights, offsets, *rest))
 
     def test_disk_crop_keeps_the_edges_inside_it(self, monkeypatch):
         # the round crop's graph is the square frame's, per-edge weighed,
@@ -618,17 +656,16 @@ class TestInnerDistance:
         graphs = _record_graphs(monkeypatch, calls)
         pairs, h = _c7_pairs(), 0.01
         inner_distance_many(Disk(), pairs, h)
-        (graph,), ((_, offsets, shape, _, ends, links, link_weights, nodes),) = graphs, calls
+        (graph,), ((_, offsets, shape, _, sources),) = graphs, calls
         reach = max(abs(z) for pair in pairs for z in pair)
         half = min(1.0 - h, reach + (kobayashi._MOVE_RADIUS + 2) * h + 0.02)
         square = grid_from_predicate(Disk().contains, half / FRAME_MARGIN, h)
         assert square.mask.shape == shape
         band_weights, _ = _per_edge_band_weights(Disk(), square)
-        full = kobayashi._symmetric_graph(band_weights, offsets, shape,
-                                          int(square.mask.sum()) * offsets.size,
-                                          ends, links, link_weights, nodes)
+        full = kobayashi._lattice_graph(band_weights, offsets, shape,
+                                        int(square.mask.sum()) * offsets.size, sources)
         crop = square.mask & (np.abs(square.centers) <= half)
-        keep = scipy.sparse.diags(np.append(crop.ravel(), np.ones(nodes - crop.size)))
+        keep = scipy.sparse.diags(np.append(crop.ravel(), np.ones(len(sources))))
         reference = (keep @ full @ keep).tocsr()
         reference.eliminate_zeros()
         reference.sort_indices()
@@ -699,6 +736,10 @@ def _pred_disk(z):
     (lambda: inner_distance_many(HalfPlane(), [(-1, -2)], 0.01), Unsupported),
     (lambda: inner_distance_many(grid_annulus(0.5, 0.05), [(0.7, -0.7)], 0.01),
      Unsupported),
+    # equal endpoints take the same checks as any pair
+    (lambda: inner_distance(grid_annulus(0.5, 0.05), 0.7, 0.7, 0.01), Unsupported),
+    (lambda: inner_distance(HalfPlane(), -1, -1, 0.01), Unsupported),
+    (lambda: inner_distance(Disk(), 0.1, 0.1, NAN), ValidationError),
 ])
 def test_bad_raster_inputs_raise_named_errors(call, error):
     with pytest.raises(error):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import disk_points
-from invmetrics.errors import OutOfDomain
+from invmetrics.errors import OutOfDomain, ValidationError
 from invmetrics.mobius import disk_automorphism
 from invmetrics.poincare import (
     poincare_ball_euclidean,
@@ -73,6 +73,12 @@ class TestGeodesic:
 
     def test_equal_endpoints_constant(self):
         assert poincare_geodesic(0.3, 0.3, 0.7) == 0.3
+
+    @pytest.mark.parametrize("t", [-0.1, 1.1, math.nan])
+    def test_parameter_outside_the_segment(self, t):
+        # the hyperboloid weights have no value there
+        with pytest.raises(ValidationError):
+            poincare_geodesic(0.1, 0.5j, t)
 
     @given(disk_points(0.85), disk_points(0.85), st.floats(0.0, 1.0))
     @settings(max_examples=100)
