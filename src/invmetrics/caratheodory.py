@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
 
 from .domains import (
     Annulus,
@@ -32,6 +31,7 @@ from .domains import (
     STRUCT_8,
     contains,
     rasterize,
+    sample_points,
 )
 from .errors import (
     EmptyBall,
@@ -82,13 +82,6 @@ def _validate_entries(domain: Domain, entries, samples: np.ndarray):
                 f"dictionary entry {entry.tag!r} leaves the unit disk on samples")
 
 
-def _sample_points(domain: Domain) -> np.ndarray:
-    if isinstance(domain, GridDomain):
-        return domain.centers[domain.mask]
-    grid = rasterize(domain, 0.04)
-    return grid.centers[grid.mask]
-
-
 def _build_dictionary(domain: Domain) -> MapDictionary:
     if isinstance(domain, Disk):
         entries = [DictionaryMap("identity", lambda z: np.asarray(z, dtype=complex))]
@@ -109,7 +102,7 @@ def _build_dictionary(domain: Domain) -> MapDictionary:
                           lambda z, r=r: r / np.asarray(z, dtype=complex)),
         ]
         dictionary = MapDictionary(domain, tuple(entries))
-        _validate_entries(domain, dictionary.entries, _sample_points(domain))
+        _validate_entries(domain, dictionary.entries, sample_points(domain))
         return dictionary
     if isinstance(domain, GridDomain):
         center, radius = domain.bounding_circle
@@ -130,7 +123,7 @@ def _build_dictionary(domain: Domain) -> MapDictionary:
                 f"reciprocal r0={r0:.6g} about {w0:.6g}",
                 lambda z, w0=w0, r0=r0: r0 / (np.asarray(z, dtype=complex) - w0)))
         dictionary = MapDictionary(domain, tuple(entries))
-        _validate_entries(domain, dictionary.entries, _sample_points(domain))
+        _validate_entries(domain, dictionary.entries, domain.centers[domain.mask])
         return dictionary
     raise Unsupported(f"unknown domain {domain!r}")
 
@@ -335,6 +328,8 @@ def car_ball_components(domain: Domain, p, radius: float,
     if not ball.any():
         raise EmptyBall("the rasterized ball contains no cell")
 
+    from scipy import ndimage
+
     labels, count = ndimage.label(ball, structure=STRUCT_4)
     boundary_cells = grid.mask & ndimage.binary_dilation(~grid.mask, STRUCT_8)
     dist_to_complement = grid.dist_to_complement_cells
@@ -361,6 +356,8 @@ def car_ball_components(domain: Domain, p, radius: float,
 
 def _check_no_enclosed_interior_hole(grid: GridDomain, comp: np.ndarray,
                                      dist_to_complement: np.ndarray):
+    from scipy import ndimage
+
     hole_labels, hole_count = ndimage.label(~comp, structure=STRUCT_8)
     border = border_labels(hole_labels)
     for lab in range(1, hole_count + 1):

@@ -47,13 +47,13 @@ def _parse_complex(text: str) -> complex:
             f"expected RE,IM (e.g. 0.3,-0.1), got {text!r}") from exc
 
 
-def _parse_tolerance(text: str) -> float:
+def _positive_finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"expected a positive finite tolerance, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
 
 
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="kobayashi")
     p.add_argument("--p", type=_parse_complex, required=True)
     p.add_argument("--q", type=_parse_complex, required=True)
-    p.add_argument("--tol", type=_parse_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_positive_finite, default=1e-9)
     p.add_argument("--format", choices=["text", "csv"], default="text")
     add_common(p)
     p.set_defaults(func=_cmd_dist)
@@ -305,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ball", help="rasterize a metric ball")
     p.add_argument("--domain", type=_parse_domain, required=True)
     p.add_argument("--center", type=_parse_complex, required=True)
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--spacing", type=float, required=True)
+    p.add_argument("--radius", type=_positive_finite, required=True)
+    p.add_argument("--spacing", type=_positive_finite, required=True)
     p.add_argument("--metric", choices=["kobayashi", "caratheodory"],
                    default="kobayashi")
     p.add_argument("--format", choices=["text", "svg", "grid"], default="text")
@@ -324,20 +324,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nerve", help="nerve cycle rank vs ball connectivity")
     p.add_argument("--domain", type=_parse_domain, required=True)
     p.add_argument("--center", type=_parse_complex, required=True)
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--spacing", type=float, required=True)
-    p.add_argument("--cover-radius", type=float, required=True)
+    p.add_argument("--radius", type=_positive_finite, required=True)
+    p.add_argument("--spacing", type=_positive_finite, required=True)
+    p.add_argument("--cover-radius", type=_positive_finite, required=True)
     add_common(p)
     p.set_defaults(func=_cmd_nerve)
 
     p = sub.add_parser("modulus", help="doubly-connected canonical radius")
     p.add_argument("--domain", type=_parse_domain, required=True)
-    p.add_argument("--spacing", type=float, default=None)
+    p.add_argument("--spacing", type=_positive_finite, default=None)
     add_common(p)
     p.set_defaults(func=_cmd_modulus)
 
     p = sub.add_parser("isotropy", help="annulus isotropy group of a point")
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_positive_finite, required=True)
     p.add_argument("--p", type=_parse_complex, required=True)
     add_common(p)
     p.set_defaults(func=_cmd_isotropy)
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--a", type=_parse_complex, required=True)
     p.add_argument("--b", type=_parse_complex, required=True)
-    p.add_argument("--tol", type=_parse_tolerance, default=1e-6)
+    p.add_argument("--tol", type=_positive_finite, default=1e-6)
     add_common(p)
     p.set_defaults(func=_cmd_watt)
 
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", type=_parse_domain, required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--a", type=_parse_complex, required=True)
-    p.add_argument("--tol", type=_parse_tolerance, default=1e-6)
+    p.add_argument("--tol", type=_positive_finite, default=1e-6)
     add_common(p)
     p.set_defaults(func=_cmd_cartan)
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import Annulus, Disk, Domain, GridDomain, contains, rasterize
+from .domains import Annulus, Disk, Domain, GridDomain, contains, sample_points
 from .errors import (
     NotFixed,
     NotMobiusRepresentable,
@@ -26,17 +26,15 @@ from .errors import (
 from .kobayashi import kob_distance
 from .mobius import MobiusMap, as_finite, is_infinity, mobius_is_identity_given_three_fixed
 
-_VALIDATION_SPACING = 0.04
-
 
 @dataclass(frozen=True)
 class HoloSelfMap:
     """Holomorphic self-map of a catalog domain, with a derivative route.
 
-    The map is sample-validated at construction: every raster cell center
-    must land back inside the domain.  The derivative is the closed form
-    when one is supplied, otherwise a Richardson-extrapolated central
-    difference.
+    The map is sample-validated at construction: each of the domain's
+    ``sample_points`` must land back inside the domain.  The derivative is
+    the closed form when one is supplied, otherwise a Richardson-extrapolated
+    central difference.
     """
 
     domain: Domain
@@ -47,9 +45,7 @@ class HoloSelfMap:
     def __post_init__(self):
         if isinstance(self.domain, GridDomain):
             raise Unsupported("self-map checks run on catalog domains")
-        samples = rasterize(self.domain, _VALIDATION_SPACING)
-        pts = samples.centers[samples.mask]
-        values = np.asarray(self.func(pts), dtype=complex)
+        values = np.asarray(self.func(sample_points(self.domain)), dtype=complex)
         if not np.isfinite(values.view(float)).all() \
                 or not self.domain.contains(values).all():
             raise ValidationError(

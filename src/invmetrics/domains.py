@@ -15,11 +15,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import OutOfDomain, ParseError, Unsupported, ValidationError
 from .mobius import as_finite, is_infinity
@@ -46,8 +45,15 @@ _MIN_GAP = 2.0 ** -500
 # wrong side of a circle it lies this close to (relative)
 _ABS_SLACK = 2.0 ** -50
 
-STRUCT_4 = ndimage.generate_binary_structure(2, 1)
-STRUCT_8 = ndimage.generate_binary_structure(2, 2)
+# Raster neighbourhoods, as ndimage.generate_binary_structure(2, 1) and (2, 2).
+# scipy.ndimage is imported inside the functions that label, dilate or
+# transform a raster: it costs about 0.3 s and 27 MB at import, which the
+# scalar paths never need.
+STRUCT_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+STRUCT_8 = np.ones((3, 3), dtype=bool)
+STRUCT_4.flags.writeable = STRUCT_8.flags.writeable = False
+# Spacing of the raster whose kept cell centres check catalog maps
+SAMPLE_SPACING = 0.04
 
 
 def _array(z) -> np.ndarray:
@@ -340,6 +346,8 @@ class GridDomain:
         border[:, 0] = border[:, -1] = True
         if (mask & border).any():
             raise ValidationError("domain cells touch the frame border ring")
+        from scipy import ndimage
+
         _, count = ndimage.label(mask, structure=STRUCT_4)
         if count != 1:
             raise ValidationError(f"domain cells form {count} 4-connected components")
@@ -378,6 +386,8 @@ class GridDomain:
         The border ring is all complement, so the unbounded component is the
         one containing the frame border.
         """
+        from scipy import ndimage
+
         labels, count = ndimage.label(~self.mask, structure=STRUCT_8)
         unbounded = int(labels[0, 0])
         return labels, int(count), unbounded
@@ -385,6 +395,8 @@ class GridDomain:
     @cached_property
     def dist_to_complement_cells(self) -> np.ndarray:
         """Per-cell Euclidean distance (in cell units) to the nearest complement cell center."""
+        from scipy import ndimage
+
         return ndimage.distance_transform_edt(self.mask)
 
     @cached_property
@@ -499,15 +511,9 @@ def density(domain: Domain, z) -> float:
 # Rasterization and grid file format
 # ---------------------------------------------------------------------------
 
-def grid_from_predicate(predicate: Callable[[np.ndarray], np.ndarray],
-                        bounding_radius: float,
-                        spacing: float,
-                        center: complex = 0j) -> GridDomain:
-    """Rasterize {z : predicate(z)} on a frame with a 10% margin.
-
-    ``predicate`` receives a complex ndarray of cell centers and returns a
-    boolean array; a cell is a domain cell iff its center satisfies it.
-    """
+def _frame_mask(predicate: Callable[[np.ndarray], np.ndarray],
+                bounding_radius: float, spacing: float, center: complex = 0j):
+    """(origin, cell centres, mask) of ``grid_from_predicate``'s frame."""
     for name, value in (("spacing", spacing), ("bounding radius", bounding_radius)):
         if not (value > 0) or not math.isfinite(value):
             raise ValidationError(f"{name} must be positive and finite: {value!r}")
@@ -525,6 +531,19 @@ def grid_from_predicate(predicate: Callable[[np.ndarray], np.ndarray],
     mask = np.asarray(predicate(centers), dtype=bool)
     mask[0, :] = mask[-1, :] = False
     mask[:, 0] = mask[:, -1] = False
+    return origin, centers, mask
+
+
+def grid_from_predicate(predicate: Callable[[np.ndarray], np.ndarray],
+                        bounding_radius: float,
+                        spacing: float,
+                        center: complex = 0j) -> GridDomain:
+    """Rasterize {z : predicate(z)} on a frame with a 10% margin.
+
+    ``predicate`` receives a complex ndarray of cell centers and returns a
+    boolean array; a cell is a domain cell iff its center satisfies it.
+    """
+    origin, _, mask = _frame_mask(predicate, bounding_radius, spacing, center)
     return GridDomain(origin=origin, spacing=spacing, mask=mask)
 
 
@@ -535,6 +554,20 @@ def rasterize(domain: Domain, spacing: float) -> GridDomain:
     if isinstance(domain, HalfPlane):
         raise Unsupported("the half-plane is unbounded; rasterize a ball instead")
     return grid_from_predicate(domain.contains, 1.0, spacing)
+
+
+@lru_cache(maxsize=32)
+def sample_points(domain: CatalogDomain) -> np.ndarray:
+    """The cell centres ``rasterize(domain, SAMPLE_SPACING)`` keeps, as one
+    read-only array, without the raster's connectivity check."""
+    if isinstance(domain, GridDomain):
+        raise Unsupported("sample points are drawn on catalog domains")
+    if isinstance(domain, HalfPlane):
+        raise Unsupported("the half-plane is unbounded; it has no finite sample")
+    _, centers, mask = _frame_mask(domain.contains, 1.0, SAMPLE_SPACING)
+    points = centers[mask]
+    points.flags.writeable = False
+    return points
 
 
 def grid_annulus(r: float, spacing: float) -> GridDomain:

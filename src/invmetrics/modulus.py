@@ -33,7 +33,6 @@ import weakref
 from functools import partial
 
 import numpy as np
-from scipy import ndimage
 
 from .domains import STRUCT_4, GridDomain, cell_pairs
 from .errors import NonPositive, SolverDivergence, ValidationError, WrongConnectivity
@@ -155,6 +154,8 @@ def conformal_modulus(grid: GridDomain, inner_label: int, outer_label: int) -> f
         raise ValidationError(f"label {outer_label} is not the unbounded component")
 
     _load_sparse()
+    from scipy import ndimage
+
     mask = grid.mask
     near_domain = ndimage.binary_dilation(mask, STRUCT_4)
     inner_ghost = (labels == inner_label) & near_domain

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .domains import STRUCT_8
 from .topology import border_labels
@@ -27,6 +26,8 @@ def render_ball_svg(domain_mask: np.ndarray, ball_mask: np.ndarray) -> str:
     Complement components are colored by index so the holes a ball wraps
     are visible at a glance; the unbounded component stays white.
     """
+    from scipy import ndimage
+
     h, w = domain_mask.shape
     labels, count = ndimage.label(~domain_mask, structure=STRUCT_8)
     unbounded = border_labels(labels)

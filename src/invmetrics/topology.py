@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .domains import STRUCT_4, STRUCT_8, CatalogDomain, Domain, GridDomain
 from .errors import (
@@ -46,6 +45,8 @@ def flood_components(mask: np.ndarray, connectivity: int = 4) -> LabeledRaster:
         structure = STRUCT_8
     else:
         raise ValidationError(f"connectivity must be 4 or 8, got {connectivity!r}")
+    from scipy import ndimage
+
     labels, count = ndimage.label(mask, structure=structure)
     return LabeledRaster(labels=labels, component_count=int(count))
 
@@ -63,6 +64,8 @@ def connectivity_number(mask: np.ndarray) -> int:
     border = np.concatenate([mask[0, :], mask[-1, :], mask[:, 0], mask[:, -1]])
     if border.any():
         raise ValidationError("the region must not touch the frame border")
+    from scipy import ndimage
+
     labels, count = ndimage.label(~mask, structure=STRUCT_8)
     return count - len(border_labels(labels))
 
@@ -264,6 +267,8 @@ def separating_cycle(grid: GridDomain, k1_label: int, k2_label: int) -> SimplePo
         raise LabelNotBounded(f"component {k1_label} is the unbounded one")
     k1 = labels == k1_label
     other = (~grid.mask) & (labels != k1_label)
+
+    from scipy import ndimage
 
     taxi = ndimage.distance_transform_cdt(~k1, metric="taxicab")
     clearance = int(taxi[other].min()) if other.any() else (grid.width + grid.height)

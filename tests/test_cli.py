@@ -238,16 +238,27 @@ class TestBadSelfMapAndTolerance:
         assert "argument --map: " in err and repr(argv[4]) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "abc"])
+    # every float option, last in its command line; the rest of the line is valid
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "abc"])
     @pytest.mark.parametrize("argv", [
-        ("dist", "--domain", "disk", "--p", "0,0", "--q", "0.5,0"),
-        ("watt", "--domain", "disk", "--map", "rot:1", "--a", "0,0", "--b", "0.5,0"),
-        ("cartan", "--domain", "disk", "--map", "square", "--a", "0,0"),
+        ("dist", "--domain", "disk", "--p", "0,0", "--q", "0.5,0", "--tol"),
+        ("watt", "--domain", "disk", "--map", "rot:1", "--a", "0,0", "--b", "0.5,0", "--tol"),
+        ("cartan", "--domain", "disk", "--map", "square", "--a", "0,0", "--tol"),
+        ("ball", "--domain", "disk", "--center", "0,0", "--spacing", "0.05", "--radius"),
+        ("ball", "--domain", "disk", "--center", "0,0", "--radius", "1", "--spacing"),
+        ("nerve", "--domain", "annulus:0.1", "--center", "0.5,0", "--spacing", "0.05",
+         "--cover-radius", "0.5", "--radius"),
+        ("nerve", "--domain", "annulus:0.1", "--center", "0.5,0", "--radius", "1",
+         "--cover-radius", "0.5", "--spacing"),
+        ("nerve", "--domain", "annulus:0.1", "--center", "0.5,0", "--radius", "1",
+         "--spacing", "0.05", "--cover-radius"),
+        ("modulus", "--domain", "annulus:0.25", "--spacing"),
+        ("isotropy", "--p", "0.5,0", "--r"),
     ])
-    def test_tolerance_must_be_positive_and_finite(self, capsys, argv, tol):
-        code, out, err = run(capsys, *argv, "--tol", tol)
+    def test_tolerance_must_be_positive_and_finite(self, capsys, argv, value):
+        code, out, err = run(capsys, *argv, value)
         assert code == 1 and out == ""
-        assert "argument --tol" in err and "Traceback" not in err
+        assert f"argument {argv[-1]}" in err and "Traceback" not in err
 
     def test_spacing_past_the_frame_budget(self, capsys):
         code, out, err = run(capsys, "ball", "--domain", "disk", "--center", "0,0",

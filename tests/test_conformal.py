@@ -17,11 +17,12 @@ from invmetrics.conformal import (
     two_fixed_point_check,
     watt_check,
 )
-from invmetrics.domains import Annulus, Disk
+from invmetrics.domains import Annulus, Disk, HalfPlane, grid_annulus
 from invmetrics.errors import (
     NotFixed,
     NotMobiusRepresentable,
     OutOfDomain,
+    Unsupported,
     ValidationError,
 )
 from invmetrics.mobius import FixedKind
@@ -44,6 +45,11 @@ class TestHoloSelfMap:
     def test_validation_rejects_escaping_map(self):
         with pytest.raises(ValidationError):
             HoloSelfMap(Disk(), lambda z: 2.0 * np.asarray(z, complex), tag="double")
+
+    @pytest.mark.parametrize("domain", [HalfPlane(), grid_annulus(0.5, 0.05)])
+    def test_unbounded_and_grid_domains_are_unsupported(self, domain):
+        with pytest.raises(Unsupported):
+            HoloSelfMap(domain, lambda z: np.asarray(z, complex), tag="identity")
 
     def test_numeric_derivative_matches_closed_form(self):
         f = square_map()

@@ -25,6 +25,7 @@ from invmetrics.domains import (
     grid_load,
     grid_save,
     rasterize,
+    sample_points,
 )
 from invmetrics.errors import Unsupported, ValidationError, ParseError
 from invmetrics.kobayashi import kob_distance
@@ -359,6 +360,33 @@ class TestFrameBudget:
         assert grid_from_predicate(lambda z: np.abs(z) < 1, 1.0 / 1.1, 0.5).mask.shape == (5, 5)
         with pytest.raises(ValidationError, match="budget"):
             grid_from_predicate(_never_called, 1.25 / 1.1, 0.5)
+
+
+class TestSamplePoints:
+    @pytest.mark.parametrize("domain", [Disk(), PuncturedDisk(), Annulus(0.1), Annulus(0.73)])
+    def test_are_the_kept_raster_centres(self, domain):
+        grid = rasterize(domain, 0.04)
+        points = sample_points(domain)
+        assert points.dtype == complex
+        assert points.tobytes() == grid.centers[grid.mask].tobytes()
+        assert sample_points(domain) is points
+        with pytest.raises(ValueError):
+            points[0] = 0
+
+    def test_unsupported_off_the_bounded_catalog(self, square_with_hole_grid):
+        for domain in (HalfPlane(), square_with_hole_grid):
+            with pytest.raises(Unsupported):
+                sample_points(domain)
+
+
+def test_raster_structures_are_ndimage_s_and_read_only():
+    from scipy import ndimage
+
+    for structure, connectivity in ((domains.STRUCT_4, 1), (domains.STRUCT_8, 2)):
+        assert structure.dtype == bool
+        assert np.array_equal(structure, ndimage.generate_binary_structure(2, connectivity))
+        with pytest.raises(ValueError):
+            structure[0, 0] = not structure[0, 0]
 
 
 class TestGridAnnulus:

@@ -740,6 +740,9 @@ def _pred_disk(z):
     (lambda: inner_distance(grid_annulus(0.5, 0.05), 0.7, 0.7, 0.01), Unsupported),
     (lambda: inner_distance(HalfPlane(), -1, -1, 0.01), Unsupported),
     (lambda: inner_distance(Disk(), 0.1, 0.1, NAN), ValidationError),
+    # an infinite ball is the whole domain, not a ball
+    (lambda: kob_ball_raster(Disk(), 0, math.inf, 0.05), ValidationError),
+    (lambda: kob_ball_raster(Annulus(0.1), 0.5, math.inf, 0.05), ValidationError),
 ])
 def test_bad_raster_inputs_raise_named_errors(call, error):
     with pytest.raises(error):
