@@ -608,8 +608,11 @@ def grid_frame_load(data):
     Checks the format but not the GridDomain invariants, which a ball
     raster saved in the same format need not meet.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from exc
     try:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -631,6 +634,10 @@ def grid_frame_load(data):
         raise ValidationError(f"spacing must be positive and finite: {spacing!r}")
     if not (math.isfinite(ox) and math.isfinite(oy)):
         raise ValidationError(f"origin must be finite: {[ox, oy]!r}")
+    if width < 0 or height < 0:
+        raise ParseError(f"width and height must be non-negative: {width}, {height}")
+    if not isinstance(rows, list):
+        raise ParseError("rows must be a list of strings")
     if len(rows) != height:
         raise ParseError(f"expected {height} rows, got {len(rows)}")
     mask = np.zeros((height, width), dtype=bool)

@@ -338,9 +338,10 @@ _MOVE_RADIUS = 8
 _LIMIT_FACTOR = 1.004
 _LIMIT_CELLS = 2
 # frame rows whose edges are weighed at a time when assembling the
-# inner-distance graph, and graph rows gathered at a time from those weights
-_BAND_ROWS = 24
-_CSR_BLOCK = 256
+# inner-distance graph, and graph rows gathered at a time from those weights;
+# the band's weights (moves x band cells) are the assembly's largest buffer
+_BAND_ROWS = 12
+_CSR_BLOCK = 128
 
 
 def inner_distance(domain: Domain, p, q, grid_spacing: float) -> float:
@@ -388,8 +389,21 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     the least dist[k] + w over q's links and the direct link of a close
     pair, so no path runs through another pair's endpoint and no value
     depends on its batch.  A search stops past a margin over the pair's
-    closed-form distance; a value above that margin is recomputed with no
+    closed-form distance, its limit; a value above it is recomputed with no
     limit, so each value is the graph's own shortest path either way.
+
+    On the disk the limited searches walk a smaller graph.  There no edge or
+    link is longer than ``_MOVE_RADIUS`` h, and log density is G-Lipschitz
+    on the crop, G = 2 half / (1 - half^2), so each is at most kappa =
+    exp(``_MOVE_RADIUS`` h G / 2) times its weight long (``_disk_kappa``).
+    A path of weight at most a pair's limit therefore keeps its cells in the
+    hyperbolic ellipse d(p, x) + d(x, q) <= kappa * limit, and the graph
+    joins only the crop cells in some pair's ellipse: a value within its
+    limit is the round crop's own.  A value above it is recomputed on the
+    whole crop's graph, built at most once per call, and ``Disconnected``
+    comes only from that search.  kappa is about 1.08 at spacing 0.005 and
+    1.21 at 0.01, where the ellipses keep about a quarter and a half of the
+    crop for pairs within |z| < 0.7.
     """
     if isinstance(domain, GridDomain):
         raise Unsupported("inner distance is defined for catalog domains")
@@ -400,6 +414,8 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
             raise OutOfDomain(f"{z!r} not in {domain!r}")
     h = grid_spacing
     if isinstance(domain, Disk):
+        if not 0 < h < 1:
+            raise ValidationError(f"spacing must lie between 0 and 1 on the disk: {h!r}")
         # Hyperbolic disks about 0 are geodesically convex (Beardon, The
         # Geometry of Discrete Groups, section 7), so the geodesics stay within
         # the endpoints' reach of 0; a few moves beyond it, the disk |z| <= half
@@ -450,9 +466,10 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     # so that each move reads a whole strided slice
     mid_x = frame.origin.real + (h / 2) * np.arange(-_MOVE_RADIUS, 2 * width + _MOVE_RADIUS - 1)
 
-    def band_weights(y0, y1, out):
+    def band_weights(y0, y1, out, mask):
         """out[m, k] weighs the edge from cell y0 * width + k, in rows y0 to
-        y1 - 1, to that cell plus offsets[m] (NaN: none)."""
+        y1 - 1, to that cell plus offsets[m] (NaN: none), both cells of
+        ``mask``."""
         out.fill(np.nan)
         n = y1 - y0
         # the density at every midpoint of the band's edges: rows 2 y0 to
@@ -465,7 +482,7 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         ends = np.s_[y0 * width:(y1 + _MOVE_RADIUS) * width]
         closest = near[ends][cell_mask[ends]].min(initial=np.inf)
         for m, (dx, dy) in enumerate(moves):
-            rows = frame.mask[y0:y1 + dy]
+            rows = mask[y0:y1 + dy]
             pair = cell_pair_mask(rows, rows, dx, dy)[:n]
             length = math.hypot(dx, dy)
             # a sample outside the domain lies within length / 2 of an end and,
@@ -487,16 +504,14 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     # the cells within a move's reach of an endpoint that a straight link
     # joins to it inside the domain, and the links' weights
     link_reach = _MOVE_RADIUS * h
-    frame_index = np.arange(cells).reshape(frame.mask.shape)
 
     def links(z):
         cell = frame.cell_index(z)
         if cell is None:
             raise Disconnected(f"{z!r} lies outside the cell frame at spacing {h!r}")
-        ix, iy = cell
-        window = np.s_[max(0, iy - _MOVE_RADIUS):iy + _MOVE_RADIUS + 1,
-                       max(0, ix - _MOVE_RADIUS):ix + _MOVE_RADIUS + 1]
-        k = frame_index[window][frame.mask[window]]
+        (x0, x1), (y0, y1) = ((max(0, i - _MOVE_RADIUS), min(n, i + _MOVE_RADIUS + 1))
+                              for i, n in zip(cell, (width, height)))
+        k = (np.arange(y0, y1)[:, None] * width + np.arange(x0, x1))[frame.mask[y0:y1, x0:x1]]
         k = k[np.abs(centers[k] - z) <= link_reach]
         k = k[inside(z, centers[k], 8)]
         return k, edge_weights(z, centers[k])
@@ -509,19 +524,32 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         if abs(q - p) <= link_reach and domain.contains(samples).all():
             direct[k] = edge_weights(p, np.array([q]))[0]
 
-    # the lattice edges before any is dropped, to size the graph
-    edges = sum(np.count_nonzero(cell_pair_mask(frame.mask, frame.mask, dx, dy))
-                for dx, dy in moves)
-    graph = _lattice_graph(band_weights, offsets, frame.mask.shape, edges, sources)
+    def graph(mask):
+        """The graph of the edges between cells of ``mask``, sized by the
+        edges before any is dropped."""
+        edges = sum(np.count_nonzero(cell_pair_mask(mask, mask, dx, dy)) for dx, dy in moves)
+        return _lattice_graph(lambda y0, y1, out: band_weights(y0, y1, out, mask), offsets,
+                              mask.shape, edges, sources, mask.ravel())
+
     ps, qs = np.array(pairs).T
     limits = _LIMIT_FACTOR * domain.distance(domain.lift(ps), domain.lift(qs)) + _LIMIT_CELLS * h
+    # the whole frame's graph, built at most once; on the disk the limited
+    # searches walk the graph of the pairs' ellipses, as a path of weight at
+    # most a pair's limit is at most kappa times as long
+    disk = isinstance(domain, Disk)
+    full = None if disk else graph(frame.mask)
+    limited = graph(_disk_ellipses(frame, ps, qs, _disk_kappa(h, half) * limits)) if disk else full
     out = np.empty(len(pairs))
     for k, (limit, (cols, w)) in enumerate(zip(limits, targets)):
         # the search settles only the nodes within the limit of the source;
         # a value within it is exact, as a shorter path would end at a
         # settled link cell, and a value above it is recomputed unlimited
+        # on the whole frame's graph
         for bound in (limit, math.inf):
-            dist = _csgraph_dijkstra(graph, directed=True, indices=cells + k, limit=bound)
+            if bound == math.inf and full is None:
+                full = graph(frame.mask)
+            dist = _csgraph_dijkstra(full if bound == math.inf else limited, directed=True,
+                                     indices=cells + k, limit=bound)
             out[k] = min(direct[k], (dist[cols] + w).min(initial=math.inf))
             if out[k] <= bound:
                 break
@@ -530,7 +558,58 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     return out
 
 
-def _lattice_graph(band_weights, offsets, shape, edges: int, sources):
+def _disk_kappa(h: float, half: float) -> float:
+    """Bound on the hyperbolic length of an edge or link of the disk's
+    inner-distance graph over its weight, where the frame is |z| <= half.
+
+    There log(1/(1 - |z|^2)) has gradient 2|z|/(1 - |z|^2), at most
+    G = 2 half/(1 - half^2), and no edge or link is longer than
+    ``_MOVE_RADIUS`` h, so the density on one is at most exp(G
+    ``_MOVE_RADIUS`` h / 2) times the density at its midpoint, which its
+    weight reads.  The factor 1 + 1e-9 covers the rounding of the weights,
+    of their sums and of the distances compared with them.
+    """
+    return math.exp(_MOVE_RADIUS * h * half / (1.0 - half * half)) * (1.0 + 1e-9)
+
+
+def _disk_ellipses(frame: GridDomain, ps, qs, bounds) -> np.ndarray:
+    """Mask of the frame's cells x with d(p, x) + d(x, q) <= bound for some
+    pair (p, q) and its bound, on the unit disk.
+
+    Each ellipse lies in the hyperbolic disks of radius bound about p and
+    about q, Euclidean disks; only the cells of the box that holds both,
+    widened by a cell, are tested.
+    """
+    h = frame.spacing
+    keep = np.zeros(frame.mask.shape, dtype=bool)
+    centers = frame.centers
+    origin = np.array([frame.origin.real, frame.origin.imag])
+    for p, q, bound in zip(ps, qs, bounds):
+        # the disk of radius bound about c: |z - c| <= t |1 - conj(c) z|, with
+        # t = tanh(bound), the Euclidean disk about c (1 - t^2) / den of
+        # radius t (1 - |c|^2) / den, den = 1 - t^2 |c|^2
+        t = math.tanh(bound)
+        lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+        for c in (p, q):
+            den = 1.0 - t * t * abs(c) ** 2
+            e = np.array([c.real, c.imag]) * (1.0 - t * t) / den
+            r = t * (1.0 - abs(c) ** 2) / den + h
+            lo, hi = np.maximum(lo, e - r), np.minimum(hi, e + r)
+        x0, y0 = np.maximum(0, np.floor((lo - origin) / h)).astype(int)
+        x1, y1 = np.maximum(0, np.ceil((hi - origin) / h) + 1).astype(int)
+        box = np.s_[y0:y1, x0:x1]
+        z = centers[box]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # sinh d = |z - c| / sqrt((1 - |z|^2)(1 - |c|^2)), with no
+            # value off the disk, where the frame holds no cell
+            g = 1.0 - (z.real ** 2 + z.imag ** 2)
+            s = sum(np.arcsinh(np.sqrt(((z.real - c.real) ** 2 + (z.imag - c.imag) ** 2)
+                                       / (g * (1.0 - abs(c) ** 2)))) for c in (p, q))
+            keep[box] |= frame.mask[box] & (s <= bound)
+    return keep
+
+
+def _lattice_graph(band_weights, offsets, shape, edges: int, sources, keep=None):
     """CSR graph of the cell lattice, both directions of every edge stored,
     so that a directed search walks it as undirected, and one outgoing row
     per source after the cells.
@@ -542,8 +621,10 @@ def _lattice_graph(band_weights, offsets, shape, edges: int, sources):
     (ascending cells, weights) of its links.  The rows are filled one band
     of ``_BAND_ROWS`` frame rows at a time: a forward entry reads the weight
     of its own cell, a backward one the weight at its lower neighbour, at
-    most ``_MOVE_RADIUS + 1`` rows back, so no edge list and no weights
-    beyond one band and those rows are held in memory.
+    most the largest offset back, so no edge list and no weights beyond one
+    band and those cells are held in memory.  ``keep``, if given, is a flat
+    mask of the cells that every edge joins: bands and blocks of rows with
+    no such cell hold no entry and are skipped.
     """
     height, width = shape
     cells = height * width
@@ -557,26 +638,38 @@ def _lattice_graph(band_weights, offsets, shape, edges: int, sources):
     data = np.empty(2 * edges + sum(k.size for k, _ in sources))
     indices = np.empty(data.size, dtype=np.int32)
     indptr = np.zeros(cells + len(sources) + 1, dtype=np.int32)
-    # the weights of the band's rows, after those of the _MOVE_RADIUS + 1
-    # rows before it, the farthest a backward move reaches (NaN before row 0)
-    back = (_MOVE_RADIUS + 1) * width
+    # the weights of the band's rows, after those of the cells before it
+    # that a backward move reaches (NaN before row 0)
+    back = int(offsets.max())
     window = np.full((offsets.size, back + _BAND_ROWS * width), np.nan)
     flat = window.ravel()
     # graph rows r to r + n - 1, the band's cells a to a + n - 1: block[t, c]
     # weighs directed move c at row r + t, flat[a + gather[t, c]], and leads
     # to column r + column[t, c]
     gather = (move * window.shape[1] + back + np.minimum(column_offset, 0)
-              + np.arange(_CSR_BLOCK)[:, None])
+              + np.arange(_CSR_BLOCK)[:, None]).astype(np.int32)
     column = (np.arange(_CSR_BLOCK)[:, None] + column_offset).astype(np.int32)
     block = np.empty(gather.shape)
     edge = np.empty(gather.shape, dtype=bool)
+
+    def skip(a, b):
+        """Whether cells a to b - 1 hold no kept cell."""
+        return keep is not None and not keep[a:b].any()
+
     at = 0
     for y0 in range(0, height, _BAND_ROWS):
         y1 = min(y0 + _BAND_ROWS, height)
         window[:, :back] = window[:, -back:]
+        if skip(y0 * width, y1 * width):
+            window[:, back:].fill(np.nan)
+            indptr[y0 * width + 1:y1 * width + 1] = at
+            continue
         band_weights(y0, y1, window[:, back:back + (y1 - y0) * width])
         for r in range(y0 * width, y1 * width, _CSR_BLOCK):
             n = min(_CSR_BLOCK, y1 * width - r)
+            if skip(r, r + n):
+                indptr[r + 1:r + n + 1] = at
+                continue
             np.take(flat[r - y0 * width:], gather[:n], out=block[:n], mode="clip")
             np.isnan(block[:n], out=edge[:n])
             np.logical_not(edge[:n], out=edge[:n])

@@ -46,10 +46,14 @@ def is_infinity(z) -> bool:
 
 
 def as_finite(z) -> complex:
-    """Coerce to a finite complex number, rejecting INFINITY and NaN."""
+    """Coerce to a finite complex number, rejecting INFINITY and NaN;
+    ValidationError for what ``complex()`` cannot read."""
     if is_infinity(z):
         raise OutOfDomain("expected a finite point, got INFINITY")
-    z = complex(z)
+    try:
+        z = complex(z)
+    except (TypeError, ValueError):
+        raise ValidationError(f"expected a complex number, got {z!r}") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise OutOfDomain(f"point has non-finite coordinates: {z!r}")
     return z

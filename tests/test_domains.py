@@ -28,7 +28,7 @@ from invmetrics.domains import (
     sample_points,
 )
 from invmetrics.errors import Unsupported, ValidationError, ParseError
-from invmetrics.kobayashi import kob_distance
+from invmetrics.kobayashi import ball_load, kob_distance
 from invmetrics.topology import connectivity_number
 
 TAU = 2 * math.pi
@@ -316,6 +316,24 @@ class TestGridDomain:
         blob = grid_save(grid_annulus(0.5, 0.1)).decode()
         with pytest.raises(ParseError):
             grid_load(blob.replace("1", "x", 1))
+
+    @pytest.mark.parametrize("load", [grid_load, ball_load])
+    @pytest.mark.parametrize("corrupt", [
+        # bytes that are not UTF-8
+        lambda payload: b"\xff" + json.dumps(payload).encode(),
+        # rows that are no list
+        lambda payload: json.dumps({**payload, "rows": 5}),
+        # a negative width, before numpy sees it
+        lambda payload: json.dumps({**payload, "width": -3}),
+        lambda payload: json.dumps({**payload, "height": -1, "rows": []}),
+    ], ids=["not-utf8", "rows-not-a-list", "negative-width", "negative-height"])
+    def test_malformed_files_raise_parse_errors(self, load, corrupt):
+        grid = grid_annulus(0.5, 0.1)
+        payload = {**json.loads(grid_save(grid)), "metric": "kobayashi",
+                   "center": [0.7, 0.0], "radius": 0.5}
+        assert load(json.dumps(payload)).mask.shape == grid.mask.shape
+        with pytest.raises(ParseError):
+            load(corrupt(payload))
 
 
 class TestCellPairs:

@@ -493,6 +493,13 @@ def _per_edge_band_weights(domain, frame):
     return band_weights, len(moves)
 
 
+def _disk_crop(pairs, h):
+    """The disk's inner-distance frame for these pairs, |z| <= half, and half."""
+    reach = max(abs(z) for pair in pairs for z in pair)
+    half = min(1.0 - h, reach + (kobayashi._MOVE_RADIUS + 2) * h + 0.02)
+    return grid_from_predicate(lambda z: np.abs(z) <= half, half / FRAME_MARGIN, h), half
+
+
 def _assert_same_graph(graph, reference):
     assert np.array_equal(graph.indptr, reference.indptr)
     assert np.array_equal(graph.indices, reference.indices)
@@ -650,27 +657,80 @@ class TestInnerDistance:
         _assert_same_graph(graph, kobayashi._lattice_graph(band_weights, offsets, *rest))
 
     def test_disk_crop_keeps_the_edges_inside_it(self, monkeypatch):
-        # the round crop's graph is the square frame's, per-edge weighed,
-        # less every edge with an end outside |z| <= half
+        # the disk's graph is the square frame's, per-edge weighed, less every
+        # lattice edge with an end outside |z| <= half or outside every pair's
+        # ellipse d(p, x) + d(x, q) <= kappa * limit; the source rows keep
+        # their links, a link to a cell off the ellipses leading nowhere
         calls = []
         graphs = _record_graphs(monkeypatch, calls)
         pairs, h = _c7_pairs(), 0.01
         inner_distance_many(Disk(), pairs, h)
-        (graph,), ((_, offsets, shape, _, sources),) = graphs, calls
-        reach = max(abs(z) for pair in pairs for z in pair)
-        half = min(1.0 - h, reach + (kobayashi._MOVE_RADIUS + 2) * h + 0.02)
+        (graph,), ((_, offsets, shape, _, sources, _),) = graphs, calls
+        crop, half = _disk_crop(pairs, h)
         square = grid_from_predicate(Disk().contains, half / FRAME_MARGIN, h)
         assert square.mask.shape == shape
         band_weights, _ = _per_edge_band_weights(Disk(), square)
         full = kobayashi._lattice_graph(band_weights, offsets, shape,
                                         int(square.mask.sum()) * offsets.size, sources)
-        crop = square.mask & (np.abs(square.centers) <= half)
-        keep = scipy.sparse.diags(np.append(crop.ravel(), np.ones(len(sources))))
-        reference = (keep @ full @ keep).tocsr()
+        ps, qs = np.array(pairs).T
+        limits = (kobayashi._LIMIT_FACTOR * Disk().distance(ps, qs)
+                  + kobayashi._LIMIT_CELLS * h)
+        bounds = kobayashi._disk_kappa(h, half) * limits
+        z = square.centers
+        ellipses = np.zeros(shape, dtype=bool)
+        for p, q, bound in zip(ps, qs, bounds):
+            ellipses |= Disk().distance(p, z) + Disk().distance(z, q) <= bound
+        kept = square.mask & (np.abs(z) <= half) & ellipses
+        assert 0 < kept.sum() < crop.mask.sum()
+        cells = kept.size
+        lattice = (scipy.sparse.diags(kept.ravel().astype(float)) @ full[:cells]
+                   @ scipy.sparse.diags(np.append(kept.ravel(), np.ones(len(sources)))))
+        reference = scipy.sparse.vstack([lattice, full[cells:]]).tocsr()
         reference.eliminate_zeros()
         reference.sort_indices()
         assert reference.nnz < full.nnz
         _assert_same_graph(graph, reference)
+
+    @pytest.mark.parametrize("h", [0.02, 0.01])
+    def test_disk_weights_bound_hyperbolic_lengths(self, h, monkeypatch):
+        # every stored edge and link is at most kappa times its weight long
+        # in the metric, and some is longer than its weight: the midpoint
+        # density alone would not bound a path's length
+        graphs = _record_graphs(monkeypatch)
+        rng = np.random.default_rng(33)
+        pairs = [tuple(cmath.rect(rng.uniform(0, 0.6), rng.uniform(0, math.tau))
+                       for _ in range(2)) for _ in range(4)]
+        inner_distance_many(Disk(), pairs, h)
+        graph, = graphs
+        crop, half = _disk_crop(pairs, h)
+        kappa = kobayashi._disk_kappa(h, half)
+        assert kappa < 1.5
+        ends = np.append(crop.centers.ravel(), [p for p, _ in pairs])
+        coo = graph.tocoo()
+        ratio = Disk().distance(ends[coo.row], ends[coo.col]) / coo.data
+        assert 1.0 < ratio.max() <= kappa
+
+    @pytest.mark.parametrize("h, pairs, restricted", [
+        (0.01, [(0.1, 0.1 + 0.03j), (0.4, 0.4), (0.6j, -0.55 - 0.2j), (0.3 - 0.5j, 0.05)], True),
+        (0.02, [(0.6, -0.59j), (0.1, 0.1 - 0.1j), (-0.2j, -0.2j), (0.55j, -0.5)], True),
+        # endpoints a cell inside the crop |z| <= 1 - h, which cuts their
+        # links; kappa is so large there that every crop cell is kept
+        (0.02, [(0.97, -0.96j), (0.965j, 0.9 + 0.2j), (-0.5, -0.5), (-0.3, 0.2 + 0.1j)], False),
+    ])
+    def test_ellipses_keep_the_round_crop_values(self, h, pairs, restricted, monkeypatch):
+        # a direct-link pair, p == q, far pairs and pairs near the crop's
+        # rim get the same value as on the whole round crop's graph
+        rng = np.random.default_rng(len(pairs) + int(1 / h))
+        pairs = pairs + [tuple(cmath.rect(0.6 * rng.uniform() ** 0.5, rng.uniform(0, math.tau))
+                               for _ in range(2)) for _ in range(6)]
+        calls = []
+        _record_graphs(monkeypatch, calls)
+        values = inner_distance_many(Disk(), pairs, h)
+        crop, _ = _disk_crop(pairs, h)
+        (*_, kept), = calls
+        assert (kept.sum() < crop.mask.sum()) == restricted
+        monkeypatch.setattr(kobayashi, "_disk_ellipses", lambda frame, *args: frame.mask)
+        assert values.tolist() == inner_distance_many(Disk(), pairs, h).tolist()
 
     def test_peak_memory_is_the_graph(self, monkeypatch):
         # edge weights are held a band of rows at a time, so the call's
@@ -747,6 +807,25 @@ def _pred_disk(z):
 def test_bad_raster_inputs_raise_named_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("bad", ["a", None, [0.1, 0.2]], ids=["text", "None", "list"])
+@pytest.mark.parametrize("call", [
+    lambda z: kob_distance(Disk(), z, 0.1),
+    lambda z: geodesic(Disk(), 0.1, z),
+    lambda z: inner_distance(Disk(), z, 0.1, 0.01),
+    lambda z: inner_distance_many(Disk(), [(0, z)], 0.01),
+], ids=["kob_distance", "geodesic", "inner_distance", "inner_distance_many"])
+def test_malformed_points_raise_validation_errors(call, bad):
+    # what complex() cannot read is no point
+    with pytest.raises(ValidationError):
+        call(bad)
+
+
+@pytest.mark.parametrize("spacing", [1.0, 5.0, math.inf, NAN])
+def test_disk_inner_distance_names_a_coarse_spacing(spacing):
+    with pytest.raises(ValidationError, match="spacing"):
+        inner_distance(Disk(), 0, 0.5, spacing)
 
 
 class TestDistanceDecreasing:
