@@ -182,14 +182,13 @@ def criterion_6(quick: bool = False) -> CriterionResult:
     """Separating cycles: simple polygons with exact winding 1 / 0."""
     results = []
     ga = grid_annulus(0.25, 0.02)
-    labels, count, unbounded = ga.complement_labels
-    hole = 1 if unbounded == 2 else 2
+    labels, _, unbounded = ga.complement_labels
+    (hole,) = ga.complement[1]
     poly = top.separating_cycle(ga, hole, unbounded)
     results.append(_winding_values(poly, labels, hole) == {1}
                    and _winding_values(poly, labels, unbounded) == {0})
     gp = _pants_grid()
-    labels, count, unbounded = gp.complement_labels
-    holes = [lab for lab in range(1, count + 1) if lab != unbounded]
+    labels, holes = gp.complement
     poly = top.separating_cycle(gp, holes[0], holes[1])
     results.append(_winding_values(poly, labels, holes[0]) == {1}
                    and _winding_values(poly, labels, holes[1]) == {0})

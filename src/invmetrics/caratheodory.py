@@ -29,6 +29,7 @@ from .domains import (
     PuncturedDisk,
     STRUCT_4,
     STRUCT_8,
+    complement_holes,
     contains,
     rasterize,
     sample_points,
@@ -43,7 +44,6 @@ from .errors import (
 )
 from .mobius import as_finite
 from .poincare import rho_vec
-from .topology import border_labels, connectivity_number
 
 
 @dataclass(frozen=True)
@@ -109,11 +109,9 @@ def _build_dictionary(domain: Domain) -> MapDictionary:
         entries = [DictionaryMap(
             "inclusion rescaled",
             lambda z, c=center, s=radius: (np.asarray(z, dtype=complex) - c) / s)]
-        labels, count, unbounded = domain.complement_labels
+        labels, holes = domain.complement
         cells = domain.centers
-        for lab in range(1, count + 1):
-            if lab == unbounded:
-                continue
+        for lab in holes:
             hole = labels == lab
             w0 = complex(cells[hole].mean())
             r0 = float(np.abs(cells[domain.mask] - w0).min()) - domain.spacing
@@ -331,42 +329,32 @@ def car_ball_components(domain: Domain, p, radius: float,
     from scipy import ndimage
 
     labels, count = ndimage.label(ball, structure=STRUCT_4)
+    # a component is relatively compact when no cell of it is an 8-neighbour
+    # of a domain cell next to the complement
     boundary_cells = grid.mask & ndimage.binary_dilation(~grid.mask, STRUCT_8)
-    dist_to_complement = grid.dist_to_complement_cells
+    near_boundary = np.bincount(labels[ndimage.binary_dilation(boundary_cells, STRUCT_8)],
+                                minlength=count + 1)
     components = []
     for lab in range(1, count + 1):
         comp = labels == lab
-        halo = ndimage.binary_dilation(comp, STRUCT_8)
-        relcomp = not bool((halo & boundary_cells).any())
-        conn = connectivity_number(comp)
-        if relcomp:
-            _check_no_enclosed_interior_hole(grid, comp, dist_to_complement)
+        hole_labels, holes = complement_holes(comp)
+        relcomp = not near_boundary[lab]
+        if relcomp and holes:
+            # a hole's gap is its least distance to the domain's complement,
+            # which is 0 on complement cells
+            for gap in ndimage.minimum(grid.dist_to_complement_cells, hole_labels, holes):
+                if gap > 2.0:
+                    raise TheoremViolation(
+                        "a relatively compact ball component encloses a hole lying "
+                        f"strictly inside the domain (gap {gap:.2f} cells)")
         components.append(ComponentReport(
             component_id=lab,
             mask=comp,
             cell_count=int(comp.sum()),
             relatively_compact=relcomp,
-            connectivity_number=conn,
-            complement_component_count=conn + 1,
+            connectivity_number=len(holes),
+            complement_component_count=len(holes) + 1,
         ))
     return BallComponentReport(domain=domain, center=p, radius=radius,
                                spacing=grid.spacing, ball_mask=ball,
                                components=tuple(components))
-
-
-def _check_no_enclosed_interior_hole(grid: GridDomain, comp: np.ndarray,
-                                     dist_to_complement: np.ndarray):
-    from scipy import ndimage
-
-    hole_labels, hole_count = ndimage.label(~comp, structure=STRUCT_8)
-    border = border_labels(hole_labels)
-    for lab in range(1, hole_count + 1):
-        if lab in border:
-            continue
-        hole = hole_labels == lab
-        gaps = np.where(grid.mask & hole, dist_to_complement, 0.0)
-        min_gap = float(np.where(hole, gaps, np.inf).min())
-        if min_gap > 2.0:
-            raise TheoremViolation(
-                "a relatively compact ball component encloses a hole lying "
-                f"strictly inside the domain (gap {min_gap:.2f} cells)")

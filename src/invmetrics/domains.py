@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Union
@@ -341,11 +342,7 @@ class GridDomain:
             raise ValidationError(f"mask must be 2-D and at least 3x3: {mask.shape}")
         if not mask.any():
             raise ValidationError("mask has no domain cells")
-        border = np.zeros_like(mask)
-        border[0, :] = border[-1, :] = True
-        border[:, 0] = border[:, -1] = True
-        if (mask & border).any():
-            raise ValidationError("domain cells touch the frame border ring")
+        _check_ring(mask)
         from scipy import ndimage
 
         _, count = ndimage.label(mask, structure=STRUCT_4)
@@ -380,17 +377,16 @@ class GridDomain:
         return xs[None, :] + 1j * ys[:, None]
 
     @cached_property
+    def complement(self):
+        """``complement_holes(mask)``: (labels, holes) of the 8-connected complement."""
+        return complement_holes(self.mask)
+
+    @property
     def complement_labels(self):
-        """(labels, count, unbounded_label) of the 8-connected complement.
-
-        The border ring is all complement, so the unbounded component is the
-        one containing the frame border.
-        """
-        from scipy import ndimage
-
-        labels, count = ndimage.label(~self.mask, structure=STRUCT_8)
-        unbounded = int(labels[0, 0])
-        return labels, int(count), unbounded
+        """(labels, count, unbounded_label) of the 8-connected complement,
+        the unbounded component being the one holding the border ring."""
+        labels, holes = self.complement
+        return labels, len(holes) + 1, int(labels[0, 0])
 
     @cached_property
     def dist_to_complement_cells(self) -> np.ndarray:
@@ -450,6 +446,30 @@ class GridDomain:
         dx = np.maximum(np.abs(z.real - px) - half, 0.0)
         dy = np.maximum(np.abs(z.imag - py) - half, 0.0)
         return float(np.sqrt(dx * dx + dy * dy).min())
+
+
+def _check_ring(mask: np.ndarray):
+    if mask[0].any() or mask[-1].any() or mask[:, 0].any() or mask[:, -1].any():
+        raise ValidationError("cells touch the frame border ring")
+
+
+def complement_holes(mask: np.ndarray):
+    """(labels, holes) of a raster's 8-connected complement.
+
+    The raster's cells must leave the frame's border ring free; that ring
+    then lies in one complement component, the unbounded one.  ``labels``
+    numbers the complement components from 1 (0 on the raster's cells), and
+    ``holes`` lists, ascending, the labels of the bounded ones.  Holes are
+    8-connected because the raster is read 4-connected (Rosenfeld,
+    *Connectivity in digital pictures*, J. ACM 1970).
+    """
+    mask = np.asarray(mask, dtype=bool)
+    _check_ring(mask)
+    from scipy import ndimage
+
+    labels, count = ndimage.label(~mask, structure=STRUCT_8)
+    ring = labels[0, 0]
+    return labels, tuple(lab for lab in range(1, count + 1) if lab != ring)
 
 
 def cell_pair_mask(mask_a: np.ndarray, mask_b: np.ndarray, dx: int, dy: int) -> np.ndarray:
@@ -515,7 +535,7 @@ def _frame_mask(predicate: Callable[[np.ndarray], np.ndarray],
                 bounding_radius: float, spacing: float, center: complex = 0j):
     """(origin, cell centres, mask) of ``grid_from_predicate``'s frame."""
     for name, value in (("spacing", spacing), ("bounding radius", bounding_radius)):
-        if not (value > 0) or not math.isfinite(value):
+        if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
             raise ValidationError(f"{name} must be positive and finite: {value!r}")
     half = FRAME_MARGIN * bounding_radius
     side = 2.0 * half / spacing

@@ -16,6 +16,7 @@ dictionary.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass
 
@@ -167,7 +168,7 @@ def kob_distance(domain: Domain, p, q, tol: float = 1e-9) -> DistanceInterval:
     the disk and half-plane, [value - tol, value] through the covering
     route; grids get a genuine two-sided interval.
     """
-    if not 0.0 <= tol < math.inf:
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
         raise ValidationError(f"tol must be finite and non-negative: {tol!r}")
     p, q = as_finite(p), as_finite(q)
     if not contains(domain, p):
@@ -279,6 +280,8 @@ def curve_length(domain: Domain, path: PolyPath, rel_tol: float = 1e-8,
     ``rel_tol``.  On grid domains the pairwise values are upper bounds,
     so the result is an upper estimate there.
     """
+    if not isinstance(max_levels, (int, np.integer)) or max_levels < 1:
+        raise ValidationError(f"max_levels must be an integer of at least 1: {max_levels!r}")
     verts = path.vertices
     outside = np.flatnonzero(~domain.contains(verts))
     if outside.size:
@@ -414,7 +417,7 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
             raise OutOfDomain(f"{z!r} not in {domain!r}")
     h = grid_spacing
     if isinstance(domain, Disk):
-        if not 0 < h < 1:
+        if not (isinstance(h, numbers.Real) and 0 < h < 1):
             raise ValidationError(f"spacing must lie between 0 and 1 on the disk: {h!r}")
         # Hyperbolic disks about 0 are geodesically convex (Beardon, The
         # Geometry of Discrete Groups, section 7), so the geodesics stay within
@@ -712,6 +715,8 @@ def kob_ball_raster(domain: Domain, center, radius: float,
     center = as_finite(center)
     if not contains(domain, center):
         raise OutOfDomain(f"{center!r} not in {domain!r}")
+    if not isinstance(radius, numbers.Real):
+        raise ValidationError(f"ball radius must be a real number: {radius!r}")
     if not (radius > 0):
         raise OutOfDomain(f"ball radius must be positive: {radius!r}")
     if not math.isfinite(radius):

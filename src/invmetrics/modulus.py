@@ -201,8 +201,8 @@ def canonical_annulus_radius(modulus: float) -> float:
 
 def bounded_complement_label(grid: GridDomain) -> int:
     """Label of the single bounded complement component of a ring domain."""
-    labels, count, unbounded = grid.complement_labels
-    if count != 2:
+    holes = grid.complement[1]
+    if len(holes) != 1:
         raise WrongConnectivity(
-            f"domain complement has {count} components, need exactly 2")
-    return 1 if unbounded == 2 else 2
+            f"domain complement has {len(holes) + 1} components, need exactly 2")
+    return holes[0]

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domains import STRUCT_8
-from .topology import border_labels
+from .domains import complement_holes
 
 _BALL_COLOR = "#3b6fd4"
 _DOMAIN_COLOR = "#d9d9d9"
@@ -26,11 +25,8 @@ def render_ball_svg(domain_mask: np.ndarray, ball_mask: np.ndarray) -> str:
     Complement components are colored by index so the holes a ball wraps
     are visible at a glance; the unbounded component stays white.
     """
-    from scipy import ndimage
-
     h, w = domain_mask.shape
-    labels, count = ndimage.label(~domain_mask, structure=STRUCT_8)
-    unbounded = border_labels(labels)
+    labels, holes = complement_holes(domain_mask)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -39,13 +35,8 @@ def render_ball_svg(domain_mask: np.ndarray, ball_mask: np.ndarray) -> str:
     ]
     layers = [(domain_mask & ~ball_mask, _DOMAIN_COLOR),
               (ball_mask, _BALL_COLOR)]
-    hole_index = 0
-    for lab in range(1, count + 1):
-        if lab in unbounded:
-            continue
-        color = _HOLE_PALETTE[hole_index % len(_HOLE_PALETTE)]
-        hole_index += 1
-        layers.append((labels == lab, color))
+    for i, lab in enumerate(holes):
+        layers.append((labels == lab, _HOLE_PALETTE[i % len(_HOLE_PALETTE)]))
     for mask, color in layers:
         for iy in range(h):
             for x0, x1 in _runs(mask[iy]):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import STRUCT_4, STRUCT_8, CatalogDomain, Domain, GridDomain
+from .domains import STRUCT_4, STRUCT_8, CatalogDomain, Domain, GridDomain, complement_holes
 from .errors import (
     CoverScaleTooLarge,
     EmptyRegion,
@@ -52,32 +52,12 @@ def flood_components(mask: np.ndarray, connectivity: int = 4) -> LabeledRaster:
 
 
 def connectivity_number(mask: np.ndarray) -> int:
-    """Number of bounded complement components of the region.
-
-    Background components touching the frame border merge into the single
-    unbounded component (the point-at-infinity convention), and the count
-    is the total minus that one.
-    """
+    """Number of bounded complement components (``complement_holes``) of
+    a region that leaves the frame's border ring free."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise EmptyRegion("the region mask has no cells")
-    border = np.concatenate([mask[0, :], mask[-1, :], mask[:, 0], mask[:, -1]])
-    if border.any():
-        raise ValidationError("the region must not touch the frame border")
-    from scipy import ndimage
-
-    labels, count = ndimage.label(~mask, structure=STRUCT_8)
-    return count - len(border_labels(labels))
-
-
-def border_labels(labels: np.ndarray) -> set:
-    """Nonzero labels of a label raster that touch the frame border.
-
-    Complement components meeting the border all belong to the unbounded
-    component of the plane.
-    """
-    ring = np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])
-    return set(np.unique(ring).tolist()) - {0}
+    return len(complement_holes(mask)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from conftest import annulus_points
 from invmetrics.caratheodory import (
     DictionaryMap,
+    MapDictionary,
     car_ball_components,
     car_interval,
     car_lower,
@@ -17,7 +18,13 @@ from invmetrics.caratheodory import (
     subharmonicity_check,
 )
 from invmetrics.domains import Annulus, Disk, grid_load, grid_save, rasterize
-from invmetrics.errors import EmptyBall, MarginTooSmall, OutOfDomain, ValidationError
+from invmetrics.errors import (
+    EmptyBall,
+    MarginTooSmall,
+    OutOfDomain,
+    TheoremViolation,
+    ValidationError,
+)
 from invmetrics.kobayashi import kob_distance
 from invmetrics.poincare import poincare_distance, rho_vec
 
@@ -224,6 +231,16 @@ class TestBallComponents:
     def test_empty_ball(self):
         with pytest.raises(EmptyBall):
             car_ball_components(Disk(), 0, -1.0, spacing=0.05)
+
+    def test_non_holomorphic_entry_is_a_violation(self):
+        # a real-valued, non-holomorphic "entry" gives a round ball shell
+        # about |z| = 0.5 whose inner hole lies well inside the disk, which
+        # the maximum principle forbids for a genuine dictionary
+        entry = DictionaryMap("not holomorphic",
+                              lambda z: 0.5 * (np.abs(np.asarray(z)) ** 2 - 0.25))
+        with pytest.raises(TheoremViolation, match=r"gap 61\.39 cells"):
+            car_ball_components(Disk(), 0.5, 0.05, spacing=0.01,
+                                dictionary=MapDictionary(Disk(), (entry,)))
 
     def test_report_text(self):
         report = car_ball_components(Disk(), 0, 0.54, spacing=0.05)

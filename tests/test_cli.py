@@ -1,10 +1,11 @@
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from invmetrics.cli import main
-from invmetrics.domains import grid_save, grid_annulus, grid_from_predicate
+from invmetrics.domains import grid_save, grid_annulus
 
 
 @pytest.fixture(scope="module")
@@ -15,14 +16,14 @@ def annulus_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def pants_file(tmp_path_factory):
-    def pred(z):
-        return ((np.abs(z) < 1.0) & (np.abs(z - 0.45) > 0.25)
-                & (np.abs(z + 0.45) > 0.25))
-
+def pants_file(tmp_path_factory, pants_grid):
     path = tmp_path_factory.mktemp("grids") / "pants.json"
-    path.write_bytes(grid_save(grid_from_predicate(pred, 1.0, 0.02)))
+    path.write_bytes(grid_save(pants_grid))
     return str(path)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def run(capsys, *argv):
@@ -92,6 +93,21 @@ class TestBall:
             "--center", "0.3162,0", "--radius", "2.5",
             "--spacing", "0.04", "--format", "svg", "--out", str(again))
         assert again.read_bytes() == target.read_bytes()
+        assert sha256(target.read_bytes()) == (
+            "4cd380d46c65807dc2e6883f949e3d4d45415860b7dc29f6cda398f1ac09c7e0")
+
+    def test_pinned_caratheodory_pants(self, capsys, tmp_path, pants_file):
+        # two holes, so the SVG pins the order of the hole palette
+        args = ("ball", "--domain", f"grid:{pants_file}", "--metric", "caratheodory",
+                "--center", "0,0.6", "--radius", "1.5", "--spacing", "0.02")
+        text = ("metric: caratheodory-approximant\n"
+                "cells: 4508\n"
+                "connectivity_number: 2\n")
+        assert run(capsys, *args) == (0, text, "")
+        target = tmp_path / "pants.svg"
+        assert run(capsys, *args, "--format", "svg", "--out", str(target)) == (0, text, "")
+        assert sha256(target.read_bytes()) == (
+            "4c4deb85521ecde738047c20c99f0ce630b214fd9b6c7c4cad8d8ef1777b1d2d")
 
     def test_grid_export(self, capsys, tmp_path):
         target = tmp_path / "ball.json"
@@ -104,18 +120,22 @@ class TestBall:
 
 
 class TestSeparate:
+    # the full stdout is pinned: the table literally, the polygon by digest
     def test_annulus_table(self, capsys, annulus_file):
         code, out, _ = run(capsys, "separate", "--grid", f"grid:{annulus_file}")
         assert code == 0
-        assert "winding_k1: 1" in out
-        assert "winding_k2: 0" in out
-        assert "vertices:" in out
+        assert out.startswith("k1: 2\nk2: 1\nvertices: 340\n"
+                              "winding_k1: 1\nwinding_k2: 0\nvertices: 340\n")
+        assert sha256(out.encode()) == (
+            "a75591c15f75e6552378be9ca6494ba134c4b164a02fd37fc037c0c4786a7dc1")
 
     def test_pants_explicit_labels(self, capsys, pants_file):
         code, out, _ = run(capsys, "separate", "--grid", f"grid:{pants_file}")
         assert code == 0
-        assert "winding_k1: 1" in out
-        assert "winding_k2: 0" in out
+        assert out.startswith("k1: 2\nk2: 3\nvertices: 160\n"
+                              "winding_k1: 1\nwinding_k2: 0\nvertices: 160\n")
+        assert sha256(out.encode()) == (
+            "d0bcc7b5f4037d8365957ac815b3c97f7506eb5a57397e16d9e8f2893d68bf86")
 
 
 class TestNerve:

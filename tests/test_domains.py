@@ -18,6 +18,7 @@ from invmetrics.domains import (
     HalfPlane,
     PuncturedDisk,
     cell_pairs,
+    complement_holes,
     contains,
     density,
     grid_annulus,
@@ -405,6 +406,38 @@ def test_raster_structures_are_ndimage_s_and_read_only():
         assert np.array_equal(structure, ndimage.generate_binary_structure(2, connectivity))
         with pytest.raises(ValueError):
             structure[0, 0] = not structure[0, 0]
+
+
+class TestComplementHoles:
+    def test_two_holes_ascending(self):
+        mask = np.zeros((5, 7), dtype=bool)
+        mask[1:4, 1:6] = True
+        mask[2, 2] = mask[2, 4] = False
+        labels, holes = complement_holes(mask)
+        assert holes == (2, 3)
+        assert labels[0, 0] == 1 and labels[2, 2] == 2 and labels[2, 4] == 3
+        assert (labels[mask] == 0).all()
+
+    def test_diagonal_leak_is_no_hole(self):
+        # the cells form two 4-components, so the centre cell reaches the
+        # outside through a diagonal of the 8-connected complement
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[1, 1] = mask[1, 2] = mask[2, 1] = True
+        mask[2, 3] = mask[3, 2] = mask[3, 3] = True
+        assert complement_holes(mask)[1] == ()
+
+    @pytest.mark.parametrize("row, col", [(0, 2), (4, 2), (2, 0), (2, 4)])
+    def test_border_ring_must_be_off(self, row, col):
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[row, col] = True
+        with pytest.raises(ValidationError, match="border ring"):
+            complement_holes(mask)
+
+    def test_grid_reads_the_helper(self, pants_grid):
+        labels, holes = pants_grid.complement
+        assert np.array_equal(labels, complement_holes(pants_grid.mask)[0])
+        assert holes == (2, 3)
+        assert pants_grid.complement_labels[1:] == (3, 1)
 
 
 class TestGridAnnulus:

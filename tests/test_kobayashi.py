@@ -188,6 +188,12 @@ class TestCurveLength:
         with pytest.raises(ValidationError):
             PolyPath((0.1,))
 
+    @pytest.mark.parametrize("max_levels", [0, -1, 1.5])
+    def test_max_levels_below_one_rejected(self, max_levels):
+        # no level means no length; it used to come back as None
+        with pytest.raises(ValidationError, match="max_levels"):
+            curve_length(Disk(), PolyPath((0, 0.5)), max_levels=max_levels)
+
     def test_disk_diameter_segment(self):
         length = curve_length(Disk(), PolyPath((0, 0.5)))
         assert length == pytest.approx(HALF_LOG3, abs=1e-8)
@@ -819,6 +825,21 @@ def test_bad_raster_inputs_raise_named_errors(call, error):
 def test_malformed_points_raise_validation_errors(call, bad):
     # what complex() cannot read is no point
     with pytest.raises(ValidationError):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", ["0.01", None], ids=["text", "None"])
+@pytest.mark.parametrize("call, name", [
+    (lambda v: inner_distance(Disk(), 0, 0.5, v), "spacing"),
+    (lambda v: inner_distance(Annulus(0.1), 0.5, -0.5, v), "spacing"),
+    (lambda v: kob_ball_raster(Disk(), 0, 0.5, v), "spacing"),
+    (lambda v: kob_ball_raster(Disk(), 0, v, 0.05), "ball radius"),
+    (lambda v: kob_distance(Disk(), 0, 0.5, tol=v), "tol"),
+], ids=["disk_inner_distance", "annulus_inner_distance", "ball_spacing", "ball_radius",
+        "kob_distance_tol"])
+def test_non_numbers_raise_validation_errors(call, name, bad):
+    # a number given as text or left out is named, not a bare TypeError
+    with pytest.raises(ValidationError, match=name):
         call(bad)
 
 

@@ -16,11 +16,11 @@ from invmetrics.errors import (
     ValidationError,
 )
 from invmetrics.kobayashi import kob_ball_raster
+from invmetrics.render import render_ball_svg
 from invmetrics.topology import (
     SimplePolygon,
     _compress_collinear,
     _trace_outer_contour,
-    border_labels,
     connectivity_number,
     flood_components,
     injectivity_lower_bound,
@@ -70,12 +70,13 @@ class TestConnectivity:
     def test_pair_of_pants(self, pants_grid):
         assert connectivity_number(pants_grid.mask) == 2
 
-    def test_border_labels(self):
-        labels = np.array([[0, 1, 0, 0],
-                           [0, 2, 3, 0],
-                           [4, 0, 5, 0],
-                           [0, 0, 6, 0]])
-        assert border_labels(labels) == {1, 4, 6}
+    @pytest.mark.parametrize("call", [
+        connectivity_number,
+        lambda mask: render_ball_svg(mask, np.zeros_like(mask)),
+    ], ids=["connectivity_number", "render_ball_svg"])
+    def test_border_ring_must_be_off(self, call):
+        with pytest.raises(ValidationError, match="border ring"):
+            call(np.ones((5, 5), dtype=bool))
 
     def test_empty_region(self):
         with pytest.raises(EmptyRegion):
@@ -219,8 +220,8 @@ class TestWindingField:
 class TestSeparatingCycle:
     def test_annulus_hole_vs_unbounded(self):
         grid = grid_annulus(0.25, 0.02)
-        labels, count, unbounded = grid.complement_labels
-        hole = 1 if unbounded == 2 else 2
+        labels, _, unbounded = grid.complement_labels
+        (hole,) = grid.complement[1]
         poly = separating_cycle(grid, hole, unbounded)
         ys, xs = np.nonzero(labels == hole)
         assert {poly.winding_point2(2 * ix, 2 * iy)
@@ -230,8 +231,7 @@ class TestSeparatingCycle:
                 for ix, iy in zip(xs.tolist(), ys.tolist())} == {0}
 
     def test_pants_separates_the_holes(self, pants_grid):
-        labels, count, unbounded = pants_grid.complement_labels
-        holes = [lab for lab in range(1, count + 1) if lab != unbounded]
+        labels, holes = pants_grid.complement
         poly = separating_cycle(pants_grid, holes[0], holes[1])
         ys, xs = np.nonzero(labels == holes[0])
         assert {poly.winding_point2(2 * ix, 2 * iy)
@@ -254,8 +254,8 @@ class TestSeparatingCycle:
             grid = grid_from_predicate(
                 lambda z: (np.abs(z) < 1.0) & (np.abs(z - 0.45) > 0.25)
                 & (np.abs(z + 0.45) > 0.25), 1.0, float(fixture[5:]))
-        labels, count, unbounded = grid.complement_labels
-        holes = [lab for lab in range(1, count + 1) if lab != unbounded]
+        _, _, unbounded = grid.complement_labels
+        holes = grid.complement[1]
         k2 = unbounded if fixture == "annulus" else holes[1]
         poly = separating_cycle(grid, holes[0], k2)
         assert hashlib.sha256(json.dumps(poly.vertices2).encode()).hexdigest() == digest
@@ -265,15 +265,14 @@ class TestSeparatingCycle:
             separating_cycle(pants_grid, 1, 1)
 
     def test_unbounded_first_label_rejected(self, pants_grid):
-        labels, count, unbounded = pants_grid.complement_labels
-        bounded = next(lab for lab in range(1, count + 1) if lab != unbounded)
+        _, _, unbounded = pants_grid.complement_labels
         with pytest.raises(LabelNotBounded):
-            separating_cycle(pants_grid, unbounded, bounded)
+            separating_cycle(pants_grid, unbounded, pants_grid.complement[1][0])
 
     def test_polygon_vertices_inside_domain(self):
         grid = grid_annulus(0.25, 0.02)
-        labels, count, unbounded = grid.complement_labels
-        hole = 1 if unbounded == 2 else 2
+        labels, _, unbounded = grid.complement_labels
+        (hole,) = grid.complement[1]
         poly = separating_cycle(grid, hole, unbounded)
         for v in poly.vertices:
             assert 0.25 < abs(v) < 1.0
