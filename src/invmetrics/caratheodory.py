@@ -13,6 +13,7 @@ compact-component behavior of the full distance.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -174,12 +175,13 @@ def car_interval(domain: Domain, p, q,
                  dictionary: MapDictionary | None = None,
                  tol: float = 1e-9):
     """[dictionary lower bound, Kobayashi upper bound]; the Kobayashi
-    distance dominates the Caratheodory one, so this always encloses it."""
+    distance dominates the Caratheodory one, so this encloses it wherever
+    the Kobayashi interval is certified, and carries that flag."""
     from .kobayashi import DistanceInterval, kob_distance
 
     lower = car_lower(domain, p, q, dictionary)
-    upper = kob_distance(domain, p, q, tol).upper
-    return DistanceInterval(min(lower, upper), upper)
+    kob = kob_distance(domain, p, q, tol)
+    return DistanceInterval(min(lower, kob.upper), kob.upper, kob.certified)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +309,8 @@ def car_ball_components(domain: Domain, p, radius: float,
     p = as_finite(p)
     if not contains(domain, p):
         raise OutOfDomain(f"{p!r} not in {domain!r}")
+    if not isinstance(radius, numbers.Real):
+        raise ValidationError(f"ball radius must be a real number: {radius!r}")
     if not (radius > 0):
         raise EmptyBall(f"ball radius must be positive: {radius!r}")
     if isinstance(domain, GridDomain):

@@ -80,12 +80,33 @@ class Lift(NamedTuple):
     height: np.ndarray
 
 
-def _log_ratio(z, c: float) -> np.ndarray:
-    """log(|z| / c), with full relative accuracy next to the circle |z| = c."""
-    m = np.abs(z) / c
+def lift_pair(domain: "CatalogDomain", p: complex, q: complex):
+    """(wp, wq): the lifts of p and q, from one ``lift`` call on [p, q]."""
+    w = domain.lift(np.array([p, q]))
+    if isinstance(w, Lift):
+        inner = (None, None) if w.inner is None else w.inner
+        return (Lift(w.im[0], w.outer[0], inner[0], w.height[0]),
+                Lift(w.im[1], w.outer[1], inner[1], w.height[1]))
+    return w[0], w[1]
+
+
+def _log_ratio(z, c: float, m) -> np.ndarray:
+    """log(|z| / c), m = np.abs(z), with full relative accuracy next to the
+    circle |z| = c: log1p of the error-free |z|^2 / c^2 - 1 within a factor
+    2 of c, log of the ratio elsewhere.  Each point's logarithm is taken
+    by the one branch that it reads."""
+    ratio = m / c
+    near = (ratio > 0.5) & (ratio < 2.0)
+    count = np.count_nonzero(near)
+    if count == near.size:
+        return 0.5 * np.log1p(abs2_minus(z, c, m) / (c * c))
+    out = np.empty(np.shape(ratio))
     with np.errstate(divide="ignore"):
-        return np.where((m > 0.5) & (m < 2.0),
-                        0.5 * np.log1p(abs2_minus(z, c) / (c * c)), np.log(m))
+        np.log(ratio, out=out, where=~near)
+    if count:
+        np.log1p(abs2_minus(z, c, m) / (c * c), out=out, where=near)
+        np.multiply(out, 0.5, out=out, where=near)
+    return out
 
 
 def _inside(z, m, c: float) -> np.ndarray:
@@ -219,7 +240,7 @@ class PuncturedDisk:
 
     def lift(self, z) -> Lift:
         z = _array(z)
-        outer = np.maximum(-_log_ratio(z, 1.0), _MIN_GAP)
+        outer = np.maximum(-_log_ratio(z, 1.0, np.abs(z)), _MIN_GAP)
         return Lift(np.angle(z), outer, None, outer)
 
     def distance(self, wp: Lift, wq: Lift):
@@ -227,7 +248,7 @@ class PuncturedDisk:
         return np.arcsinh(dw / (2.0 * np.sqrt(wp.height * wq.height)))
 
     def geodesic(self, p: complex, q: complex, t):
-        wp, wq = self.lift(p), self.lift(q)
+        wp, wq = lift_pair(self, p, q)
         # q's lift at the nearest deck translate, the pair centered on Im w = 0
         dy = float(_deck_offset(wp, wq))
         w = _left_halfplane_geodesic(complex(-wp.outer, 0.5 * dy), complex(-wq.outer, -0.5 * dy),
@@ -248,8 +269,9 @@ class Annulus:
     deck_step = DECK_STEP
 
     def __post_init__(self):
-        if not (0.0 < self.r < 1.0):
-            raise ValidationError(f"annulus inner radius must be in (0, 1): {self.r!r}")
+        if not (isinstance(self.r, numbers.Real) and 0.0 < self.r < 1.0):
+            raise ValidationError(f"annulus inner radius must be a real number in (0, 1): "
+                                  f"{self.r!r}")
 
     def contains(self, z):
         z = _array(z)
@@ -263,8 +285,9 @@ class Annulus:
 
     def lift(self, z) -> Lift:
         z = _array(z)
-        outer = np.maximum(-_log_ratio(z, 1.0), _MIN_GAP)
-        inner = np.maximum(_log_ratio(z, self.r), _MIN_GAP)
+        m = np.abs(z)
+        outer = np.maximum(-_log_ratio(z, 1.0, m), _MIN_GAP)
+        inner = np.maximum(_log_ratio(z, self.r, m), _MIN_GAP)
         scale = math.pi / -math.log(self.r)
         return Lift(np.angle(z), outer, inner, np.sin(scale * np.minimum(inner, outer)))
 
@@ -278,8 +301,12 @@ class Annulus:
         heights = wp.height * wq.height
         with np.errstate(over="ignore"):
             s = np.hypot(np.sinh(a), np.sin(k * dx)) / np.sqrt(heights)
+        d = np.arcsinh(s)
         # sinh a overflows only on very thin annuli; there asinh s = a - log(heights)/2
-        return np.where(a < 700.0, np.arcsinh(s), a - 0.5 * np.log(heights))
+        big = a >= 700.0
+        if np.count_nonzero(big):
+            d = np.where(big, a - 0.5 * np.log(heights), d)
+        return d
 
     def deck_loop_length(self, lifts: Lift) -> float:
         """Least model distance from a lift to its translate by ``deck_step``."""
@@ -293,7 +320,7 @@ class Annulus:
         # u = exp(i scale (w - log r)) sends the band onto the upper half-plane,
         # so log u = -scale Im w + i theta, theta = scale * inner gap, is kept
         # in place of u, whose modulus overflows on thin annuli
-        wp, wq = self.lift(p), self.lift(q)
+        wp, wq = lift_pair(self, p, q)
         scale = math.pi / -math.log(self.r)
         # q's lift at the nearest deck translate, the pair centered on Im w = 0
         dy = float(_deck_offset(wp, wq))

@@ -8,9 +8,10 @@ nearest translate and has a closed form.  Each catalog class in
 ``domains`` owns that route (``domain.distance(domain.lift(p),
 domain.lift(q))``, vectorized); this module adds the checked entry
 points, geodesics, curve lengths and ball rasters on top of it.  Grid
-domains get a certified interval instead: an upper bound from a weighted
+domains get a two-sided interval instead: an upper end from a weighted
 shortest path and a lower bound from the finite holomorphic-map
-dictionary.
+dictionary.  It is not certified, since the path's weights are not shown
+to bound its hyperbolic length.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .domains import (
     grid_frame_load,
     grid_from_predicate,
     grid_save,
+    lift_pair,
     rasterize,
 )
 from .errors import (
@@ -62,7 +64,8 @@ def _load_sparse():
 
 @dataclass(frozen=True)
 class DistanceInterval:
-    """Two-sided enclosure of a distance value."""
+    """Two-sided enclosure of a distance value; ``certified`` is False
+    where an end is an estimate not shown to bound the value."""
 
     lower: float
     upper: float
@@ -162,24 +165,29 @@ def ball_load(data) -> MetricBall:
 # ---------------------------------------------------------------------------
 
 def kob_distance(domain: Domain, p, q, tol: float = 1e-9) -> DistanceInterval:
-    """Certified interval around the Kobayashi distance.
+    """Interval around the Kobayashi distance.
 
     Catalog domains are exact up to rounding: a degenerate interval on
     the disk and half-plane, [value - tol, value] through the covering
-    route; grids get a genuine two-sided interval.
+    route; both are certified.  Grids get a genuine two-sided interval,
+    not certified (``_grid_graph``).  A catalog pair is one 2-element
+    call each of the domain's ``contains``, ``lift`` and ``distance``.
     """
     if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
         raise ValidationError(f"tol must be finite and non-negative: {tol!r}")
     p, q = as_finite(p), as_finite(q)
-    if not contains(domain, p):
-        raise OutOfDomain(f"{p!r} not in {domain!r}")
-    if not contains(domain, q):
-        raise OutOfDomain(f"{q!r} not in {domain!r}")
+    if not isinstance(domain, Domain):
+        raise Unsupported(f"unknown domain {domain!r}")
+    # one pass of each vectorized kernel over the pair [p, q]
+    inside = domain.contains(np.array([p, q]))
+    for z, ok in zip((p, q), inside):
+        if not ok:
+            raise OutOfDomain(f"{z!r} not in {domain!r}")
     if p == q:
         return DistanceInterval(0.0, 0.0)
     if isinstance(domain, GridDomain):
         return _grid_interval(domain, p, q)
-    v = float(domain.distance(domain.lift(p), domain.lift(q)))
+    v = float(domain.distance(*lift_pair(domain, p, q)))
     if domain.deck_step:
         return DistanceInterval(max(v - tol, 0.0), v)
     return DistanceInterval(v, v)
@@ -264,7 +272,8 @@ def _grid_interval(grid: GridDomain, p: complex, q: complex) -> DistanceInterval
 
     upper = _grid_upper(grid, p, q)
     lower = car_lower(grid, p, q, default_dictionary(grid))
-    return DistanceInterval(min(lower, upper), upper)
+    # the graph's weights are not shown to bound step lengths (_grid_graph)
+    return DistanceInterval(min(lower, upper), upper, certified=False)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from zero and checks its residual.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from functools import partial
 
@@ -194,6 +195,8 @@ def conformal_modulus(grid: GridDomain, inner_label: int, outer_label: int) -> f
 
 def canonical_annulus_radius(modulus: float) -> float:
     """Inner radius of the round annulus with the given modulus."""
+    if not isinstance(modulus, numbers.Real):
+        raise ValidationError(f"modulus must be a real number: {modulus!r}")
     if not (modulus > 0) or not math.isfinite(modulus):
         raise NonPositive(f"modulus must be positive and finite: {modulus!r}")
     return math.exp(-2.0 * math.pi * modulus)

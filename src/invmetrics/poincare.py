@@ -40,8 +40,9 @@ def _square(a):
     return hi * hi, 2.0 * hi * lo, lo * lo
 
 
-def abs2_minus(z, c):
-    """|z|^2 - c^2 without the cancellation of the naive difference.
+def abs2_minus(z, c, m=None):
+    """|z|^2 - c^2 without the cancellation of the naive difference; m is
+    np.abs(z) where the caller has it.
 
     (|z| - c)(|z| + c) keeps twelve digits unless |z| is within 1e-3 of c.
     There the nine exact parts of the three squares are added with
@@ -50,11 +51,12 @@ def abs2_minus(z, c):
     circle still gets its gap to nearly full relative precision.
     """
     z = np.asarray(z, dtype=complex)
-    m = np.abs(z)
+    if m is None:
+        m = np.abs(z)
     gap = m - c
     out = np.asarray(gap * (m + c))
     near = np.abs(gap) < 1e-3 * c
-    if near.any():
+    if np.count_nonzero(near):
         zn = z[near]
         terms = (*_square(zn.real), *_square(zn.imag), *(-t for t in _square(np.float64(c))))
         total, err = terms[0], 0.0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,8 +334,8 @@ def nerve_cover(domain: Domain, ball, r_cover: float) -> NerveGraph:
     of a center.  Edges join centers whose disks share a ball cell.
     """
     inj = injectivity_lower_bound(domain, ball)
-    if not (r_cover > 0):
-        raise ValidationError("cover radius must be positive")
+    if not (isinstance(r_cover, numbers.Real) and r_cover > 0):
+        raise ValidationError(f"cover radius must be a positive real number: {r_cover!r}")
     if r_cover > inj / 2.0:
         raise CoverScaleTooLarge(
             f"cover radius {r_cover:g} exceeds half the injectivity bound {inj:g}")

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -45,7 +46,9 @@ from invmetrics.kobayashi import (
     kob_distance,
 )
 from invmetrics.mobius import INFINITY
+from invmetrics.modulus import canonical_annulus_radius
 from invmetrics.poincare import poincare_ball_euclidean, poincare_distance
+from invmetrics.topology import nerve_cover
 
 HALF_LOG2 = 0.34657359027997264
 HALF_LOG3 = 0.5493061443340548
@@ -138,6 +141,61 @@ class TestKobDistance:
         assert dab <= dac + dcb + 1e-8
 
 
+@st.composite
+def catalog_rows(draw, size=6):
+    """(domain, P, Q, off): a catalog domain, rows of points drawn in its
+    hard regimes (annuli up to r = 0.99, points within 1e-12 of a wall,
+    far-apart pairs) and a point drawn outside it."""
+    kind = draw(st.sampled_from(["disk", "halfplane", "punctured", "annulus"]))
+    r = draw(st.one_of(st.floats(1e-3, 0.6), st.floats(0.6, 0.99))) if kind == "annulus" else 0.0
+    domain = {"disk": Disk(), "halfplane": HalfPlane(), "punctured": PuncturedDisk()}.get(
+        kind) or Annulus(r)
+    wall_gap = st.floats(1e-15, 1e-12)
+
+    def point():
+        angle = draw(st.floats(-math.pi, math.pi))
+        regime = draw(st.sampled_from(["interior", "outer wall", "inner wall"]))
+        if kind == "halfplane":
+            gap = draw(wall_gap) if regime != "interior" else 10.0 ** draw(st.floats(-3, 3))
+            return complex(-gap, 100.0 * angle)
+        if regime == "outer wall":
+            return cmath.rect(1.0 - draw(wall_gap), angle)
+        if regime == "inner wall":
+            # the annulus' inner circle, else the puncture (the disk's centre)
+            return cmath.rect(r * (1.0 + draw(wall_gap)) if r else draw(wall_gap), angle)
+        # log-modulus uniform across the band (the puncture: down to 1e-6)
+        return cmath.rect(math.exp(draw(st.floats(0.0, 1.0)) * math.log(r or 1e-6)), angle)
+
+    P = np.array([point() for _ in range(size)])
+    Q = np.array([point() for _ in range(size)])
+    if kind == "halfplane":
+        off = complex(draw(st.floats(0.0, 10.0)), draw(st.floats(-10.0, 10.0)))
+    else:
+        off = cmath.rect(draw(st.one_of(st.floats(0.0, r), st.floats(1.0, 3.0))),
+                         draw(st.floats(-math.pi, math.pi)))
+    return domain, P, Q, off
+
+
+@given(catalog_rows())
+@settings(max_examples=150, deadline=None)
+def test_scalar_query_is_a_row_of_the_batched_kernel(rows):
+    # kob_distance is one row of the vectorized kernel, bit for bit, in
+    # every regime; its checks name the first endpoint that is outside
+    domain, P, Q, off = rows
+    keep = domain.contains(P) & domain.contains(Q)
+    P, Q = P[keep], Q[keep]
+    batch = domain.distance(domain.lift(P), domain.lift(Q))
+    for i in range(P.size):
+        assert kob_distance(domain, P[i], Q[i]).upper == batch[i]
+    if not domain.contains(off):
+        inside = complex(P[0]) if P.size else 0.5j - 0.5
+        for p, q in ((off, inside), (inside, off), (off, -off)):
+            with pytest.raises(OutOfDomain, match=f"^{re.escape(repr(off))} not in"):
+                kob_distance(domain, p, q)
+    with pytest.raises(Unsupported):
+        kob_distance(type(domain).__name__, 0.5, 0.25)
+
+
 @pytest.fixture(scope="module")
 def coarse_annulus():
     return grid_annulus(0.25, 0.02)
@@ -154,7 +212,9 @@ class TestGridInterval:
             analytic = kob_distance(Annulus(0.25), p, q).upper
             interval = kob_distance(coarse_annulus, p, q)
             assert interval.lower <= analytic <= interval.upper
-            assert interval.certified
+            # the graph's diagonal weights are not shown to bound a step's
+            # length next to the complement, so no grid interval is certified
+            assert not interval.certified
 
     def test_graph_matches_double_loop(self):
         grid = grid_annulus(0.3, 0.05)
@@ -835,8 +895,13 @@ def test_malformed_points_raise_validation_errors(call, bad):
     (lambda v: kob_ball_raster(Disk(), 0, 0.5, v), "spacing"),
     (lambda v: kob_ball_raster(Disk(), 0, v, 0.05), "ball radius"),
     (lambda v: kob_distance(Disk(), 0, 0.5, tol=v), "tol"),
+    (Annulus, "annulus inner radius"),
+    (lambda v: car_ball_components(Disk(), 0, v, spacing=0.05), "ball radius"),
+    (lambda v: nerve_cover(Disk(), kob_ball_raster(Disk(), 0, 0.5, 0.05), v), "cover radius"),
+    (canonical_annulus_radius, "modulus"),
 ], ids=["disk_inner_distance", "annulus_inner_distance", "ball_spacing", "ball_radius",
-        "kob_distance_tol"])
+        "kob_distance_tol", "annulus_radius", "car_ball_radius", "nerve_cover_radius",
+        "canonical_annulus_modulus"])
 def test_non_numbers_raise_validation_errors(call, name, bad):
     # a number given as text or left out is named, not a bare TypeError
     with pytest.raises(ValidationError, match=name):
