@@ -100,7 +100,7 @@ def _log_ratio(z, c: float, m) -> np.ndarray:
     count = np.count_nonzero(near)
     if count == near.size:
         return 0.5 * np.log1p(abs2_minus(z, c, m) / (c * c))
-    out = np.empty(np.shape(ratio))
+    out = np.empty(ratio.shape)
     with np.errstate(divide="ignore"):
         np.log(ratio, out=out, where=~near)
     if count:
@@ -137,7 +137,7 @@ def _outside(z, m, c: float) -> np.ndarray:
 def _deck_offset(wp: Lift, wq: Lift) -> np.ndarray:
     """Im(wp - wq) reduced to the nearest deck translate, |dy| <= pi."""
     dy = wp.im - wq.im
-    return dy - TAU * np.round(dy / TAU)
+    return dy - TAU * np.rint(dy / TAU)
 
 
 def _left_halfplane_geodesic(wp: complex, wq: complex, d, t) -> np.ndarray:
@@ -241,7 +241,7 @@ class PuncturedDisk:
     def lift(self, z) -> Lift:
         z = _array(z)
         outer = np.maximum(-_log_ratio(z, 1.0, np.abs(z)), _MIN_GAP)
-        return Lift(np.angle(z), outer, None, outer)
+        return Lift(np.arctan2(z.imag, z.real), outer, None, outer)
 
     def distance(self, wp: Lift, wq: Lift):
         dw = np.hypot(wq.outer - wp.outer, _deck_offset(wp, wq))
@@ -289,7 +289,8 @@ class Annulus:
         outer = np.maximum(-_log_ratio(z, 1.0, m), _MIN_GAP)
         inner = np.maximum(_log_ratio(z, self.r, m), _MIN_GAP)
         scale = math.pi / -math.log(self.r)
-        return Lift(np.angle(z), outer, inner, np.sin(scale * np.minimum(inner, outer)))
+        return Lift(np.arctan2(z.imag, z.real), outer, inner,
+                    np.sin(scale * np.minimum(inner, outer)))
 
     def distance(self, wp: Lift, wq: Lift):
         dy = _deck_offset(wp, wq)
