@@ -80,14 +80,17 @@ class Lift(NamedTuple):
     height: np.ndarray
 
 
+def lift_row(w, i: int):
+    """Row i of a batched ``lift``: a ``Lift`` of scalars, or a model point."""
+    if isinstance(w, Lift):
+        return Lift(w.im[i], w.outer[i], None if w.inner is None else w.inner[i], w.height[i])
+    return w[i]
+
+
 def lift_pair(domain: "CatalogDomain", p: complex, q: complex):
     """(wp, wq): the lifts of p and q, from one ``lift`` call on [p, q]."""
     w = domain.lift(np.array([p, q]))
-    if isinstance(w, Lift):
-        inner = (None, None) if w.inner is None else w.inner
-        return (Lift(w.im[0], w.outer[0], inner[0], w.height[0]),
-                Lift(w.im[1], w.outer[1], inner[1], w.height[1]))
-    return w[0], w[1]
+    return lift_row(w, 0), lift_row(w, 1)
 
 
 def _log_ratio(z, c: float, m) -> np.ndarray:

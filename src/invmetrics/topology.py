@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import STRUCT_4, STRUCT_8, CatalogDomain, Domain, GridDomain, complement_holes
+from .domains import CatalogDomain, Domain, GridDomain, complement_holes, lift_row
 from .errors import (
     CoverScaleTooLarge,
     EmptyRegion,
@@ -25,31 +25,6 @@ from .errors import (
     Unsupported,
     ValidationError,
 )
-
-
-@dataclass(frozen=True)
-class LabeledRaster:
-    """Integer component labels, 0 for off cells, 1..count dense."""
-
-    labels: np.ndarray
-    component_count: int
-
-
-def flood_components(mask: np.ndarray, connectivity: int = 4) -> LabeledRaster:
-    """Label connected components (4 for foreground, 8 for background)."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise ValidationError("mask must be two-dimensional")
-    if connectivity == 4:
-        structure = STRUCT_4
-    elif connectivity == 8:
-        structure = STRUCT_8
-    else:
-        raise ValidationError(f"connectivity must be 4 or 8, got {connectivity!r}")
-    from scipy import ndimage
-
-    labels, count = ndimage.label(mask, structure=structure)
-    return LabeledRaster(labels=labels, component_count=int(count))
 
 
 def connectivity_number(mask: np.ndarray) -> int:
@@ -310,20 +285,33 @@ class NerveGraph:
         return "\n".join(lines) + "\n"
 
 
+def _injectivity(domain: CatalogDomain, lifts) -> float:
+    """Half the least model distance from the lifts to their own deck
+    translates; infinite for domains with a trivial cover."""
+    if not domain.deck_step:
+        return math.inf
+    return (domain.deck_loop_length(lifts) - 1e-9) / 2.0
+
+
+def _ball_cells(domain: Domain, ball) -> np.ndarray:
+    if not isinstance(domain, CatalogDomain):
+        raise Unsupported("injectivity bounds need a catalog domain")
+    cells = ball.centers[ball.mask]
+    if cells.size == 0:
+        raise OutOfDomain("the ball raster is empty")
+    return cells
+
+
 def injectivity_lower_bound(domain: Domain, ball) -> float:
     """Radius at which the cover map is injective over every ball point.
 
     Half the minimal model distance from the lifted ball cells to their
     own deck translates; infinite for domains with a trivial cover.
     """
-    if not isinstance(domain, CatalogDomain):
-        raise Unsupported("injectivity bounds need a catalog domain")
-    if not domain.deck_step:
+    if isinstance(domain, CatalogDomain) and not domain.deck_step:
         return math.inf
-    cells = ball.centers[ball.mask]
-    if cells.size == 0:
-        raise OutOfDomain("the ball raster is empty")
-    return (domain.deck_loop_length(domain.lift(cells)) - 1e-9) / 2.0
+    cells = _ball_cells(domain, ball)
+    return _injectivity(domain, domain.lift(cells))
 
 
 def nerve_cover(domain: Domain, ball, r_cover: float) -> NerveGraph:
@@ -333,40 +321,43 @@ def nerve_cover(domain: Domain, ball, r_cover: float) -> NerveGraph:
     row-major scan for ties) until every ball cell is within ``r_cover``
     of a center.  Edges join centers whose disks share a ball cell.
     """
-    inj = injectivity_lower_bound(domain, ball)
+    cells = _ball_cells(domain, ball)
+    lifts = domain.lift(cells)
+    inj = _injectivity(domain, lifts)
     if not (isinstance(r_cover, numbers.Real) and r_cover > 0):
         raise ValidationError(f"cover radius must be a positive real number: {r_cover!r}")
     if r_cover > inj / 2.0:
         raise CoverScaleTooLarge(
             f"cover radius {r_cover:g} exceeds half the injectivity bound {inj:g}")
-    cells = ball.centers[ball.mask]
-    if cells.size == 0:
-        raise OutOfDomain("the ball raster is empty")
-    lifts = domain.lift(cells)
 
     def dist_from(i):
-        return domain.distance(domain.lift(cells[i]), lifts)
+        return domain.distance(lift_row(lifts, i), lifts)
 
     center_ids = [0]
     mindist = dist_from(0)
-    covered = [mindist < r_cover]  # one boolean row per center
+    # A cell's covering centers are the bits of its row: center k is bit
+    # k & 7 of byte k >> 3, and the rows widen by doubling.
+    covers = np.zeros((cells.size, 8), dtype=np.uint8)
+    covers[:, 0] = mindist < r_cover
     while True:
         nxt = int(np.argmax(mindist))
         if mindist[nxt] <= r_cover:
             break
+        k = len(center_ids)
         center_ids.append(nxt)
         row = dist_from(nxt)
-        covered.append(row < r_cover)
+        if k >> 3 == covers.shape[1]:
+            covers = np.hstack([covers, np.zeros_like(covers)])
+        covers[:, k >> 3] |= (row < r_cover).view(np.uint8) << (k & 7)
         np.minimum(mindist, row, out=mindist)
 
     # Each cell's set of covering centers is a clique of the nerve.  Cells
-    # share few distinct sets, so deduplicate the packed column patterns
-    # before the Python loop over cliques.
+    # share few distinct sets, so deduplicate the rows before the Python
+    # loop over cliques.
     m = len(center_ids)
-    packed = np.ascontiguousarray(np.packbits(covered, axis=0).T)
-    patterns = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
+    patterns = np.unique(covers.view(np.dtype((np.void, covers.shape[1]))).ravel())
     members = np.unpackbits(patterns.view(np.uint8).reshape(len(patterns), -1),
-                            axis=1)[:, :m]
+                            axis=1, bitorder="little")[:, :m]
     cliques = [np.flatnonzero(bits).tolist() for bits in members]
     edges = set()
     witness_triangles = set()

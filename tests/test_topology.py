@@ -1,28 +1,41 @@
+import cmath
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from invmetrics.domains import Annulus, Disk, PuncturedDisk, grid_annulus, grid_from_predicate
+from invmetrics.domains import (
+    Annulus,
+    Disk,
+    HalfPlane,
+    PuncturedDisk,
+    grid_annulus,
+    grid_from_predicate,
+)
 from invmetrics.errors import (
     CoverScaleTooLarge,
     EmptyRegion,
     LabelNotBounded,
     OnBoundary,
+    OutOfDomain,
+    Unsupported,
     ValidationError,
 )
 from invmetrics.kobayashi import kob_ball_raster
 from invmetrics.render import render_ball_svg
 from invmetrics.topology import (
+    NerveGraph,
     SimplePolygon,
     _compress_collinear,
     _trace_outer_contour,
     connectivity_number,
-    flood_components,
     injectivity_lower_bound,
     nerve_cover,
     separating_cycle,
@@ -31,32 +44,6 @@ from invmetrics.topology import (
 
 SQRT_TENTH = math.sqrt(0.1)
 ANNULUS_CORE_HALF = 2.1431573649805785
-
-
-def framed(mask_rows):
-    inner = np.array(mask_rows, dtype=bool)
-    out = np.zeros((inner.shape[0] + 2, inner.shape[1] + 2), dtype=bool)
-    out[1:-1, 1:-1] = inner
-    return out
-
-
-class TestFlood:
-    def test_full_block(self):
-        assert flood_components(framed(np.ones((4, 4)))).component_count == 1
-
-    def test_diagonal_cells_split_under_4(self):
-        mask = framed([[1, 0], [0, 1]])
-        assert flood_components(mask, 4).component_count == 2
-        assert flood_components(mask, 8).component_count == 1
-
-    def test_square_with_hole(self, square_with_hole_grid):
-        assert flood_components(square_with_hole_grid.mask).component_count == 1
-
-    def test_labels_dense(self):
-        mask = framed([[1, 0, 1], [0, 0, 0], [1, 0, 1]])
-        labeled = flood_components(mask, 4)
-        assert labeled.component_count == 4
-        assert set(np.unique(labeled.labels)) == {0, 1, 2, 3, 4}
 
 
 class TestConnectivity:
@@ -348,3 +335,142 @@ class TestNerve:
         nerve = nerve_cover(Annulus(0.1), ball, 0.7)
         text = nerve.to_text()
         assert "cycle_rank: 0" in text
+
+
+def _gf2_rank_dense(rows: np.ndarray) -> int:
+    """Rank over GF(2) of a 0/1 matrix by Gauss-Jordan elimination."""
+    rows = rows.copy()
+    rank = 0
+    for col in range(rows.shape[1]):
+        if rank == rows.shape[0]:
+            break
+        pivots = rank + np.flatnonzero(rows[rank:, col])
+        if pivots.size == 0:
+            continue
+        rows[[rank, pivots[0]]] = rows[[pivots[0], rank]]
+        others = np.flatnonzero(rows[:, col])
+        rows[others[others != rank]] ^= rows[rank]
+        rank += 1
+    return rank
+
+
+def reference_nerve(domain, ball, r_cover) -> NerveGraph:
+    """``nerve_cover`` by brute force: each center lifted on its own, one
+    boolean row per center, and the cliques read off the matrix's
+    distinct columns."""
+    from scipy.sparse.csgraph import connected_components
+
+    cells = ball.centers[ball.mask]
+    lifts = domain.lift(cells)
+    inj = (domain.deck_loop_length(lifts) - 1e-9) / 2.0 if domain.deck_step else math.inf
+    assert r_cover <= inj / 2.0
+
+    def row(i):
+        return domain.distance(domain.lift(cells[i]), lifts)
+
+    ids = [0]
+    mindist = row(0)
+    covered = [mindist < r_cover]
+    while mindist.max() > r_cover:
+        ids.append(int(np.argmax(mindist)))
+        d = row(ids[-1])
+        covered.append(d < r_cover)
+        mindist = np.minimum(mindist, d)
+    m = len(ids)
+    edges, triangles = set(), set()
+    for column in np.unique(np.array(covered), axis=1).T:
+        clique = np.flatnonzero(column).tolist()
+        edges.update(itertools.combinations(clique, 2))
+        triangles.update(itertools.combinations(clique, 3))
+    adjacent = np.zeros((m, m), dtype=bool)
+    for i, j in edges:
+        adjacent[i, j] = adjacent[j, i] = True
+    if 6.0 * r_cover < 2.0 * inj:
+        triangles.update((i, j, int(k)) for i, j in edges
+                         for k in np.flatnonzero(adjacent[i] & adjacent[j]) if k > j)
+    edges, triangles = sorted(edges), sorted(triangles)
+    components = connected_components(adjacent, directed=False)[0]
+    index = {e: n for n, e in enumerate(edges)}
+    boundary = np.zeros((len(triangles), len(edges)), dtype=np.uint8)
+    for n, (i, j, k) in enumerate(triangles):
+        boundary[n, [index[(i, j)], index[(j, k)], index[(i, k)]]] = 1
+    graph_rank = len(edges) - m + components
+    return NerveGraph(
+        centers=tuple(complex(cells[i]) for i in ids),
+        cover_radius=r_cover,
+        edges=tuple(edges),
+        triangles=tuple(triangles),
+        component_count=components,
+        graph_cycle_rank=graph_rank,
+        cycle_rank=graph_rank - _gf2_rank_dense(boundary),
+    )
+
+
+def _catalog_cover_radius(kind, r, center_modulus, radius):
+    """The benchmark's cover radius: 0.7, shrunk to 0.3 of the loop scale."""
+    if kind == "annulus":
+        inj = math.pi ** 2 / (2 * -math.log(r))
+    elif kind == "punctured":
+        inj = math.asinh(math.pi / abs(math.log(center_modulus) * math.exp(2 * radius))) / 2
+    else:
+        return 0.7
+    return min(0.7, 0.3 * inj)
+
+
+# The nine ball templates of the catalog-balls benchmark: (kind, r, |center|, R)
+CATALOG_BALLS = (
+    ("annulus", 0.1, SQRT_TENTH, 2.5),
+    ("disk", None, 0.4, 1.0),
+    ("annulus", 0.1, SQRT_TENTH, 1.5),
+    ("annulus", 0.35, math.sqrt(0.35), 1.0),
+    ("annulus", 0.05, math.sqrt(0.05), 2.0),
+    ("annulus", 0.2, math.sqrt(0.2), 1.5),
+    ("punctured", None, 0.5, 0.5),
+    ("annulus", 0.2, math.sqrt(0.2), 2.0),
+    ("annulus", 0.5, math.sqrt(0.5), 2.0),
+)
+
+
+class TestNerveReference:
+    @pytest.mark.parametrize("template", CATALOG_BALLS,
+                             ids=lambda t: f"{t[0]}{t[1] or ''}-R{t[3]}")
+    def test_catalog_balls_match(self, template):
+        kind, r, center_modulus, radius = template
+        domain = {"disk": Disk, "punctured": PuncturedDisk}.get(kind, lambda: Annulus(r))()
+        r_cover = _catalog_cover_radius(*template)
+        for k in range(8):
+            angle = -math.pi + 2 * math.pi * (k + 0.37) / 8
+            ball = kob_ball_raster(domain, cmath.rect(center_modulus, angle), radius, 0.02)
+            assert nerve_cover(domain, ball, r_cover) == reference_nerve(domain, ball, r_cover)
+
+    @pytest.mark.parametrize("domain, center, radius, r_cover, min_centers", [
+        # more than 128 centers: the bit rows widen twice
+        (Annulus(0.1), SQRT_TENTH, 2.5, 0.45, 129),
+        # the half-plane's lift is the point array itself, not a Lift
+        (HalfPlane(), -0.5 + 0.2j, 1.0, 0.5, 9),
+        (PuncturedDisk(), 0.6j, 0.8, 0.2, 9),
+    ], ids=["annulus-wide-rows", "halfplane", "punctured"])
+    def test_other_balls_match(self, domain, center, radius, r_cover, min_centers):
+        ball = kob_ball_raster(domain, center, radius, 0.02)
+        nerve = nerve_cover(domain, ball, r_cover)
+        assert nerve.vertex_count >= min_centers
+        assert nerve == reference_nerve(domain, ball, r_cover)
+
+    def test_single_fault_errors(self):
+        domain = Annulus(0.1)
+        ball = kob_ball_raster(domain, SQRT_TENTH, 0.5, 0.04)
+        empty = dataclasses.replace(ball, mask=np.zeros_like(ball.mask))
+        inj = injectivity_lower_bound(domain, ball)
+        cases = [
+            (grid_annulus(0.25, 0.05), ball, 0.5, Unsupported,
+             "injectivity bounds need a catalog domain"),
+            (domain, empty, 0.5, OutOfDomain, "the ball raster is empty"),
+            (Disk(), empty, 0.5, OutOfDomain, "the ball raster is empty"),
+            (domain, ball, "0.5", ValidationError,
+             "cover radius must be a positive real number: '0.5'"),
+            (domain, ball, 2.0, CoverScaleTooLarge,
+             f"cover radius 2 exceeds half the injectivity bound {inj:g}"),
+        ]
+        for dom, b, r_cover, error, message in cases:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                nerve_cover(dom, b, r_cover)
