@@ -182,8 +182,8 @@ def criterion_6(quick: bool = False) -> CriterionResult:
     """Separating cycles: simple polygons with exact winding 1 / 0."""
     results = []
     ga = grid_annulus(0.25, 0.02)
-    labels, _, unbounded = ga.complement_labels
-    (hole,) = ga.complement[1]
+    labels, (hole,) = ga.complement
+    unbounded = int(labels[0, 0])
     poly = top.separating_cycle(ga, hole, unbounded)
     results.append(_winding_values(poly, labels, hole) == {1}
                    and _winding_values(poly, labels, unbounded) == {0})

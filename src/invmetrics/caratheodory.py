@@ -29,7 +29,6 @@ from .domains import (
     HalfPlane,
     PuncturedDisk,
     STRUCT_4,
-    STRUCT_8,
     complement_holes,
     contains,
     rasterize,
@@ -67,9 +66,6 @@ class MapDictionary:
 
     def __len__(self):
         return len(self.entries)
-
-    def tags(self):
-        return [e.tag for e in self.entries]
 
     def extended(self, extra_entries) -> "MapDictionary":
         return MapDictionary(self.domain, self.entries + tuple(extra_entries))
@@ -295,6 +291,11 @@ class BallComponentReport:
         return "\n".join(lines) + "\n"
 
 
+def _widened(box, origin=(0, 0)):
+    """A box (a pair of slices) grown by one cell on each side, shifted by origin."""
+    return tuple(slice(o + s.start - 1, o + s.stop + 1) for s, o in zip(box, origin))
+
+
 def car_ball_components(domain: Domain, p, radius: float,
                         dictionary: MapDictionary | None = None,
                         spacing: float | None = None) -> BallComponentReport:
@@ -321,9 +322,16 @@ def car_ball_components(domain: Domain, p, radius: float,
         grid = rasterize(domain, spacing)
     if dictionary is None:
         dictionary = default_dictionary(domain)
-    values = np.full(grid.mask.shape, np.inf)
-    values[grid.mask] = car_lower_field(dictionary, p, grid.centers[grid.mask])
-    ball = grid.mask & (values < radius)
+    # the entries' maximum is below the radius exactly when each entry is, so
+    # each is evaluated, as in car_lower_field, on the cells kept so far
+    cells = np.flatnonzero(grid.mask)
+    z = grid.centers.ravel()[cells]
+    for entry in dictionary.entries:
+        fp = complex(np.asarray(entry(np.asarray(p, dtype=complex))))
+        inside = rho_vec(fp, np.asarray(entry(z), dtype=complex)) < radius
+        cells, z = cells[inside], z[inside]
+    ball = np.zeros(grid.mask.shape, dtype=bool)
+    ball.flat[cells] = True
     idx = grid.cell_index(p)
     if idx is not None and grid.mask[idx[1], idx[0]]:
         ball[idx[1], idx[0]] = True
@@ -332,28 +340,33 @@ def car_ball_components(domain: Domain, p, radius: float,
 
     from scipy import ndimage
 
-    labels, count = ndimage.label(ball, structure=STRUCT_4)
-    # a component is relatively compact when no cell of it is an 8-neighbour
-    # of a domain cell next to the complement
-    boundary_cells = grid.mask & ndimage.binary_dilation(~grid.mask, STRUCT_8)
-    near_boundary = np.bincount(labels[ndimage.binary_dilation(boundary_cells, STRUCT_8)],
-                                minlength=count + 1)
+    # Ball cells avoid the frame's border ring, so a box widened by one cell
+    # stays in the frame.  A component's widened box holds all its holes,
+    # and the box's border ring lies in one complement component.
+    ball_box = _widened(ndimage.find_objects(ball.view(np.int8))[0])
+    labels, count = ndimage.label(ball[ball_box], structure=STRUCT_4)
+    # relatively compact: no cell in the grid's band along the complement
+    near_boundary = np.bincount(labels[grid.near_complement[ball_box]], minlength=count + 1)
+    origin = (ball_box[0].start, ball_box[1].start)
     components = []
-    for lab in range(1, count + 1):
-        comp = labels == lab
+    for lab, box in enumerate(ndimage.find_objects(labels), start=1):
+        comp = labels[_widened(box)] == lab
+        at = _widened(box, origin)
         hole_labels, holes = complement_holes(comp)
         relcomp = not near_boundary[lab]
         if relcomp and holes:
             # a hole's gap is its least distance to the domain's complement,
             # which is 0 on complement cells
-            for gap in ndimage.minimum(grid.dist_to_complement_cells, hole_labels, holes):
+            for gap in ndimage.minimum(grid.dist_to_complement_cells[at], hole_labels, holes):
                 if gap > 2.0:
                     raise TheoremViolation(
                         "a relatively compact ball component encloses a hole lying "
                         f"strictly inside the domain (gap {gap:.2f} cells)")
+        mask = np.zeros(ball.shape, dtype=bool)
+        mask[at] = comp
         components.append(ComponentReport(
             component_id=lab,
-            mask=comp,
+            mask=mask,
             cell_count=int(comp.sum()),
             relatively_compact=relcomp,
             connectivity_number=len(holes),

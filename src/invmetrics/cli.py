@@ -205,14 +205,13 @@ def _cmd_ball(args) -> int:
 
 def _cmd_separate(args) -> int:
     grid = args.grid
-    labels, _, unbounded = grid.complement_labels
-    holes = grid.complement[1]
+    labels, holes = grid.complement
     k1, k2 = args.k1, args.k2
     if k1 is None or k2 is None:
         if not holes:
             raise InvMetricsError("the grid has no bounded complement component")
         k1 = k1 if k1 is not None else holes[0]
-        k2 = k2 if k2 is not None else (holes[1] if len(holes) > 1 else unbounded)
+        k2 = k2 if k2 is not None else (holes[1] if len(holes) > 1 else int(labels[0, 0]))
     poly = top.separating_cycle(grid, k1, k2)
     lines = [f"k1: {k1}", f"k2: {k2}", f"vertices: {len(poly)}"]
     field = poly.winding_field(labels.shape)

@@ -412,12 +412,24 @@ class GridDomain:
         """``complement_holes(mask)``: (labels, holes) of the 8-connected complement."""
         return complement_holes(self.mask)
 
+    # perfbench/workloads.py reads this tuple; the library reads ``complement``.
     @property
     def complement_labels(self):
         """(labels, count, unbounded_label) of the 8-connected complement,
         the unbounded component being the one holding the border ring."""
         labels, holes = self.complement
         return labels, len(holes) + 1, int(labels[0, 0])
+
+    @cached_property
+    def near_complement(self) -> np.ndarray:
+        """Read-only band of cells that are 8-neighbours of a domain cell
+        8-adjacent to the complement (or such a cell themselves)."""
+        from scipy import ndimage
+
+        edge = self.mask & ndimage.binary_dilation(~self.mask, STRUCT_8)
+        band = ndimage.binary_dilation(edge, STRUCT_8)
+        band.flags.writeable = False
+        return band
 
     @cached_property
     def dist_to_complement_cells(self) -> np.ndarray:

@@ -65,14 +65,6 @@ def points_equal(p: ExtComplex, q: ExtComplex) -> bool:
     return complex(p) == complex(q)
 
 
-class MapClass(Enum):
-    IDENTITY = "identity"
-    PARABOLIC = "parabolic"
-    ELLIPTIC = "elliptic"
-    HYPERBOLIC = "hyperbolic"
-    LOXODROMIC = "loxodromic"
-
-
 class FixedKind(Enum):
     IDENTITY = "identity"
     ONE = "one"
@@ -189,22 +181,6 @@ class MobiusMap:
         )
 
     # -- analysis ----------------------------------------------------------
-    def classify(self, tol: float = COEFF_EPS) -> MapClass:
-        """Trace classification: tr^2 = 4 parabolic (or identity), real in
-        [0, 4) elliptic, real > 4 hyperbolic, non-real loxodromic."""
-        if self.is_identity(tol):
-            return MapClass.IDENTITY
-        t2 = self.trace() ** 2
-        if abs(t2.imag) <= tol:
-            x = t2.real
-            if abs(x - 4.0) <= tol:
-                return MapClass.PARABOLIC
-            if -tol <= x < 4.0:
-                return MapClass.ELLIPTIC
-            if x > 4.0:
-                return MapClass.HYPERBOLIC
-        return MapClass.LOXODROMIC
-
     def fixed_points(self) -> FixedPointSet:
         """Exact roots of c z^2 + (d - a) z - b = 0 on the extended plane."""
         a, b, c, d = self.a, self.b, self.c, self.d

@@ -143,15 +143,15 @@ def _assemble(mask, ghost, values):
 
 def conformal_modulus(grid: GridDomain, inner_label: int, outer_label: int) -> float:
     """Modulus of a grid domain whose complement has exactly two components."""
-    labels, count, unbounded = grid.complement_labels
-    if count != 2:
+    labels, holes = grid.complement
+    if len(holes) != 1:
         raise WrongConnectivity(
-            f"domain complement has {count} components, need exactly 2")
+            f"domain complement has {len(holes) + 1} components, need exactly 2")
     if {inner_label, outer_label} != {1, 2}:
         raise ValidationError(
             f"labels must identify the two complement components, got "
             f"{inner_label} and {outer_label}")
-    if outer_label != unbounded:
+    if outer_label in holes:
         raise ValidationError(f"label {outer_label} is not the unbounded component")
 
     _load_sparse()

@@ -213,13 +213,13 @@ def separating_cycle(grid: GridDomain, k1_label: int, k2_label: int) -> SimplePo
     on every cell of the first component and 0 on every cell of the
     second.
     """
-    labels, count, unbounded = grid.complement_labels
+    labels, holes = grid.complement
     if k1_label == k2_label:
         raise ValidationError("the two components must be distinct")
     for lab in (k1_label, k2_label):
-        if not (1 <= lab <= count):
+        if not (1 <= lab <= len(holes) + 1):
             raise ValidationError(f"no complement component labeled {lab}")
-    if k1_label == unbounded:
+    if k1_label not in holes:
         raise LabelNotBounded(f"component {k1_label} is the unbounded one")
     k1 = labels == k1_label
     other = (~grid.mask) & (labels != k1_label)

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 
 from conftest import annulus_points
 from invmetrics.caratheodory import (
+    BallComponentReport,
+    ComponentReport,
     DictionaryMap,
     MapDictionary,
     car_ball_components,
@@ -17,7 +19,20 @@ from invmetrics.caratheodory import (
     default_dictionary,
     subharmonicity_check,
 )
-from invmetrics.domains import Annulus, Disk, grid_load, grid_save, rasterize
+from invmetrics.domains import (
+    STRUCT_4,
+    STRUCT_8,
+    Annulus,
+    Disk,
+    GridDomain,
+    PuncturedDisk,
+    complement_holes,
+    grid_annulus,
+    grid_from_predicate,
+    grid_load,
+    grid_save,
+    rasterize,
+)
 from invmetrics.errors import (
     EmptyBall,
     MarginTooSmall,
@@ -35,11 +50,11 @@ ANTIPODAL_LOWER = 0.6549003004745169  # atanh(2 sqrt(0.1) / 1.1)
 class TestDictionary:
     def test_disk_is_identity_only(self):
         d = default_dictionary(Disk())
-        assert d.tags() == ["identity"]
+        assert [e.tag for e in d.entries] == ["identity"]
 
     def test_annulus_contains_inclusion_and_reciprocal(self):
         d = default_dictionary(Annulus(0.1))
-        tags = d.tags()
+        tags = [e.tag for e in d.entries]
         assert "inclusion" in tags
         assert any(t.startswith("reciprocal") for t in tags)
         reciprocal = next(e for e in d.entries if e.tag.startswith("reciprocal"))
@@ -48,7 +63,7 @@ class TestDictionary:
 
     def test_grid_one_reciprocal_per_hole(self, pants_grid):
         d = default_dictionary(pants_grid)
-        reciprocals = [t for t in d.tags() if t.startswith("reciprocal")]
+        reciprocals = [e.tag for e in d.entries if e.tag.startswith("reciprocal")]
         assert len(reciprocals) == 2
 
     def test_base_maps_only(self, pants_grid):
@@ -247,3 +262,141 @@ class TestBallComponents:
         text = report.to_text()
         assert "relatively_compact: true" in text
         assert "connectivity_number: 0" in text
+
+
+def reference_ball_components(domain, p, radius, dictionary=None, spacing=None):
+    """car_ball_components on valid input, done on the whole frame: the
+    dictionary field on every domain cell, the boundary band from two
+    frame-wide dilations, and each component labelled and analysed on the
+    whole frame."""
+    from scipy import ndimage
+
+    grid = domain if isinstance(domain, GridDomain) else rasterize(domain, spacing)
+    if dictionary is None:
+        dictionary = default_dictionary(domain)
+    values = np.full(grid.mask.shape, np.inf)
+    values[grid.mask] = car_lower_field(dictionary, p, grid.centers[grid.mask])
+    ball = grid.mask & (values < radius)
+    idx = grid.cell_index(p)
+    if idx is not None and grid.mask[idx[1], idx[0]]:
+        ball[idx[1], idx[0]] = True
+    labels, count = ndimage.label(ball, structure=STRUCT_4)
+    boundary_cells = grid.mask & ndimage.binary_dilation(~grid.mask, STRUCT_8)
+    near_boundary = np.bincount(labels[ndimage.binary_dilation(boundary_cells, STRUCT_8)],
+                                minlength=count + 1)
+    components = []
+    for lab in range(1, count + 1):
+        comp = labels == lab
+        hole_labels, holes = complement_holes(comp)
+        relcomp = not near_boundary[lab]
+        if relcomp and holes:
+            for gap in ndimage.minimum(grid.dist_to_complement_cells, hole_labels, holes):
+                if gap > 2.0:
+                    raise TheoremViolation(
+                        "a relatively compact ball component encloses a hole lying "
+                        f"strictly inside the domain (gap {gap:.2f} cells)")
+        components.append(ComponentReport(
+            component_id=lab, mask=comp, cell_count=int(comp.sum()),
+            relatively_compact=relcomp, connectivity_number=len(holes),
+            complement_component_count=len(holes) + 1))
+    return BallComponentReport(domain=domain, center=p, radius=radius,
+                               spacing=grid.spacing, ball_mask=ball,
+                               components=tuple(components))
+
+
+def assert_same_report(got, want):
+    assert (got.domain, got.center, got.radius, got.spacing) \
+        == (want.domain, want.center, want.radius, want.spacing)
+    assert got.ball_mask.shape == want.ball_mask.shape
+    assert np.array_equal(got.ball_mask, want.ball_mask)
+    assert len(got.components) == len(want.components)
+    for g, w in zip(got.components, want.components):
+        assert g.mask.shape == w.mask.shape
+        assert np.array_equal(g.mask, w.mask)
+        assert (g.component_id, g.cell_count, g.relatively_compact,
+                g.connectivity_number, g.complement_component_count) \
+            == (w.component_id, w.cell_count, w.relatively_compact,
+                w.connectivity_number, w.complement_component_count)
+    assert got.to_text() == want.to_text()
+
+
+def _ring_grid():
+    return grid_annulus(0.3, 0.02)
+
+
+def _slit_grid():
+    # the unit disk less a horizontal slit one or two cells thick
+    def pred(z):
+        return (np.abs(z) < 1.0) & ~((np.abs(z.imag) < 0.015) & (np.abs(z.real) < 0.5))
+
+    return grid_from_predicate(pred, 1.0, 0.02)
+
+
+# radii from below one cell up to past the whole domain
+REFERENCE_RADII = (1e-6, 0.05, 0.2, 0.5, 1.0, 2.0, 8.0)
+
+
+class TestBallComponentsReference:
+    @pytest.mark.parametrize("center", [0.05 + 0.45j, 0.45 + 0.3j, 0.93j, -0.72 - 0.1j])
+    def test_pants(self, pants_grid, center):
+        for radius in REFERENCE_RADII:
+            assert_same_report(car_ball_components(pants_grid, center, radius),
+                               reference_ball_components(pants_grid, center, radius))
+
+    @pytest.mark.parametrize("make, center", [
+        (_ring_grid, 0.55), (_ring_grid, -0.33j), (_ring_grid, 0.66 - 0.7j),
+        (_slit_grid, 0.1j), (_slit_grid, 0.05 - 0.6j), (_slit_grid, 0.97),
+    ], ids=["ring-mid", "ring-inner", "ring-outer", "slit-above", "slit-below", "slit-rim"])
+    def test_ring_and_slit(self, make, center):
+        grid = make()
+        for radius in REFERENCE_RADII:
+            assert_same_report(car_ball_components(grid, center, radius),
+                               reference_ball_components(grid, center, radius))
+
+    @pytest.mark.parametrize("domain, center", [
+        (Disk(), 0.3 - 0.2j), (PuncturedDisk(), 0.15j), (Annulus(0.1), SQRT_TENTH),
+    ], ids=["disk", "punctured", "annulus"])
+    def test_catalog(self, domain, center):
+        for radius in REFERENCE_RADII:
+            assert_same_report(
+                car_ball_components(domain, center, radius, spacing=0.02),
+                reference_ball_components(domain, center, radius, spacing=0.02))
+
+    @pytest.mark.parametrize("center", [0.45 + 0.3j, 0.05 + 0.7j])
+    def test_several_components(self, pants_grid, center):
+        # z -> z^2 is two-to-one, so its balls about a point off the axis
+        # split into two components, one about each square root
+        middle, scale = pants_grid.bounding_circle
+        square = DictionaryMap("square", lambda z: ((np.asarray(z, dtype=complex)
+                                                     - middle) / scale) ** 2)
+        dictionary = MapDictionary(pants_grid, (square,))
+        counts = set()
+        for radius in REFERENCE_RADII:
+            got = car_ball_components(pants_grid, center, radius, dictionary)
+            assert_same_report(got, reference_ball_components(pants_grid, center, radius,
+                                                              dictionary))
+            counts.add(len(got.components))
+        assert max(counts) >= 2
+
+    def test_shell_about_a_hole(self):
+        # a non-holomorphic shell about |z| = 0.6 encloses the grid's hole:
+        # a relatively compact component whose hole holds complement cells
+        entry = DictionaryMap("not holomorphic",
+                              lambda z: 0.5 * (np.abs(np.asarray(z)) ** 2 - 0.36))
+        grid = _ring_grid()
+        dictionary = MapDictionary(grid, (entry,))
+        got = car_ball_components(grid, 0.6, 0.05, dictionary)
+        assert_same_report(got, reference_ball_components(grid, 0.6, 0.05, dictionary))
+        assert [(c.relatively_compact, c.connectivity_number) for c in got.components] \
+            == [(True, 1)]
+
+    def test_violation(self):
+        entry = DictionaryMap("not holomorphic",
+                              lambda z: 0.5 * (np.abs(np.asarray(z)) ** 2 - 0.25))
+        dictionary = MapDictionary(Disk(), (entry,))
+        with pytest.raises(TheoremViolation) as want:
+            reference_ball_components(Disk(), 0.5, 0.05, dictionary, 0.01)
+        with pytest.raises(TheoremViolation) as got:
+            car_ball_components(Disk(), 0.5, 0.05, dictionary, 0.01)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)

@@ -284,6 +284,17 @@ class TestGridDomain:
         assert (grid.origin, grid.spacing) == (0j, 0.1)
         assert np.flatnonzero(grid.mask).tolist() == [12]
 
+    def test_near_complement_is_the_two_dilation_band(self, pants_grid):
+        from scipy import ndimage
+
+        for grid in (pants_grid, grid_annulus(0.25, 0.02)):
+            edge = grid.mask & ndimage.binary_dilation(~grid.mask, domains.STRUCT_8)
+            band = grid.near_complement
+            assert np.array_equal(band, ndimage.binary_dilation(edge, domains.STRUCT_8))
+            assert grid.near_complement is band
+            with pytest.raises(ValueError):
+                band[0, 0] = not band[0, 0]
+
     def test_zero_spacing_rejected(self):
         mask = np.zeros((5, 5), dtype=bool)
         mask[2, 2] = True

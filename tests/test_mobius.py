@@ -1,5 +1,3 @@
-import cmath
-import math
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,7 +9,6 @@ from invmetrics.mobius import (
     COEFF_EPS,
     INFINITY,
     FixedKind,
-    MapClass,
     MobiusMap,
     disk_automorphism,
     is_infinity,
@@ -110,25 +107,6 @@ class TestFixedPoints:
             assert len(fp.points) in (1, 2)
 
 
-class TestClassify:
-    @pytest.mark.parametrize("m,expected", [
-        (MobiusMap.identity(), MapClass.IDENTITY),
-        (MobiusMap.translation(1), MapClass.PARABOLIC),
-        (MobiusMap.scaling(2), MapClass.HYPERBOLIC),
-        (MobiusMap.scaling(cmath.exp(1j)), MapClass.ELLIPTIC),
-        (MobiusMap.scaling(2j), MapClass.LOXODROMIC),
-    ])
-    def test_catalog(self, m, expected):
-        assert m.classify() == expected
-
-    def test_scaling_two_trace(self):
-        m = MobiusMap.scaling(2)
-        assert (m.trace() ** 2).real == pytest.approx(4.5)
-
-    def test_rotation_quarter_is_elliptic(self):
-        assert disk_automorphism(0, math.pi / 2).classify() == MapClass.ELLIPTIC
-
-
 class TestDegeneracy:
     def test_zero_determinant_rejected(self):
         with pytest.raises(DegenerateMap):
@@ -137,6 +115,10 @@ class TestDegeneracy:
     def test_scale_invariant_rejection(self):
         with pytest.raises(DegenerateMap):
             MobiusMap(1e8, 2e8, 2e8, 4e8)
+
+    def test_scaling_two_trace(self):
+        m = MobiusMap.scaling(2)
+        assert (m.trace() ** 2).real == pytest.approx(4.5)
 
     def test_normalized_determinant_is_one(self):
         m = MobiusMap(3, 1, 2, 5)
