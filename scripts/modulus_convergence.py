@@ -3,7 +3,8 @@
 
 Rasterizes the round annulus at a sweep of spacings and prints the
 computed modulus, the canonical inner radius, and the relative error
-against log(1/r) / (2 pi).
+against log(1/r) / (2 pi).  Exits with status 1 when the relative error
+at any spacing of at most GATE_SPACING exceeds GATE_REL_ERR.
 
 Usage: python scripts/modulus_convergence.py [INNER_RADIUS]
 """
@@ -21,12 +22,17 @@ from invmetrics.modulus import (
 
 R = float(sys.argv[1]) if len(sys.argv) > 1 else 0.25
 SPACINGS = [0.04, 0.02, 0.01, 0.005, 0.0025]
+# about twice the 4.2e-4 to 4.9e-4 that the annulus of inner radius 0.25
+# reads at spacings 0.01 to 0.0025
+GATE_SPACING = 0.01
+GATE_REL_ERR = 1e-3
 
 
 def main():
     exact = math.log(1.0 / R) / (2 * math.pi)
     print(f"annulus inner radius {R}, exact modulus {exact:.6f}")
     print(f"{'spacing':>8} {'modulus':>10} {'rel err':>9} {'rhat':>8} {'secs':>6}")
+    failed = []
     for h in SPACINGS:
         grid = grid_annulus(R, h)
         inner = bounded_complement_label(grid)
@@ -34,9 +40,15 @@ def main():
         value = conformal_modulus(grid, inner, 3 - inner)
         elapsed = time.perf_counter() - start
         rhat = canonical_annulus_radius(value)
-        print(f"{h:8.4f} {value:10.6f} {abs(value - exact) / exact:9.2e} "
-              f"{rhat:8.4f} {elapsed:6.2f}")
+        rel_err = abs(value - exact) / exact
+        print(f"{h:8.4f} {value:10.6f} {rel_err:9.2e} {rhat:8.4f} {elapsed:6.2f}")
+        if h <= GATE_SPACING and not rel_err <= GATE_REL_ERR:
+            failed.append(h)
+    if failed:
+        print(f"relative error above {GATE_REL_ERR:g} at spacing "
+              + ", ".join(f"{h:g}" for h in failed), file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

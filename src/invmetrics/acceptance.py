@@ -281,21 +281,23 @@ def criterion_9(quick: bool = False) -> CriterionResult:
     radii = [0.04, 0.06, 0.08]
     grid = rasterize(Disk(), spacing)
     p = 0.2 + 0.0137j  # off the cell lattice
+    centers = grid.centers
     u = np.full(grid.mask.shape, np.nan)
     with np.errstate(divide="ignore"):
-        u[grid.mask] = np.log(rho_vec(p, grid.centers[grid.mask]))
-    u[np.abs(grid.centers - p) < 2.5 * spacing] = np.nan  # log pole blanked
+        u[grid.mask] = np.log(rho_vec(p, centers[grid.mask]))
+    u[np.abs(centers - p) < 2.5 * spacing] = np.nan  # log pole blanked
     rep_disk = car.subharmonicity_check(grid, u, radii)
     rep_neg = car.subharmonicity_check(grid, -u, radii)
 
     s = math.sqrt(0.1)
     ga = rasterize(Annulus(0.1), spacing)
     dictionary = car.default_dictionary(Annulus(0.1))
+    centers = ga.centers
     ua = np.full(ga.mask.shape, np.nan)
     with np.errstate(divide="ignore"):
         ua[ga.mask] = np.log(np.maximum(
-            car.car_lower_field(dictionary, s, ga.centers[ga.mask]), 1e-300))
-    ua[np.abs(ga.centers - s) < 2.5 * spacing] = np.nan
+            car.car_lower_field(dictionary, s, centers[ga.mask]), 1e-300))
+    ua[np.abs(centers - s) < 2.5 * spacing] = np.nan
     rep_ann = car.subharmonicity_check(ga, ua, radii)
     passed = (rep_disk.violations == 0 and rep_ann.violations == 0
               and rep_neg.violations >= 1)

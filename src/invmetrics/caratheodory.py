@@ -108,17 +108,18 @@ def _build_dictionary(domain: Domain) -> MapDictionary:
             lambda z, c=center, s=radius: (np.asarray(z, dtype=complex) - c) / s)]
         labels, holes = domain.complement
         cells = domain.centers
+        inside = cells[domain.mask]
         for lab in holes:
             hole = labels == lab
             w0 = complex(cells[hole].mean())
-            r0 = float(np.abs(cells[domain.mask] - w0).min()) - domain.spacing
+            r0 = float(np.abs(inside - w0).min()) - domain.spacing
             if r0 <= 0:
                 continue
             entries.append(DictionaryMap(
                 f"reciprocal r0={r0:.6g} about {w0:.6g}",
                 lambda z, w0=w0, r0=r0: r0 / (np.asarray(z, dtype=complex) - w0)))
         dictionary = MapDictionary(domain, tuple(entries))
-        _validate_entries(domain, dictionary.entries, domain.centers[domain.mask])
+        _validate_entries(domain, dictionary.entries, inside)
         return dictionary
     raise Unsupported(f"unknown domain {domain!r}")
 
@@ -325,7 +326,7 @@ def car_ball_components(domain: Domain, p, radius: float,
     # the entries' maximum is below the radius exactly when each entry is, so
     # each is evaluated, as in car_lower_field, on the cells kept so far
     cells = np.flatnonzero(grid.mask)
-    z = grid.centers.ravel()[cells]
+    z = grid.centers[grid.mask]
     for entry in dictionary.entries:
         fp = complex(np.asarray(entry(np.asarray(p, dtype=complex))))
         inside = rho_vec(fp, np.asarray(entry(z), dtype=complex)) < radius

@@ -66,10 +66,18 @@ class HoloSelfMap:
 
 def blaschke_product(zeros, theta: float = 0.0) -> HoloSelfMap:
     """Disk self-map e^{i theta} z * prod (z - a)/(1 - conj(a) z) fixing 0."""
-    zeros = tuple(complex(a) for a in zeros)
-    for a in zeros:
+    checked = []
+    for z in zeros:
+        try:
+            a = complex(z)
+        except (TypeError, ValueError):
+            raise ValidationError(f"Blaschke zero must be a complex number: {z!r}") from None
+        if cmath.isnan(a):
+            raise ValidationError(f"Blaschke zero must not be NaN: {z!r}")
         if abs(a) >= 1:
             raise OutOfDomain(f"Blaschke zero outside the disk: {a!r}")
+        checked.append(a)
+    zeros = tuple(checked)
     phase = cmath.exp(1j * theta)
 
     def func(z):

@@ -357,6 +357,14 @@ class GridDomain:
     A grid is immutable (its fields cannot be reassigned and its mask is a
     read-only copy), so the caches keyed on it by identity (graph,
     dictionary, modulus system, cached properties) never go stale.
+
+    The grid caches, for as long as it lives, the per-cell arrays that take
+    a labelling, dilation or distance transform to compute: ``complement``
+    (its labels frame), ``near_complement`` and
+    ``dist_to_complement_cells``, besides the small ``bounding_circle``.
+    ``centers`` (from the origin and spacing) and ``density_upper_bound``
+    (from the distance transform) take arithmetic alone and are not kept;
+    each access computes a new full frame, so a caller reads it once.
     """
 
     origin: complex
@@ -401,11 +409,11 @@ class GridDomain:
             return ix, iy
         return None
 
-    @cached_property
+    @property
     def centers(self) -> np.ndarray:
-        xs = self.origin.real + self.spacing * np.arange(self.width)
-        ys = self.origin.imag + self.spacing * np.arange(self.height)
-        return xs[None, :] + 1j * ys[:, None]
+        """Complex cell centres of the whole frame, computed on each access."""
+        return cell_centers(self.origin, self.spacing, np.arange(self.height)[:, None],
+                            np.arange(self.width))
 
     @cached_property
     def complement(self):
@@ -438,17 +446,23 @@ class GridDomain:
 
         return ndimage.distance_transform_edt(self.mask)
 
-    @cached_property
+    @property
     def density_upper_bound(self) -> np.ndarray:
-        """Certified per-cell upper bound on the hyperbolic density.
+        """Certified per-cell upper bound on the hyperbolic density (inf off
+        the domain), a full frame computed on each access."""
+        return np.where(self.mask, self.cell_density_bound(...), np.inf)
+
+    def cell_density_bound(self, index):
+        """``density_upper_bound`` at the domain cells that the numpy index
+        ``index`` picks from the frame.
 
         The density of any domain at z is at most 1/delta(z) with delta the
         distance to the complement (compare with the disk B(z, delta)).  The
         complement here is a union of closed cells, so the center-to-center
         transform is shrunk by half a cell diagonal to stay on the safe side.
         """
-        delta = (self.dist_to_complement_cells - math.sqrt(0.5)) * self.spacing
-        return np.where(self.mask, 1.0 / np.maximum(delta, 1e-300), np.inf)
+        delta = (self.dist_to_complement_cells[index] - math.sqrt(0.5)) * self.spacing
+        return 1.0 / np.maximum(delta, 1e-300)
 
     @cached_property
     def bounding_circle(self):
@@ -489,6 +503,12 @@ class GridDomain:
         dx = np.maximum(np.abs(z.real - px) - half, 0.0)
         dy = np.maximum(np.abs(z.imag - py) - half, 0.0)
         return float(np.sqrt(dx * dx + dy * dy).min())
+
+
+def cell_centers(origin: complex, spacing: float, iy, ix):
+    """Complex centres of the cells in rows ``iy`` and columns ``ix`` of the
+    frame with this origin and spacing; the index arrays broadcast."""
+    return (origin.real + spacing * ix) + 1j * (origin.imag + spacing * iy)
 
 
 def _check_ring(mask: np.ndarray):
@@ -588,9 +608,7 @@ def _frame_mask(predicate: Callable[[np.ndarray], np.ndarray],
         raise ValidationError(f"a frame of half-width {half!r} at spacing {spacing!r} "
                               f"exceeds the budget of {MAX_FRAME_CELLS} cells")
     origin = complex(center) - half * (1 + 1j)
-    xs = origin.real + spacing * np.arange(n)
-    ys = origin.imag + spacing * np.arange(n)
-    centers = xs[None, :] + 1j * ys[:, None]
+    centers = cell_centers(origin, spacing, np.arange(n)[:, None], np.arange(n))
     mask = np.asarray(predicate(centers), dtype=bool)
     mask[0, :] = mask[-1, :] = False
     mask[:, 0] = mask[:, -1] = False
@@ -635,6 +653,9 @@ def sample_points(domain: CatalogDomain) -> np.ndarray:
 
 def grid_annulus(r: float, spacing: float) -> GridDomain:
     """Raster fixture for the round annulus r < |z| < 1."""
+    for name, value in (("inner radius", r), ("spacing", spacing)):
+        if not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a real number: {value!r}")
     if not (0.0 < r < 1.0):
         raise ValidationError(f"inner radius must be in (0, 1): {r!r}")
     if not (spacing < (1.0 - r) / 4.0):

@@ -29,6 +29,7 @@ from .domains import (
     Domain,
     GridDomain,
     HalfPlane,
+    cell_centers,
     cell_pair_mask,
     cell_pairs,
     contains,
@@ -135,9 +136,8 @@ class MetricBall:
 
     @property
     def centers(self) -> np.ndarray:
-        xs = self.origin.real + self.spacing * np.arange(self.width)
-        ys = self.origin.imag + self.spacing * np.arange(self.height)
-        return xs[None, :] + 1j * ys[:, None]
+        return cell_centers(self.origin, self.spacing, np.arange(self.height)[:, None],
+                            np.arange(self.width))
 
     def cell_count(self) -> int:
         return int(self.mask.sum())
@@ -251,11 +251,10 @@ def _grid_upper(grid: GridDomain, p: complex, q: complex) -> float:
     bound_q = 1.0 / max(grid.distance_to_complement(q), 1e-300)
     if cp == cq:
         return abs(p - q) * max(bound_p, bound_q)
-    cell_bound = grid.density_upper_bound
     zp = grid.cell_center(*cp)
     zq = grid.cell_center(*cq)
-    link_p = abs(p - zp) * max(bound_p, cell_bound[cp[1], cp[0]])
-    link_q = abs(q - zq) * max(bound_q, cell_bound[cq[1], cq[0]])
+    link_p = abs(p - zp) * max(bound_p, grid.cell_density_bound((cp[1], cp[0])))
+    link_q = abs(q - zq) * max(bound_q, grid.cell_density_bound((cq[1], cq[0])))
     graph = _grid_graph(grid)
     source = cp[1] * grid.width + cp[0]
     target = cq[1] * grid.width + cq[0]
@@ -442,10 +441,11 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
 
     _load_sparse()
     cells = frame.mask.size
-    centers = frame.centers.ravel()
+    frame_centers = frame.centers
+    centers = frame_centers.ravel()
     # distance in cells to the nearest frame cell outside the domain; the
     # cells the disk crop leaves out lie in the disk and do not count
-    near = ndimage.distance_transform_edt(domain.contains(frame.centers)).ravel()
+    near = ndimage.distance_transform_edt(domain.contains(frame_centers)).ravel()
     cell_mask = frame.mask.ravel()
 
     def inside(a, b, steps):
@@ -550,7 +550,8 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     # most a pair's limit is at most kappa times as long
     disk = isinstance(domain, Disk)
     full = None if disk else graph(frame.mask)
-    limited = graph(_disk_ellipses(frame, ps, qs, _disk_kappa(h, half) * limits)) if disk else full
+    limited = (graph(_disk_ellipses(frame, frame_centers, ps, qs, _disk_kappa(h, half) * limits))
+               if disk else full)
     out = np.empty(len(pairs))
     for k, (limit, (cols, w)) in enumerate(zip(limits, targets)):
         # the search settles only the nodes within the limit of the source;
@@ -584,9 +585,10 @@ def _disk_kappa(h: float, half: float) -> float:
     return math.exp(_MOVE_RADIUS * h * half / (1.0 - half * half)) * (1.0 + 1e-9)
 
 
-def _disk_ellipses(frame: GridDomain, ps, qs, bounds) -> np.ndarray:
-    """Mask of the frame's cells x with d(p, x) + d(x, q) <= bound for some
-    pair (p, q) and its bound, on the unit disk.
+def _disk_ellipses(frame: GridDomain, centers: np.ndarray, ps, qs, bounds) -> np.ndarray:
+    """Mask of the frame's cells x, with ``centers`` the frame's cell
+    centres, such that d(p, x) + d(x, q) <= bound for some pair (p, q) and
+    its bound, on the unit disk.
 
     Each ellipse lies in the hyperbolic disks of radius bound about p and
     about q, Euclidean disks; only the cells of the box that holds both,
@@ -594,7 +596,6 @@ def _disk_ellipses(frame: GridDomain, ps, qs, bounds) -> np.ndarray:
     """
     h = frame.spacing
     keep = np.zeros(frame.mask.shape, dtype=bool)
-    centers = frame.centers
     origin = np.array([frame.origin.real, frame.origin.imag])
     for p, q, bound in zip(ps, qs, bounds):
         # the disk of radius bound about c: |z - c| <= t |1 - conj(c) z|, with

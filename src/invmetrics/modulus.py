@@ -13,10 +13,14 @@ about 2% of the modulus at a spacing of 0.01.
 
 The linear system is solved by conjugate gradients preconditioned with
 one V-cycle of smoothed-aggregation multigrid (Vanek, Mandel & Brezina,
-Computing 56, 1996), which converges in about 8 iterations at any
-spacing where plain CG needs hundreds. A solution is returned only when
-its true residual ||b - Ax|| is at most _CG_RTOL times ||b||; otherwise
-SolverDivergence reports the iterations and the residual.
+Computing 56, 1996).  Each aggregate is a 3x3 block of cells, a node's
+whole 5-point neighbourhood, so each level has about a ninth of the
+unknowns of the one above and the stored level matrices hold 1.2 times
+the fine matrix's nonzeros (Stueben's operator complexity).  CG converges
+in 12 iterations at spacings 0.01 to 0.0025 on round annuli, where plain
+CG needs hundreds.  A solution is returned only when its true residual
+||b - Ax|| is at most _CG_RTOL times ||b||; otherwise SolverDivergence
+reports the iterations and the residual.
 
 A grid has one such system, since validation fixes which component is
 inner and which outer.  Its matrix, right-hand side and preconditioner
@@ -40,9 +44,15 @@ from .errors import NonPositive, SolverDivergence, ValidationError, WrongConnect
 
 _CG_RTOL = 1e-10
 _CG_MAXITER = 200
-# smoothed-aggregation multigrid: damped-Jacobi weight, sweeps before and
-# after each coarse correction, and the size at which a level is factored
-_JACOBI_OMEGA = 2.0 / 3.0
+# smoothed-aggregation multigrid: cells per aggregate side, the damped-Jacobi
+# weight (of the prolongator smoothing and of the sweeps), sweeps before and
+# after each coarse correction, and the size at which a level is factored.
+# 4/5 is the Jacobi weight that damps the 5-point Laplacian's oscillatory
+# modes best; with 3x3 aggregates it takes CG from 14-16 iterations at 2/3
+# to 12 on round annuli, and the solve from about 10% slower than with 2x2
+# aggregates to about 10% faster.
+_AGGREGATE = 3
+_JACOBI_OMEGA = 0.8
 _SMOOTHING_SWEEPS = 2
 _COARSEST_UNKNOWNS = 1500
 
@@ -65,15 +75,16 @@ def _load_sparse():
 def _multigrid(matrix, iy, ix):
     """Smoothed-aggregation multigrid for CG: one V-cycle per application.
 
-    Each level aggregates its unknowns into 2x2 blocks of cells, keyed by
-    (iy // 2, ix // 2), smooths the piecewise-constant prolongator once with
-    damped Jacobi, P = (I - w D^-1 A) P0, and passes P^T A P down until at
-    most _COARSEST_UNKNOWNS remain; that level is factored once.
+    Each level aggregates its unknowns into square blocks of cells, keyed by
+    (iy // _AGGREGATE, ix // _AGGREGATE), smooths the piecewise-constant
+    prolongator once with damped Jacobi, P = (I - w D^-1 A) P0, and passes
+    P^T A P down until at most _COARSEST_UNKNOWNS remain; that level is
+    factored once.
     """
     levels = []
     a = matrix
     while a.shape[0] > _COARSEST_UNKNOWNS:
-        iy, ix = iy // 2, ix // 2
+        iy, ix = iy // _AGGREGATE, ix // _AGGREGATE
         width = int(ix.max()) + 1
         blocks, aggregate = np.unique(iy * width + ix, return_inverse=True)
         n = a.shape[0]

@@ -11,6 +11,7 @@ this convention.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -162,6 +163,8 @@ def poincare_ball_euclidean(center, radius: float):
     centers; for center 0 the Euclidean radius is tanh(radius).
     """
     c = check_in_disk(center)
+    if not isinstance(radius, numbers.Real) or math.isnan(radius):
+        raise ValidationError(f"ball radius must be a real number: {radius!r}")
     if radius <= 0:
         raise OutOfDomain(f"ball radius must be positive: {radius!r}")
     t = math.tanh(radius)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import annulus_points
+from invmetrics import kobayashi
 from invmetrics.caratheodory import (
     BallComponentReport,
     ComponentReport,
@@ -400,3 +401,55 @@ class TestBallComponentsReference:
             car_ball_components(Disk(), 0.5, 0.05, dictionary, 0.01)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+
+def reference_grid_interval(grid, p, q):
+    """(lower, upper) of kob_distance(grid, p, q) on distinct points, read
+    from the full frames ``grid.centers`` and ``grid.density_upper_bound``:
+    the links to the endpoint cells index the bound frame, and the
+    dictionary's hole centres and radii come from the centre frame."""
+    from scipy.sparse.csgraph import dijkstra
+
+    centers, bound = grid.centers, grid.density_upper_bound
+    cp, cq = grid.cell_index(p), grid.cell_index(q)
+    bound_p = 1.0 / max(grid.distance_to_complement(p), 1e-300)
+    bound_q = 1.0 / max(grid.distance_to_complement(q), 1e-300)
+    if cp == cq:
+        upper = abs(p - q) * max(bound_p, bound_q)
+    else:
+        link_p = abs(p - grid.cell_center(*cp)) * max(bound_p, bound[cp[1], cp[0]])
+        link_q = abs(q - grid.cell_center(*cq)) * max(bound_q, bound[cq[1], cq[0]])
+        dist = dijkstra(kobayashi._grid_graph(grid), directed=False,
+                        indices=cp[1] * grid.width + cp[0])
+        upper = link_p + float(dist[cq[1] * grid.width + cq[0]]) + link_q
+    middle, scale = grid.bounding_circle
+    entries = [DictionaryMap("inclusion rescaled",
+                             lambda z: (np.asarray(z, dtype=complex) - middle) / scale)]
+    labels, holes = grid.complement
+    for lab in holes:
+        w0 = complex(centers[labels == lab].mean())
+        r0 = float(np.abs(centers[grid.mask] - w0).min()) - grid.spacing
+        entries.append(DictionaryMap("reciprocal", lambda z, w0=w0, r0=r0:
+                                     r0 / (np.asarray(z, dtype=complex) - w0)))
+    lower = car_lower(grid, p, q, MapDictionary(grid, tuple(entries)))
+    return min(lower, upper), upper
+
+
+class TestFullFrameReference:
+    @pytest.mark.parametrize("which", ["pants", "ring"])
+    def test_reports_and_intervals(self, pants_grid, which):
+        grid = pants_grid if which == "pants" else _ring_grid()
+        rng = np.random.default_rng(11)
+        iy, ix = np.nonzero(grid.mask)
+        # points jittered within their cells, and one pair in a single cell
+        points = [grid.cell_center(int(ix[k]), int(iy[k]))
+                  + grid.spacing * complex(*rng.uniform(-0.4, 0.4, 2))
+                  for k in rng.integers(0, ix.size, 12)]
+        pairs = list(zip(points[::2], points[1::2])) + [(points[0], points[0] + 0.1 * grid.spacing)]
+        for p, q in pairs:
+            got = kob_distance(grid, p, q)
+            assert (got.lower, got.upper) == reference_grid_interval(grid, p, q)
+        for p in points[:4]:
+            for radius in (0.3, 1.0):
+                assert_same_report(car_ball_components(grid, p, radius),
+                                   reference_ball_components(grid, p, radius))

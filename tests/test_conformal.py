@@ -57,6 +57,17 @@ class TestHoloSelfMap:
             assert f.derivative(z) == pytest.approx(2 * z, abs=1e-9)
 
 
+class TestBlaschkeProduct:
+    @pytest.mark.parametrize("zero, message", [
+        ("a", "Blaschke zero must be a complex number: 'a'"),
+        # rejected before any image is computed, so no RuntimeWarning first
+        (float("nan"), "Blaschke zero must not be NaN: nan"),
+    ], ids=["string", "nan"])
+    def test_bad_zero_is_named(self, zero, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            blaschke_product([zero])
+
+
 class TestCartan:
     def test_square_map_at_origin(self):
         report = cartan_check(Disk(), square_map(), 0)

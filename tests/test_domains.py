@@ -278,7 +278,7 @@ class TestGridDomain:
         mask = np.zeros((5, 5), dtype=bool)
         mask[2, 2] = True
         grid = GridDomain(origin=0j, spacing=0.1, mask=mask)
-        assert grid.density_upper_bound[2, 2] > 0  # a cached property still works
+        assert grid.dist_to_complement_cells[2, 2] > 0  # a cached property still works
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(grid, field, value)
         assert (grid.origin, grid.spacing) == (0j, 0.1)
@@ -294,6 +294,20 @@ class TestGridDomain:
             assert grid.near_complement is band
             with pytest.raises(ValueError):
                 band[0, 0] = not band[0, 0]
+
+    def test_keeps_no_full_frame_copies(self):
+        # the cell centres and the density bound follow from the grid's
+        # fields by arithmetic, so no query leaves a full frame of either
+        from invmetrics.caratheodory import car_ball_components, default_dictionary
+
+        grid = grid_annulus(0.3, 0.05)
+        kob_distance(grid, 0.6, -0.5j)
+        car_ball_components(grid, 0.6, 0.5)
+        default_dictionary(grid)
+        assert "dist_to_complement_cells" in vars(grid)
+        assert "centers" not in vars(grid)
+        assert "density_upper_bound" not in vars(grid)
+        assert grid.centers[0, 0] == grid.origin
 
     def test_zero_spacing_rejected(self):
         mask = np.zeros((5, 5), dtype=bool)
@@ -468,6 +482,14 @@ class TestGridAnnulus:
     def test_spacing_guard(self):
         with pytest.raises(ValidationError):
             grid_annulus(0.25, 0.3)
+
+    @pytest.mark.parametrize("r, spacing, message", [
+        (0.3, "x", "spacing must be a real number: 'x'"),
+        ("x", 0.01, "inner radius must be a real number: 'x'"),
+    ], ids=["spacing", "inner-radius"])
+    def test_non_numeric_argument_is_named(self, r, spacing, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            grid_annulus(r, spacing)
 
     def test_rasterize_matches_membership(self):
         grid = rasterize(Annulus(0.25), 0.05)

@@ -165,6 +165,19 @@ class TestSolver:
         ring_modulus(grid_annulus(0.25, 0.005))
         assert 0 < len(steps) <= 20
 
+    def test_operator_complexity(self, monkeypatch):
+        # Stueben's operator complexity: the nonzeros of the stored level
+        # matrices over those of the fine matrix
+        hierarchies = []
+        v_cycle = modulus._v_cycle
+        monkeypatch.setattr(modulus, "_v_cycle", lambda levels, *args: (
+            hierarchies.append(levels) or v_cycle(levels, *args)))
+        grid = grid_annulus(0.25, 0.005)
+        ring_modulus(grid)
+        levels, matrix = hierarchies[0], modulus._SYSTEMS[grid][0]
+        assert levels[0][0] is matrix
+        assert sum(a.nnz for a, *_ in levels) / matrix.nnz <= 1.3
+
     def test_hierarchy_freed_without_cycle_collector(self):
         # a hierarchy kept alive by a reference cycle waits for a full
         # collection, and grows peak memory across repeated solves

@@ -129,6 +129,12 @@ class TestBallEuclidean:
                                                    math.sin(k * math.pi / 4))
             assert poincare_distance(c, boundary) == pytest.approx(r, abs=1e-12)
 
+    @pytest.mark.parametrize("radius", ["a", float("nan")], ids=["string", "nan"])
+    def test_bad_radius_is_named(self, radius):
+        with pytest.raises(ValidationError, match=f"^ball radius must be a real number: "
+                                                  f"{radius!r}$"):
+            poincare_ball_euclidean(0, radius)
+
     @given(disk_points(0.8), st.floats(0.01, 2.0))
     @settings(max_examples=100)
     def test_boundary_points_at_distance(self, c, r):
