@@ -348,7 +348,7 @@ def criterion_10(quick: bool = False) -> CriterionResult:
     from .mobius import FixedKind
 
     rigidity_ok = True
-    desc = conf.annulus_automorphisms(0.1)
+    desc = conf.AutomorphismGroupDesc(Annulus(0.1))
     for theta in np.linspace(0.1, 2 * math.pi - 0.1, 25):
         fixed = desc.rotation(float(theta)).mobius.fixed_points()
         if any(not is_infinity(p) and 0.1 < abs(p) < 1.0 for p in fixed.points):

@@ -67,9 +67,6 @@ class MapDictionary:
     def __len__(self):
         return len(self.entries)
 
-    def extended(self, extra_entries) -> "MapDictionary":
-        return MapDictionary(self.domain, self.entries + tuple(extra_entries))
-
 
 def _validate_entries(domain: Domain, entries, samples: np.ndarray):
     for entry in entries:

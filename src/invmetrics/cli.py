@@ -174,8 +174,9 @@ def _cmd_ball(args) -> int:
     domain = args.domain
     if args.metric == "kobayashi":
         ball = kob.kob_ball_raster(domain, args.center, args.radius, args.spacing)
-        domain_mask = rasterize(domain, args.spacing).mask \
-            if not isinstance(domain, HalfPlane) else ball.mask
+        # the svg's domain layer: the half-plane ball's own frame, otherwise
+        # the domain's raster, made only for svg output
+        grid = ball if isinstance(domain, HalfPlane) else None
     else:
         report = car.car_ball_components(domain, args.center, args.radius,
                                          spacing=args.spacing)
@@ -186,14 +187,15 @@ def _cmd_ball(args) -> int:
                               metric="caratheodory-approximant",
                               origin=grid.origin, spacing=grid.spacing,
                               mask=report.ball_mask)
-        domain_mask = grid.mask
     conn = top.connectivity_number(ball.mask)
     lines = [f"metric: {ball.metric}",
              f"cells: {ball.cell_count()}",
              f"connectivity_number: {conn}"]
     text = "\n".join(lines) + "\n"
     if args.format == "svg":
-        _emit(render_ball_svg(domain_mask, ball.mask), args.out)
+        if grid is None:
+            grid = rasterize(domain, args.spacing)
+        _emit(render_ball_svg(grid.mask, ball.mask), args.out)
         sys.stdout.write(text)
     elif args.format == "grid":
         _emit(kob.ball_save(ball).decode("utf-8"), args.out)

@@ -362,9 +362,10 @@ class GridDomain:
     a labelling, dilation or distance transform to compute: ``complement``
     (its labels frame), ``near_complement`` and
     ``dist_to_complement_cells``, besides the small ``bounding_circle``.
-    ``centers`` (from the origin and spacing) and ``density_upper_bound``
+    ``centers`` (from the origin and spacing) and ``cell_density_bound``
     (from the distance transform) take arithmetic alone and are not kept;
-    each access computes a new full frame, so a caller reads it once.
+    each call computes the cells it is asked for, so a caller that needs
+    a full frame reads it once.
     """
 
     origin: complex
@@ -446,15 +447,10 @@ class GridDomain:
 
         return ndimage.distance_transform_edt(self.mask)
 
-    @property
-    def density_upper_bound(self) -> np.ndarray:
-        """Certified per-cell upper bound on the hyperbolic density (inf off
-        the domain), a full frame computed on each access."""
-        return np.where(self.mask, self.cell_density_bound(...), np.inf)
-
     def cell_density_bound(self, index):
-        """``density_upper_bound`` at the domain cells that the numpy index
-        ``index`` picks from the frame.
+        """Upper bound on the hyperbolic density at the cell centres that the
+        numpy index ``index`` picks from the frame (``...``: every cell);
+        read only at domain cells.
 
         The density of any domain at z is at most 1/delta(z) with delta the
         distance to the complement (compare with the disk B(z, delta)).  The

@@ -11,7 +11,9 @@ points, geodesics, curve lengths and ball rasters on top of it.  Grid
 domains get a two-sided interval instead: an upper end from a weighted
 shortest path and a lower bound from the finite holomorphic-map
 dictionary.  It is not certified, since the path's weights are not shown
-to bound its hyperbolic length.
+to bound its hyperbolic length.  Geodesics, curve lengths, inner
+distances and ball rasters need the closed form and raise
+``Unsupported`` on grids.
 """
 
 from __future__ import annotations
@@ -42,12 +44,14 @@ from .domains import (
 from .errors import (
     DegenerateEndpoints,
     Disconnected,
+    NonConvergence,
     OutOfDomain,
     ParseError,
     Unsupported,
     ValidationError,
 )
 from .mobius import as_finite
+from .poincare import poincare_ball_euclidean
 
 
 # scipy.sparse and scipy.ndimage cost about 10 MB and 27 MB at import, and
@@ -216,7 +220,7 @@ def _grid_graph(grid: GridDomain):
     if cached is not None:
         return cached
     mask = grid.mask.ravel()
-    bound = grid.density_upper_bound.ravel()
+    bound = grid.cell_density_bound(...).ravel()
     rows, cols, weights = [], [], []
     for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
         i, j = cell_pairs(grid.mask, grid.mask, dx, dy)
@@ -231,17 +235,6 @@ def _grid_graph(grid: GridDomain):
                        shape=(mask.size, mask.size)).tocsr()
     _GRID_GRAPH_CACHE[grid] = graph
     return graph
-
-
-def _point_density_bounds(grid: GridDomain, pts: np.ndarray) -> np.ndarray:
-    pts = np.asarray(pts, dtype=complex)
-    out = np.empty(pts.shape, dtype=float)
-    flat = pts.ravel()
-    res = out.ravel()
-    for i, z in enumerate(flat):
-        delta = grid.distance_to_complement(z)
-        res[i] = 1.0 / max(delta, 1e-300)
-    return out
 
 
 def _grid_upper(grid: GridDomain, p: complex, q: complex) -> float:
@@ -281,15 +274,18 @@ def _grid_interval(grid: GridDomain, p: complex, q: complex) -> DistanceInterval
 
 def curve_length(domain: Domain, path: PolyPath, rel_tol: float = 1e-8,
                  max_levels: int = 22) -> float:
-    """Length of a polyline under the domain's distance.
+    """Length of a polyline under the domain's distance (catalog only).
 
     The supremum over partitions is approached by dyadic refinement of
     every segment until the summed pairwise distances are stable to
-    ``rel_tol``.  On grid domains the pairwise values are upper bounds,
-    so the result is an upper estimate there.
+    ``rel_tol``; ``NonConvergence`` if ``max_levels`` levels do not get
+    there.  Grids raise ``Unsupported``: their pairwise values are upper
+    estimates that converge at O(h), never to ``rel_tol``.
     """
-    if not isinstance(max_levels, (int, np.integer)) or max_levels < 1:
-        raise ValidationError(f"max_levels must be an integer of at least 1: {max_levels!r}")
+    if isinstance(domain, GridDomain):
+        raise Unsupported("curve length needs exact distances: catalog domains only")
+    if not isinstance(max_levels, (int, np.integer)) or max_levels < 2:
+        raise ValidationError(f"max_levels must be an integer of at least 2: {max_levels!r}")
     verts = path.vertices
     outside = np.flatnonzero(~domain.contains(verts))
     if outside.size:
@@ -307,16 +303,12 @@ def curve_length(domain: Domain, path: PolyPath, rel_tol: float = 1e-8,
         if level > 0 and not domain.contains(samples).all():
             raise OutOfDomain("a refinement sample leaves the domain")
         a, b = samples[:-1], samples[1:]
-        if isinstance(domain, GridDomain):
-            lengths = np.abs(a - b) * np.maximum(_point_density_bounds(domain, a),
-                                                 _point_density_bounds(domain, b))
-        else:
-            lengths = domain.distance(domain.lift(a), domain.lift(b))
-        total = float(lengths.sum())
+        total = float(domain.distance(domain.lift(a), domain.lift(b)).sum())
         if prev is not None and abs(total - prev) <= rel_tol * max(abs(total), 1e-30):
             return total
-        prev = total
-    return prev
+        last, prev = prev, total
+    raise NonConvergence(f"curve length not stable to {rel_tol!r} in {max_levels} levels: "
+                         f"last two totals {last!r}, {prev!r}")
 
 
 def geodesic(domain: Domain, p, q, samples: int = 256) -> PolyPath:
@@ -591,22 +583,19 @@ def _disk_ellipses(frame: GridDomain, centers: np.ndarray, ps, qs, bounds) -> np
     its bound, on the unit disk.
 
     Each ellipse lies in the hyperbolic disks of radius bound about p and
-    about q, Euclidean disks; only the cells of the box that holds both,
-    widened by a cell, are tested.
+    about q, Euclidean disks (``poincare_ball_euclidean``); only the cells
+    of the box that holds both, widened by a cell, are tested.
     """
     h = frame.spacing
     keep = np.zeros(frame.mask.shape, dtype=bool)
     origin = np.array([frame.origin.real, frame.origin.imag])
     for p, q, bound in zip(ps, qs, bounds):
-        # the disk of radius bound about c: |z - c| <= t |1 - conj(c) z|, with
-        # t = tanh(bound), the Euclidean disk about c (1 - t^2) / den of
-        # radius t (1 - |c|^2) / den, den = 1 - t^2 |c|^2
-        t = math.tanh(bound)
+        if not bound > 0:
+            continue  # no margin: the ellipse is at most the point p = q
         lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
         for c in (p, q):
-            den = 1.0 - t * t * abs(c) ** 2
-            e = np.array([c.real, c.imag]) * (1.0 - t * t) / den
-            r = t * (1.0 - abs(c) ** 2) / den + h
+            e, r = poincare_ball_euclidean(c, bound)
+            e, r = np.array([e.real, e.imag]), r + h
             lo, hi = np.maximum(lo, e - r), np.minimum(hi, e + r)
         x0, y0 = np.maximum(0, np.floor((lo - origin) / h)).astype(int)
         x1, y1 = np.maximum(0, np.ceil((hi - origin) / h) + 1).astype(int)

@@ -125,14 +125,6 @@ class MobiusMap:
     def identity(cls) -> "MobiusMap":
         return cls(1, 0, 0, 1)
 
-    @classmethod
-    def translation(cls, t: complex) -> "MobiusMap":
-        return cls(1, t, 0, 1)
-
-    @classmethod
-    def scaling(cls, s: complex) -> "MobiusMap":
-        return cls(s, 0, 0, 1)
-
     # -- algebra -----------------------------------------------------------
     def apply(self, z: ExtComplex) -> ExtComplex:
         if is_infinity(z):
@@ -170,14 +162,6 @@ class MobiusMap:
             and abs(self.c) <= tol
             and abs(self.a - self.d) <= tol
             and abs(abs(self.a) - 1.0) <= tol
-        )
-
-    def almost_equal(self, other: "MobiusMap", tol: float = 1e-9) -> bool:
-        return (
-            abs(self.a - other.a) <= tol
-            and abs(self.b - other.b) <= tol
-            and abs(self.c - other.c) <= tol
-            and abs(self.d - other.d) <= tol
         )
 
     # -- analysis ----------------------------------------------------------

@@ -98,23 +98,6 @@ def halfplane_rho_vec(z, w):
     return np.arcsinh(np.abs(z - w) / (2.0 * np.sqrt(-z.real) * np.sqrt(-w.real)))
 
 
-def poincare_geodesic(z, w, t: float):
-    """Constant-speed geodesic with gamma(0) = z, gamma(1) = w, 0 <= t <= 1.
-
-    A 0-d call of ``Disk.geodesic``; for equal endpoints the curve is
-    constant at z.
-    """
-    from .domains import Disk
-
-    z = check_in_disk(z)
-    w = check_in_disk(w)
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError(f"geodesic parameter must lie in [0, 1]: {t!r}")
-    if z == w:
-        return z
-    return complex(Disk().geodesic(z, w, t))
-
-
 def _log_sinh(x):
     """log sinh x for x >= 0 (-inf at 0), finite however large x is."""
     with np.errstate(divide="ignore"):

@@ -125,22 +125,6 @@ class SimplePolygon:
         return np.cumsum(rows[:, :0:-1], axis=1)[:, ::-1]
 
 
-def winding_number(poly: SimplePolygon, z) -> int:
-    """Exact winding number of the polygon around a point off the polygon."""
-    w = (complex(z) - poly.origin) / (0.5 * poly.spacing)
-    qx, qy = round(w.real), round(w.imag)
-    if abs(w.real - qx) > 1e-9 or abs(w.imag - qy) > 1e-9:
-        # Point off the doubled lattice: fall back to scaled exact test on
-        # a refined lattice; ties then raise OnBoundary.
-        scale = 2 ** 20
-        qx = round(w.real * scale)
-        qy = round(w.imag * scale)
-        scaled = SimplePolygon(
-            tuple((x * scale, y * scale) for (x, y) in poly.vertices2))
-        return scaled.winding_point2(qx, qy)
-    return poly.winding_point2(qx, qy)
-
-
 # ---------------------------------------------------------------------------
 # Separating cycle
 # ---------------------------------------------------------------------------
@@ -300,18 +284,6 @@ def _ball_cells(domain: Domain, ball) -> np.ndarray:
     if cells.size == 0:
         raise OutOfDomain("the ball raster is empty")
     return cells
-
-
-def injectivity_lower_bound(domain: Domain, ball) -> float:
-    """Radius at which the cover map is injective over every ball point.
-
-    Half the minimal model distance from the lifted ball cells to their
-    own deck translates; infinite for domains with a trivial cover.
-    """
-    if isinstance(domain, CatalogDomain) and not domain.deck_step:
-        return math.inf
-    cells = _ball_cells(domain, ball)
-    return _injectivity(domain, domain.lift(cells))
 
 
 def nerve_cover(domain: Domain, ball, r_cover: float) -> NerveGraph:

@@ -146,8 +146,8 @@ class TestCarLower:
     def test_dictionary_monotone_under_extension(self):
         domain = Annulus(0.1)
         base = default_dictionary(domain)
-        bigger = base.extended([DictionaryMap(
-            "extra", lambda z: 0.5 * np.asarray(z, dtype=complex))])
+        bigger = MapDictionary(domain, base.entries + (DictionaryMap(
+            "extra", lambda z: 0.5 * np.asarray(z, dtype=complex)),))
         p, q = SQRT_TENTH, -0.4 + 0.2j
         assert car_lower(domain, p, q, bigger) >= car_lower(domain, p, q, base)
 
@@ -405,12 +405,14 @@ class TestBallComponentsReference:
 
 def reference_grid_interval(grid, p, q):
     """(lower, upper) of kob_distance(grid, p, q) on distinct points, read
-    from the full frames ``grid.centers`` and ``grid.density_upper_bound``:
-    the links to the endpoint cells index the bound frame, and the
-    dictionary's hole centres and radii come from the centre frame."""
+    from the full frames ``grid.centers`` and the density bound (from
+    ``cell_density_bound``, inf off the domain): the links to the endpoint
+    cells index the bound frame, and the dictionary's hole centres and
+    radii come from the centre frame."""
     from scipy.sparse.csgraph import dijkstra
 
-    centers, bound = grid.centers, grid.density_upper_bound
+    centers = grid.centers
+    bound = np.where(grid.mask, grid.cell_density_bound(...), np.inf)
     cp, cq = grid.cell_index(p), grid.cell_index(q)
     bound_p = 1.0 / max(grid.distance_to_complement(p), 1e-300)
     bound_q = 1.0 / max(grid.distance_to_complement(q), 1e-300)

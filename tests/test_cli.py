@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from invmetrics.cli import main
-from invmetrics.domains import grid_save, grid_annulus
+from invmetrics.domains import grid_annulus, grid_save, rasterize
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,21 @@ class TestBall:
         assert again.read_bytes() == target.read_bytes()
         assert sha256(target.read_bytes()) == (
             "4cd380d46c65807dc2e6883f949e3d4d45415860b7dc29f6cda398f1ac09c7e0")
+
+    def test_domain_raster_only_for_svg(self, capsys, monkeypatch, tmp_path):
+        # only the svg reads the domain layer, so only svg output rasterizes
+        # the domain once more
+        from invmetrics import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "rasterize", lambda *a: calls.append(a) or rasterize(*a))
+        args = ("ball", "--domain", "annulus:0.1", "--center", "0.3162,0",
+                "--radius", "2.5", "--spacing", "0.04")
+        for fmt in ("text", "grid"):
+            assert run(capsys, *args, "--format", fmt, "--out", str(tmp_path / fmt))[0] == 0
+        assert calls == []
+        assert run(capsys, *args, "--format", "svg", "--out", str(tmp_path / "svg"))[0] == 0
+        assert len(calls) == 1
 
     def test_pinned_caratheodory_pants(self, capsys, tmp_path, pants_file):
         # two holes, so the SVG pins the order of the hole palette

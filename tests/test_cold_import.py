@@ -60,3 +60,14 @@ def test_scalar_paths_load_no_scipy():
     result = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
                             env=env, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+def test_exports_resolve():
+    import invmetrics
+
+    assert [name for name in invmetrics.__all__ if not hasattr(invmetrics, name)] == []
+    # wrappers deleted in favour of the code they wrapped
+    gone = {"annulus_automorphisms", "injectivity_lower_bound", "poincare_geodesic",
+            "winding_number"}
+    assert not gone & set(invmetrics.__all__)
+    assert not [name for name in gone if hasattr(invmetrics, name)]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from invmetrics.conformal import (
     AutomorphismGroupDesc,
     HoloSelfMap,
-    annulus_automorphisms,
     blaschke_product,
     cartan_check,
     isotropy_group,
@@ -17,7 +16,7 @@ from invmetrics.conformal import (
     two_fixed_point_check,
     watt_check,
 )
-from invmetrics.domains import Annulus, Disk, HalfPlane, grid_annulus
+from invmetrics.domains import Annulus, Disk, HalfPlane, grid_annulus, sample_points
 from invmetrics.errors import (
     NotFixed,
     NotMobiusRepresentable,
@@ -66,6 +65,20 @@ class TestBlaschkeProduct:
     def test_bad_zero_is_named(self, zero, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             blaschke_product([zero])
+
+    def test_bad_theta_is_named(self):
+        with pytest.raises(ValidationError,
+                           match="^Blaschke theta must be a finite real number: 'x'$"):
+            blaschke_product([0.5], "x")
+
+    def test_zeros_must_be_iterable(self):
+        with pytest.raises(ValidationError,
+                           match="^Blaschke zeros must be an iterable of points: 3$"):
+            blaschke_product(3)
+
+    def test_numpy_theta_accepted(self):
+        f = blaschke_product([0.5], np.float64(0.7))
+        assert f.derivative(0) == pytest.approx(-0.5 * cmath.exp(0.7j), abs=1e-9)
 
 
 class TestCartan:
@@ -117,7 +130,7 @@ class TestWatt:
         assert verdict.gap == pytest.approx(WATT_GAP, abs=1e-9)
 
     def test_annulus_inversion_certified(self):
-        desc = annulus_automorphisms(0.1)
+        desc = AutomorphismGroupDesc(Annulus(0.1))
         inv = desc.inversion(0.0)
         f = HoloSelfMap(Annulus(0.1), inv, dfunc=inv.derivative, tag=inv.tag)
         verdict = watt_check(Annulus(0.1), f, SQRT_TENTH, 0.5, tol=1e-6)
@@ -153,7 +166,7 @@ class TestTwoFixedPoints:
             two_fixed_point_check(Disk(), f, 0, 0.3)
 
     def test_annulus_rotation_has_no_fixed_points(self):
-        desc = annulus_automorphisms(0.1)
+        desc = AutomorphismGroupDesc(Annulus(0.1))
         rot = desc.rotation(math.pi)
         f = HoloSelfMap(Annulus(0.1), rot, dfunc=rot.derivative, tag=rot.tag)
         with pytest.raises(NotFixed):
@@ -162,19 +175,19 @@ class TestTwoFixedPoints:
 
 class TestMaskit:
     def test_identity_on_three_points(self):
-        desc = annulus_automorphisms(0.1)
+        desc = AutomorphismGroupDesc(Annulus(0.1))
         verdict = maskit_demo(Annulus(0.1), desc.rotation(0.0),
                               SQRT_TENTH, -SQRT_TENTH, 0.5j)
         assert verdict == "identity"
 
     def test_rotation_not_fixed(self):
-        desc = annulus_automorphisms(0.1)
+        desc = AutomorphismGroupDesc(Annulus(0.1))
         with pytest.raises(NotFixed):
             maskit_demo(Annulus(0.1), desc.rotation(0.5),
                         SQRT_TENTH, -SQRT_TENTH, 0.5j)
 
     def test_inversion_fixes_only_two(self):
-        desc = annulus_automorphisms(0.1)
+        desc = AutomorphismGroupDesc(Annulus(0.1))
         inv = desc.inversion(0.0)
         fixed = inv.mobius.fixed_points()
         assert fixed.kind == FixedKind.TWO
@@ -192,7 +205,7 @@ class TestMaskit:
         # and nontrivial rotations fix none inside the annulus
         from invmetrics.mobius import is_infinity
 
-        desc = annulus_automorphisms(0.1)
+        desc = AutomorphismGroupDesc(Annulus(0.1))
         for theta in np.linspace(0.05, 2 * math.pi - 0.05, 40):
             rot = desc.rotation(float(theta)).mobius.fixed_points()
             assert len(rot.points) <= 2
@@ -252,10 +265,13 @@ class TestIsotropy:
 
 class TestGroupDescriptor:
     def test_inversion_is_involution(self):
-        desc = annulus_automorphisms(0.2)
+        desc = AutomorphismGroupDesc(Annulus(0.2))
         inv = desc.inversion(1.3)
         assert (inv.mobius @ inv.mobius).is_identity(1e-12)
 
     def test_generators_preserve_annulus(self):
-        desc = AutomorphismGroupDesc(Annulus(0.3))
-        desc.validate()
+        domain = Annulus(0.3)
+        desc = AutomorphismGroupDesc(domain)
+        points = sample_points(domain)
+        for g in (desc.rotation(0.9), desc.inversion(0.4)):
+            assert domain.contains(g(points)).all(), g.tag

@@ -305,8 +305,10 @@ class TestGridDomain:
         car_ball_components(grid, 0.6, 0.5)
         default_dictionary(grid)
         assert "dist_to_complement_cells" in vars(grid)
-        assert "centers" not in vars(grid)
-        assert "density_upper_bound" not in vars(grid)
+        # the fields and the cached per-grid arrays, nothing else
+        assert set(vars(grid)) <= {"origin", "spacing", "mask", "complement",
+                                   "near_complement", "dist_to_complement_cells",
+                                   "bounding_circle"}
         assert grid.centers[0, 0] == grid.origin
 
     def test_zero_spacing_rejected(self):

@@ -30,6 +30,7 @@ from invmetrics.errors import (
     DegenerateEndpoints,
     Disconnected,
     EmptyBall,
+    NonConvergence,
     OutOfDomain,
     Unsupported,
     ValidationError,
@@ -218,7 +219,8 @@ class TestGridInterval:
 
     def test_graph_matches_double_loop(self):
         grid = grid_annulus(0.3, 0.05)
-        m, bound, (h, w) = grid.mask, grid.density_upper_bound, grid.mask.shape
+        m, (h, w) = grid.mask, grid.mask.shape
+        bound = np.where(m, grid.cell_density_bound(...), np.inf)
         expected = {}
         for y in range(h):
             for x in range(w):
@@ -253,6 +255,25 @@ class TestCurveLength:
         # no level means no length; it used to come back as None
         with pytest.raises(ValidationError, match="max_levels"):
             curve_length(Disk(), PolyPath((0, 0.5)), max_levels=max_levels)
+
+    def test_one_level_rejected(self):
+        # one total has nothing to be stable against
+        with pytest.raises(ValidationError, match="^max_levels must be an integer of at least 2"):
+            curve_length(Disk(), PolyPath((0, 0.5)), max_levels=1)
+
+    def test_unconverged_refinement_raises(self):
+        # the totals still move in the third digit at the third level; the
+        # converged length is 1.70056
+        path = PolyPath((0.5, 0.5j, -0.5))
+        with pytest.raises(NonConvergence, match=r"in 3 levels: last two totals "
+                                                 r"1\.69459\d*, 1\.69898\d*$"):
+            curve_length(Disk(), path, max_levels=3)
+        assert curve_length(Disk(), path) == pytest.approx(1.70056, abs=1e-5)
+
+    def test_grid_unsupported(self, coarse_annulus):
+        # grid pairwise values are upper estimates that converge at O(h)
+        with pytest.raises(Unsupported):
+            curve_length(coarse_annulus, PolyPath((0.5, 0.6j)))
 
     def test_disk_diameter_segment(self):
         length = curve_length(Disk(), PolyPath((0, 0.5)))

@@ -34,16 +34,20 @@ from invmetrics.topology import (
     NerveGraph,
     SimplePolygon,
     _compress_collinear,
+    _injectivity,
     _trace_outer_contour,
     connectivity_number,
-    injectivity_lower_bound,
     nerve_cover,
     separating_cycle,
-    winding_number,
 )
 
 SQRT_TENTH = math.sqrt(0.1)
 ANNULUS_CORE_HALF = 2.1431573649805785
+
+
+def injectivity(domain, ball):
+    """``nerve_cover``'s injectivity bound over the ball's cells."""
+    return _injectivity(domain, domain.lift(ball.centers[ball.mask]))
 
 
 class TestConnectivity:
@@ -95,15 +99,15 @@ class TestConnectivity:
 class TestWinding:
     def test_ccw_square_center(self):
         poly = SimplePolygon(((-1, -1), (1, -1), (1, 1), (-1, 1)))
-        assert winding_number(poly, 0) == 1
+        assert poly.winding_point2(0, 0) == 1
 
     def test_ccw_square_outside(self):
         poly = SimplePolygon(((-1, -1), (1, -1), (1, 1), (-1, 1)))
-        assert winding_number(poly, 5 + 0j) == 0
+        assert poly.winding_point2(10, 0) == 0
 
     def test_cw_square_center(self):
         poly = SimplePolygon(((-1, -1), (-1, 1), (1, 1), (1, -1)))
-        assert winding_number(poly, 0) == -1
+        assert poly.winding_point2(0, 0) == -1
 
     def test_on_boundary_raises(self):
         poly = SimplePolygon(((-1, -1), (1, -1), (1, 1), (-1, 1)))
@@ -268,11 +272,11 @@ class TestSeparatingCycle:
 class TestInjectivity:
     def test_disk_sentinel(self):
         ball = kob_ball_raster(Disk(), 0, 1.0, 0.05)
-        assert injectivity_lower_bound(Disk(), ball) == math.inf
+        assert injectivity(Disk(), ball) == math.inf
 
     def test_punctured_positive(self):
         ball = kob_ball_raster(PuncturedDisk(), math.exp(-1), 1.0, 0.02)
-        bound = injectivity_lower_bound(PuncturedDisk(), ball)
+        bound = injectivity(PuncturedDisk(), ball)
         assert bound > 0
         # oracle: half the minimal half-plane distance between the lifts
         # and their own translates by 2 pi i, which closes to
@@ -284,7 +288,7 @@ class TestInjectivity:
 
     def test_annulus_wrap_below_half_core(self):
         ball = kob_ball_raster(Annulus(0.1), SQRT_TENTH, 2.5, 0.02)
-        bound = injectivity_lower_bound(Annulus(0.1), ball)
+        bound = injectivity(Annulus(0.1), ball)
         assert 0 < bound < ANNULUS_CORE_HALF
         # half the shortest loop through the core circle
         assert bound == pytest.approx(ANNULUS_CORE_HALF, rel=1e-6)
@@ -460,7 +464,7 @@ class TestNerveReference:
         domain = Annulus(0.1)
         ball = kob_ball_raster(domain, SQRT_TENTH, 0.5, 0.04)
         empty = dataclasses.replace(ball, mask=np.zeros_like(ball.mask))
-        inj = injectivity_lower_bound(domain, ball)
+        inj = injectivity(domain, ball)
         cases = [
             (grid_annulus(0.25, 0.05), ball, 0.5, Unsupported,
              "injectivity bounds need a catalog domain"),
