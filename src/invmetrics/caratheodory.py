@@ -29,6 +29,7 @@ from .domains import (
     HalfPlane,
     PuncturedDisk,
     STRUCT_4,
+    cell_centers,
     complement_holes,
     contains,
     rasterize,
@@ -43,7 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .mobius import as_finite
-from .poincare import rho_vec
+from .poincare import poincare_ball_euclidean, rho_vec
 
 
 @dataclass(frozen=True)
@@ -318,12 +319,26 @@ def car_ball_components(domain: Domain, p, radius: float,
         if spacing is None:
             raise ValidationError("catalog domains need an explicit raster spacing")
         grid = rasterize(domain, spacing)
+    rows, cols = slice(0, grid.height), slice(0, grid.width)
     if dictionary is None:
         dictionary = default_dictionary(domain)
+        if isinstance(domain, GridDomain):
+            # The first entry, the rescaled inclusion z -> (z - c) / s, has a
+            # Euclidean disk for its ball; only the cells of the disk's box,
+            # widened by one cell against rounding, can lie in the ball.
+            c, s = domain.bounding_circle
+            e, rho = poincare_ball_euclidean((p - c) / s, radius)
+            lo = (c + s * (e - rho * (1 + 1j)) - grid.origin) / grid.spacing
+            hi = (c + s * (e + rho * (1 + 1j)) - grid.origin) / grid.spacing
+            rows = slice(max(math.ceil(lo.imag) - 1, 0), max(math.floor(hi.imag) + 2, 0))
+            cols = slice(max(math.ceil(lo.real) - 1, 0), max(math.floor(hi.real) + 2, 0))
     # the entries' maximum is below the radius exactly when each entry is, so
     # each is evaluated, as in car_lower_field, on the cells kept so far
-    cells = np.flatnonzero(grid.mask)
-    z = grid.centers[grid.mask]
+    iy, ix = np.nonzero(grid.mask[rows, cols])
+    iy += rows.start
+    ix += cols.start
+    cells = iy * grid.width + ix
+    z = cell_centers(grid.origin, grid.spacing, iy, ix)
     for entry in dictionary.entries:
         fp = complex(np.asarray(entry(np.asarray(p, dtype=complex))))
         inside = rho_vec(fp, np.asarray(entry(z), dtype=complex)) < radius

@@ -67,7 +67,11 @@ class HoloSelfMap:
 
 def blaschke_product(zeros, theta: float = 0.0) -> HoloSelfMap:
     """Disk self-map e^{i theta} z * prod (z - a)/(1 - conj(a) z) fixing 0."""
-    if not (isinstance(theta, numbers.Real) and math.isfinite(theta)):
+    try:
+        finite = isinstance(theta, numbers.Real) and math.isfinite(theta)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
         raise ValidationError(f"Blaschke theta must be a finite real number: {theta!r}")
     try:
         points = iter(zeros)

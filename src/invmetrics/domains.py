@@ -80,8 +80,9 @@ class Lift(NamedTuple):
     height: np.ndarray
 
 
-def lift_row(w, i: int):
-    """Row i of a batched ``lift``: a ``Lift`` of scalars, or a model point."""
+def lift_row(w, i):
+    """Row i of a batched ``lift``: a ``Lift`` of scalars, or a model point;
+    an index array i gives the batch of those rows."""
     if isinstance(w, Lift):
         return Lift(w.im[i], w.outer[i], None if w.inner is None else w.inner[i], w.height[i])
     return w[i]

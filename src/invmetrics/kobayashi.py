@@ -118,25 +118,39 @@ class PolyPath:
         return len(self.vertices)
 
 
-@dataclass(eq=False)
 class MetricBall:
-    """Rasterized open sublevel set {z : dist(center, z) < radius}."""
+    """Rasterized open sublevel set {z : dist(center, z) < radius}.
 
-    domain: Domain | None
-    center: complex
-    radius: float
-    metric: str
-    origin: complex
-    spacing: float
-    mask: np.ndarray
+    The constructor takes the raster as a boolean ``mask`` and keeps it
+    packed, one bit a cell (``np.packbits`` bytes in ``bits``, plus its
+    ``shape``): a ball holds an eighth of the memory of its mask.  ``mask``
+    unpacks a read-only array on each access.  Equality is by identity.
+    """
+
+    __slots__ = ("domain", "center", "radius", "metric", "origin", "spacing", "shape", "bits")
+
+    def __init__(self, domain: Domain | None, center: complex, radius: float, metric: str,
+                 origin: complex, spacing: float, mask: np.ndarray):
+        mask = np.asarray(mask, dtype=bool)
+        self.domain, self.center, self.radius, self.metric = domain, center, radius, metric
+        self.origin, self.spacing = origin, spacing
+        self.shape = mask.shape
+        self.bits = np.packbits(mask).tobytes()
+
+    @property
+    def mask(self) -> np.ndarray:
+        mask = np.unpackbits(np.frombuffer(self.bits, dtype=np.uint8),
+                             count=self.height * self.width).view(bool).reshape(self.shape)
+        mask.flags.writeable = False
+        return mask
 
     @property
     def height(self) -> int:
-        return self.mask.shape[0]
+        return self.shape[0]
 
     @property
     def width(self) -> int:
-        return self.mask.shape[1]
+        return self.shape[1]
 
     @property
     def centers(self) -> np.ndarray:
@@ -144,7 +158,7 @@ class MetricBall:
                             np.arange(self.width))
 
     def cell_count(self) -> int:
-        return int(self.mask.sum())
+        return int(np.count_nonzero(self.mask))
 
 
 def ball_save(ball: MetricBall) -> bytes:

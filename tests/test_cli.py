@@ -124,6 +124,44 @@ class TestBall:
         assert sha256(target.read_bytes()) == (
             "4c4deb85521ecde738047c20c99f0ce630b214fd9b6c7c4cad8d8ef1777b1d2d")
 
+    # stdout and the written file of each format, pinned before the ball
+    # raster was stored bit-packed; the last case is the Caratheodory branch
+    PINNED_ARGS = {
+        "annulus": ("--domain", "annulus:0.1", "--center", "0.3162,0", "--radius", "2.5"),
+        "halfplane": ("--domain", "halfplane", "--center", "-0.5,0.2", "--radius", "1"),
+        "caratheodory": ("--domain", "annulus:0.1", "--metric", "caratheodory",
+                         "--center", "0.3162,0", "--radius", "1.5"),
+    }
+    PINNED_TEXT = {
+        "annulus": "metric: kobayashi\ncells: 1662\nconnectivity_number: 1\n",
+        "halfplane": "metric: kobayashi\ncells: 6464\nconnectivity_number: 0\n",
+        "caratheodory": "metric: caratheodory-approximant\ncells: 1514\nconnectivity_number: 1\n",
+    }
+
+    @pytest.mark.parametrize("name, fmt, digest", [
+        ("annulus", "text", "67183d816988d79af55e8e91cfd41704c3d993e15e3dd349990d8a379212a186"),
+        ("annulus", "grid", "97c52d93d9e14ec043383f31503b2cea6bf12502774b95462b0f98c3a4041a88"),
+        ("annulus", "svg", "4cd380d46c65807dc2e6883f949e3d4d45415860b7dc29f6cda398f1ac09c7e0"),
+        ("halfplane", "text", "e14498bd6f5009b27c196d9f7c6481804e049384d83219696385dbe8fe2772d9"),
+        ("halfplane", "grid", "0632835377e044c4877867cda89c81479ebd60747b6488f780826d245e5ee2e5"),
+        ("halfplane", "svg", "7317afd61231ab14a4eac94162440f5456496dc38ff5f7674b06f29246b7d701"),
+        ("caratheodory", "text",
+         "2d66302adbb43eb185ab8bf2932144a54a98cc6833951d91410dacb0b893188c"),
+        ("caratheodory", "grid",
+         "531174915c9f62fadeca59440f5373177eacb294cb0d54571622cbc036f637ad"),
+        ("caratheodory", "svg",
+         "df884107a611723fd5d719375bbe309cc4ba7642551911026fa0b88a50c0ae56"),
+    ])
+    def test_pinned_outputs(self, capsys, tmp_path, name, fmt, digest):
+        target = tmp_path / "out"
+        args = ("ball", *self.PINNED_ARGS[name], "--spacing", "0.04", "--format", fmt,
+                "--out", str(target))
+        text = self.PINNED_TEXT[name]
+        assert run(capsys, *args) == (0, "" if fmt == "text" else text, "")
+        if fmt == "text":
+            assert target.read_text() == text
+        assert sha256(target.read_bytes()) == digest
+
     def test_grid_export(self, capsys, tmp_path):
         target = tmp_path / "ball.json"
         code, out, _ = run(capsys, "ball", "--domain", "disk",
@@ -161,6 +199,20 @@ class TestNerve:
         assert code == 0
         assert "match: true" in out
         assert "cycle_rank: 1" in out
+
+    @pytest.mark.parametrize("args, text", [
+        (("--domain", "annulus:0.1", "--center", "0.3162,0", "--radius", "2.5",
+          "--spacing", "0.01", "--cover-radius", "0.7"),
+         "connectivity_number: 1\ncycle_rank: 1\ngraph_cycle_rank: 216\nvertices: 143\n"
+         "edges: 352\nmatch: true\n"),
+        # a wrong rank (ROADMAP item 1), pinned as it stands
+        (("--domain", "punctured", "--center", "0,0.6", "--radius", "0.8",
+          "--spacing", "0.02", "--cover-radius", "0.2"),
+         "connectivity_number: 0\ncycle_rank: 8\ngraph_cycle_rank: 63\nvertices: 45\n"
+         "edges: 107\nmatch: false\n"),
+    ], ids=["annulus", "punctured"])
+    def test_pinned_output(self, capsys, args, text):
+        assert run(capsys, "nerve", *args) == (0, text, "")
 
 
 class TestModulus:

@@ -71,6 +71,11 @@ class TestBlaschkeProduct:
                            match="^Blaschke theta must be a finite real number: 'x'$"):
             blaschke_product([0.5], "x")
 
+    def test_theta_past_the_float_range_is_named(self):
+        # math.isfinite raises OverflowError on such an int
+        with pytest.raises(ValidationError, match="^Blaschke theta must be a finite real number"):
+            blaschke_product([0.5], 10**400)
+
     def test_zeros_must_be_iterable(self):
         with pytest.raises(ValidationError,
                            match="^Blaschke zeros must be an iterable of points: 3$"):

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 import re
@@ -465,6 +466,48 @@ class TestBallRaster:
         assert again.metric == "kobayashi"
         assert again.radius == ball.radius
         assert np.array_equal(again.mask, ball.mask)
+
+    PACKED_BALLS = pytest.mark.parametrize("domain, center, radius, digest", [
+        (Annulus(0.1), SQRT_TENTH, 2.5,
+         "cb5c5553baca84a14b8a28ef5223e0d4d01b0fd7b07b627e343f5cb5e91e62eb"),
+        (PuncturedDisk(), 0.6j, 0.8,
+         "d20cfdc6f538df68e230123a8f70192108d3f50ba7eee1c09884eeefafce4c19"),
+        (HalfPlane(), -0.5 + 0.2j, 1.0,
+         "0632835377e044c4877867cda89c81479ebd60747b6488f780826d245e5ee2e5"),
+    ], ids=["annulus", "punctured", "halfplane"])
+
+    @PACKED_BALLS
+    def test_mask_is_the_thresholded_field(self, domain, center, radius, digest):
+        ball = kob_ball_raster(domain, center, radius, 0.04)
+        frame = (kobayashi._halfplane_ball_frame(domain, center, radius, 0.04)
+                 if isinstance(domain, HalfPlane) else rasterize(domain, 0.04))
+        want = kobayashi.distance_field(domain, center, frame) < radius
+        ix, iy = frame.cell_index(center)
+        want[iy, ix] = True
+        mask = ball.mask
+        assert mask.dtype == bool and np.array_equal(mask, want)
+        assert ball.cell_count() == np.count_nonzero(want)
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[iy, ix] = False
+
+    @PACKED_BALLS
+    def test_saved_bytes_pinned(self, domain, center, radius, digest):
+        # ball_save's bytes as pinned before the raster was stored bit-packed
+        blob = ball_save(kob_ball_raster(domain, center, radius, 0.04))
+        assert hashlib.sha256(blob).hexdigest() == digest
+        assert ball_save(ball_load(blob)) == blob
+
+    def test_ball_holds_only_its_packed_bits(self):
+        ball = kob_ball_raster(Annulus(0.1), SQRT_TENTH, 2.5, 0.02)
+        ball.mask  # an unpacked mask is not kept
+        limit = math.ceil(ball.height * ball.width / 8)
+        assert len(ball.bits) == limit
+        assert not hasattr(ball, "__dict__")
+        for name in type(ball).__slots__:
+            value = getattr(ball, name)
+            size = len(value) if isinstance(value, bytes) else getattr(value, "nbytes", 0)
+            assert size <= limit, name
 
     @pytest.mark.parametrize("field, value", [
         ("spacing", math.nan), ("spacing", math.inf), ("origin", [math.nan, 0.0])])

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -28,7 +27,7 @@ from invmetrics.errors import (
     Unsupported,
     ValidationError,
 )
-from invmetrics.kobayashi import kob_ball_raster
+from invmetrics.kobayashi import MetricBall, kob_ball_raster
 from invmetrics.render import render_ball_svg
 from invmetrics.topology import (
     NerveGraph,
@@ -442,8 +441,8 @@ class TestNerveReference:
         kind, r, center_modulus, radius = template
         domain = {"disk": Disk, "punctured": PuncturedDisk}.get(kind, lambda: Annulus(r))()
         r_cover = _catalog_cover_radius(*template)
-        for k in range(8):
-            angle = -math.pi + 2 * math.pi * (k + 0.37) / 8
+        for k in range(12):
+            angle = -math.pi + 2 * math.pi * (k + 0.37) / 12
             ball = kob_ball_raster(domain, cmath.rect(center_modulus, angle), radius, 0.02)
             assert nerve_cover(domain, ball, r_cover) == reference_nerve(domain, ball, r_cover)
 
@@ -453,17 +452,47 @@ class TestNerveReference:
         # the half-plane's lift is the point array itself, not a Lift
         (HalfPlane(), -0.5 + 0.2j, 1.0, 0.5, 9),
         (PuncturedDisk(), 0.6j, 0.8, 0.2, 9),
-    ], ids=["annulus-wide-rows", "halfplane", "punctured"])
+        # the balls whose ranks are far off (ROADMAP item 1)
+        (PuncturedDisk(), 0.6j, 0.8, 0.13, 9),
+        (PuncturedDisk(), 0.6j, 1.2, 0.147, 9),
+        (HalfPlane(), -0.5 + 0.2j, 1.5, 0.5, 9),
+    ], ids=["annulus-wide-rows", "halfplane", "punctured", "punctured-fine-cover",
+            "punctured-R1.2", "halfplane-R1.5"])
     def test_other_balls_match(self, domain, center, radius, r_cover, min_centers):
         ball = kob_ball_raster(domain, center, radius, 0.02)
         nerve = nerve_cover(domain, ball, r_cover)
         assert nerve.vertex_count >= min_centers
         assert nerve == reference_nerve(domain, ball, r_cover)
 
+    @pytest.mark.parametrize("radius", [0.5, 2.5])
+    def test_acceptance_balls_match(self, radius):
+        # acceptance C04's nerve balls
+        ball = kob_ball_raster(Annulus(0.1), SQRT_TENTH, radius, 0.01)
+        assert nerve_cover(Annulus(0.1), ball, 0.7) == reference_nerve(Annulus(0.1), ball, 0.7)
+
+    def test_pruned_rows(self, monkeypatch):
+        # the triangle-inequality bound leaves most cells out of each new
+        # center's distance row
+        domain = Annulus(0.1)
+        ball = kob_ball_raster(domain, SQRT_TENTH, 2.5, 0.01)
+        elements = []
+        distance = Annulus.distance
+
+        def counted(self, wp, wq):
+            out = distance(self, wp, wq)
+            elements.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(Annulus, "distance", counted)
+        nerve = nerve_cover(domain, ball, 0.7)
+        assert nerve.vertex_count == 143
+        assert sum(elements) < 0.25 * nerve.vertex_count * ball.cell_count()
+
     def test_single_fault_errors(self):
         domain = Annulus(0.1)
         ball = kob_ball_raster(domain, SQRT_TENTH, 0.5, 0.04)
-        empty = dataclasses.replace(ball, mask=np.zeros_like(ball.mask))
+        empty = MetricBall(domain, ball.center, ball.radius, ball.metric, ball.origin,
+                           ball.spacing, np.zeros(ball.shape, dtype=bool))
         inj = injectivity(domain, ball)
         cases = [
             (grid_annulus(0.25, 0.05), ball, 0.5, Unsupported,
