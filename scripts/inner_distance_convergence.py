@@ -15,7 +15,7 @@ from invmetrics.domains import Disk
 from invmetrics.kobayashi import inner_distance_many
 from invmetrics.poincare import poincare_distance
 
-SPACINGS = [0.02, 0.01, 0.005]
+SPACINGS = [0.02, 0.01, 0.005, 0.0025]
 
 
 def main():
@@ -33,7 +33,7 @@ def main():
         values = inner_distance_many(Disk(), pairs, h)
         elapsed = time.perf_counter() - start
         errors = np.abs(values - exact)
-        print(f"{h:8.3f} {errors.max():10.2e} {errors.mean():10.2e} {elapsed:6.1f}")
+        print(f"{h:8g} {errors.max():10.2e} {errors.mean():10.2e} {elapsed:6.1f}")
 
 
 if __name__ == "__main__":

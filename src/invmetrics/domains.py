@@ -536,8 +536,9 @@ def cell_pair_mask(mask_a: np.ndarray, mask_b: np.ndarray, dx: int, dy: int) -> 
     """True at the cells of ``mask_a`` whose neighbour one move (dx, dy) away,
     dx columns and dy rows, is a cell of ``mask_b``; shaped like the masks.
 
-    Every lattice graph of the package (grid bounds, inner distances, the
-    modulus Laplacian) takes its edges from here.
+    The grid bound's graph and the modulus Laplacian take their edges from
+    here; the inner-distance builder reads the same pairs from an array of
+    node numbers, a block of cells at a time.
     """
     h, w = mask_a.shape
     y0, x0 = max(0, -dy), max(0, -dx)
@@ -670,17 +671,30 @@ def grid_save(frame, **meta) -> bytes:
     ``frame`` is a GridDomain or anything else with ``origin``, ``spacing``
     and ``mask`` (a ball raster); ``meta`` entries follow the grid fields.
     """
-    height, width = frame.mask.shape
+    mask = frame.mask
+    height, width = mask.shape
     payload = {
         "format_version": GRID_FORMAT_VERSION,
         "origin": [frame.origin.real, frame.origin.imag],
         "spacing": frame.spacing,
         "width": width,
         "height": height,
-        "rows": ["".join("1" if v else "0" for v in row) for row in frame.mask],
+        "rows": [],
         **meta,
     }
-    return (json.dumps(payload, indent=1) + "\n").encode("utf-8")
+    text = json.dumps(payload, indent=1)
+    if height:
+        # the rows as json.dumps lays them out, without its per-item Python
+        # loop: one byte a cell, "0" or "1", decoded at once and cut into
+        # rows; an unescaped '"rows": []' is only ever that key
+        cells = (mask.astype(np.uint8) + np.uint8(ord("0"))).tobytes().decode("ascii")
+        rows = ",\n".join(f'  "{cells[i * width:(i + 1) * width]}"' for i in range(height))
+        text = text.replace('"rows": []', f'"rows": [\n{rows}\n ]', 1)
+    return (text + "\n").encode("utf-8")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def grid_frame_load(data):
@@ -701,16 +715,25 @@ def grid_frame_load(data):
     if not isinstance(payload, dict):
         raise ParseError("top-level value must be an object")
     version = payload.get("format_version")
-    if version != GRID_FORMAT_VERSION:
+    if type(version) is not int or version != GRID_FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
     try:
-        ox, oy = (float(v) for v in payload["origin"])
-        spacing = float(payload["spacing"])
-        width = int(payload["width"])
-        height = int(payload["height"])
-        rows = payload["rows"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or ill-typed field: {exc}") from exc
+        origin, spacing, width, height, rows = (
+            payload[name] for name in ("origin", "spacing", "width", "height", "rows"))
+    except KeyError as exc:
+        raise ParseError(f"missing field: {exc}") from exc
+    # JSON reads a number as an int or a float; a bool or a string is none
+    if not (isinstance(origin, list) and len(origin) == 2 and all(map(_is_number, origin))):
+        raise ParseError(f"origin must be a list of two numbers: {origin!r}")
+    if not _is_number(spacing):
+        raise ParseError(f"spacing must be a number: {spacing!r}")
+    for name, value in (("width", width), ("height", height)):
+        if type(value) is not int:
+            raise ParseError(f"{name} must be an integer: {value!r}")
+    try:
+        ox, oy, spacing = float(origin[0]), float(origin[1]), float(spacing)
+    except OverflowError as exc:
+        raise ValidationError(f"origin and spacing must be finite: {exc}") from exc
     if not (spacing > 0 and math.isfinite(spacing)):
         raise ValidationError(f"spacing must be positive and finite: {spacing!r}")
     if not (math.isfinite(ox) and math.isfinite(oy)):

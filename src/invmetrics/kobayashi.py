@@ -32,7 +32,6 @@ from .domains import (
     GridDomain,
     HalfPlane,
     cell_centers,
-    cell_pair_mask,
     cell_pairs,
     contains,
     grid_frame_load,
@@ -251,13 +250,48 @@ def _grid_graph(grid: GridDomain):
     return graph
 
 
+def _straight_path_weight(graph, width: int, cp, cq) -> float:
+    """Weight in ``_grid_graph``'s ``graph``, on a frame ``width`` cells
+    wide, of the straight 8-neighbour path between cells ``cp`` and ``cq``,
+    summed left to right from ``cp`` as a search from there sums it; inf
+    when a step of it is no edge (a cell off the domain, or a diagonal the
+    corner guard refuses).
+
+    The path visits the cells rint(c0 + (c1 - c0) k / n), k = 0 .. n, with n
+    the larger coordinate difference, so each step moves at most one cell
+    along each axis.
+    """
+    (x0, y0), (x1, y1) = cp, cq
+    n = max(abs(x1 - x0), abs(y1 - y0))
+    k = np.arange(n + 1)
+    cells = (np.rint(y0 + (y1 - y0) * k / n).astype(np.intp) * width
+             + np.rint(x0 + (x1 - x0) * k / n).astype(np.intp))
+    a, b = cells[:-1], cells[1:]
+    # the graph stores each edge once, in one of its two directions
+    steps = np.asarray(graph[a, b] + graph[b, a]).ravel()
+    if not (steps > 0).all():
+        return math.inf
+    # np.cumsum adds in order, as Dijkstra's relaxations along the path do
+    return float(np.cumsum(steps)[-1])
+
+
 def _grid_upper(grid: GridDomain, p: complex, q: complex) -> float:
+    """Upper end of a grid interval: the graph's shortest path between the
+    endpoint cells plus the links from p and q to their cells' centres.
+
+    The search is limited by the weight of the straight path between the two
+    cells, where it is a path of the graph, times 1 + 1e-9. Rounding is
+    monotone, so Dijkstra's value at the target is at most that path's sum,
+    and a limited search gives every node within the limit its unlimited
+    value (the limit is inclusive): the value is the unlimited one, bit for
+    bit, while the search settles only the nodes within the limit.
+    """
     cp = grid.cell_index(p)
     cq = grid.cell_index(q)
     bound_p = 1.0 / max(grid.distance_to_complement(p), 1e-300)
     bound_q = 1.0 / max(grid.distance_to_complement(q), 1e-300)
     if cp == cq:
-        return abs(p - q) * max(bound_p, bound_q)
+        return float(abs(p - q) * max(bound_p, bound_q))
     zp = grid.cell_center(*cp)
     zq = grid.cell_center(*cq)
     link_p = abs(p - zp) * max(bound_p, grid.cell_density_bound((cp[1], cp[0])))
@@ -265,12 +299,13 @@ def _grid_upper(grid: GridDomain, p: complex, q: complex) -> float:
     graph = _grid_graph(grid)
     source = cp[1] * grid.width + cp[0]
     target = cq[1] * grid.width + cq[0]
+    limit = _straight_path_weight(graph, grid.width, cp, cq) * (1.0 + 1e-9)
     dist = _csgraph_dijkstra(graph, directed=False, indices=source,
-                             min_only=False)
+                             min_only=False, limit=limit)
     value = float(dist[target])
     if not math.isfinite(value):
         raise Disconnected("grid cells of the endpoints are not connected")
-    return link_p + value + link_q
+    return float(link_p + value + link_q)
 
 
 def _grid_interval(grid: GridDomain, p: complex, q: complex) -> DistanceInterval:
@@ -354,11 +389,10 @@ _MOVE_RADIUS = 8
 # 0.01 and 0.005; coarser frames (Annulus(0.9) at 0.05) can miss and rerun.
 _LIMIT_FACTOR = 1.004
 _LIMIT_CELLS = 2
-# frame rows whose edges are weighed at a time when assembling the
-# inner-distance graph, and graph rows gathered at a time from those weights;
-# the band's weights (moves x band cells) are the assembly's largest buffer
-_BAND_ROWS = 12
-_CSR_BLOCK = 128
+# a lattice graph's rows are assembled this many cells at a time: the block's
+# cells x moves buffers (about 0.6 MB) stay in cache and a few percent of a
+# graph of some thousand cells
+_BLOCK_CELLS = 256
 
 
 def inner_distance(domain: Domain, p, q, grid_spacing: float) -> float:
@@ -382,55 +416,69 @@ def _coprime_moves(radius: int):
     return moves
 
 
+def _lattice_steps(moves) -> np.ndarray:
+    """The moves (dx, dy) and their reverses as a (2 len(moves), 2) integer
+    array in ascending (dy, dx) order, the order of a lattice graph row."""
+    steps = np.array(list(moves) + [(-dx, -dy) for dx, dy in moves], dtype=np.intp)
+    steps = steps.reshape(-1, 2)
+    return steps[np.lexsort((steps[:, 0], steps[:, 1]))]
+
+
 def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarray:
-    """Batch inner distances over one shared cell graph.
+    """Batch inner distances, each pair's the shortest path of a cell graph.
 
     The cells of a raster frame are joined by every coprime lattice move of
-    at most ``_MOVE_RADIUS`` cells (``domains.cell_pair_mask``, the kernel
-    of every lattice graph here); the reach is a constant, not a knob.  Each
-    endpoint is linked to the cells within that reach, and a close pair
-    directly.  An edge weighs its length times the density at its
-    midpoint, and is kept only if its interior sub-samples and that
-    midpoint lie in the domain.  Every edge midpoint is a point of the
-    half-spacing lattice, so the density is read from one table of that
-    lattice per band of frame rows, never evaluated per edge.  The frame is
+    at most ``_MOVE_RADIUS`` cells (``_lattice_graph``); the reach is a
+    constant, not a knob.  Each endpoint is linked to the cells within that
+    reach, and a close pair directly.  An edge weighs its length times the
+    density at its midpoint, and is kept only if its interior sub-samples
+    and that midpoint lie in the domain.  Every edge midpoint is a point of
+    the half-spacing lattice, so the density is read from one table of that
+    lattice per graph, never evaluated per edge.  The frame is
     ``rasterize``'s, except on the disk, where it is cropped to a round disk
     about 0 that holds the endpoints (geodesically convex disks about 0
     keep the competing paths near them).
 
-    The graph stores both directions of every lattice edge and one
-    outgoing row per pair, from its source p to the cells within a move's
-    reach.  Each pair gets its own search from that row (one multi-source
-    search to the largest limit settles every node within it of every
-    source, about twice as slow).  The target q is no node: its value is
-    the least dist[k] + w over q's links and the direct link of a close
-    pair, so no path runs through another pair's endpoint and no value
-    depends on its batch.  A search stops past a margin over the pair's
-    closed-form distance, its limit; a value above it is recomputed with no
-    limit, so each value is the graph's own shortest path either way.
+    A graph stores both directions of every lattice edge and an outgoing
+    row for a pair's source p, to the cells within a move's reach.  Each
+    pair gets its own search from that row (one multi-source search to the
+    largest limit settles every node within it of every source, about twice
+    as slow).  The target q is no node: its value is the least dist[k] + w
+    over q's links and the direct link of a close pair, so no path runs
+    through another pair's endpoint and no value depends on its batch.  A
+    search stops past a margin over the pair's closed-form distance, its
+    limit; a value above it is recomputed with no limit, so each value is
+    the graph's own shortest path either way.
 
-    On the disk the limited searches walk a smaller graph.  There no edge or
-    link is longer than ``_MOVE_RADIUS`` h, and log density is G-Lipschitz
-    on the crop, G = 2 half / (1 - half^2), so each is at most kappa =
-    exp(``_MOVE_RADIUS`` h G / 2) times its weight long (``_disk_kappa``).
-    A path of weight at most a pair's limit therefore keeps its cells in the
-    hyperbolic ellipse d(p, x) + d(x, q) <= kappa * limit, and the graph
-    joins only the crop cells in some pair's ellipse: a value within its
-    limit is the round crop's own.  A value above it is recomputed on the
-    whole crop's graph, built at most once per call, and ``Disconnected``
-    comes only from that search.  kappa is about 1.08 at spacing 0.005 and
-    1.21 at 0.01, where the ellipses keep about a quarter and a half of the
-    crop for pairs within |z| < 0.7.
+    On the disk each pair's limited search walks a graph of its own.  There
+    no edge or link is longer than ``_MOVE_RADIUS`` h, and log density is
+    G-Lipschitz on the crop, G = 2 half / (1 - half^2), so each is at most
+    kappa = exp(``_MOVE_RADIUS`` h G / 2) times its weight long
+    (``_disk_kappa``).  A path of weight at most the pair's limit therefore
+    keeps its cells in the hyperbolic ellipse d(p, x) + d(x, q) <= kappa *
+    limit, and the pair's graph joins only the crop cells of that ellipse
+    (``_disk_ellipse``): a value within its limit is the round crop's own.
+    A value above it is recomputed on the whole crop's graph, built at most
+    once per call, and ``Disconnected`` comes only from that search.  kappa
+    is about 1.08 at spacing 0.005 and 1.21 at 0.01.  A pair's graph is
+    dropped before the next is built.  Other domains search one graph of
+    the whole frame, with every pair's source.
     """
     if isinstance(domain, GridDomain):
         raise Unsupported("inner distance is defined for catalog domains")
+    try:
+        pairs = [(p, q) for p, q in pairs]
+    except (TypeError, ValueError):
+        raise ValidationError(f"pairs must be an iterable of (p, q) point pairs: "
+                              f"{pairs!r}") from None
     pairs = [(as_finite(p), as_finite(q)) for p, q in pairs]
     endpoints = [z for pair in pairs for z in pair]
     for z in endpoints:
         if not contains(domain, z):
             raise OutOfDomain(f"{z!r} not in {domain!r}")
     h = grid_spacing
-    if isinstance(domain, Disk):
+    disk = isinstance(domain, Disk)
+    if disk:
         if not (isinstance(h, numbers.Real) and 0 < h < 1):
             raise ValidationError(f"spacing must lie between 0 and 1 on the disk: {h!r}")
         # Hyperbolic disks about 0 are geodesically convex (Beardon, The
@@ -446,13 +494,13 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         return np.zeros(0)
 
     _load_sparse()
-    cells = frame.mask.size
-    frame_centers = frame.centers
-    centers = frame_centers.ravel()
+    height, width = frame.mask.shape
     # distance in cells to the nearest frame cell outside the domain; the
     # cells the disk crop leaves out lie in the disk and do not count
-    near = ndimage.distance_transform_edt(domain.contains(frame_centers)).ravel()
-    cell_mask = frame.mask.ravel()
+    near = ndimage.distance_transform_edt(domain.contains(frame.centers)).ravel()
+
+    def centers(iy, ix):
+        return cell_centers(frame.origin, h, iy, ix)
 
     def inside(a, b, steps):
         """Whether the samples a + (b - a) k / steps, 0 < k < steps, and the
@@ -472,52 +520,20 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
             raise ValidationError(too_coarse)
         return w
 
-    height, width = frame.mask.shape
-    # the moves that fit in the frame, each with its own flat offset
-    moves = [(dx, dy) for dx, dy in _coprime_moves(_MOVE_RADIUS)
-             if abs(dx) < width and dy < height]
-    offsets = np.array([dy * width + dx for dx, dy in moves])
-
-    # the half-spacing lattice: the midpoint of cells (x, y) and (x + dx, y + dy)
-    # is its point (2x + dx, 2y + dy), and its even points are the cell centres,
-    # bit for bit; its columns 2x + dx run over x = 0 .. width - 1 for every dx,
-    # so that each move reads a whole strided slice
-    mid_x = frame.origin.real + (h / 2) * np.arange(-_MOVE_RADIUS, 2 * width + _MOVE_RADIUS - 1)
-
-    def band_weights(y0, y1, out, mask):
-        """out[m, k] weighs the edge from cell y0 * width + k, in rows y0 to
-        y1 - 1, to that cell plus offsets[m] (NaN: none), both cells of
-        ``mask``."""
-        out.fill(np.nan)
-        n = y1 - y0
-        # the density at every midpoint of the band's edges: rows 2 y0 to
-        # 2 (y1 - 1) + _MOVE_RADIUS of the half-spacing lattice
-        mid_y = frame.origin.imag + (h / 2) * np.arange(2 * y0, 2 * y1 + _MOVE_RADIUS - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            table = domain.density(mid_x + 1j * mid_y[:, None])
-        off_domain = ~(np.isfinite(table) & (table >= 0))
-        # the least distance to the outside over the ends of the band's edges
-        ends = np.s_[y0 * width:(y1 + _MOVE_RADIUS) * width]
-        closest = near[ends][cell_mask[ends]].min(initial=np.inf)
-        for m, (dx, dy) in enumerate(moves):
-            rows = mask[y0:y1 + dy]
-            pair = cell_pair_mask(rows, rows, dx, dy)[:n]
-            length = math.hypot(dx, dy)
-            # a sample outside the domain lies within length / 2 of an end and,
-            # where every hole holds a cell centre, within two cells of a frame
-            # cell outside, so only edges with an end in that band are sampled
-            if closest <= length / 2 + 2:
-                k = np.flatnonzero(pair)
-                i = k + y0 * width
-                j = i + offsets[m]
-                band = np.flatnonzero(np.minimum(near[i], near[j]) <= length / 2 + 2)
-                drop = band[~inside(centers[i[band]], centers[j[band]],
-                                    max(2, math.ceil(2 * length)))]
-                pair.flat[k[drop]] = False
-            midpoints = np.s_[dy:dy + 2 * n:2, dx + _MOVE_RADIUS:dx + _MOVE_RADIUS + 2 * width:2]
-            if (pair & off_domain[midpoints]).any():
-                raise ValidationError(too_coarse)
-            np.multiply(table[midpoints], h * length, out=out[m].reshape(n, width), where=pair)
+    # the moves that fit in the frame, both ways; per step its flat offset,
+    # the constant h |m| its weights multiply the density by, the pieces its
+    # sub-sample test cuts it into and the distance to the outside within
+    # which it is sampled
+    steps = _lattice_steps([(dx, dy) for dx, dy in _coprime_moves(_MOVE_RADIUS)
+                            if abs(dx) < width and dy < height])
+    step_x, step_y = steps.T
+    offset = step_y * width + step_x
+    length = [math.hypot(dx, dy) for dx, dy in steps]
+    factor = h * np.array(length)
+    pieces = np.array([max(2, math.ceil(2 * r)) for r in length])
+    band = np.array(length) / 2 + 2
+    # near is 1-Lipschitz, so no edge from a cell farther out is sampled
+    band_reach = (band + length).max()
 
     # the cells within a move's reach of an endpoint that a straight link
     # joins to it inside the domain, and the links' weights
@@ -529,10 +545,13 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
             raise Disconnected(f"{z!r} lies outside the cell frame at spacing {h!r}")
         (x0, x1), (y0, y1) = ((max(0, i - _MOVE_RADIUS), min(n, i + _MOVE_RADIUS + 1))
                               for i, n in zip(cell, (width, height)))
-        k = (np.arange(y0, y1)[:, None] * width + np.arange(x0, x1))[frame.mask[y0:y1, x0:x1]]
-        k = k[np.abs(centers[k] - z) <= link_reach]
-        k = k[inside(z, centers[k], 8)]
-        return k, edge_weights(z, centers[k])
+        iy, ix = np.nonzero(frame.mask[y0:y1, x0:x1])
+        iy, ix = iy + y0, ix + x0
+        c = centers(iy, ix)
+        near_z = np.abs(c - z) <= link_reach
+        iy, ix, c = iy[near_z], ix[near_z], c[near_z]
+        ok = inside(z, c, 8)
+        return (iy * width + ix)[ok], edge_weights(z, c[ok])
 
     sources, targets = zip(*[(links(p), links(q)) for p, q in pairs])
     # the direct link of a very close pair (inf: none)
@@ -542,36 +561,97 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         if abs(q - p) <= link_reach and domain.contains(samples).all():
             direct[k] = edge_weights(p, np.array([q]))[0]
 
-    def graph(mask):
-        """The graph of the edges between cells of ``mask``, sized by the
-        edges before any is dropped."""
-        edges = sum(np.count_nonzero(cell_pair_mask(mask, mask, dx, dy)) for dx, dy in moves)
-        return _lattice_graph(lambda y0, y1, out: band_weights(y0, y1, out, mask), offsets,
-                              mask.shape, edges, sources, mask.ravel())
+    def graph(keep, y0, x0, ks):
+        """The lattice graph of the frame cells of ``keep``, the box of cells
+        from row y0 and column x0, with the source rows of the pairs ``ks``,
+        and the map from links (frame cells, weights) to the links to its
+        nodes."""
+        node = np.full(keep.shape, -1, dtype=np.int32)
+        node[keep] = np.arange(np.count_nonzero(keep), dtype=np.int32)
+
+        def nodes(cells, w):
+            iy, ix = np.divmod(cells, width)
+            iy, ix = iy - y0, ix - x0
+            box = (iy >= 0) & (iy < keep.shape[0]) & (ix >= 0) & (ix < keep.shape[1])
+            k = node[iy[box], ix[box]]
+            return k[k >= 0], w[box][k >= 0]
+
+        # the density at the midpoints of the box's edges, one table: cells
+        # (x, y) and (x + dx, y + dy) meet at the point (2x + dx, 2y + dy) of
+        # the half-spacing lattice, whose even points are the cell centres,
+        # bit for bit
+        mid_x = frame.origin.real + (h / 2) * np.arange(
+            2 * x0 - _MOVE_RADIUS, 2 * (x0 + keep.shape[1]) + _MOVE_RADIUS - 1)
+        mid_y = frame.origin.imag + (h / 2) * np.arange(
+            2 * y0 - _MOVE_RADIUS, 2 * (y0 + keep.shape[0]) + _MOVE_RADIUS - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            table = domain.density(mid_x + 1j * mid_y[:, None]).ravel()
+        off_domain = not (np.isfinite(table) & (table >= 0)).all()
+        at_step = step_y * mid_x.size + step_x
+
+        def weigh(y, x, edge):
+            """``_lattice_graph``'s weights for the cells at rows y and
+            columns x of the box."""
+            w = table.take(((2 * y + _MOVE_RADIUS) * mid_x.size + 2 * x + _MOVE_RADIUS)[:, None]
+                           + at_step)
+            cell = (y + y0) * width + x + x0
+            if near[cell].min() <= band_reach:
+                # a sample outside the domain lies within length / 2 of an end
+                # and, where every hole holds a cell centre, within two cells
+                # of a frame cell outside, so only edges with an end in that
+                # band are sampled
+                r, s = np.nonzero(edge)
+                i = cell[r]
+                j = i + offset[s]
+                test = np.minimum(near[i], near[j]) <= band[s]
+                r, s, i, j = r[test], s[test], i[test], j[test]
+                # from the lower cell of the edge, as in either direction
+                lower = np.minimum(i, j)
+                a = centers(*np.divmod(lower, width))
+                b = centers(*np.divmod(i + j - lower, width))
+                for n in np.unique(pieces[s]).tolist():
+                    pick = np.flatnonzero(pieces[s] == n)
+                    drop = pick[~inside(a[pick], b[pick], n)]
+                    edge[r[drop], s[drop]] = False
+            if off_domain and (edge & ~(np.isfinite(w) & (w >= 0))).any():
+                raise ValidationError(too_coarse)
+            return np.multiply(w, factor, out=w)
+
+        return _lattice_graph(keep, steps, weigh, [nodes(*sources[k]) for k in ks]), nodes
 
     ps, qs = np.array(pairs).T
     limits = _LIMIT_FACTOR * domain.distance(domain.lift(ps), domain.lift(qs)) + _LIMIT_CELLS * h
-    # the whole frame's graph, built at most once; on the disk the limited
-    # searches walk the graph of the pairs' ellipses, as a path of weight at
-    # most a pair's limit is at most kappa times as long
-    disk = isinstance(domain, Disk)
-    full = None if disk else graph(frame.mask)
-    limited = (graph(_disk_ellipses(frame, frame_centers, ps, qs, _disk_kappa(h, half) * limits))
-               if disk else full)
+    # the whole frame's graph with every source, built at most once; on the
+    # disk each limited search walks its pair's ellipse, as a path of weight
+    # at most the pair's limit is at most kappa times as long
+    full = None
+    kappa = _disk_kappa(h, half) if disk else None
+
+    def search(k, bound):
+        """Pair k's value on the graph a search to ``bound`` walks; a pair's
+        own graph is dropped on return."""
+        nonlocal full
+        if disk and bound < math.inf:
+            searched, nodes = graph(*_disk_ellipse(frame, ps[k], qs[k], kappa * bound), [k])
+            source = searched.shape[0] - 1
+        else:
+            if full is None:
+                full = graph(frame.mask, 0, 0, range(len(pairs)))
+            searched, nodes = full
+            source = searched.shape[0] - len(pairs) + k
+        dist = _csgraph_dijkstra(searched, directed=True, indices=source, limit=bound)
+        cols, w = nodes(*targets[k])
+        return min(direct[k], (dist[cols] + w).min(initial=math.inf))
+
     out = np.empty(len(pairs))
-    for k, (limit, (cols, w)) in enumerate(zip(limits, targets)):
+    for k, limit in enumerate(limits):
         # the search settles only the nodes within the limit of the source;
         # a value within it is exact, as a shorter path would end at a
         # settled link cell, and a value above it is recomputed unlimited
         # on the whole frame's graph
-        for bound in (limit, math.inf):
-            if bound == math.inf and full is None:
-                full = graph(frame.mask)
-            dist = _csgraph_dijkstra(full if bound == math.inf else limited, directed=True,
-                                     indices=cells + k, limit=bound)
-            out[k] = min(direct[k], (dist[cols] + w).min(initial=math.inf))
-            if out[k] <= bound:
-                break
+        out[k] = search(k, limit)
+        if out[k] > limit:
+            out[k] = search(k, math.inf)
         if not math.isfinite(out[k]):
             raise Disconnected("an endpoint failed to connect to the cell graph")
     return out
@@ -591,117 +671,104 @@ def _disk_kappa(h: float, half: float) -> float:
     return math.exp(_MOVE_RADIUS * h * half / (1.0 - half * half)) * (1.0 + 1e-9)
 
 
-def _disk_ellipses(frame: GridDomain, centers: np.ndarray, ps, qs, bounds) -> np.ndarray:
-    """Mask of the frame's cells x, with ``centers`` the frame's cell
-    centres, such that d(p, x) + d(x, q) <= bound for some pair (p, q) and
-    its bound, on the unit disk.
+def _disk_ellipse(frame: GridDomain, p, q, bound):
+    """(keep, y0, x0): the frame's cells x with d(p, x) + d(x, q) <= bound
+    on the unit disk, as a mask of the least box of cells that holds them,
+    from row y0 and column x0.
 
-    Each ellipse lies in the hyperbolic disks of radius bound about p and
-    about q, Euclidean disks (``poincare_ball_euclidean``); only the cells
-    of the box that holds both, widened by a cell, are tested.
+    The ellipse lies in the hyperbolic disks of radius bound about p and
+    about q, Euclidean disks (``poincare_ball_euclidean``); the box holds
+    both, widened by a cell, and only its cells are tested.
     """
     h = frame.spacing
-    keep = np.zeros(frame.mask.shape, dtype=bool)
+    if not bound > 0:
+        return np.zeros((0, 0), dtype=bool), 0, 0  # at most the point p = q
+    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    for c in (p, q):
+        e, r = poincare_ball_euclidean(c, bound)
+        e, r = np.array([e.real, e.imag]), r + h
+        lo, hi = np.maximum(lo, e - r), np.minimum(hi, e + r)
     origin = np.array([frame.origin.real, frame.origin.imag])
-    for p, q, bound in zip(ps, qs, bounds):
-        if not bound > 0:
-            continue  # no margin: the ellipse is at most the point p = q
-        lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
-        for c in (p, q):
-            e, r = poincare_ball_euclidean(c, bound)
-            e, r = np.array([e.real, e.imag]), r + h
-            lo, hi = np.maximum(lo, e - r), np.minimum(hi, e + r)
-        x0, y0 = np.maximum(0, np.floor((lo - origin) / h)).astype(int)
-        x1, y1 = np.maximum(0, np.ceil((hi - origin) / h) + 1).astype(int)
-        box = np.s_[y0:y1, x0:x1]
-        z = centers[box]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # sinh d = |z - c| / sqrt((1 - |z|^2)(1 - |c|^2)), with no
-            # value off the disk, where the frame holds no cell
-            g = 1.0 - (z.real ** 2 + z.imag ** 2)
-            s = sum(np.arcsinh(np.sqrt(((z.real - c.real) ** 2 + (z.imag - c.imag) ** 2)
-                                       / (g * (1.0 - abs(c) ** 2)))) for c in (p, q))
-            keep[box] |= frame.mask[box] & (s <= bound)
-    return keep
+    x0, y0 = np.maximum(0, np.floor((lo - origin) / h)).astype(int)
+    x1, y1 = np.minimum(np.maximum(0, np.ceil((hi - origin) / h) + 1),
+                        [frame.width, frame.height]).astype(int)
+    x1, y1 = max(x0, x1), max(y0, y1)
+    z = cell_centers(frame.origin, h, np.arange(y0, y1)[:, None], np.arange(x0, x1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # sinh d = |z - c| / sqrt((1 - |z|^2)(1 - |c|^2)), with no value off
+        # the disk, where the frame holds no cell
+        g = 1.0 - (z.real ** 2 + z.imag ** 2)
+        s = sum(np.arcsinh(np.sqrt(((z.real - c.real) ** 2 + (z.imag - c.imag) ** 2)
+                                   / (g * (1.0 - abs(c) ** 2)))) for c in (p, q))
+    keep = frame.mask[y0:y1, x0:x1] & (s <= bound)
+    # the box of the kept cells alone
+    rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
+    if not rows.size:
+        return keep[:0, :0], 0, 0
+    keep = keep[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    return keep, int(y0 + rows[0]), int(x0 + cols[0])
 
 
-def _lattice_graph(band_weights, offsets, shape, edges: int, sources, keep=None):
-    """CSR graph of the cell lattice, both directions of every edge stored,
-    so that a directed search walks it as undirected, and one outgoing row
-    per source after the cells.
+def _lattice_graph(keep, steps, weigh, sources):
+    """CSR graph over the cells of the 2-D mask ``keep``, compact: node k is
+    its k-th cell in row-major order and node ``cells + s`` source s.
 
-    ``band_weights(y0, y1, out)`` fills ``out[m, k]`` with the weight of the
-    edge between cell ``y0 * width + k`` of frame rows y0 to y1 - 1 and that
-    cell plus ``offsets[m]`` (NaN: no edge); there are at most ``edges`` such
-    edges.  Source s is node ``cells + s``, and ``sources[s]`` is the pair
-    (ascending cells, weights) of its links.  The rows are filled one band
-    of ``_BAND_ROWS`` frame rows at a time: a forward entry reads the weight
-    of its own cell, a backward one the weight at its lower neighbour, at
-    most the largest offset back, so no edge list and no weights beyond one
-    band and those cells are held in memory.  ``keep``, if given, is a flat
-    mask of the cells that every edge joins: bands and blocks of rows with
-    no such cell hold no entry and are skipped.
+    ``steps`` lists lattice moves (dx, dy) in ascending (dy, dx) order, each
+    with its reverse (``_lattice_steps``).  A cell's row holds an entry for
+    each step that lands on a cell of ``keep``, in that order, so that its
+    columns ascend.  For the cells at rows y and columns x of ``keep`` (a
+    block of them in row-major order), ``weigh(y, x, edge)`` returns the
+    weights, cells x steps, of those entries, where ``edge`` holds, and
+    clears ``edge`` where it drops one.  An edge must weigh and be dropped
+    alike in both directions: the graph then stores both, and a directed
+    search walks it as undirected.  ``sources[s]`` is (ascending nodes,
+    weights), an outgoing row that no path enters.
+
+    Neighbours are read from an array of node numbers padded by a step's
+    reach: one gather per block of cells, with no bounds test.  The storage
+    is sized by the count of cell pairs one step apart and filled
+    ``_BLOCK_CELLS`` cells at a time, so no cells x steps array of the whole
+    graph is ever held; the work follows the cells of ``keep``, not the
+    frame they lie in.
     """
-    height, width = shape
-    cells = height * width
-    # directed lattice moves, by ascending column offset; move m backwards
-    # reads the weight stored offsets[m] cells before the row
-    signed = np.concatenate([-offsets, offsets])
-    order = np.argsort(signed)
-    column_offset = signed[order]
-    move = np.tile(np.arange(offsets.size), 2)[order]
-
-    data = np.empty(2 * edges + sum(k.size for k, _ in sources))
+    _load_sparse()
+    height, width = keep.shape
+    reach = int(np.abs(steps).max(initial=0))
+    # node numbers on the frame of keep padded by a step's reach (-1: none)
+    padded = width + 2 * reach
+    node = np.full((height + 2 * reach, padded), -1, dtype=np.int32)
+    y, x = np.nonzero(keep)
+    cells = y.size
+    node[y + reach, x + reach] = np.arange(cells, dtype=np.int32)
+    at_cell = (y + reach) * padded + x + reach
+    offset = steps[:, 1] * padded + steps[:, 0]
+    # the entries: the cell pairs one step apart, counted from the lower
+    # cell and doubled
+    kept = node >= 0
+    edges = 2 * sum(np.count_nonzero(keep & kept[reach + dy:reach + dy + height,
+                                                 reach + dx:reach + dx + width])
+                    for dx, dy in steps if (dy, dx) > (0, 0))
+    data = np.empty(edges + sum(k.size for k, _ in sources))
     indices = np.empty(data.size, dtype=np.int32)
     indptr = np.zeros(cells + len(sources) + 1, dtype=np.int32)
-    # the weights of the band's rows, after those of the cells before it
-    # that a backward move reaches (NaN before row 0)
-    back = int(offsets.max())
-    window = np.full((offsets.size, back + _BAND_ROWS * width), np.nan)
-    flat = window.ravel()
-    # graph rows r to r + n - 1, the band's cells a to a + n - 1: block[t, c]
-    # weighs directed move c at row r + t, flat[a + gather[t, c]], and leads
-    # to column r + column[t, c]
-    gather = (move * window.shape[1] + back + np.minimum(column_offset, 0)
-              + np.arange(_CSR_BLOCK)[:, None]).astype(np.int32)
-    column = (np.arange(_CSR_BLOCK)[:, None] + column_offset).astype(np.int32)
-    block = np.empty(gather.shape)
-    edge = np.empty(gather.shape, dtype=bool)
-
-    def skip(a, b):
-        """Whether cells a to b - 1 hold no kept cell."""
-        return keep is not None and not keep[a:b].any()
-
     at = 0
-    for y0 in range(0, height, _BAND_ROWS):
-        y1 = min(y0 + _BAND_ROWS, height)
-        window[:, :back] = window[:, -back:]
-        if skip(y0 * width, y1 * width):
-            window[:, back:].fill(np.nan)
-            indptr[y0 * width + 1:y1 * width + 1] = at
-            continue
-        band_weights(y0, y1, window[:, back:back + (y1 - y0) * width])
-        for r in range(y0 * width, y1 * width, _CSR_BLOCK):
-            n = min(_CSR_BLOCK, y1 * width - r)
-            if skip(r, r + n):
-                indptr[r + 1:r + n + 1] = at
-                continue
-            np.take(flat[r - y0 * width:], gather[:n], out=block[:n], mode="clip")
-            np.isnan(block[:n], out=edge[:n])
-            np.logical_not(edge[:n], out=edge[:n])
-            # the NaN-free entries, row by row
-            counts = np.cumsum(np.count_nonzero(edge[:n], axis=1))
-            end = at + int(counts[-1])
-            data[at:end] = block[:n][edge[:n]]
-            indices[at:end] = column[:n][edge[:n]] + r
-            indptr[r + 1:r + n + 1] = at + counts
-            at = end
+    for k0 in range(0, cells, _BLOCK_CELLS):
+        k1 = min(k0 + _BLOCK_CELLS, cells)
+        column = node.take(at_cell[k0:k1, None] + offset)
+        edge = column >= 0
+        weights = weigh(y[k0:k1], x[k0:k1], edge)
+        counts = np.cumsum(np.count_nonzero(edge, axis=1))
+        end = at + int(counts[-1])
+        data[at:end] = weights[edge]
+        indices[at:end] = column[edge]
+        indptr[k0 + 1:k1 + 1] = at + counts
+        at = end
     for s, (k, w) in enumerate(sources):
         data[at:at + k.size] = w
         indices[at:at + k.size] = k
         at += k.size
         indptr[cells + s + 1] = at
-    # drop the room left by the edges band_weights dropped
+    # drop the room left by the edges weigh dropped
     data.resize(at)
     indices.resize(at)
     return csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)

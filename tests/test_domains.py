@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -362,6 +363,58 @@ class TestGridDomain:
         assert load(json.dumps(payload)).mask.shape == grid.mask.shape
         with pytest.raises(ParseError):
             load(corrupt(payload))
+
+    @pytest.mark.parametrize("load", [grid_load, ball_load])
+    @pytest.mark.parametrize("field, value", [
+        ("width", 5.9), ("width", "5"), ("height", 5.5),
+        ("spacing", True), ("spacing", "0.1"),
+        ("origin", "12"), ("origin", ["1", "2"]),
+        ("format_version", True), ("format_version", 1.0),
+    ])
+    def test_ill_typed_fields_raise_parse_errors(self, load, field, value):
+        # each value reads as a number of the right size through int(),
+        # float() or ==, so the 5 x 5 file would load: a float width was
+        # truncated, True read as spacing 1.0 and "12" as the origin 1 + 2i
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[2, 2] = True
+        payload = {**json.loads(grid_save(GridDomain(origin=1 + 2j, spacing=0.1, mask=mask))),
+                   "metric": "kobayashi", "center": [1.2, 2.2], "radius": 0.5}
+        assert np.array_equal(load(json.dumps(payload)).mask, mask)
+        with pytest.raises(ParseError, match=field):
+            load(json.dumps({**payload, field: value}))
+
+    def test_cli_names_an_ill_typed_field(self, tmp_path, capsys):
+        from invmetrics.cli import main
+
+        payload = {**json.loads(grid_save(grid_annulus(0.5, 0.1))), "spacing": True}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(payload))
+        assert main(["dist", "--domain", f"grid:{path}", "--p", "0.7,0", "--q", "-0.7,0"]) == 1
+        assert "cannot load grid file: spacing must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [(7, 5), (1, 1), (0, 3), (3, 0)])
+    def test_save_is_json_dumps_layout(self, shape):
+        # the rows are laid out by hand as json.dumps(indent=1) lays them out,
+        # after every field, and metadata text that looks like the rows key
+        # stays as it is
+        rng = np.random.default_rng(sum(shape))
+        frame = SimpleNamespace(mask=rng.random(shape) < 0.5, origin=0.25 - 1j, spacing=0.1)
+        meta = {"metric": '"rows": []', "center": [0.5, 0.0], "radius": 2.0}
+        payload = {"format_version": 1, "origin": [0.25, -1.0], "spacing": 0.1,
+                   "width": shape[1], "height": shape[0],
+                   "rows": ["".join("1" if v else "0" for v in row) for row in frame.mask],
+                   **meta}
+        assert grid_save(frame, **meta) == (json.dumps(payload, indent=1) + "\n").encode()
+
+    def test_pinned_files_load(self, pants_grid, square_with_hole_grid):
+        # every saved grid and ball reads back byte for byte
+        from invmetrics.kobayashi import ball_save, kob_ball_raster
+
+        for grid in (pants_grid, square_with_hole_grid, grid_annulus(0.25, 0.02)):
+            blob = grid_save(grid)
+            assert grid_save(grid_load(blob)) == blob
+        blob = ball_save(kob_ball_raster(domains.Annulus(0.2), 0.5, 2.0, 0.05))
+        assert ball_save(ball_load(blob)) == blob
 
 
 class TestCellPairs:

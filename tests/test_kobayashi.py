@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from scipy import ndimage
 
 from conftest import annulus_points, disk_points
 from invmetrics import kobayashi
-from invmetrics.caratheodory import car_ball_components
+from invmetrics.caratheodory import car_ball_components, car_interval
 from invmetrics.domains import (
     FRAME_MARGIN,
     Annulus,
@@ -241,6 +242,142 @@ class TestGridInterval:
         interval = kob_distance(coarse_annulus, 0.6, 0.601)
         assert interval.upper > 0
         assert interval.lower <= interval.upper
+
+    def test_interval_ends_are_floats(self, coarse_annulus):
+        # a searched pair, a pair in one cell, and the Caratheodory interval
+        for p, q in ((0.5, -0.5j), (0.6, 0.601)):
+            interval = kob_distance(coarse_annulus, p, q)
+            assert type(interval.lower) is float and type(interval.upper) is float
+        interval = car_interval(coarse_annulus, 0.5, -0.5j)
+        assert type(interval.lower) is float and type(interval.upper) is float
+
+
+def _pants(h):
+    return grid_from_predicate(lambda z: ((np.abs(z) < 1.0) & (np.abs(z - 0.45) > 0.25)
+                                          & (np.abs(z + 0.45) > 0.25)), 1.0, h)
+
+
+def _slit(h):
+    # the unit disk less a horizontal slit one to three cells thick
+    return grid_from_predicate(lambda z: ((np.abs(z) < 1.0)
+                                          & ~((np.abs(z.imag) < 0.015) & (np.abs(z.real) < 0.5))),
+                               1.0, h)
+
+
+def _corridor(h, turn=1):
+    # a strip five cells wide, along the real axis turned by ``turn``: between
+    # cells of its middle line, away from its ends, every step of any other
+    # path is longer or weighs more
+    def pred(z):
+        w = z / turn
+        return (np.abs(w.imag) < 2.5 * h) & (np.abs(w.real) < 0.8)
+
+    return grid_from_predicate(pred, 0.8, h)
+
+
+SEARCH_GRIDS = {"pants": _pants, "ring": lambda h: grid_annulus(0.3, h), "slit": _slit}
+
+
+def _straight_weight(grid, p, q):
+    return kobayashi._straight_path_weight(kobayashi._grid_graph(grid), grid.width,
+                                           grid.cell_index(p), grid.cell_index(q))
+
+
+def _unlimited_upper(grid, p, q, monkeypatch):
+    """``_grid_upper`` with no limit on its search."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kobayashi, "_straight_path_weight", lambda *args: math.inf)
+        return kobayashi._grid_upper(grid, p, q)
+
+
+class TestGridSearchBound:
+    """The grid interval's search, limited by the weight of the straight
+    path between the endpoint cells, gives the unlimited value bit for bit."""
+
+    def test_scipy_limit_is_inclusive(self):
+        # a search limited at exactly a node's distance still reaches it
+        kobayashi._load_sparse()
+        graph = scipy.sparse.csr_matrix(([0.1, 0.2], ([0, 1], [1, 2])), shape=(3, 3))
+        exact = 0.1 + 0.2  # 0.30000000000000004, as the search sums it
+        for directed in (True, False):
+            dist = kobayashi._csgraph_dijkstra(graph, directed=directed, indices=0, limit=exact)
+            assert dist[2] == exact
+            dist = kobayashi._csgraph_dijkstra(graph, directed=directed, indices=0,
+                                               limit=np.nextafter(exact, 0.0))
+            assert dist[1] == 0.1 and dist[2] == math.inf
+
+    @pytest.mark.parametrize("h", [0.02, 0.01])
+    @pytest.mark.parametrize("name", sorted(SEARCH_GRIDS))
+    def test_limited_search_is_the_unlimited_one(self, name, h, monkeypatch):
+        # 40 random pairs jittered within their cells, and 10 pairs of
+        # neighbouring cells
+        grid = SEARCH_GRIDS[name](h)
+        rng = np.random.default_rng([len(name), int(1 / h)])
+        iy, ix = np.nonzero(grid.mask)
+        cells = rng.integers(0, ix.size, (40, 2))
+        jitter = h * (rng.uniform(-0.4, 0.4, (40, 2)) + 1j * rng.uniform(-0.4, 0.4, (40, 2)))
+        pairs = [tuple(grid.cell_center(ix[k], iy[k]) + e for k, e in zip(ks, es))
+                 for ks, es in zip(cells, jitter)]
+        for k in rng.integers(0, ix.size, 10):
+            (dx, dy), = rng.choice([(1, 0), (0, 1), (1, 1), (1, -1)], 1)
+            if grid.mask[iy[k] + dy, ix[k] + dx]:
+                pairs.append((grid.cell_center(ix[k], iy[k]),
+                              grid.cell_center(ix[k] + dx, iy[k] + dy)))
+        assert len(pairs) > 45
+        limited = 0
+        for p, q in pairs:
+            assert kobayashi._grid_upper(grid, p, q) == _unlimited_upper(grid, p, q, monkeypatch)
+            limited += math.isfinite(_straight_weight(grid, p, q))
+        # most pairs see one another along a path of the graph
+        assert limited > len(pairs) / 2
+
+    @pytest.mark.parametrize("turn", [1, 1j])
+    @pytest.mark.parametrize("h", [0.02, 0.01])
+    def test_straight_corridor(self, h, turn, monkeypatch):
+        # along the strip's middle line the straight path is the shortest
+        # one, so the search reaches the target at exactly its limit's weight
+        grid = _corridor(h, turn)
+        graph = kobayashi._grid_graph(grid)
+        for p, q in ((-0.4, 0.4), (-0.3, 0.1), (0.05, 0.05 + h)):
+            p, q = p * turn, q * turn
+            cp, cq = grid.cell_index(p), grid.cell_index(q)
+            weight = _straight_weight(grid, p, q)
+            dist = kobayashi._csgraph_dijkstra(graph, directed=False,
+                                               indices=cp[1] * grid.width + cp[0])
+            assert dist[cq[1] * grid.width + cq[0]] == weight < math.inf
+            assert kobayashi._grid_upper(grid, p, q) == _unlimited_upper(grid, p, q, monkeypatch)
+
+    def test_path_that_fails_only_the_corner_guard(self, monkeypatch):
+        # a straight path of domain cells, three to four steps long, one of
+        # whose diagonal steps passes a complement corner: no limit, and the
+        # same value
+        grid = _pants(0.02)
+        m = grid.mask
+        found = 0
+        for y, x in zip(*np.nonzero(m & grid.near_complement)):
+            for dx, dy in ((3, 3), (3, -3), (4, 2), (2, -4)):
+                n = max(abs(dx), abs(dy))
+                k = np.arange(n + 1)
+                ys = np.rint(y + dy * k / n).astype(int)
+                xs = np.rint(x + dx * k / n).astype(int)
+                if not m[ys, xs].all():
+                    continue
+                p, q = grid.cell_center(x, y), grid.cell_center(x + dx, y + dy)
+                if _straight_weight(grid, p, q) < math.inf:
+                    continue
+                value = kobayashi._grid_upper(grid, p, q)
+                assert math.isfinite(value) and value == _unlimited_upper(grid, p, q, monkeypatch)
+                found += 1
+        assert found >= 4
+
+    @pytest.mark.parametrize("make, p, q", [
+        (_pants, -0.75, -0.15), (_pants, 0.45 + 0.3j, 0.45 - 0.3j),
+        (lambda h: grid_annulus(0.3, h), 0.6, -0.6), (_slit, 0.3j, -0.3j)],
+        ids=["pants-left", "pants-right", "ring", "slit"])
+    def test_pairs_across_a_hole(self, make, p, q, monkeypatch):
+        grid = make(0.02)
+        assert _straight_weight(grid, p, q) == math.inf
+        assert kobayashi._grid_upper(grid, p, q) == _unlimited_upper(grid, p, q, monkeypatch)
 
 
 class TestCurveLength:
@@ -554,6 +691,10 @@ RING_INNER_001 = {
     0.9: [46.872385714665135, 22.380555830847864, 37.46699966986576],
     None: [1.0824888044559753, 1.0593755017331894, 1.3012987067918516],
 }
+# ... and the entries of the graphs of the first four C7 pairs at spacing
+# 0.02, one graph a pair: twice the lattice edges between the crop cells in
+# the pair's ellipse, plus the pair's links
+ENTRIES_C7_002 = [325058, 344120, 156023, 443241]
 _PUNCTURED_PAIRS = [(0.3, -0.3), (0.05 + 0.02j, -0.6j),
                     (cmath.rect(0.8, 1.0), cmath.rect(0.2, 2.5))]
 
@@ -593,34 +734,60 @@ def _record_graphs(monkeypatch, calls=None):
     return graphs
 
 
-def _per_edge_band_weights(domain, frame):
-    """``band_weights`` weighing edge by edge, the reference for the density
-    table: each move's cell pairs, the interior sub-sample test near the
-    complement, and |b - a| times the density at (a + b) / 2 for each edge."""
-    height, width = frame.mask.shape
+def _record_boxes(monkeypatch):
+    """List that collects the (keep, y0, x0) box of every pair's disk graph,
+    in the order the graphs are assembled."""
+    boxes = []
+    ellipse = kobayashi._disk_ellipse
+
+    def record(*args):
+        boxes.append(ellipse(*args))
+        return boxes[-1]
+
+    monkeypatch.setattr(kobayashi, "_disk_ellipse", record)
+    return boxes
+
+
+def _frame_nodes(frame_shape, keep, y0=0, x0=0):
+    """Graph node of each frame cell (flat, -1: none) for a graph over the
+    cells of ``keep``, the box of the frame from row y0 and column x0."""
+    node = np.full(frame_shape, -1)
+    node[y0:y0 + keep.shape[0], x0:x0 + keep.shape[1]][keep] = np.arange(keep.sum())
+    return node.ravel()
+
+
+def _per_edge_weigh(domain, frame):
+    """``weigh`` edge by edge for graphs over ``frame``'s cells, and the
+    steps it reads: the reference for the density table.  The interior
+    sub-sample test near the complement, from each edge's lower cell, and
+    |b - a| times the density at (a + b) / 2 for each edge."""
+    width = frame.mask.shape[1]
     centers = frame.centers.ravel()
     near = ndimage.distance_transform_edt(domain.contains(frame.centers)).ravel()
     moves = [(dx, dy) for dx, dy in kobayashi._coprime_moves(kobayashi._MOVE_RADIUS)
-             if abs(dx) < width and dy < height]
+             if abs(dx) < width and dy < frame.mask.shape[0]]
+    steps = kobayashi._lattice_steps(moves)
 
-    def band_weights(y0, y1, out):
-        out.fill(np.nan)
-        for m, (dx, dy) in enumerate(moves):
-            rows = frame.mask[y0:y1 + dy]
-            k = cell_pairs(rows, rows, dx, dy)[0]
-            i = k + y0 * width
-            j = i + dy * width + dx
+    def weigh(y, x, edge):
+        w = np.full(edge.shape, np.nan)
+        cell = y * width + x
+        for s, (dx, dy) in enumerate(steps):
+            t = np.flatnonzero(edge[:, s])
+            i, j = cell[t], cell[t] + dy * width + dx
+            i, j = np.minimum(i, j), np.maximum(i, j)
+            a, b = centers[i], centers[j]
             length = math.hypot(dx, dy)
-            band = np.flatnonzero(np.minimum(near[i], near[j]) <= length / 2 + 2)
-            steps = max(2, math.ceil(2 * length))
-            t = np.append(np.arange(1, steps) / steps, 0.5)[:, None]
-            a, b = centers[i[band]], centers[j[band]]
-            keep = np.ones(k.size, dtype=bool)
-            keep[band] = domain.contains(a + (b - a) * t).all(axis=0)
-            a, b = centers[i[keep]], centers[j[keep]]
-            out[m, k[keep]] = np.abs(b - a) * domain.density((a + b) / 2.0)
+            band = np.minimum(near[i], near[j]) <= length / 2 + 2
+            n = max(2, math.ceil(2 * length))
+            samples = np.append(np.arange(1, n) / n, 0.5)[:, None]
+            keep = np.ones(t.size, dtype=bool)
+            keep[band] = domain.contains(a[band] + (b[band] - a[band]) * samples).all(axis=0)
+            edge[t[~keep], s] = False
+            a, b = a[keep], b[keep]
+            w[t[keep], s] = np.abs(b - a) * domain.density((a + b) / 2.0)
+        return w
 
-    return band_weights, len(moves)
+    return weigh, steps
 
 
 def _disk_crop(pairs, h):
@@ -698,72 +865,104 @@ class TestInnerDistance:
         (Annulus(0.1), _ring_pairs(0.1), 0.02, 861855),
         (Annulus(0.5), _ring_pairs(0.5), 0.02, 611319),
         (Disk(), [(0, 0.5)], 0.5, 1),
+        (Disk(), _c7_pairs()[:4], 0.02, sum(ENTRIES_C7_002)),
     ])
     def test_graph_stores_both_directions(self, domain, pairs, spacing, entries, monkeypatch):
-        # entries: every lattice edge twice, then each pair's links from its
-        # source p, one way; the target q is no node of the graph
+        # entries, over the graphs: every lattice edge twice, then the links
+        # from each source p, one way; the target q is no node of a graph.
+        # On the disk each pair searches a graph of its own, of the crop
+        # cells in its ellipse (a mask of a box of the frame); elsewhere one
+        # graph of the whole frame holds every pair's source
         graphs = _record_graphs(monkeypatch)
+        boxes = _record_boxes(monkeypatch)
         inner_distance_many(domain, pairs, spacing)
-        graph, = graphs
-        # the disk's frame is cropped to |z| <= 0.5 at this spacing
-        frame = (grid_from_predicate(lambda z: np.abs(z) <= 0.5, 0.5 / FRAME_MARGIN, 0.5)
-                 if isinstance(domain, Disk) else rasterize(domain, spacing))
-        cells, reach = frame.mask.size, kobayashi._MOVE_RADIUS * spacing
-        assert graph.shape == (cells + len(pairs),) * 2
-        assert graph.nnz == entries
-        assert graph.indices.dtype == np.int32
-        lattice = graph[:cells]
-        assert lattice.nnz == graph.indptr[cells] and (lattice[:, cells:]).nnz == 0
-        assert (lattice[:, :cells] != lattice[:, :cells].T).nnz == 0
-        # each source row holds p's links to the domain cells within a
-        # move's reach, which lie well inside the domain here
+        assert sum(graph.nnz for graph in graphs) == entries
+        if isinstance(domain, Disk) and spacing < 0.5:
+            assert [graph.nnz for graph in graphs] == ENTRIES_C7_002
+        if isinstance(domain, Disk):
+            # the disk's frame is cropped to |z| <= 0.5 at spacing 0.5
+            frame, _ = _disk_crop(pairs, spacing)
+            owners = [[k] for k in range(len(pairs))]
+        else:
+            frame = rasterize(domain, spacing)
+            boxes, owners = [(frame.mask, 0, 0)], [range(len(pairs))]
+        assert len(boxes) == len(graphs)
+        reach = kobayashi._MOVE_RADIUS * spacing
         centers = frame.centers.ravel()
-        for s, (p, _) in enumerate(pairs):
-            row = graph[cells + s]
-            near = np.flatnonzero(frame.mask.ravel() & (np.abs(centers - p) <= reach))
-            assert np.array_equal(row.indices, near)
-            a = centers[near]
-            np.testing.assert_allclose(row.data, np.abs(a - p) * domain.density((a + p) / 2),
-                                       rtol=1e-15, atol=0)
+        for graph, (keep, y0, x0), ks in zip(graphs, boxes, owners):
+            cells = int(keep.sum())
+            node = _frame_nodes(frame.mask.shape, keep, y0, x0)
+            assert not (node >= 0)[~frame.mask.ravel()].any()
+            assert graph.shape == (cells + len(ks),) * 2
+            assert graph.indices.dtype == np.int32
+            lattice = graph[:cells]
+            assert lattice.nnz == graph.indptr[cells] and (lattice[:, cells:]).nnz == 0
+            assert (lattice[:, :cells] != lattice[:, :cells].T).nnz == 0
+            # each source row holds p's links to the graph's cells within a
+            # move's reach, which lie well inside the domain here
+            for s, k in enumerate(ks):
+                p = pairs[k][0]
+                row = graph[cells + s]
+                near = np.flatnonzero((node >= 0) & (np.abs(centers - p) <= reach))
+                assert np.array_equal(row.indices, node[near])
+                a = centers[near]
+                np.testing.assert_allclose(row.data, np.abs(a - p) * domain.density((a + p) / 2),
+                                           rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("band_rows, block", [
-        (3, 7), (kobayashi._MOVE_RADIUS + 1, 3), (kobayashi._MOVE_RADIUS + 1, 2048), (100, 7)])
-    def test_banded_assembly_matches_an_edge_list(self, band_rows, block, monkeypatch):
-        # a 29 x 5 frame with random edges and source rows, assembled in
-        # bands (fewer rows than a move reaches back, exactly that many, and
-        # the whole frame) and in blocks that split rows every way; the
-        # longest move reaches _MOVE_RADIUS + 1 rows back
-        rng = np.random.default_rng(band_rows * block)
+    @pytest.mark.parametrize("block, seed", [(3, 7), (9, 3), (9, 2048), (100, 7), (1, 1),
+                                             (1000, 1)])
+    def test_banded_assembly_matches_an_edge_list(self, block, seed, monkeypatch):
+        # a 29 x 5 mask of random cells, with random weights and dropped
+        # edges (alike both ways) and random source rows, assembled in bands
+        # of one cell, 3, 9 and 100 cells, which split rows every way, and all
+        # of them at once; the longest move reaches _MOVE_RADIUS rows
+        rng = np.random.default_rng(seed)
         height, width = 29, 5
-        cells, reach = height * width, kobayashi._MOVE_RADIUS
-        offsets = np.array([1, width - 1, width, width + 1, 2 * width + 1,
-                            reach * width - 1, reach * width + 2])
-        weights = rng.random((offsets.size, cells))
-        neighbour = np.arange(cells) + offsets[:, None]
-        weights[neighbour >= cells] = np.nan
-        # room for every edge before some are dropped, as cell_pairs counts them
-        edges = np.count_nonzero(neighbour < cells)
-        weights[rng.random(weights.shape) < 0.3] = np.nan
+        keep = rng.random((height, width)) < 0.8
+        reach = kobayashi._MOVE_RADIUS
+        moves = [(1, 0), (-1, 1), (0, 1), (1, 1), (1, 2), (-1, reach), (2, reach)]
+        steps = kobayashi._lattice_steps(moves)
+        assert [tuple(s) for s in steps] == sorted(
+            moves + [(-dx, -dy) for dx, dy in moves], key=lambda m: (m[1], m[0]))
+        cells = int(keep.sum())
+        node = np.full(keep.shape, -1)
+        node[keep] = np.arange(cells)
+        weight = {}
+        for y, x in zip(*np.nonzero(keep)):
+            for dx, dy in moves:
+                v, u = y + dy, x + dx
+                if 0 <= v < height and 0 <= u < width and keep[v, u] and rng.random() > 0.3:
+                    weight[node[y, x], node[v, u]] = weight[node[v, u], node[y, x]] = rng.random()
+        blocks = []
+
+        def weigh(y, x, edge):
+            blocks.append(y.size)
+            w = np.full(edge.shape, np.nan)
+            for t, s in zip(*np.nonzero(edge)):
+                (dx, dy), v, u = steps[s], y[t] + steps[s][1], x[t] + steps[s][0]
+                assert 0 <= v < height and 0 <= u < width and keep[v, u]
+                pair = node[y[t], x[t]], node[v, u]
+                if pair in weight:
+                    w[t, s] = weight[pair]
+                else:
+                    edge[t, s] = False
+            return w
+
         # five sources, one of them with no link
-        links = [np.array([0, 60, 144]), np.array([2]), np.array([], dtype=int),
-                 np.array([60, 61, 62, 100]), np.array([144])]
+        links = [np.array([0, 60, cells - 1]), np.array([2]), np.array([], dtype=int),
+                 np.array([60, 61, 62, 100]), np.array([cells - 1])]
         sources = [(k, rng.random(k.size)) for k in links]
-
-        def band_weights(y0, y1, out):
-            out[...] = weights[:, y0 * width:y1 * width]
-
-        monkeypatch.setattr(kobayashi, "_BAND_ROWS", band_rows)
-        monkeypatch.setattr(kobayashi, "_CSR_BLOCK", block)
-        kobayashi._load_sparse()
-        graph = kobayashi._lattice_graph(band_weights, offsets, (height, width), edges, sources)
-        m, i = np.nonzero(~np.isnan(weights))
-        a = np.concatenate([i, i + offsets[m]]
-                           + [np.full(k.size, cells + s) for s, k in enumerate(links)])
-        b = np.concatenate([i + offsets[m], i] + links)
-        w = np.concatenate([weights[m, i], weights[m, i]] + [w for _, w in sources])
-        expected = kobayashi.coo_matrix((w, (a, b)), shape=(150, 150)).tocsr()
+        monkeypatch.setattr(kobayashi, "_BLOCK_CELLS", block)
+        graph = kobayashi._lattice_graph(keep, steps, weigh, sources)
+        assert sum(blocks) == cells and max(blocks) == min(block, cells)
+        ends = np.array(list(weight), dtype=int).reshape(-1, 2)
+        a = np.concatenate([ends[:, 0]] + [np.full(k.size, cells + s) for s, k in enumerate(links)])
+        b = np.concatenate([ends[:, 1]] + links)
+        w = np.concatenate([list(weight.values())] + [w for _, w in sources])
+        size = cells + len(sources)
+        expected = kobayashi.coo_matrix((w, (a, b)), shape=(size, size)).tocsr()
         expected.sort_indices()
-        assert graph.shape == (150, 150)
+        assert graph.shape == (size, size)
         assert graph.has_sorted_indices
         assert np.array_equal(graph.indptr, expected.indptr)
         assert np.array_equal(graph.indices, expected.indices)
@@ -781,45 +980,42 @@ class TestInnerDistance:
         calls = []
         graphs = _record_graphs(monkeypatch, calls)
         inner_distance_many(domain, pairs, spacing)
-        (graph,), ((_, offsets, *rest),) = graphs, calls
-        band_weights, moves = _per_edge_band_weights(domain, rasterize(domain, spacing))
-        assert moves == offsets.size
-        _assert_same_graph(graph, kobayashi._lattice_graph(band_weights, offsets, *rest))
+        (graph,), ((keep, steps, _, sources),) = graphs, calls
+        frame = rasterize(domain, spacing)
+        assert np.array_equal(keep, frame.mask)
+        weigh, reference_steps = _per_edge_weigh(domain, frame)
+        assert np.array_equal(steps, reference_steps)
+        _assert_same_graph(graph, kobayashi._lattice_graph(keep, steps, weigh, sources))
 
     def test_disk_crop_keeps_the_edges_inside_it(self, monkeypatch):
-        # the disk's graph is the square frame's, per-edge weighed, less every
-        # lattice edge with an end outside |z| <= half or outside every pair's
-        # ellipse d(p, x) + d(x, q) <= kappa * limit; the source rows keep
-        # their links, a link to a cell off the ellipses leading nowhere
-        calls = []
-        graphs = _record_graphs(monkeypatch, calls)
+        # each pair's graph is the square frame's, per-edge weighed, less
+        # every lattice edge with an end outside |z| <= half or outside that
+        # pair's ellipse d(p, x) + d(x, q) <= kappa * limit, and its source
+        # row keeps p's links to the cells it keeps
+        graphs = _record_graphs(monkeypatch)
+        boxes = _record_boxes(monkeypatch)
         pairs, h = _c7_pairs(), 0.01
         inner_distance_many(Disk(), pairs, h)
-        (graph,), ((_, offsets, shape, _, sources, _),) = graphs, calls
         crop, half = _disk_crop(pairs, h)
         square = grid_from_predicate(Disk().contains, half / FRAME_MARGIN, h)
-        assert square.mask.shape == shape
-        band_weights, _ = _per_edge_band_weights(Disk(), square)
-        full = kobayashi._lattice_graph(band_weights, offsets, shape,
-                                        int(square.mask.sum()) * offsets.size, sources)
+        assert square.mask.shape == crop.mask.shape
+        weigh, steps = _per_edge_weigh(Disk(), square)
         ps, qs = np.array(pairs).T
         limits = (kobayashi._LIMIT_FACTOR * Disk().distance(ps, qs)
                   + kobayashi._LIMIT_CELLS * h)
         bounds = kobayashi._disk_kappa(h, half) * limits
         z = square.centers
-        ellipses = np.zeros(shape, dtype=bool)
-        for p, q, bound in zip(ps, qs, bounds):
-            ellipses |= Disk().distance(p, z) + Disk().distance(z, q) <= bound
-        kept = square.mask & (np.abs(z) <= half) & ellipses
-        assert 0 < kept.sum() < crop.mask.sum()
-        cells = kept.size
-        lattice = (scipy.sparse.diags(kept.ravel().astype(float)) @ full[:cells]
-                   @ scipy.sparse.diags(np.append(kept.ravel(), np.ones(len(sources)))))
-        reference = scipy.sparse.vstack([lattice, full[cells:]]).tocsr()
-        reference.eliminate_zeros()
-        reference.sort_indices()
-        assert reference.nnz < full.nnz
-        _assert_same_graph(graph, reference)
+        assert len(graphs) == len(boxes) == len(pairs)
+        for graph, (keep, y0, x0), p, q, bound in zip(graphs, boxes, ps, qs, bounds):
+            kept = (square.mask & (np.abs(z) <= half)
+                    & (Disk().distance(p, z) + Disk().distance(z, q) <= bound))
+            assert 0 < kept.sum() < crop.mask.sum()
+            node = _frame_nodes(kept.shape, keep, y0, x0)
+            assert np.array_equal(node >= 0, kept.ravel())
+            c = z.ravel()
+            near = np.flatnonzero(kept.ravel() & (np.abs(c - p) <= kobayashi._MOVE_RADIUS * h))
+            links = node[near], np.abs(c[near] - p) * Disk().density((c[near] + p) / 2)
+            _assert_same_graph(graph, kobayashi._lattice_graph(kept, steps, weigh, [links]))
 
     @pytest.mark.parametrize("h", [0.02, 0.01])
     def test_disk_weights_bound_hyperbolic_lengths(self, h, monkeypatch):
@@ -827,17 +1023,21 @@ class TestInnerDistance:
         # in the metric, and some is longer than its weight: the midpoint
         # density alone would not bound a path's length
         graphs = _record_graphs(monkeypatch)
+        boxes = _record_boxes(monkeypatch)
         rng = np.random.default_rng(33)
         pairs = [tuple(cmath.rect(rng.uniform(0, 0.6), rng.uniform(0, math.tau))
                        for _ in range(2)) for _ in range(4)]
         inner_distance_many(Disk(), pairs, h)
-        graph, = graphs
         crop, half = _disk_crop(pairs, h)
         kappa = kobayashi._disk_kappa(h, half)
         assert kappa < 1.5
-        ends = np.append(crop.centers.ravel(), [p for p, _ in pairs])
-        coo = graph.tocoo()
-        ratio = Disk().distance(ends[coo.row], ends[coo.col]) / coo.data
+        ratios = []
+        for graph, (keep, y0, x0), (p, _) in zip(graphs, boxes, pairs):
+            box = crop.centers[y0:y0 + keep.shape[0], x0:x0 + keep.shape[1]]
+            ends = np.append(box[keep], p)
+            coo = graph.tocoo()
+            ratios.append(Disk().distance(ends[coo.row], ends[coo.col]) / coo.data)
+        ratio = np.concatenate(ratios)
         assert 1.0 < ratio.max() <= kappa
 
     @pytest.mark.parametrize("h, pairs, restricted", [
@@ -853,20 +1053,31 @@ class TestInnerDistance:
         rng = np.random.default_rng(len(pairs) + int(1 / h))
         pairs = pairs + [tuple(cmath.rect(0.6 * rng.uniform() ** 0.5, rng.uniform(0, math.tau))
                                for _ in range(2)) for _ in range(6)]
-        calls = []
-        _record_graphs(monkeypatch, calls)
+        boxes = _record_boxes(monkeypatch)
         values = inner_distance_many(Disk(), pairs, h)
         crop, _ = _disk_crop(pairs, h)
-        (*_, kept), = calls
-        assert (kept.sum() < crop.mask.sum()) == restricted
-        monkeypatch.setattr(kobayashi, "_disk_ellipses", lambda frame, *args: frame.mask)
+        kept = [keep.sum() for keep, _, _ in boxes]
+        assert len(kept) == len(pairs)
+        assert (max(kept) < crop.mask.sum()) == restricted
+        monkeypatch.setattr(kobayashi, "_disk_ellipse", lambda frame, *args: (frame.mask, 0, 0))
         assert values.tolist() == inner_distance_many(Disk(), pairs, h).tolist()
 
     def test_peak_memory_is_the_graph(self, monkeypatch):
-        # edge weights are held a band of rows at a time, so the call's
-        # traced peak stays near the graph it returns; a moves x cells float
+        # each pair's graph is dropped before the next is assembled, and edge
+        # weights are held a block of cells at a time, so the call's traced
+        # peak stays near the largest pair's graph; a moves x cells float
         # array would add over a third of it here
-        graphs = _record_graphs(monkeypatch)
+        sizes, built = [], []
+        build = kobayashi._lattice_graph
+
+        def record(*args):
+            assert all(graph() is None for graph in built)
+            graph = build(*args)
+            sizes.append(graph.data.nbytes + graph.indices.nbytes + graph.indptr.nbytes)
+            built.append(weakref.ref(graph))
+            return graph
+
+        monkeypatch.setattr(kobayashi, "_lattice_graph", record)
         kobayashi._load_sparse()
         tracemalloc.start()
         try:
@@ -874,8 +1085,8 @@ class TestInnerDistance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        graph, = graphs
-        assert peak < 1.2 * (graph.data.nbytes + graph.indices.nbytes + graph.indptr.nbytes)
+        assert len(sizes) == 20
+        assert peak < 1.2 * max(sizes)
 
     def test_limit_miss_falls_back_to_the_full_search(self, monkeypatch):
         # no margin: every limited search stops short of its target
@@ -950,6 +1161,14 @@ def test_malformed_points_raise_validation_errors(call, bad):
     # what complex() cannot read is no point
     with pytest.raises(ValidationError):
         call(bad)
+
+
+@pytest.mark.parametrize("pairs", [5, None, [(0.1, 0.2, 0.3)], [0.1], "ab"],
+                         ids=["int", "None", "triple", "point", "text"])
+def test_malformed_pairs_raise_validation_errors(pairs):
+    # no iterable of (p, q) pairs: named, not a bare TypeError or ValueError
+    with pytest.raises(ValidationError, match="pairs"):
+        inner_distance_many(Disk(), pairs, 0.01)
 
 
 @pytest.mark.parametrize("bad", ["0.01", None], ids=["text", "None"])
