@@ -693,7 +693,8 @@ def grid_save(frame, **meta) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _is_number(value) -> bool:
+def is_json_number(value) -> bool:
+    """A JSON number as ``json`` reads it: an int or a float, not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
@@ -723,9 +724,9 @@ def grid_frame_load(data):
     except KeyError as exc:
         raise ParseError(f"missing field: {exc}") from exc
     # JSON reads a number as an int or a float; a bool or a string is none
-    if not (isinstance(origin, list) and len(origin) == 2 and all(map(_is_number, origin))):
+    if not (isinstance(origin, list) and len(origin) == 2 and all(map(is_json_number, origin))):
         raise ParseError(f"origin must be a list of two numbers: {origin!r}")
-    if not _is_number(spacing):
+    if not is_json_number(spacing):
         raise ParseError(f"spacing must be a number: {spacing!r}")
     for name, value in (("width", width), ("height", height)):
         if type(value) is not int:

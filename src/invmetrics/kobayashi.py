@@ -37,6 +37,7 @@ from .domains import (
     grid_frame_load,
     grid_from_predicate,
     grid_save,
+    is_json_number,
     lift_pair,
     rasterize,
 )
@@ -166,15 +167,38 @@ def ball_save(ball: MetricBall) -> bytes:
                      radius=ball.radius)
 
 
+# The metrics a ball export names: the CLI's Carathéodory ball is the
+# approximant's.
+BALL_METRICS = ("kobayashi", "caratheodory", "caratheodory-approximant")
+
+
 def ball_load(data) -> MetricBall:
-    """Parse a ball export; the domain reference is not serialized."""
+    """Parse a ball export; the domain reference is not serialized.
+
+    Besides the grid fields (``grid_frame_load``), ``center`` must be a
+    list of two JSON numbers, ``radius`` a JSON number and ``metric`` one
+    of ``BALL_METRICS``; anything else is a ``ParseError`` naming the field.
+    """
     payload, origin, spacing, mask = grid_frame_load(data)
     try:
-        return MetricBall(domain=None, center=complex(*payload["center"]),
-                          radius=float(payload["radius"]), metric=str(payload["metric"]),
-                          origin=origin, spacing=spacing, mask=mask)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or ill-typed field: {exc}") from exc
+        center, radius, metric = (payload[name] for name in ("center", "radius", "metric"))
+    except KeyError as exc:
+        raise ParseError(f"missing field: {exc}") from exc
+    if not (isinstance(center, list) and len(center) == 2 and all(map(is_json_number, center))):
+        raise ParseError(f"center must be a list of two numbers: {center!r}")
+    if not is_json_number(radius):
+        raise ParseError(f"radius must be a number: {radius!r}")
+    if not (isinstance(metric, str) and metric in BALL_METRICS):
+        raise ParseError(f"metric must be one of {', '.join(BALL_METRICS)}: {metric!r}")
+    try:
+        values = [float(v) for v in (*center, radius)]
+    except OverflowError as exc:
+        raise ValidationError(f"center and radius must be finite: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"center and radius must be finite: {center!r}, {radius!r}")
+    center, radius = complex(*values[:2]), values[2]
+    return MetricBall(domain=None, center=center, radius=radius, metric=metric,
+                      origin=origin, spacing=spacing, mask=mask)
 
 
 # ---------------------------------------------------------------------------

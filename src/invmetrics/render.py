@@ -12,11 +12,15 @@ _HOLE_PALETTE = ["#e4572e", "#76b041", "#ffc914", "#a26da6", "#17bebb",
                  "#b86b2b", "#df5e88"]
 
 
-def _runs(row: np.ndarray):
-    """(start, stop) index pairs of the True runs of a boolean row."""
-    padded = np.concatenate([[False], row, [False]])
-    flips = np.flatnonzero(padded[1:] != padded[:-1])
-    return zip(flips[0::2], flips[1::2])
+def _runs(mask: np.ndarray):
+    """(row, start, stop) of the True runs of a boolean raster, row by row
+    and left to right within a row."""
+    h, w = mask.shape
+    padded = np.zeros((h, w + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    # each row flips an even number of times: a run's start, then its stop
+    rows, flips = np.nonzero(padded[:, 1:] != padded[:, :-1])
+    return zip(rows[0::2].tolist(), flips[0::2].tolist(), flips[1::2].tolist())
 
 
 def render_ball_svg(domain_mask: np.ndarray, ball_mask: np.ndarray) -> str:
@@ -38,11 +42,8 @@ def render_ball_svg(domain_mask: np.ndarray, ball_mask: np.ndarray) -> str:
     for i, lab in enumerate(holes):
         layers.append((labels == lab, _HOLE_PALETTE[i % len(_HOLE_PALETTE)]))
     for mask, color in layers:
-        for iy in range(h):
-            for x0, x1 in _runs(mask[iy]):
-                y = h - 1 - iy  # row 0 is the minimal-imaginary row
-                parts.append(
-                    f'<rect x="{x0}" y="{y}" width="{x1 - x0}" height="1" '
-                    f'fill="{color}"/>')
+        # row 0 is the minimal-imaginary row, drawn at the bottom
+        parts += [f'<rect x="{x0}" y="{h - 1 - iy}" width="{x1 - x0}" height="1" '
+                  f'fill="{color}"/>' for iy, x0, x1 in _runs(mask)]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

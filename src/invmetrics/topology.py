@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import CatalogDomain, Domain, GridDomain, complement_holes, lift_row
+from .domains import (CatalogDomain, Domain, GridDomain, cell_centers, complement_holes,
+                      lift_row)
 from .errors import (
     CoverScaleTooLarge,
     EmptyRegion,
@@ -233,7 +234,13 @@ def separating_cycle(grid: GridDomain, k1_label: int, k2_label: int) -> SimplePo
 # Nerve of a metric-disk cover
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+
+def _packed(rows, dtype, shape) -> np.ndarray:
+    out = np.array(rows, dtype=dtype).reshape(shape)
+    out.flags.writeable = False
+    return out
+
+
 class NerveGraph:
     """Nerve of a greedy cover of a ball raster by metric disks.
 
@@ -242,28 +249,66 @@ class NerveGraph:
     intersections, plus pairwise-intersection triangles when the cover
     scale is safely below one sixth of the shortest noncontractible loop)
     and equals the number of independent loops of the covered region.
+
+    The constructor takes the centers, edges and triangles as sequences
+    and keeps them packed: a ``complex128`` array and ``int32`` rows.
+    ``centers``, ``edges`` and ``triangles`` give tuples of Python numbers
+    on each access.  Equality and the hash are by value.
     """
 
-    centers: tuple
-    cover_radius: float
-    edges: tuple
-    triangles: tuple
-    component_count: int
-    graph_cycle_rank: int
-    cycle_rank: int
+    __slots__ = ("_centers", "cover_radius", "_edges", "_triangles", "component_count",
+                 "graph_cycle_rank", "cycle_rank")
+
+    def __init__(self, centers, cover_radius: float, edges, triangles, component_count: int,
+                 graph_cycle_rank: int, cycle_rank: int):
+        self._centers = _packed(centers, np.complex128, -1)
+        self._edges = _packed(edges, np.int32, (-1, 2))
+        self._triangles = _packed(triangles, np.int32, (-1, 3))
+        self.cover_radius = cover_radius
+        self.component_count = component_count
+        self.graph_cycle_rank = graph_cycle_rank
+        self.cycle_rank = cycle_rank
+
+    @property
+    def centers(self) -> tuple:
+        return tuple(self._centers.tolist())
+
+    @property
+    def edges(self) -> tuple:
+        return tuple(map(tuple, self._edges.tolist()))
+
+    @property
+    def triangles(self) -> tuple:
+        return tuple(map(tuple, self._triangles.tolist()))
 
     @property
     def vertex_count(self) -> int:
-        return len(self.centers)
+        return len(self._centers)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._edges)
+
+    def _key(self):
+        return (self.centers, self.cover_radius, self.edges, self.triangles,
+                self.component_count, self.graph_cycle_rank, self.cycle_rank)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"NerveGraph(vertices={self.vertex_count}, edges={self.edge_count}, "
+                f"triangles={len(self._triangles)}, cycle_rank={self.cycle_rank})")
 
     def to_text(self) -> str:
-        lines = [f"vertices: {len(self.centers)}"]
+        lines = [f"vertices: {self.vertex_count}"]
         lines += [f"v{i} {c.real:.9g} {c.imag:.9g}" for i, c in enumerate(self.centers)]
-        lines.append(f"edges: {len(self.edges)}")
+        lines.append(f"edges: {self.edge_count}")
         lines += [f"e {i} {j}" for (i, j) in self.edges]
         lines.append(f"cycle_rank: {self.cycle_rank}")
         return "\n".join(lines) + "\n"
@@ -277,13 +322,42 @@ def _injectivity(domain: CatalogDomain, lifts) -> float:
     return (domain.deck_loop_length(lifts) - 1e-9) / 2.0
 
 
-def _ball_cells(domain: Domain, ball) -> np.ndarray:
-    if not isinstance(domain, CatalogDomain):
-        raise Unsupported("injectivity bounds need a catalog domain")
-    cells = ball.centers[ball.mask]
-    if cells.size == 0:
-        raise OutOfDomain("the ball raster is empty")
-    return cells
+# Side of the square raster tiles that share one pivot in ``nerve_cover``.
+_TILE = 8
+
+
+def _tile_slots(mask: np.ndarray):
+    """Tile-major layout of a raster's True cells for ``nerve_cover``.
+
+    The bounding box of the True cells is cut into _TILE x _TILE tiles,
+    and the k-th tile holding a True cell owns slots k * _TILE**2 onward,
+    row-major inside the tile.  Returns (index, pad, pivots): the
+    row-major frame index of each slot's cell; the mask of pad slots,
+    which hold no cell and repeat their tile's pivot in ``index``; and
+    each tile's pivot slot, its cell nearest the tile's middle.
+    """
+    w = mask.shape[1]
+    ys, xs = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    box = mask[ys[0]:ys[-1] + 1, xs[0]:xs[-1] + 1]
+    bh, bw = box.shape
+    th, tw = -(-bh // _TILE), -(-bw // _TILE)
+    frame = np.full((th * _TILE, tw * _TILE), -1)
+    frame[:bh, :bw] = np.where(box, np.arange(ys[0], ys[-1] + 1)[:, None] * w
+                                + np.arange(xs[0], xs[-1] + 1), -1)
+    tiles = frame.reshape(th, _TILE, tw, _TILE).swapaxes(1, 2).reshape(th * tw, -1)
+    tiles = tiles[(tiles >= 0).any(axis=1)]
+    pad = tiles < 0
+    at = np.arange(_TILE * _TILE)
+    middle = (_TILE - 1) / 2
+    offset = (at // _TILE - middle) ** 2 + (at % _TILE - middle) ** 2
+    pivots = np.argmin(np.where(pad, np.inf, offset), axis=1)
+    tiles = np.where(pad, tiles[np.arange(len(tiles)), pivots][:, None], tiles)
+    return tiles.ravel(), pad.ravel(), pivots + at.size * np.arange(len(tiles))
+
+
+def _distinct_runs(words: np.ndarray) -> np.ndarray:
+    """The columns of ``words`` that differ from the column before."""
+    return words[:, np.r_[True, (words[:, 1:] != words[:, :-1]).any(axis=0)]]
 
 
 def nerve_cover(domain: Domain, ball, r_cover: float) -> NerveGraph:
@@ -293,9 +367,16 @@ def nerve_cover(domain: Domain, ball, r_cover: float) -> NerveGraph:
     row-major scan for ties) until every ball cell is within ``r_cover``
     of a center.  Edges join centers whose disks share a ball cell.  A new
     center's distance row is evaluated only on the cells that the
-    triangle inequality does not rule out.
+    triangle inequality through each raster tile's pivot does not rule
+    out.
     """
-    cells = _ball_cells(domain, ball)
+    if not isinstance(domain, CatalogDomain):
+        raise Unsupported("injectivity bounds need a catalog domain")
+    mask = ball.mask
+    if not mask.any():
+        raise OutOfDomain("the ball raster is empty")
+    index, pad, pivots = _tile_slots(mask)
+    cells = cell_centers(ball.origin, ball.spacing, index // ball.width, index % ball.width)
     lifts = domain.lift(cells)
     inj = _injectivity(domain, lifts)
     if not (isinstance(r_cover, numbers.Real) and r_cover > 0):
@@ -304,70 +385,85 @@ def nerve_cover(domain: Domain, ball, r_cover: float) -> NerveGraph:
         raise CoverScaleTooLarge(
             f"cover radius {r_cover:g} exceeds half the injectivity bound {inj:g}")
 
-    center_ids = [0]
-    mindist = domain.distance(lift_row(lifts, 0), lifts)
-    # each cell's nearest center, as an index into center_ids
-    nearest = np.zeros(cells.size, dtype=np.intp)
-    # A cell's covering centers are the bits of its row: center k is bit
-    # k & 7 of byte k >> 3, and the rows widen by doubling.
-    covers = np.zeros((cells.size, 8), dtype=np.uint8)
-    covers[:, 0] = mindist < r_cover
-    while True:
-        nxt = int(np.argmax(mindist))
-        if mindist[nxt] <= r_cover:
-            break
-        # The new center c changes cell j only if d(c, j) < max(mindist[j],
-        # r_cover), and d(c, j) >= d(c, a) - mindist[j] for j's nearest
-        # center a (Elkan's triangle-inequality bound), so only the cells
-        # with d(c, a) < mindist[j] + max(mindist[j], r_cover) get a
-        # distance.  The 1e-9 relative margin is far above the kernels'
-        # error of at most 1.5e-14 * max(1, d) for any cover radius above
-        # 1e-4, so the skipped cells are those the full row leaves alone.
-        c = lift_row(lifts, nxt)
-        to_centers = domain.distance(c, lift_row(lifts, center_ids))
-        near = np.flatnonzero(to_centers[nearest]
-                              < (mindist + np.maximum(mindist, r_cover)) * (1 + 1e-9))
-        row = domain.distance(c, lift_row(lifts, near))
-        k = len(center_ids)
-        center_ids.append(nxt)
-        if k >> 3 == covers.shape[1]:
-            covers = np.hstack([covers, np.zeros_like(covers)])
-        covers[near, k >> 3] |= (row < r_cover).view(np.uint8) << (k & 7)
-        closer = row < mindist[near]
-        mindist[near[closer]] = row[closer]
-        nearest[near[closer]] = k
+    n_tiles, size = len(pivots), _TILE * _TILE
+    pivot_lifts = lift_row(lifts, pivots)
+    # Each slot's distance to its tile's pivot, and the tile's reach: the
+    # largest of them.  Pads read -inf, so no bound below keeps them.
+    to_pivot = domain.distance(lift_row(lifts, np.repeat(pivots, size)), lifts)
+    to_pivot[pad] = -np.inf
+    to_pivot = to_pivot.reshape(n_tiles, size)
+    reach = to_pivot.max(axis=1)
+    order = index.reshape(n_tiles, size)
 
-    # Each cell's set of covering centers is a clique of the nerve.  Cells
-    # share few distinct sets, so deduplicate the rows before the Python
-    # loop over cliques.
-    m = len(center_ids)
-    patterns = np.unique(covers.view(np.dtype((np.void, covers.shape[1]))).ravel())
-    members = np.unpackbits(patterns.view(np.uint8).reshape(len(patterns), -1),
-                            axis=1, bitorder="little")[:, :m]
-    cliques = [np.flatnonzero(bits).tolist() for bits in members]
-    edges = set()
-    witness_triangles = set()
-    for clique in cliques:
-        for pair in itertools.combinations(clique, 2):
-            edges.add(pair)
-        for tri in itertools.combinations(clique, 3):
-            witness_triangles.add(tri)
-    edges = sorted(edges)
-    triangles = set(witness_triangles)
+    first = int(np.argmin(np.where(pad, mask.size, index)))
+    ids = [first]
+    mindist = domain.distance(lift_row(lifts, first), lifts)
+    mindist[pad] = -np.inf
+    # A cell's covering centers are the bits of its column: center k is
+    # bit k & 63 of word k >> 6, and the words double in number as needed.
+    covers = ((mindist < r_cover) & ~pad).astype(np.uint64)[None, :]
+    flat, mindist = mindist, mindist.reshape(n_tiles, size)
+    tile_max = mindist.max(axis=1)
+    while True:
+        top = tile_max.max()
+        if top <= r_cover:
+            break
+        # the first farthest cell of each tied tile, then the least row-major
+        # index among those, as a row-major argmax would pick
+        tied = np.flatnonzero(tile_max == top)
+        at = np.argmax(mindist[tied] == top, axis=1)
+        best = int(np.argmin(order[tied, at]))
+        nxt = int(tied[best]) * size + int(at[best])
+        # The new center c changes cell j only if d(c, j) < max(mindist[j],
+        # r_cover), and d(c, j) >= d(c, o) - d(o, j) for the pivot o of j's
+        # tile (the LAESA bound), so only the cells with d(c, o) < d(o, j) +
+        # max(mindist[j], r_cover) get a distance, and only the tiles with
+        # d(c, o) < reach + max(tile_max, r_cover) hold such cells.  The
+        # 1e-9 relative margin is far above the kernels' error of at most
+        # 1.5e-14 * max(1, d) for any cover radius above 1e-4, so the
+        # skipped cells are those the full row leaves alone.
+        c = lift_row(lifts, nxt)
+        to_c = domain.distance(c, pivot_lifts)
+        near_tiles = np.flatnonzero(
+            to_c < (reach + np.maximum(tile_max, r_cover)) * (1 + 1e-9))
+        bound = (to_pivot[near_tiles] + np.maximum(mindist[near_tiles], r_cover)) * (1 + 1e-9)
+        t, s = np.nonzero(to_c[near_tiles, None] < bound)
+        near = near_tiles[t] * size + s
+        row = domain.distance(c, lift_row(lifts, near))
+        k = len(ids)
+        ids.append(nxt)
+        if k >> 6 == len(covers):
+            covers = np.vstack([covers, np.zeros_like(covers)])
+        covers[k >> 6, near[row < r_cover]] |= np.uint64(1 << (k & 63))
+        flat[near] = np.minimum(flat[near], row)
+        tile_max[near_tiles] = mindist[near_tiles].max(axis=1)
+
+    # Each cell's set of covering centers is a clique of the nerve (a pad's
+    # set is empty).  Cells share few distinct sets: neighbours in tile
+    # order mostly repeat one, so runs are dropped before the sort that
+    # leaves each set once.
+    m = len(ids)
+    patterns = _distinct_runs(covers[:(m + 63) >> 6])
+    patterns = _distinct_runs(patterns[:, np.lexsort(patterns)]).T
+    members = np.unpackbits(patterns.astype("<u8").view(np.uint8), axis=1,
+                            bitorder="little")[:, :m].astype(np.float32)
+    # two centers share a cell exactly when some set holds both
+    adjacent = members.T @ members > 0
+    np.fill_diagonal(adjacent, False)
+    i, j = np.nonzero(np.triu(adjacent))
 
     # Pairwise-intersection triangles are null-homotopic when three cover
     # disks fit inside a ball smaller than the shortest loop, which holds
-    # for 6 * r_cover below the doubled injectivity bound.
+    # for 6 * r_cover below the doubled injectivity bound; then the
+    # triangles are all 3-cliques of the edge graph, the witnessed ones
+    # among them.  Otherwise only witnessed triple intersections count.
     if 6.0 * r_cover < 2.0 * inj:
-        adjacency = [set() for _ in range(m)]
-        for i, j in edges:
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-        for i, j in edges:
-            for k in adjacency[i] & adjacency[j]:
-                if k > j:
-                    triangles.add((i, j, k))
-    triangles = sorted(triangles)
+        e, third = np.nonzero(adjacent[i] & adjacent[j] & (np.arange(m) > j[:, None]))
+        triangles = np.column_stack([i[e], j[e], third])
+    else:
+        triangles = sorted({tri for bits in members
+                            for tri in itertools.combinations(np.flatnonzero(bits).tolist(), 3)})
+        triangles = np.array(triangles, dtype=np.intp).reshape(-1, 3)
 
     parent = list(range(m))
 
@@ -377,35 +473,36 @@ def nerve_cover(domain: Domain, ball, r_cover: float) -> NerveGraph:
             x = parent[x]
         return x
 
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    component_count = len({find(i) for i in range(m)})
-    graph_rank = len(edges) - m + component_count
-    rank2 = _gf2_rank(edges, triangles)
-    cycle_rank = graph_rank - rank2
+    for a, b in zip(i.tolist(), j.tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    component_count = len({find(a) for a in range(m)})
+    graph_rank = len(i) - m + component_count
+    cycle_rank = graph_rank - _gf2_rank(m, i, j, triangles)
     if cycle_rank < 0:
         raise ValidationError("triangle relations exceeded the graph cycle count")
     return NerveGraph(
-        centers=tuple(complex(cells[i]) for i in center_ids),
+        centers=cells[ids],
         cover_radius=r_cover,
-        edges=tuple(edges),
-        triangles=tuple(triangles),
+        edges=np.column_stack([i, j]),
+        triangles=triangles,
         component_count=component_count,
         graph_cycle_rank=graph_rank,
         cycle_rank=cycle_rank,
     )
 
 
-def _gf2_rank(edges, triangles) -> int:
-    """Rank over GF(2) of the triangle boundary matrix."""
-    edge_index = {e: i for i, e in enumerate(edges)}
+def _gf2_rank(m: int, i: np.ndarray, j: np.ndarray, triangles: np.ndarray) -> int:
+    """Rank over GF(2) of the boundary matrix of triangles on m vertices,
+    whose edges (i, j), i < j, are numbered in lexicographic order."""
+    keys = i * m + j    # ascending, so an edge's number is its key's rank
+    a, b, c = triangles.T
     pivots = {}
     rank = 0
-    for i, j, k in triangles:
-        row = (1 << edge_index[(i, j)]) | (1 << edge_index[(j, k)]) \
-            | (1 << edge_index[(i, k)])
+    for x, y, z in zip(*(np.searchsorted(keys, u * m + v).tolist()
+                         for u, v in ((a, b), (b, c), (a, c)))):
+        row = (1 << x) | (1 << y) | (1 << z)
         while row:
             low = row.bit_length() - 1
             if low in pivots:

@@ -34,6 +34,7 @@ from invmetrics.errors import (
     EmptyBall,
     NonConvergence,
     OutOfDomain,
+    ParseError,
     Unsupported,
     ValidationError,
 )
@@ -647,13 +648,52 @@ class TestBallRaster:
             assert size <= limit, name
 
     @pytest.mark.parametrize("field, value", [
-        ("spacing", math.nan), ("spacing", math.inf), ("origin", [math.nan, 0.0])])
+        ("spacing", math.nan), ("spacing", math.inf), ("origin", [math.nan, 0.0]),
+        ("radius", 10**400), ("center", [0.2, -10**400]), ("radius", math.nan),
+        ("radius", math.inf), ("center", [math.inf, 0.0])])
     def test_load_rejects_non_finite_fields(self, field, value):
         blob = ball_save(kob_ball_raster(Disk(), 0.2, 0.5, 0.05))
         payload = json.loads(blob)
         payload[field] = value
         with pytest.raises(ValidationError):
             ball_load(json.dumps(payload))
+
+    @pytest.mark.parametrize("field, value", [
+        ("radius", True), ("radius", "0.5"), ("radius", None), ("radius", [0.5]),
+        ("center", "0.2"), ("center", [0.2]), ("center", [0.2, 0.0, 0.0]),
+        ("center", [True, 0.0]), ("center", ["0.2", 0.0]), ("center", 0.2),
+        ("metric", 5), ("metric", "poincare"), ("metric", None), ("metric", ["kobayashi"]),
+    ])
+    def test_load_rejects_ill_typed_ball_fields(self, field, value):
+        # each of these loaded before: True as radius 1.0, "0.5" through
+        # float(), 5 as the metric "5"
+        payload = json.loads(ball_save(kob_ball_raster(Disk(), 0.2, 0.5, 0.05)))
+        assert ball_load(json.dumps(payload)).radius == 0.5
+        with pytest.raises(ParseError, match=f"^{field} must be"):
+            ball_load(json.dumps({**payload, field: value}))
+
+    @pytest.mark.parametrize("field", ["radius", "center", "metric"])
+    def test_load_names_a_missing_ball_field(self, field):
+        payload = json.loads(ball_save(kob_ball_raster(Disk(), 0.2, 0.5, 0.05)))
+        del payload[field]
+        with pytest.raises(ParseError, match=f"^missing field: '{field}'$"):
+            ball_load(json.dumps(payload))
+
+    @pytest.mark.parametrize("metric", kobayashi.BALL_METRICS)
+    def test_load_keeps_every_ball_metric(self, metric):
+        ball = kob_ball_raster(Disk(), 0.2, 0.5, 0.05)
+        ball.metric = metric
+        again = ball_load(ball_save(ball))
+        assert (again.metric, again.center, again.radius) == (metric, 0.2, 0.5)
+
+    def test_load_reads_the_cli_caratheodory_ball(self, tmp_path):
+        from invmetrics.cli import main
+
+        target = tmp_path / "car.json"
+        assert main(["ball", "--domain", "annulus:0.1", "--metric", "caratheodory",
+                     "--center", "0.3162,0", "--radius", "1.5", "--spacing", "0.04",
+                     "--format", "grid", "--out", str(target)]) == 0
+        assert ball_load(target.read_bytes()).metric == "caratheodory-approximant"
 
 
 # Inner distances on acceptance C7's 20 disk pairs at spacing 0.01 and 0.005

@@ -1,9 +1,11 @@
 import cmath
+import gc
 import hashlib
 import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,9 +29,11 @@ from invmetrics.errors import (
     Unsupported,
     ValidationError,
 )
+from invmetrics.domains import lift_row
 from invmetrics.kobayashi import MetricBall, kob_ball_raster
 from invmetrics.render import render_ball_svg
 from invmetrics.topology import (
+    _TILE,
     NerveGraph,
     SimplePolygon,
     _compress_collinear,
@@ -328,6 +332,61 @@ class TestNerve:
         assert digest.hexdigest() == (
             "81e28591e870afbf6969de72a4879bc827a0b4f66ab99c7f7411e95b318db369")
 
+    def test_packed_graph_reads_as_tuples(self):
+        ball = kob_ball_raster(Annulus(0.1), 1j * SQRT_TENTH, 1.5, 0.02)
+        nerve = nerve_cover(Annulus(0.1), ball, 0.5)
+        for rows, width in ((nerve.edges, 2), (nerve.triangles, 3)):
+            assert type(rows) is tuple and rows
+            assert all(type(row) is tuple and len(row) == width for row in rows)
+            assert all(type(v) is int for row in rows for v in row)
+        assert type(nerve.centers) is tuple
+        assert all(type(c) is complex for c in nerve.centers)
+        assert json.loads(json.dumps([nerve.edges, nerve.triangles]))[0][0] == list(nerve.edges[0])
+        # the text export as pinned before the graph was packed
+        digest = hashlib.sha256(nerve.to_text().encode()).hexdigest()
+        assert digest == "ea09805eaee24a35725ed41eec997fad0fa50b36f5a158cb765aef1e01fb560b"
+
+    def test_packed_graph_equals_a_tuple_built_one(self):
+        ball = kob_ball_raster(Annulus(0.1), 1j * SQRT_TENTH, 1.5, 0.02)
+        nerve = nerve_cover(Annulus(0.1), ball, 0.5)
+        fields = dict(centers=tuple(nerve.centers), cover_radius=0.5, edges=tuple(nerve.edges),
+                      triangles=tuple(nerve.triangles), component_count=nerve.component_count,
+                      graph_cycle_rank=nerve.graph_cycle_rank, cycle_rank=nerve.cycle_rank)
+        built = NerveGraph(**fields)
+        assert built == nerve and hash(built) == hash(nerve)
+        assert built.to_text() == nerve.to_text()
+        assert len({built, nerve}) == 1
+        for name, value in (("centers", fields["centers"][:-1] + (0j,)),
+                            ("edges", fields["edges"][:-1]),
+                            ("triangles", fields["triangles"][1:]),
+                            ("cover_radius", 0.4), ("cycle_rank", 1)):
+            assert NerveGraph(**{**fields, name: value}) != nerve, name
+        assert nerve != nerve.to_text()
+
+    def test_empty_rows_pack(self):
+        lone = NerveGraph(centers=(0.5 + 0j,), cover_radius=0.1, edges=(), triangles=(),
+                          component_count=1, graph_cycle_rank=0, cycle_rank=0)
+        assert (lone.edges, lone.triangles, lone.vertex_count, lone.edge_count) == ((), (), 1, 0)
+        assert lone.to_text() == "vertices: 1\nv0 0.5 0\nedges: 0\ncycle_rank: 0\n"
+
+    def test_kept_graph_is_packed(self):
+        # the graph kept of a 143-center nerve: about 48 KB as tuples of
+        # Python numbers, under 10 KB as packed arrays
+        domain = Annulus(0.1)
+        ball = kob_ball_raster(domain, SQRT_TENTH, 2.5, 0.01)
+        nerve_cover(domain, ball, 0.7)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            nerve = nerve_cover(domain, ball, 0.7)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert (nerve.vertex_count, nerve.edge_count) == (143, 352)
+        assert kept < 16_000
+
     def test_cover_scale_guard(self):
         ball = kob_ball_raster(Annulus(0.1), SQRT_TENTH, 0.5, 0.02)
         with pytest.raises(CoverScaleTooLarge):
@@ -434,6 +493,23 @@ CATALOG_BALLS = (
 )
 
 
+def _cross_tile_ties(domain, ball, r_cover) -> int:
+    """How often the reference greedy cover's farthest cells tie across
+    different pivot tiles of ``nerve_cover``."""
+    iy, ix = np.nonzero(ball.mask)
+    tiles = {(int(y - iy.min()) // _TILE, int(x - ix.min()) // _TILE) for y, x in zip(iy, ix)}
+    assert len(tiles) > 1
+    tile = (iy - iy.min()) // _TILE * (ball.width + 1) + (ix - ix.min()) // _TILE
+    lifts = domain.lift(ball.centers[ball.mask])
+    mindist = domain.distance(domain.lift(ball.centers[ball.mask][0]), lifts)
+    ties = 0
+    while mindist.max() > r_cover:
+        tied = np.flatnonzero(mindist == mindist.max())
+        ties += len(set(tile[tied].tolist())) > 1
+        mindist = np.minimum(mindist, domain.distance(lift_row(lifts, tied[0]), lifts))
+    return ties
+
+
 class TestNerveReference:
     @pytest.mark.parametrize("template", CATALOG_BALLS,
                              ids=lambda t: f"{t[0]}{t[1] or ''}-R{t[3]}")
@@ -456,8 +532,12 @@ class TestNerveReference:
         (PuncturedDisk(), 0.6j, 0.8, 0.13, 9),
         (PuncturedDisk(), 0.6j, 1.2, 0.147, 9),
         (HalfPlane(), -0.5 + 0.2j, 1.5, 0.5, 9),
+        # cover radii above a third of the injectivity bound: only witnessed
+        # triangles count
+        (Annulus(0.1), SQRT_TENTH, 2.5, 0.45 * ANNULUS_CORE_HALF, 9),
+        (PuncturedDisk(), 0.6j, 0.8, 0.23, 9),
     ], ids=["annulus-wide-rows", "halfplane", "punctured", "punctured-fine-cover",
-            "punctured-R1.2", "halfplane-R1.5"])
+            "punctured-R1.2", "halfplane-R1.5", "annulus-witnessed", "punctured-witnessed"])
     def test_other_balls_match(self, domain, center, radius, r_cover, min_centers):
         ball = kob_ball_raster(domain, center, radius, 0.02)
         nerve = nerve_cover(domain, ball, r_cover)
@@ -470,9 +550,49 @@ class TestNerveReference:
         ball = kob_ball_raster(Annulus(0.1), SQRT_TENTH, radius, 0.01)
         assert nerve_cover(Annulus(0.1), ball, 0.7) == reference_nerve(Annulus(0.1), ball, 0.7)
 
+    def test_mirror_ties_across_tiles(self):
+        # a disk ball centred at 0 is symmetric, so farthest cells tie, in
+        # different pivot tiles; the least row-major index must win
+        ball = kob_ball_raster(Disk(), 0, 1.0, 0.02)
+        assert _cross_tile_ties(Disk(), ball, 0.3) >= 5
+        assert nerve_cover(Disk(), ball, 0.3) == reference_nerve(Disk(), ball, 0.3)
+
+    @pytest.mark.parametrize("radius, r_cover, min_centers, side", [
+        (0.035, 0.015, 4, _TILE),   # inside one tile
+        (1e-3, 0.5, 1, 1),          # the center cell alone
+    ], ids=["inside-one-tile", "one-cell"])
+    def test_small_balls_match(self, radius, r_cover, min_centers, side):
+        ball = kob_ball_raster(Disk(), 0.3 + 0.1j, radius, 0.01)
+        rows, cols = np.nonzero(ball.mask)
+        assert max(np.ptp(rows), np.ptp(cols)) < side
+        nerve = nerve_cover(Disk(), ball, r_cover)
+        assert nerve.vertex_count >= min_centers
+        assert nerve == reference_nerve(Disk(), ball, r_cover)
+
+    @pytest.mark.parametrize("domain, center, radius, r_cover", [
+        (Disk(), 0.3, 1.0, 0.2),
+        (Annulus(0.1), SQRT_TENTH, 2.5, 0.5),
+    ], ids=["disk", "annulus"])
+    def test_ball_cut_by_the_frame_edge(self, domain, center, radius, r_cover):
+        # the frame's left, bottom and right edges cut through the ball, at
+        # offsets that are no multiple of the tile side
+        ball = kob_ball_raster(domain, center, radius, 0.02)
+        rows, cols = np.flatnonzero(ball.mask.any(axis=1)), np.flatnonzero(ball.mask.any(axis=0))
+        y0, x0 = rows[0] + 5, cols[0] + 3
+        x1 = (cols[0] + cols[-1]) // 2 + 2
+        cut = MetricBall(domain, ball.center, ball.radius, ball.metric,
+                         ball.origin + ball.spacing * complex(x0, y0), ball.spacing,
+                         ball.mask[y0:, x0:x1])
+        mask = cut.mask
+        assert mask[0].any() and mask[:, 0].any() and mask[:, -1].any()
+        assert mask.shape[1] % _TILE and mask.shape[0] % _TILE
+        nerve = nerve_cover(domain, cut, r_cover)
+        assert nerve.vertex_count >= 9
+        assert nerve == reference_nerve(domain, cut, r_cover)
+
     def test_pruned_rows(self, monkeypatch):
-        # the triangle-inequality bound leaves most cells out of each new
-        # center's distance row
+        # the pivot bounds leave most cells out of each new center's
+        # distance row
         domain = Annulus(0.1)
         ball = kob_ball_raster(domain, SQRT_TENTH, 2.5, 0.01)
         elements = []
