@@ -607,7 +607,11 @@ def _frame_mask(predicate: Callable[[np.ndarray], np.ndarray],
                               f"exceeds the budget of {MAX_FRAME_CELLS} cells")
     origin = complex(center) - half * (1 + 1j)
     centers = cell_centers(origin, spacing, np.arange(n)[:, None], np.arange(n))
-    mask = np.asarray(predicate(centers), dtype=bool)
+    # a copy, so the border ring can be cleared on a read-only result too
+    mask = np.array(predicate(centers), dtype=bool)
+    if mask.shape != centers.shape:
+        raise ValidationError(f"the predicate must return one truth value per cell "
+                              f"centre, shape {centers.shape}: got shape {mask.shape}")
     mask[0, :] = mask[-1, :] = False
     mask[:, 0] = mask[:, -1] = False
     return origin, centers, mask

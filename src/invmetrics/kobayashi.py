@@ -414,16 +414,19 @@ _MOVE_RADIUS = 8
 _LIMIT_FACTOR = 1.004
 _LIMIT_CELLS = 2
 # a lattice graph's rows are assembled this many cells at a time: the block's
-# cells x moves buffers (about 0.6 MB) stay in cache and a few percent of a
-# graph of some thousand cells
-_BLOCK_CELLS = 256
+# cells x moves buffers (about 60 kB each) stay in cache, and with the disk's
+# chord temporaries they hold about a tenth of a graph of some thousand cells
+_BLOCK_CELLS = 64
 
 
 def inner_distance(domain: Domain, p, q, grid_spacing: float) -> float:
-    """Shortest weighted cell-graph path with density line-integral weights.
+    """Shortest weighted cell-graph path between p and q.
 
-    Converges to the true distance as the spacing shrinks.  The graph is
-    ``inner_distance_many``'s; its move reach is fixed, not a parameter.
+    Converges to the true distance as the spacing shrinks.  On the disk an
+    edge weighs its hyperbolic length, so the value is never below the true
+    distance; elsewhere it weighs its length times the midpoint density.
+    The graph is ``inner_distance_many``'s; its move reach is fixed, not a
+    parameter.
     """
     return float(inner_distance_many(domain, [(p, q)], grid_spacing)[0])
 
@@ -454,14 +457,17 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     The cells of a raster frame are joined by every coprime lattice move of
     at most ``_MOVE_RADIUS`` cells (``_lattice_graph``); the reach is a
     constant, not a knob.  Each endpoint is linked to the cells within that
-    reach, and a close pair directly.  An edge weighs its length times the
-    density at its midpoint, and is kept only if its interior sub-samples
-    and that midpoint lie in the domain.  Every edge midpoint is a point of
-    the half-spacing lattice, so the density is read from one table of that
-    lattice per graph, never evaluated per edge.  The frame is
-    ``rasterize``'s, except on the disk, where it is cropped to a round disk
-    about 0 that holds the endpoints (geodesically convex disks about 0
-    keep the competing paths near them).
+    reach, and a close pair directly.  The frame is ``rasterize``'s, except
+    on the disk, where it is cropped to a round disk about 0 that holds the
+    endpoints (geodesically convex disks about 0 keep the competing paths
+    near them).  On the disk every edge and link weighs the hyperbolic
+    length of its straight segment, in closed form (``_chord_weigher``), so
+    every path's weight is at least the distance between its ends and each
+    value is at least the true distance.  Elsewhere an edge weighs its
+    length times the density at its midpoint, read from one table of the
+    half-spacing lattice per graph, and is kept only if its interior
+    sub-samples and that midpoint lie in the domain
+    (``_midpoint_weigher``).
 
     A graph stores both directions of every lattice edge and an outgoing
     row for a pair's source p, to the cells within a move's reach.  Each
@@ -474,19 +480,16 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     limit; a value above it is recomputed with no limit, so each value is
     the graph's own shortest path either way.
 
-    On the disk each pair's limited search walks a graph of its own.  There
-    no edge or link is longer than ``_MOVE_RADIUS`` h, and log density is
-    G-Lipschitz on the crop, G = 2 half / (1 - half^2), so each is at most
-    kappa = exp(``_MOVE_RADIUS`` h G / 2) times its weight long
-    (``_disk_kappa``).  A path of weight at most the pair's limit therefore
-    keeps its cells in the hyperbolic ellipse d(p, x) + d(x, q) <= kappa *
-    limit, and the pair's graph joins only the crop cells of that ellipse
-    (``_disk_ellipse``): a value within its limit is the round crop's own.
-    A value above it is recomputed on the whole crop's graph, built at most
-    once per call, and ``Disconnected`` comes only from that search.  kappa
-    is about 1.08 at spacing 0.005 and 1.21 at 0.01.  A pair's graph is
-    dropped before the next is built.  Other domains search one graph of
-    the whole frame, with every pair's source.
+    On the disk each pair's limited search walks a graph of its own.  A
+    path of weight at most the pair's limit keeps its cells in the
+    hyperbolic ellipse d(p, x) + d(x, q) <= limit, since no weight is below
+    the distance between its ends, so the pair's graph joins only the crop
+    cells of that ellipse (``_disk_ellipse``): a value within its limit is
+    the round crop's own.  A value above it is recomputed on the whole
+    crop's graph, built at most once per call, and ``Disconnected`` comes
+    only from that search.  A pair's graph is dropped before the next is
+    built.  Other domains search one graph of the whole frame, with every
+    pair's source.
     """
     if isinstance(domain, GridDomain):
         raise Unsupported("inner distance is defined for catalog domains")
@@ -519,9 +522,6 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
 
     _load_sparse()
     height, width = frame.mask.shape
-    # distance in cells to the nearest frame cell outside the domain; the
-    # cells the disk crop leaves out lie in the disk and do not count
-    near = ndimage.distance_transform_edt(domain.contains(frame.centers)).ravel()
 
     def centers(iy, ix):
         return cell_centers(frame.origin, h, iy, ix)
@@ -537,27 +537,25 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     too_coarse = f"spacing {h!r} is too coarse to resolve {domain!r}"
 
     def edge_weights(a, b):
-        """Length times the density at the midpoint."""
+        """The weights of the straight links from a to the points b: on the
+        disk their hyperbolic lengths, elsewhere length times the density at
+        the midpoint."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.abs(b - a) * domain.density((a + b) / 2.0)
+            if disk:
+                c = np.abs(b - a) ** 2
+                w = _disk_chord(1.0 - abs(a) ** 2, 1.0 - np.abs(b) ** 2, c)
+                w[c == 0] = 0.0
+            else:
+                w = np.abs(b - a) * domain.density((a + b) / 2.0)
         if not (np.isfinite(w) & (w >= 0)).all():
             raise ValidationError(too_coarse)
         return w
 
-    # the moves that fit in the frame, both ways; per step its flat offset,
-    # the constant h |m| its weights multiply the density by, the pieces its
-    # sub-sample test cuts it into and the distance to the outside within
-    # which it is sampled
+    # the moves that fit in the frame, both ways
     steps = _lattice_steps([(dx, dy) for dx, dy in _coprime_moves(_MOVE_RADIUS)
                             if abs(dx) < width and dy < height])
-    step_x, step_y = steps.T
-    offset = step_y * width + step_x
-    length = [math.hypot(dx, dy) for dx, dy in steps]
-    factor = h * np.array(length)
-    pieces = np.array([max(2, math.ceil(2 * r)) for r in length])
-    band = np.array(length) / 2 + 2
-    # near is 1-Lipschitz, so no edge from a cell farther out is sampled
-    band_reach = (band + length).max()
+    weigher = _chord_weigher(frame, steps) if disk else _midpoint_weigher(
+        domain, frame, steps, inside, too_coarse)
 
     # the cells within a move's reach of an endpoint that a straight link
     # joins to it inside the domain, and the links' weights
@@ -577,7 +575,6 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         ok = inside(z, c, 8)
         return (iy * width + ix)[ok], edge_weights(z, c[ok])
 
-    sources, targets = zip(*[(links(p), links(q)) for p, q in pairs])
     # the direct link of a very close pair (inf: none)
     direct = np.full(len(pairs), math.inf)
     for k, (p, q) in enumerate(pairs):
@@ -585,11 +582,11 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         if abs(q - p) <= link_reach and domain.contains(samples).all():
             direct[k] = edge_weights(p, np.array([q]))[0]
 
-    def graph(keep, y0, x0, ks):
+    def graph(keep, y0, x0, sources):
         """The lattice graph of the frame cells of ``keep``, the box of cells
-        from row y0 and column x0, with the source rows of the pairs ``ks``,
-        and the map from links (frame cells, weights) to the links to its
-        nodes."""
+        from row y0 and column x0, with a source row for each of the links
+        ``sources``, and the map from links (frame cells, weights) to the
+        links to its nodes."""
         node = np.full(keep.shape, -1, dtype=np.int32)
         node[keep] = np.arange(np.count_nonzero(keep), dtype=np.int32)
 
@@ -600,71 +597,31 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
             k = node[iy[box], ix[box]]
             return k[k >= 0], w[box][k >= 0]
 
-        # the density at the midpoints of the box's edges, one table: cells
-        # (x, y) and (x + dx, y + dy) meet at the point (2x + dx, 2y + dy) of
-        # the half-spacing lattice, whose even points are the cell centres,
-        # bit for bit
-        mid_x = frame.origin.real + (h / 2) * np.arange(
-            2 * x0 - _MOVE_RADIUS, 2 * (x0 + keep.shape[1]) + _MOVE_RADIUS - 1)
-        mid_y = frame.origin.imag + (h / 2) * np.arange(
-            2 * y0 - _MOVE_RADIUS, 2 * (y0 + keep.shape[0]) + _MOVE_RADIUS - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            table = domain.density(mid_x + 1j * mid_y[:, None]).ravel()
-        off_domain = not (np.isfinite(table) & (table >= 0)).all()
-        at_step = step_y * mid_x.size + step_x
-
-        def weigh(y, x, edge):
-            """``_lattice_graph``'s weights for the cells at rows y and
-            columns x of the box."""
-            w = table.take(((2 * y + _MOVE_RADIUS) * mid_x.size + 2 * x + _MOVE_RADIUS)[:, None]
-                           + at_step)
-            cell = (y + y0) * width + x + x0
-            if near[cell].min() <= band_reach:
-                # a sample outside the domain lies within length / 2 of an end
-                # and, where every hole holds a cell centre, within two cells
-                # of a frame cell outside, so only edges with an end in that
-                # band are sampled
-                r, s = np.nonzero(edge)
-                i = cell[r]
-                j = i + offset[s]
-                test = np.minimum(near[i], near[j]) <= band[s]
-                r, s, i, j = r[test], s[test], i[test], j[test]
-                # from the lower cell of the edge, as in either direction
-                lower = np.minimum(i, j)
-                a = centers(*np.divmod(lower, width))
-                b = centers(*np.divmod(i + j - lower, width))
-                for n in np.unique(pieces[s]).tolist():
-                    pick = np.flatnonzero(pieces[s] == n)
-                    drop = pick[~inside(a[pick], b[pick], n)]
-                    edge[r[drop], s[drop]] = False
-            if off_domain and (edge & ~(np.isfinite(w) & (w >= 0))).any():
-                raise ValidationError(too_coarse)
-            return np.multiply(w, factor, out=w)
-
-        return _lattice_graph(keep, steps, weigh, [nodes(*sources[k]) for k in ks]), nodes
+        weigh = weigher(y0, x0, keep.shape)
+        return _lattice_graph(keep, steps, weigh, [nodes(*links) for links in sources]), nodes
 
     ps, qs = np.array(pairs).T
     limits = _LIMIT_FACTOR * domain.distance(domain.lift(ps), domain.lift(qs)) + _LIMIT_CELLS * h
     # the whole frame's graph with every source, built at most once; on the
-    # disk each limited search walks its pair's ellipse, as a path of weight
-    # at most the pair's limit is at most kappa times as long
+    # disk each limited search walks its pair's ellipse, which holds every
+    # path of weight at most the pair's limit
     full = None
-    kappa = _disk_kappa(h, half) if disk else None
 
     def search(k, bound):
         """Pair k's value on the graph a search to ``bound`` walks; a pair's
-        own graph is dropped on return."""
+        own graph and its endpoints' links are dropped on return."""
         nonlocal full
+        p, q = pairs[k]
         if disk and bound < math.inf:
-            searched, nodes = graph(*_disk_ellipse(frame, ps[k], qs[k], kappa * bound), [k])
+            searched, nodes = graph(*_disk_ellipse(frame, p, q, bound), [links(p)])
             source = searched.shape[0] - 1
         else:
             if full is None:
-                full = graph(frame.mask, 0, 0, range(len(pairs)))
+                full = graph(frame.mask, 0, 0, [links(z) for z, _ in pairs])
             searched, nodes = full
             source = searched.shape[0] - len(pairs) + k
         dist = _csgraph_dijkstra(searched, directed=True, indices=source, limit=bound)
-        cols, w = nodes(*targets[k])
+        cols, w = nodes(*links(q))
         return min(direct[k], (dist[cols] + w).min(initial=math.inf))
 
     out = np.empty(len(pairs))
@@ -681,30 +638,153 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     return out
 
 
-def _disk_kappa(h: float, half: float) -> float:
-    """Bound on the hyperbolic length of an edge or link of the disk's
-    inner-distance graph over its weight, where the frame is |z| <= half.
+def _disk_chord(g, g2, c):
+    """Hyperbolic length on the unit disk, density 1/(1 - |z|^2), of the
+    segment between points a and b, from g = 1 - |a|^2, g2 = 1 - |b|^2 and
+    c = |b - a|^2, arrays that broadcast.
 
-    There log(1/(1 - |z|^2)) has gradient 2|z|/(1 - |z|^2), at most
-    G = 2 half/(1 - half^2), and no edge or link is longer than
-    ``_MOVE_RADIUS`` h, so the density on one is at most exp(G
-    ``_MOVE_RADIUS`` h / 2) times the density at its midpoint, which its
-    weight reads.  The factor 1 + 1e-9 covers the rounding of the weights,
-    of their sums and of the distances compared with them.
+    With q = g + g2 + c and r = sqrt((g - g2)^2 - c^2 + 2cq), it is the
+    closed form 2 sqrt(c) atanh(r/q)/r of the integral of |b - a|/(1 -
+    |a + t(b - a)|^2) over 0 <= t <= 1 (nan where a = b), which is
+    symmetric in a and b to the bit.  It is at least the distance between
+    a and b, and equal to it on a diameter.  g2, a float array of the
+    result's shape, is overwritten, and one more such array is made: q is
+    recovered from 2cq, to a few units in the last place.
     """
-    return math.exp(_MOVE_RADIUS * h * half / (1.0 - half * half)) * (1.0 + 1e-9)
+    q = g2 + g
+    g2 -= g
+    g2 *= g2
+    q += c
+    g2 -= c * c
+    q *= 2.0 * c
+    g2 += q
+    q /= 2.0 * c
+    r = np.sqrt(g2, out=g2)
+    np.divide(r, q, out=q)
+    np.arctanh(q, out=q)
+    q /= r
+    q *= 2.0 * np.sqrt(c)
+    return q
 
 
-def _disk_ellipse(frame: GridDomain, p, q, bound):
+def _chord_weigher(frame: GridDomain, steps):
+    """``inner_distance_many``'s weights on the disk's round crop: for the
+    box of ``frame`` from row y0 and column x0 of this shape,
+    ``weigher(y0, x0, shape)`` is the ``_lattice_graph`` weigh that gives
+    each edge its hyperbolic length (``_disk_chord``), read from a table of
+    1 - |z|^2 at the box's cell centres.  Both directions of an edge weigh
+    the same to the bit.  The crop is convex, so every edge between its
+    cells lies in the disk and none is dropped.
+    """
+    h = frame.spacing
+    reach = int(np.abs(steps).max(initial=0))
+    # per step |u|^2, the same for its reverse
+    ux, uy = h * steps.T
+    c = ux * ux + uy * uy
+
+    def weigher(y0, x0, shape):
+        # the table over the box padded by a step's reach, from
+        # ``cell_centers``' centres, so a cell's entry is the same in every box
+        width = shape[1] + 2 * reach
+        z = cell_centers(frame.origin, h, np.arange(y0 - reach, y0 + shape[0] + reach)[:, None],
+                         np.arange(x0 - reach, x0 + shape[1] + reach))
+        g = (1.0 - (z.real * z.real + z.imag * z.imag)).ravel()
+        at_step = (steps[:, 1] * width + steps[:, 0]).astype(np.int32)
+
+        def weigh(y, x, edge):
+            at = (y + reach) * width + x + reach
+            # a step off the crop can leave the disk; edge drops it
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return _disk_chord(g[at, None], g.take(at[:, None] + at_step), c)
+
+        return weigh
+
+    return weigher
+
+
+def _midpoint_weigher(domain: Domain, frame: GridDomain, steps, inside, too_coarse: str):
+    """``inner_distance_many``'s weights off the disk: for the box of
+    ``frame`` from row y0 and column x0 of this shape, ``weigher(y0, x0,
+    shape)`` is the ``_lattice_graph`` weigh that gives each edge its length
+    times the density at its midpoint, and drops it unless ``inside`` finds
+    its interior sub-samples and that midpoint in the domain.
+
+    Every edge midpoint is a point of the half-spacing lattice: cells (x, y)
+    and (x + dx, y + dy) meet at its point (2x + dx, 2y + dy), and its even
+    points are the cell centres, bit for bit.  So the density is read from
+    one table of that lattice per box, never evaluated per edge.
+    """
+    h, width = frame.spacing, frame.width
+    step_x, step_y = steps.T
+    # distance in cells to the nearest frame cell outside the domain
+    near = ndimage.distance_transform_edt(domain.contains(frame.centers)).ravel()
+    # per step its flat offset, the constant h |m| its weights multiply the
+    # density by, the pieces its sub-sample test cuts it into and the
+    # distance to the outside within which it is sampled
+    offset = step_y * width + step_x
+    length = [math.hypot(dx, dy) for dx, dy in steps]
+    factor = h * np.array(length)
+    pieces = np.array([max(2, math.ceil(2 * r)) for r in length])
+    band = np.array(length) / 2 + 2
+    # near is 1-Lipschitz, so no edge from a cell farther out is sampled
+    band_reach = (band + length).max()
+
+    def centers(cells):
+        return cell_centers(frame.origin, h, *np.divmod(cells, width))
+
+    def weigher(y0, x0, shape):
+        mid_x = frame.origin.real + (h / 2) * np.arange(
+            2 * x0 - _MOVE_RADIUS, 2 * (x0 + shape[1]) + _MOVE_RADIUS - 1)
+        mid_y = frame.origin.imag + (h / 2) * np.arange(
+            2 * y0 - _MOVE_RADIUS, 2 * (y0 + shape[0]) + _MOVE_RADIUS - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            table = domain.density(mid_x + 1j * mid_y[:, None]).ravel()
+        off_domain = not (np.isfinite(table) & (table >= 0)).all()
+        at_step = step_y * mid_x.size + step_x
+
+        def weigh(y, x, edge):
+            w = table.take(((2 * y + _MOVE_RADIUS) * mid_x.size + 2 * x + _MOVE_RADIUS)[:, None]
+                           + at_step)
+            cell = (y + y0) * width + x + x0
+            if near[cell].min() <= band_reach:
+                # a sample outside the domain lies within length / 2 of an end
+                # and, where every hole holds a cell centre, within two cells
+                # of a frame cell outside, so only edges with an end in that
+                # band are sampled
+                r, s = np.nonzero(edge)
+                i = cell[r]
+                j = i + offset[s]
+                test = np.minimum(near[i], near[j]) <= band[s]
+                r, s, i, j = r[test], s[test], i[test], j[test]
+                # from the lower cell of the edge, as in either direction
+                lower = np.minimum(i, j)
+                a, b = centers(lower), centers(i + j - lower)
+                for n in np.unique(pieces[s]).tolist():
+                    pick = np.flatnonzero(pieces[s] == n)
+                    drop = pick[~inside(a[pick], b[pick], n)]
+                    edge[r[drop], s[drop]] = False
+            if off_domain and (edge & ~(np.isfinite(w) & (w >= 0))).any():
+                raise ValidationError(too_coarse)
+            return np.multiply(w, factor, out=w)
+
+        return weigh
+
+    return weigher
+
+
+def _disk_ellipse(frame: GridDomain, p, q, limit):
     """(keep, y0, x0): the frame's cells x with d(p, x) + d(x, q) <= bound
     on the unit disk, as a mask of the least box of cells that holds them,
-    from row y0 and column x0.
+    from row y0 and column x0.  The bound is the limit times 1 + 1e-9, which
+    covers the rounding of the weights, of their sums and of the distances
+    compared with them.
 
     The ellipse lies in the hyperbolic disks of radius bound about p and
     about q, Euclidean disks (``poincare_ball_euclidean``); the box holds
     both, widened by a cell, and only its cells are tested.
     """
     h = frame.spacing
+    bound = limit * (1.0 + 1e-9)
     if not bound > 0:
         return np.zeros((0, 0), dtype=bool), 0, 0  # at most the point p = q
     lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
@@ -729,7 +809,7 @@ def _disk_ellipse(frame: GridDomain, p, q, bound):
     rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
     if not rows.size:
         return keep[:0, :0], 0, 0
-    keep = keep[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    keep = keep[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1].copy()
     return keep, int(y0 + rows[0]), int(x0 + cols[0])
 
 
@@ -761,17 +841,18 @@ def _lattice_graph(keep, steps, weigh, sources):
     # node numbers on the frame of keep padded by a step's reach (-1: none)
     padded = width + 2 * reach
     node = np.full((height + 2 * reach, padded), -1, dtype=np.int32)
-    y, x = np.nonzero(keep)
+    y, x = (i.astype(np.int32) for i in np.nonzero(keep))
     cells = y.size
     node[y + reach, x + reach] = np.arange(cells, dtype=np.int32)
     at_cell = (y + reach) * padded + x + reach
-    offset = steps[:, 1] * padded + steps[:, 0]
+    offset = (steps[:, 1] * padded + steps[:, 0]).astype(np.int32)
     # the entries: the cell pairs one step apart, counted from the lower
     # cell and doubled
     kept = node >= 0
     edges = 2 * sum(np.count_nonzero(keep & kept[reach + dy:reach + dy + height,
                                                  reach + dx:reach + dx + width])
                     for dx, dy in steps if (dy, dx) > (0, 0))
+    del kept
     data = np.empty(edges + sum(k.size for k, _ in sources))
     indices = np.empty(data.size, dtype=np.int32)
     indptr = np.zeros(cells + len(sources) + 1, dtype=np.int32)
@@ -787,6 +868,8 @@ def _lattice_graph(keep, steps, weigh, sources):
         indices[at:end] = column[edge]
         indptr[k0 + 1:k1 + 1] = at + counts
         at = end
+        # freed before the next block's are made
+        del column, edge, weights
     for s, (k, w) in enumerate(sources):
         data[at:at + k.size] = w
         indices[at:at + k.size] = k

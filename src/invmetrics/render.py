@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .domains import complement_holes
+from .errors import ValidationError
 
 _BALL_COLOR = "#3b6fd4"
 _DOMAIN_COLOR = "#d9d9d9"
@@ -29,6 +30,10 @@ def render_ball_svg(domain_mask: np.ndarray, ball_mask: np.ndarray) -> str:
     Complement components are colored by index so the holes a ball wraps
     are visible at a glance; the unbounded component stays white.
     """
+    domain_mask, ball_mask = np.asarray(domain_mask), np.asarray(ball_mask)
+    if domain_mask.ndim != 2 or domain_mask.shape != ball_mask.shape:
+        raise ValidationError(f"the domain and ball masks must be 2-D and of one shape: "
+                              f"{domain_mask.shape} and {ball_mask.shape}")
     h, w = domain_mask.shape
     labels, holes = complement_holes(domain_mask)
     parts = [

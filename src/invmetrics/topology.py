@@ -202,8 +202,8 @@ def separating_cycle(grid: GridDomain, k1_label: int, k2_label: int) -> SimplePo
     if k1_label == k2_label:
         raise ValidationError("the two components must be distinct")
     for lab in (k1_label, k2_label):
-        if not (1 <= lab <= len(holes) + 1):
-            raise ValidationError(f"no complement component labeled {lab}")
+        if not (isinstance(lab, numbers.Real) and 1 <= lab <= len(holes) + 1):
+            raise ValidationError(f"no complement component labeled {lab!r}")
     if k1_label not in holes:
         raise LabelNotBounded(f"component {k1_label} is the unbounded one")
     k1 = labels == k1_label

@@ -461,6 +461,26 @@ class TestFrameBudget:
             grid_from_predicate(_never_called, 1.25 / 1.1, 0.5)
 
 
+class TestPredicateResult:
+    @pytest.mark.parametrize("predicate", [lambda z: 1, lambda z: np.abs(z).ravel() < 1],
+                             ids=["scalar", "flat"])
+    def test_wrong_shape_is_named(self, predicate):
+        # one truth value per cell centre, or a named error, not an IndexError
+        with pytest.raises(ValidationError, match="predicate"):
+            grid_from_predicate(predicate, 1.0, 0.5)
+
+    def test_read_only_result_is_copied(self):
+        # the border ring is cleared on a copy, not on the predicate's array
+        def predicate(z):
+            inside = np.ones(z.shape, dtype=bool)
+            inside.flags.writeable = False
+            return inside
+
+        mask = grid_from_predicate(predicate, 1.0, 0.5).mask
+        assert mask.shape == (5, 5)
+        assert mask[1:-1, 1:-1].all() and mask.sum() == 9
+
+
 class TestSamplePoints:
     @pytest.mark.parametrize("domain", [Disk(), PuncturedDisk(), Annulus(0.1), Annulus(0.73)])
     def test_are_the_kept_raster_centres(self, domain):

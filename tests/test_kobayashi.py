@@ -697,27 +697,26 @@ class TestBallRaster:
 
 
 # Inner distances on acceptance C7's 20 disk pairs at spacing 0.01 and 0.005
-# since edge weights are read from one density table on the half-spacing
-# lattice: the table's midpoint coordinates and the constant edge lengths
-# differ from the per-edge (a + b) / 2 and |b - a| in the last bits, which
-# moved 12 and 16 of the values by at most 7.2e-16 relative ...
+# since each disk edge and link weighs the hyperbolic length of its segment
+# (kobayashi._disk_chord), not its length times the midpoint density: every
+# value now lies above the closed form ...
 C7_INNER_001 = [
-    0.941090867966171, 0.9791050673294923, 0.5939612350356079,
-    1.147461863304492, 1.0983906159196526, 1.6202041803826484,
-    0.5668931286075461, 0.34155338036235955, 0.6103520189854761,
-    1.0791196384515906, 0.5183127470397373, 0.134005728944803,
-    1.1058768820606746, 0.4126255452593225, 0.22537217126123577,
-    0.8320589815873528, 0.4884032133580056, 0.4600269797019956,
-    0.23090797871366858, 0.8334212380207136,
+    0.9415798593545378, 0.9798005673232704, 0.5942466335970399,
+    1.1481108299115985, 1.099076076319705, 1.6216578347818893,
+    0.567258548067687, 0.34169708235861784, 0.6106150682541345,
+    1.0797032025682056, 0.5185349939240796, 0.13407553881812648,
+    1.1066223486553306, 0.41275397243251866, 0.2254860253824085,
+    0.8327365496674897, 0.48879906138637386, 0.4601656792471218,
+    0.23105544575833337, 0.833810191804934,
 ]
 C7_INNER_0005 = [
-    0.9414230004923064, 0.9795784753195428, 0.5941661111716243,
-    1.1479724737432255, 1.0989544122678263, 1.621338356081591,
-    0.5672482320394917, 0.3416340242885729, 0.6105574794548401,
-    1.079567821665465, 0.5184977720138118, 0.1340350061214603,
-    1.1063881190507057, 0.4127557840070817, 0.225442478642166,
-    0.8325005265042102, 0.4886597623554026, 0.4601328731402809,
-    0.2310240836502885, 0.8336966807268045,
+    0.9415727225895473, 0.979705083545549, 0.5942351593449301,
+    1.1481087028548467, 1.0991192532841656, 1.62166149004655,
+    0.5673198557437141, 0.34167100040614773, 0.6106114201152653,
+    1.0797041028144765, 0.5185382141079402, 0.13405126689877322,
+    1.106585651216085, 0.412791730451256, 0.2254810732184025,
+    0.8326383590998744, 0.4887414310117569, 0.4601656468133378,
+    0.23105224589454543, 0.8337814411546604,
 ]
 # ... and _ring_pairs(r) in Annulus(r), _PUNCTURED_PAIRS under the key None,
 # at spacing 0.01 (the frame's half-width moved from 1 + h to 1.1, which
@@ -733,8 +732,8 @@ RING_INNER_001 = {
 }
 # ... and the entries of the graphs of the first four C7 pairs at spacing
 # 0.02, one graph a pair: twice the lattice edges between the crop cells in
-# the pair's ellipse, plus the pair's links
-ENTRIES_C7_002 = [325058, 344120, 156023, 443241]
+# the pair's ellipse d(p, x) + d(x, q) <= limit, plus the pair's links
+ENTRIES_C7_002 = [29504, 31189, 13458, 44123]
 _PUNCTURED_PAIRS = [(0.3, -0.3), (0.05 + 0.02j, -0.6j),
                     (cmath.rect(0.8, 1.0), cmath.rect(0.2, 2.5))]
 
@@ -825,6 +824,44 @@ def _per_edge_weigh(domain, frame):
             edge[t[~keep], s] = False
             a, b = a[keep], b[keep]
             w[t[keep], s] = np.abs(b - a) * domain.density((a + b) / 2.0)
+        return w
+
+    return weigh, steps
+
+
+def _chord(a, b):
+    """Hyperbolic length of the segment from a to b in the unit disk:
+    sqrt(C/D) atanh(sqrt(D)/(g - B)) with g = 1 - |a|^2, B = Re(conj(a) u),
+    C = |u|^2 and D = B^2 + gC for u = b - a, the integral of
+    |u|/(1 - |a + tu|^2) over 0 <= t <= 1, and 0 where a = b."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    u = b - a
+    g = 1.0 - np.abs(a) ** 2
+    big_b = (np.conj(a) * u).real
+    c = np.abs(u) ** 2
+    d = big_b ** 2 + g * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(c > 0, np.sqrt(c / d) * np.arctanh(np.sqrt(d) / (g - big_b)), 0.0)
+
+
+def _per_edge_chord_weigh(frame):
+    """``weigh`` edge by edge for disk graphs over ``frame``'s cells, and the
+    steps it reads: each edge's hyperbolic length from its lower cell, and
+    no edge dropped."""
+    width = frame.mask.shape[1]
+    centers = frame.centers.ravel()
+    moves = [(dx, dy) for dx, dy in kobayashi._coprime_moves(kobayashi._MOVE_RADIUS)
+             if abs(dx) < width and dy < frame.mask.shape[0]]
+    steps = kobayashi._lattice_steps(moves)
+
+    def weigh(y, x, edge):
+        w = np.full(edge.shape, np.nan)
+        cell = y * width + x
+        for s, (dx, dy) in enumerate(steps):
+            t = np.flatnonzero(edge[:, s])
+            i, j = cell[t], cell[t] + dy * width + dx
+            i, j = np.minimum(i, j), np.maximum(i, j)
+            w[t, s] = _chord(centers[i], centers[j])
         return w
 
     return weigh, steps
@@ -939,15 +976,19 @@ class TestInnerDistance:
             assert lattice.nnz == graph.indptr[cells] and (lattice[:, cells:]).nnz == 0
             assert (lattice[:, :cells] != lattice[:, :cells].T).nnz == 0
             # each source row holds p's links to the graph's cells within a
-            # move's reach, which lie well inside the domain here
+            # move's reach, which lie well inside the domain here; a disk
+            # link weighs its hyperbolic length
             for s, k in enumerate(ks):
                 p = pairs[k][0]
                 row = graph[cells + s]
                 near = np.flatnonzero((node >= 0) & (np.abs(centers - p) <= reach))
                 assert np.array_equal(row.indices, node[near])
                 a = centers[near]
-                np.testing.assert_allclose(row.data, np.abs(a - p) * domain.density((a + p) / 2),
-                                           rtol=1e-15, atol=0)
+                if isinstance(domain, Disk):
+                    np.testing.assert_allclose(row.data, _chord(p, a), rtol=1e-13, atol=0)
+                else:
+                    np.testing.assert_allclose(row.data, np.abs(a - p) * domain.density((a + p) / 2),
+                                               rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("block, seed", [(3, 7), (9, 3), (9, 2048), (100, 7), (1, 1),
                                              (1000, 1)])
@@ -1028,10 +1069,11 @@ class TestInnerDistance:
         _assert_same_graph(graph, kobayashi._lattice_graph(keep, steps, weigh, sources))
 
     def test_disk_crop_keeps_the_edges_inside_it(self, monkeypatch):
-        # each pair's graph is the square frame's, per-edge weighed, less
-        # every lattice edge with an end outside |z| <= half or outside that
-        # pair's ellipse d(p, x) + d(x, q) <= kappa * limit, and its source
-        # row keeps p's links to the cells it keeps
+        # each pair's graph is the square frame's, each edge weighing its
+        # hyperbolic length, less every lattice edge with an end outside
+        # |z| <= half or outside that pair's ellipse d(p, x) + d(x, q) <=
+        # limit (with its 1e-9 rounding margin), and its source row keeps
+        # p's links to the cells it keeps
         graphs = _record_graphs(monkeypatch)
         boxes = _record_boxes(monkeypatch)
         pairs, h = _c7_pairs(), 0.01
@@ -1039,11 +1081,11 @@ class TestInnerDistance:
         crop, half = _disk_crop(pairs, h)
         square = grid_from_predicate(Disk().contains, half / FRAME_MARGIN, h)
         assert square.mask.shape == crop.mask.shape
-        weigh, steps = _per_edge_weigh(Disk(), square)
+        weigh, steps = _per_edge_chord_weigh(square)
         ps, qs = np.array(pairs).T
         limits = (kobayashi._LIMIT_FACTOR * Disk().distance(ps, qs)
                   + kobayashi._LIMIT_CELLS * h)
-        bounds = kobayashi._disk_kappa(h, half) * limits
+        bounds = (1.0 + 1e-9) * limits
         z = square.centers
         assert len(graphs) == len(boxes) == len(pairs)
         for graph, (keep, y0, x0), p, q, bound in zip(graphs, boxes, ps, qs, bounds):
@@ -1054,23 +1096,22 @@ class TestInnerDistance:
             assert np.array_equal(node >= 0, kept.ravel())
             c = z.ravel()
             near = np.flatnonzero(kept.ravel() & (np.abs(c - p) <= kobayashi._MOVE_RADIUS * h))
-            links = node[near], np.abs(c[near] - p) * Disk().density((c[near] + p) / 2)
+            links = node[near], _chord(p, c[near])
             _assert_same_graph(graph, kobayashi._lattice_graph(kept, steps, weigh, [links]))
 
     @pytest.mark.parametrize("h", [0.02, 0.01])
     def test_disk_weights_bound_hyperbolic_lengths(self, h, monkeypatch):
-        # every stored edge and link is at most kappa times its weight long
-        # in the metric, and some is longer than its weight: the midpoint
-        # density alone would not bound a path's length
+        # every stored edge and link weighs at least the distance between its
+        # ends, so no path weighs less than the distance between its ends;
+        # and a straight segment a few cells long is hardly longer than the
+        # geodesic, so the weights are tight as well
         graphs = _record_graphs(monkeypatch)
         boxes = _record_boxes(monkeypatch)
         rng = np.random.default_rng(33)
         pairs = [tuple(cmath.rect(rng.uniform(0, 0.6), rng.uniform(0, math.tau))
                        for _ in range(2)) for _ in range(4)]
         inner_distance_many(Disk(), pairs, h)
-        crop, half = _disk_crop(pairs, h)
-        kappa = kobayashi._disk_kappa(h, half)
-        assert kappa < 1.5
+        crop, _ = _disk_crop(pairs, h)
         ratios = []
         for graph, (keep, y0, x0), (p, _) in zip(graphs, boxes, pairs):
             box = crop.centers[y0:y0 + keep.shape[0], x0:x0 + keep.shape[1]]
@@ -1078,14 +1119,16 @@ class TestInnerDistance:
             coo = graph.tocoo()
             ratios.append(Disk().distance(ends[coo.row], ends[coo.col]) / coo.data)
         ratio = np.concatenate(ratios)
-        assert 1.0 < ratio.max() <= kappa
+        assert ratio.size > 10000
+        assert (ratio <= 1.0 + 1e-12).all()
+        assert ratio.min() > 0.99
 
     @pytest.mark.parametrize("h, pairs, restricted", [
         (0.01, [(0.1, 0.1 + 0.03j), (0.4, 0.4), (0.6j, -0.55 - 0.2j), (0.3 - 0.5j, 0.05)], True),
         (0.02, [(0.6, -0.59j), (0.1, 0.1 - 0.1j), (-0.2j, -0.2j), (0.55j, -0.5)], True),
         # endpoints a cell inside the crop |z| <= 1 - h, which cuts their
-        # links; kappa is so large there that every crop cell is kept
-        (0.02, [(0.97, -0.96j), (0.965j, 0.9 + 0.2j), (-0.5, -0.5), (-0.3, 0.2 + 0.1j)], False),
+        # links; the ellipses keep only part of the crop there too
+        (0.02, [(0.97, -0.96j), (0.965j, 0.9 + 0.2j), (-0.5, -0.5), (-0.3, 0.2 + 0.1j)], True),
     ])
     def test_ellipses_keep_the_round_crop_values(self, h, pairs, restricted, monkeypatch):
         # a direct-link pair, p == q, far pairs and pairs near the crop's
@@ -1101,6 +1144,31 @@ class TestInnerDistance:
         assert (max(kept) < crop.mask.sum()) == restricted
         monkeypatch.setattr(kobayashi, "_disk_ellipse", lambda frame, *args: (frame.mask, 0, 0))
         assert values.tolist() == inner_distance_many(Disk(), pairs, h).tolist()
+
+    @pytest.mark.parametrize("h", [0.02, 0.01])
+    def test_disk_values_bound_the_distance(self, h):
+        # a disk value is the weight of a path whose edges and links weigh at
+        # least the distance between their ends, so it is never below the
+        # closed form, and the limited search finds it within the pair's
+        # limit: near the rim, at p == q, closer than a cell, on diameters
+        # and on acceptance C7's pairs
+        rng = np.random.default_rng(2026)
+        rim = [(0.97, -0.97)] + [tuple(cmath.rect(rng.uniform(0.9, 0.975), rng.uniform(0, math.tau))
+                                       for _ in range(2)) for _ in range(4)]
+        points = [cmath.rect(rng.uniform(0, 0.95), rng.uniform(0, math.tau)) for _ in range(6)]
+        same = [(z, z) for z in points[:2]]
+        close = [(z, z + cmath.rect(rng.uniform(0.1, 0.9) * h, rng.uniform(0, math.tau)))
+                 for z in points[2:]]
+        diameters = [(cmath.rect(rng.uniform(0.1, 0.9), t), cmath.rect(-rng.uniform(0.1, 0.9), t))
+                     for t in rng.uniform(0, math.pi, 3)]
+        pairs = rim + same + close + diameters + _c7_pairs()
+        values = inner_distance_many(Disk(), pairs, h)
+        ps, qs = np.array(pairs).T
+        exact = Disk().distance(ps, qs)
+        limits = kobayashi._LIMIT_FACTOR * exact + kobayashi._LIMIT_CELLS * h
+        assert (values >= exact * (1.0 - 1e-12)).all()
+        assert (values <= limits).all()
+        assert values[0] == pytest.approx(2 * math.atanh(0.97), rel=2e-3)
 
     def test_peak_memory_is_the_graph(self, monkeypatch):
         # each pair's graph is dropped before the next is assembled, and edge
@@ -1145,9 +1213,10 @@ class TestInnerDistance:
         assert inner_distance_many(domain, [], 0.01).shape == (0,)
 
     def test_coarse_frame_uses_the_direct_link(self):
-        # one domain cell at spacing 0.5: the pair is joined directly
+        # one domain cell at spacing 0.5: the pair is joined directly, and
+        # the segment, a diameter's, is the geodesic
         value = inner_distance(Disk(), 0, 0.5, 0.5)
-        assert value == pytest.approx(0.5 * float(Disk().density(0.25)), rel=1e-15)
+        assert value == pytest.approx(HALF_LOG3, rel=1e-15)
 
 
 def _pred_disk(z):

@@ -72,6 +72,16 @@ class TestConnectivity:
         with pytest.raises(ValidationError, match="border ring"):
             call(np.ones((5, 5), dtype=bool))
 
+    @pytest.mark.parametrize("domain_mask, ball_mask", [
+        (np.zeros((5, 5), bool), np.zeros((4, 4), bool)),
+        (np.zeros(5, bool), np.zeros(5, bool)),
+    ], ids=["different", "1-D"])
+    def test_render_names_mismatched_masks(self, domain_mask, ball_mask):
+        # named with both shapes, not numpy's broadcast or unpacking error
+        with pytest.raises(ValidationError, match=re.escape(f"{domain_mask.shape} and "
+                                                            f"{ball_mask.shape}")):
+            render_ball_svg(domain_mask, ball_mask)
+
     def test_empty_region(self):
         with pytest.raises(EmptyRegion):
             connectivity_number(np.zeros((5, 5), dtype=bool))
@@ -257,6 +267,14 @@ class TestSeparatingCycle:
     def test_same_labels_rejected(self, pants_grid):
         with pytest.raises(ValidationError):
             separating_cycle(pants_grid, 1, 1)
+
+    @pytest.mark.parametrize("bad", ["a", None], ids=["text", "None"])
+    @pytest.mark.parametrize("first", [True, False], ids=["k1", "k2"])
+    def test_non_numeric_label_is_named(self, pants_grid, bad, first):
+        # no component has such a label: named, not a bare TypeError
+        labels = (bad, 1) if first else (pants_grid.complement[1][0], bad)
+        with pytest.raises(ValidationError, match=f"labeled {bad!r}"):
+            separating_cycle(pants_grid, *labels)
 
     def test_unbounded_first_label_rejected(self, pants_grid):
         _, _, unbounded = pants_grid.complement_labels
