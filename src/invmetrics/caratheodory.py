@@ -44,15 +44,22 @@ from .errors import (
     ValidationError,
 )
 from .mobius import as_finite
-from .poincare import poincare_ball_euclidean, rho_vec
+from .poincare import poincare_ball_euclidean, rho_error, rho_vec
+
+# Relative error of a map that is one complex division: numpy's (Smith's
+# method) is within 13U normwise of the quotient of its operands, which
+# are within U (z + 1, z - 1) or exact; measured: at most 3.5U
+_DIVISION_ROUNDING = 16.0
 
 
 @dataclass(frozen=True)
 class DictionaryMap:
-    """One holomorphic competitor into the unit disk, with a readable tag."""
+    """One holomorphic competitor into the unit disk, with a readable tag;
+    ``rounding`` bounds its computed image's relative error, in units of U."""
 
     tag: str
     func: Callable
+    rounding: float = 0.0
 
     def __call__(self, z):
         return self.func(z)
@@ -83,7 +90,7 @@ def _build_dictionary(domain: Domain) -> MapDictionary:
         return MapDictionary(domain, tuple(entries))
     if isinstance(domain, HalfPlane):
         entries = [DictionaryMap("cayley", lambda z: (np.asarray(z, dtype=complex) + 1.0)
-                                 / (np.asarray(z, dtype=complex) - 1.0))]
+                                 / (np.asarray(z, dtype=complex) - 1.0), _DIVISION_ROUNDING)]
         return MapDictionary(domain, tuple(entries))
     if isinstance(domain, PuncturedDisk):
         # The puncture is removable for bounded maps, so the inclusion is extremal.
@@ -94,7 +101,7 @@ def _build_dictionary(domain: Domain) -> MapDictionary:
         entries = [
             DictionaryMap("inclusion", lambda z: np.asarray(z, dtype=complex)),
             DictionaryMap(f"reciprocal r0={r:g} about 0",
-                          lambda z, r=r: r / np.asarray(z, dtype=complex)),
+                          lambda z, r=r: r / np.asarray(z, dtype=complex), _DIVISION_ROUNDING),
         ]
         dictionary = MapDictionary(domain, tuple(entries))
         _validate_entries(domain, dictionary.entries, sample_points(domain))
@@ -145,13 +152,22 @@ def default_dictionary(domain: Domain) -> MapDictionary:
 
 
 def car_lower(domain: Domain, p, q, dictionary: MapDictionary | None = None) -> float:
-    """Certified lower bound: max over dictionary entries of rho(f(p), f(q))."""
+    """Lower bound: the max over dictionary entries of rho(f(p), f(q)),
+    each lowered by its ``rho_error`` and the max rounded down on a catalog
+    domain; the raw max on a grid, whose intervals are not certified."""
     p, q = as_finite(p), as_finite(q)
     if not contains(domain, p) or not contains(domain, q):
         raise OutOfDomain("both points must lie in the domain")
     if dictionary is None:
         dictionary = default_dictionary(domain)
-    return float(car_lower_field(dictionary, p, np.asarray(q)))
+    if isinstance(domain, GridDomain):
+        return float(car_lower_field(dictionary, p, np.asarray(q)))
+    best = 0.0
+    for entry in dictionary.entries:
+        fp, fq = np.asarray(entry(np.array([p, q])), dtype=complex)
+        d = float(rho_vec(fp, fq))
+        best = max(best, d - rho_error(fp, fq, d, entry.rounding))
+    return max(math.nextafter(best, -math.inf), 0.0)
 
 
 def car_lower_field(dictionary: MapDictionary, p, z) -> np.ndarray:
@@ -166,16 +182,14 @@ def car_lower_field(dictionary: MapDictionary, p, z) -> np.ndarray:
     return best
 
 
-def car_interval(domain: Domain, p, q,
-                 dictionary: MapDictionary | None = None,
-                 tol: float = 1e-9):
+def car_interval(domain: Domain, p, q, dictionary: MapDictionary | None = None):
     """[dictionary lower bound, Kobayashi upper bound]; the Kobayashi
     distance dominates the Caratheodory one, so this encloses it wherever
     the Kobayashi interval is certified, and carries that flag."""
     from .kobayashi import DistanceInterval, kob_distance
 
     lower = car_lower(domain, p, q, dictionary)
-    kob = kob_distance(domain, p, q, tol)
+    kob = kob_distance(domain, p, q)
     return DistanceInterval(min(lower, kob.upper), kob.upper, kob.certified)
 
 
@@ -207,8 +221,10 @@ def subharmonicity_check(grid: GridDomain, values: np.ndarray, radii,
     if values.shape != grid.mask.shape:
         raise ValidationError("values grid must match the domain raster")
     radii = [float(r) for r in radii]
-    if not radii or min(radii) <= 0:
-        raise ValidationError("radii must be positive")
+    if not radii or not all(0.0 < r < math.inf for r in radii):
+        raise ValidationError(f"radii must be finite and positive: {radii!r}")
+    if not (isinstance(tol_scale, numbers.Real) and 0.0 <= tol_scale < math.inf):
+        raise ValidationError(f"tol_scale must be finite and non-negative: {tol_scale!r}")
     h, w = values.shape
     half_extent = 0.5 * grid.spacing * (min(h, w) - 1)
     if max(radii) >= half_extent:

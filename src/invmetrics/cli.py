@@ -154,9 +154,9 @@ def _emit(text: str, out: str | None):
 def _cmd_dist(args) -> int:
     domain = args.domain
     if args.metric == "kobayashi":
-        interval = kob.kob_distance(domain, args.p, args.q, args.tol)
+        interval = kob.kob_distance(domain, args.p, args.q)
     else:
-        interval = car.car_interval(domain, args.p, args.q, tol=args.tol)
+        interval = car.car_interval(domain, args.p, args.q)
     if args.format == "csv":
         text = ("metric,lower,upper,certified\n"
                 f"{args.metric},{fmt(interval.lower)},{fmt(interval.upper)},"
@@ -298,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="kobayashi")
     p.add_argument("--p", type=_parse_complex, required=True)
     p.add_argument("--q", type=_parse_complex, required=True)
-    p.add_argument("--tol", type=_positive_finite, default=1e-9)
     p.add_argument("--format", choices=["text", "csv"], default="text")
     add_common(p)
     p.set_defaults(func=_cmd_dist)

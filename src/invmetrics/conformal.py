@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -122,6 +123,14 @@ class CartanReport:
                 f"tol: {self.tol:.9g}\n")
 
 
+def _check_tol(tol) -> None:
+    """The checks' tolerance must be a finite real number >= 0: every
+    comparison with a NaN is false, and a negative one rejects exact
+    answers."""
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol <= sys.float_info.max):
+        raise ValidationError(f"tol must be a finite real number >= 0: {tol!r}")
+
+
 def _require_fixed(f: HoloSelfMap, a: complex, tol: float) -> complex:
     a = as_finite(a)
     if not contains(f.domain, a):
@@ -140,6 +149,7 @@ def cartan_check(domain: Domain, f: HoloSelfMap, a, tol: float = 1e-6) -> Cartan
     TheoremViolation; modulus within tol of 1 flags an automorphism
     candidate.
     """
+    _check_tol(tol)
     if f.domain != domain:
         raise ValidationError("map and domain disagree")
     a = _require_fixed(f, a, tol)
@@ -188,6 +198,7 @@ def watt_check(domain: Domain, f: HoloSelfMap, a, b, tol: float = 1e-6) -> WattV
 
     Certification confirms |f'(a)| = 1, the pivot the equality implies.
     """
+    _check_tol(tol)
     if f.domain != domain:
         raise ValidationError("map and domain disagree")
     a = _require_fixed(f, a, tol)
@@ -220,6 +231,7 @@ def watt_check(domain: Domain, f: HoloSelfMap, a, b, tol: float = 1e-6) -> WattV
 def two_fixed_point_check(domain: Domain, f: HoloSelfMap, a, b,
                           tol: float = 1e-6) -> WattVerdict:
     """Two interior fixed points force an automorphism."""
+    _check_tol(tol)
     a = _require_fixed(f, a, tol)
     b = _require_fixed(f, b, tol)
     verdict = watt_check(domain, f, a, b, tol)
@@ -283,6 +295,7 @@ def maskit_demo(domain: Domain, g, p1, p2, p3, tol: float = 1e-9) -> str:
     The automorphism must carry an exact Mobius representation; any
     verdict other than identity is a defect, not a finding.
     """
+    _check_tol(tol)
     mob = getattr(g, "mobius", None)
     if isinstance(g, MobiusMap):
         mob = g
@@ -320,6 +333,7 @@ def isotropy_group(r: float, p, tol: float = 1e-9) -> IsotropyReport:
     when |p|^2 = r, with angle twice the argument of p.  The group is
     the identity alone or a two-element cyclic group.
     """
+    _check_tol(tol)
     domain = Annulus(r)
     p = as_finite(p)
     if not contains(domain, p):

@@ -24,10 +24,15 @@ import numpy as np
 from .errors import OutOfDomain, ParseError, Unsupported, ValidationError
 from .mobius import as_finite, is_infinity
 from .poincare import (
+    NEAR,
+    U,
     abs2_minus,
+    asinh_error,
     geodesic_weights,
     halfplane_geodesic,
+    halfplane_rho_error,
     halfplane_rho_vec,
+    rho_error,
     rho_vec,
 )
 
@@ -113,6 +118,22 @@ def _log_ratio(z, c: float, m) -> np.ndarray:
     return out
 
 
+def _gap_error(g: float) -> float:
+    """Error bound of a gap g = |log(|z| / c)| from ``_log_ratio``: 17U g
+    (log1p's condition number is at most 2.17 there) plus 5U from
+    np.abs(z), or plus 65U^2 within NEAR of the circle (Sum2)."""
+    return 17.0 * U * g + (5.0 * U if g >= 0.999 * NEAR else 65.0 * U * U)
+
+
+def _hypot_error(x, dx, y, dy, h) -> float:
+    """Error bound of h = hypot(x, y) from an x within dx and a y within
+    dy: a leg moves h by at most its error times min(1, (2|leg| + error) / h)."""
+    if not h:
+        return dx + dy
+    return (dx * min(1.0, (2.0 * abs(x) + dx) / h) + dy * min(1.0, (2.0 * abs(y) + dy) / h)
+            + 4.0 * U * h)
+
+
 def _inside(z, m, c: float) -> np.ndarray:
     """|z| < c, read off m = np.abs(z) but never true on or past the circle.
 
@@ -142,6 +163,15 @@ def _deck_offset(wp: Lift, wq: Lift) -> np.ndarray:
     """Im(wp - wq) reduced to the nearest deck translate, |dy| <= pi."""
     dy = wp.im - wq.im
     return dy - TAU * np.rint(dy / TAU)
+
+
+def _offset(wp: Lift, wq: Lift):
+    """(dy, error bound) of one pair's ``_deck_offset``, in floats: arctan2's
+    8U on each angle, the difference, and a reduction only when
+    |Im wp| + |Im wq| > pi."""
+    p, q = float(wp.im), float(wq.im)
+    dy = p - q
+    return dy - TAU * round(dy / TAU), 12.0 * U * (abs(p) + abs(q))
 
 
 def _left_halfplane_geodesic(wp: complex, wq: complex, d, t) -> np.ndarray:
@@ -197,6 +227,8 @@ class Disk:
     def distance(self, wp, wq):
         return rho_vec(wp, wq)
 
+    distance_error = staticmethod(rho_error)
+
     def geodesic(self, p: complex, q: complex, t):
         # on the hyperboloid, z = X / (1 + X0), X = (1 + |z|^2, 2z) / (1 - |z|^2);
         # every term of the denominator is positive (a + b <= 1)
@@ -222,6 +254,8 @@ class HalfPlane:
 
     def distance(self, wp, wq):
         return halfplane_rho_vec(wp, wq)
+
+    distance_error = staticmethod(halfplane_rho_error)
 
     def geodesic(self, p: complex, q: complex, t):
         return _left_halfplane_geodesic(p, q, self.distance(p, q), t)
@@ -250,6 +284,19 @@ class PuncturedDisk:
     def distance(self, wp: Lift, wq: Lift):
         dw = np.hypot(wq.outer - wp.outer, _deck_offset(wp, wq))
         return np.arcsinh(dw / (2.0 * np.sqrt(wp.height * wq.height)))
+
+    def distance_error(self, wp: Lift, wq: Lift, d) -> float:
+        """Error bound of ``distance``'s value d for one pair, from each
+        gap's ``_gap_error`` and the offset's (``_offset``); the product,
+        square root and quotient add 2.5U."""
+        op, oq = float(wp.outer), float(wq.outer)
+        dx, (dy, ddy) = oq - op, _offset(wp, wq)
+        ep, eq = _gap_error(op), _gap_error(oq)
+        dw = math.hypot(dx, dy)
+        ddw = _hypot_error(dx, ep + eq + U * abs(dx), dy, ddy, dw)
+        root = 2.0 * math.sqrt(op * oq)
+        rel = 0.5 * (ep / op + eq / oq) + 2.5 * U
+        return asinh_error(dw / root, (ddw + rel * dw) / root, float(d))
 
     def geodesic(self, p: complex, q: complex, t):
         wp, wq = lift_pair(self, p, q)
@@ -307,11 +354,38 @@ class Annulus:
         with np.errstate(over="ignore"):
             s = np.hypot(np.sinh(a), np.sin(k * dx)) / np.sqrt(heights)
         d = np.arcsinh(s)
-        # sinh a overflows only on very thin annuli; there asinh s = a - log(heights)/2
-        big = a >= 700.0
+        # past a = 350, asinh s = a - log(heights) / 2 to far below a float
+        # step, and below it s cannot overflow (heights > 2^-1016)
+        big = a >= 350.0
         if np.count_nonzero(big):
             d = np.where(big, a - 0.5 * np.log(heights), d)
         return d
+
+    def distance_error(self, wp: Lift, wq: Lift, d) -> float:
+        """Error bound of ``distance``'s value d for one pair.  k is within
+        10U and multiplies each lift's angle and gap errors: a = k |dy| is
+        within k ddy + 11U a, b = k dx within k ddx + 12U |b|.  A height
+        sin(pi g / L) is within 19U + error(g) / g.  Past a = 350 the value
+        a - log(heights) / 2 is within da, half the heights' error and
+        9U d."""
+        ip, iq, op, oq, d = map(float, (wp.inner, wq.inner, wp.outer, wq.outer, d))
+        k = math.pi / (2.0 * -math.log(self.r))
+        # Re(wp - wq), read off the wall the pair is nearer to
+        cp, cq = (ip, iq) if ip + iq < op + oq else (-op, -oq)
+        dy, ddy = _offset(wp, wq)
+        a, b = k * abs(dy), k * (cp - cq)
+        da = k * ddy + 11.0 * U * a
+        db = k * (_gap_error(abs(cp)) + _gap_error(abs(cq))) + 12.0 * U * abs(b)
+        gp, gq = min(ip, op), min(iq, oq)
+        rel = 0.5 * (_gap_error(gp) / gp + _gap_error(gq) / gq) + 21.5 * U
+        if a >= 350.0:
+            return da + rel + 9.0 * U * d
+        root = math.sqrt(float(wp.height) * float(wq.height))
+        x, y = math.sinh(a), math.sin(b)
+        h = math.hypot(x, y)
+        # cosh a <= sinh a + 1
+        dh = _hypot_error(x, (x + 1.0) * da + 8.0 * U * x, y, db + 8.0 * U * abs(y), h)
+        return asinh_error(h / root, (dh + rel * h) / root, d)
 
     def deck_loop_length(self, lifts: Lift) -> float:
         """Least model distance from a lift to its translate by ``deck_step``."""
@@ -749,12 +823,15 @@ def grid_frame_load(data):
         raise ParseError("rows must be a list of strings")
     if len(rows) != height:
         raise ParseError(f"expected {height} rows, got {len(rows)}")
-    mask = np.zeros((height, width), dtype=bool)
+    # every row is checked before the mask is allocated, so a header's
+    # width and height alone never size an allocation
     for iy, row in enumerate(rows):
         if not isinstance(row, str) or len(row) != width:
             raise ParseError(f"row {iy} is not a string of length {width}")
         if set(row) - {"0", "1"}:
             raise ParseError(f"row {iy} contains characters other than 0/1")
+    mask = np.zeros((height, width), dtype=bool)
+    for iy, row in enumerate(rows):
         mask[iy] = np.frombuffer(row.encode("ascii"), dtype=np.uint8) == ord("1")
     return payload, complex(ox, oy), spacing, mask
 

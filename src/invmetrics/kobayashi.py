@@ -77,7 +77,7 @@ class DistanceInterval:
     certified: bool = True
 
     def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper + 1e-15):
+        if not (0.0 <= self.lower <= self.upper):
             raise ValidationError(f"ill-formed interval [{self.lower}, {self.upper}]")
 
     @property
@@ -205,17 +205,15 @@ def ball_load(data) -> MetricBall:
 # Covering-route distances
 # ---------------------------------------------------------------------------
 
-def kob_distance(domain: Domain, p, q, tol: float = 1e-9) -> DistanceInterval:
+def kob_distance(domain: Domain, p, q) -> DistanceInterval:
     """Interval around the Kobayashi distance.
 
-    Catalog domains are exact up to rounding: a degenerate interval on
-    the disk and half-plane, [value - tol, value] through the covering
-    route; both are certified.  Grids get a genuine two-sided interval,
-    not certified (``_grid_graph``).  A catalog pair is one 2-element
-    call each of the domain's ``contains``, ``lift`` and ``distance``.
+    On a catalog domain it is [v - e, v + e], rounded outward, with v the
+    domain's ``distance`` and e its ``distance_error`` bound; it is
+    certified.  Grids get a genuine two-sided interval, not certified
+    (``_grid_graph``).  A catalog pair is one 2-element call each of the
+    domain's ``contains`` and ``lift``.
     """
-    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
-        raise ValidationError(f"tol must be finite and non-negative: {tol!r}")
     p, q = as_finite(p), as_finite(q)
     if not isinstance(domain, Domain):
         raise Unsupported(f"unknown domain {domain!r}")
@@ -228,10 +226,17 @@ def kob_distance(domain: Domain, p, q, tol: float = 1e-9) -> DistanceInterval:
         return DistanceInterval(0.0, 0.0)
     if isinstance(domain, GridDomain):
         return _grid_interval(domain, p, q)
-    v = float(domain.distance(*lift_pair(domain, p, q)))
-    if domain.deck_step:
-        return DistanceInterval(max(v - tol, 0.0), v)
-    return DistanceInterval(v, v)
+    wp, wq = lift_pair(domain, p, q)
+    v = domain.distance(wp, wq)
+    return enclosure(v, domain.distance_error(wp, wq, v))
+
+
+def enclosure(value, error) -> DistanceInterval:
+    """[value - error, value + error], each end one float step outward
+    (the lower end 0 where the difference is NaN: inf - inf)."""
+    value, error = float(value), float(error)
+    return DistanceInterval(max(0.0, math.nextafter(value - error, -math.inf)),
+                            math.nextafter(value + error, math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +364,8 @@ def curve_length(domain: Domain, path: PolyPath, rel_tol: float = 1e-8,
         raise Unsupported("curve length needs exact distances: catalog domains only")
     if not isinstance(max_levels, (int, np.integer)) or max_levels < 2:
         raise ValidationError(f"max_levels must be an integer of at least 2: {max_levels!r}")
+    if not (isinstance(rel_tol, numbers.Real) and 0.0 < rel_tol < math.inf):
+        raise ValidationError(f"rel_tol must be finite and positive: {rel_tol!r}")
     verts = path.vertices
     outside = np.flatnonzero(~domain.contains(verts))
     if outside.size:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -24,6 +25,14 @@ def check_in_disk(z) -> complex:
     if abs(z) >= 1.0:
         raise OutOfDomain(f"point not strictly inside the unit disk: {z!r}")
     return z
+
+
+# Each catalog kernel states next to it a forward error bound, to first
+# order in U (README, numerical design notes).  The bounds assume +, -, *, /
+# and sqrt correctly rounded, np.abs of a complex and np.hypot within 2 ulp,
+# and every other ufunc they read, and math.log, within 4 ulp.
+U = 2.0 ** -53
+NEAR = 1e-3  # abs2_minus adds exact parts where | |z| - c | < NEAR c
 
 
 def poincare_distance(z, w) -> float:
@@ -56,7 +65,7 @@ def abs2_minus(z, c, m=None):
         m = np.abs(z)
     gap = m - c
     out = np.asarray(gap * (m + c))
-    near = np.abs(gap) < 1e-3 * c
+    near = np.abs(gap) < NEAR * c
     if np.count_nonzero(near):
         zn = z[near]
         terms = (*_square(zn.real), *_square(zn.imag), *(-t for t in _square(np.float64(c))))
@@ -86,6 +95,38 @@ def rho_vec(z, w):
         return np.arcsinh(np.abs(z - w) / np.sqrt(gz * gw))
 
 
+def asinh_error(s, ds, d) -> float:
+    """Error bound of d = asinh(s) from an s within ds of the exact one."""
+    return ds / math.hypot(1.0, max(0.0, s - ds)) + 8.0 * U * d
+
+
+def _rim(z):
+    """(|z|, a lower bound on g = 1 - |z|^2, a bound on the relative error
+    of g as ``rho_vec`` computes it): 7U + 4U m (1 + m) / g off the circle,
+    as the 4U of np.abs(z) is magnified by m - 1, and 7U + 64.1U^2 (1 + m^2)
+    / g within NEAR of it (Sum2), where (1 - m)(1 + m) is within 9U of g.
+    The far form bounds either branch, so it is read wherever m is near
+    the switch."""
+    m = abs(z)
+    g = (1.0 - m) * (1.0 + m)
+    if abs(m - 1.0) >= 0.999 * NEAR:
+        return m, g, 7.0 * U + 4.0 * U * m * (1.0 + m) / g
+    g = g - 9.0 * U if g > 18.0 * U else max(-float(abs2_minus(z, 1.0)), sys.float_info.min)
+    return m, g, 7.0 * U + 64.1 * U * U * (1.0 + m * m) / g
+
+
+def rho_error(z, w, d, rounding=0.0) -> float:
+    """Error bound of ``rho_vec``'s value d for one pair: s = sinh d is
+    within 7.5U plus half of each g's relative error.  z and w are within
+    ``rounding`` U (relative) of the exact points, which moves d by that
+    times the density |z| / (1 - |z|^2)."""
+    (mz, gz, ez), (mw, gw, ew) = _rim(complex(z)), _rim(complex(w))
+    d = float(d)
+    s = math.sinh(d)
+    e = asinh_error(s, (7.5 * U + 0.5 * (ez + ew)) * s, d)
+    return e + rounding * U * (mz / gz + mw / gw)
+
+
 def halfplane_rho_vec(z, w):
     """Left half-plane Re z < 0 distance, no checks: sinh rho = |z - w| / (2 sqrt(Re z Re w)).
 
@@ -96,6 +137,14 @@ def halfplane_rho_vec(z, w):
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     return np.arcsinh(np.abs(z - w) / (2.0 * np.sqrt(-z.real) * np.sqrt(-w.real)))
+
+
+def halfplane_rho_error(z, w, d) -> float:
+    """Error bound of ``halfplane_rho_vec``'s value d for one pair: s is
+    within 9U (-Re z is exact)."""
+    z, w = complex(z), complex(w)
+    s = abs(z - w) / (2.0 * math.sqrt(-z.real) * math.sqrt(-w.real))
+    return asinh_error(s, 9.0 * U * s, float(d))
 
 
 def _log_sinh(x):

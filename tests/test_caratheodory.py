@@ -172,7 +172,9 @@ class TestCarInterval:
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0])
     def test_bad_tol(self, tol):
-        with pytest.raises(ValidationError, match="tol"):
+        # the lower end is rounded down past its error bound and the upper
+        # end is the Kobayashi one: there is no tolerance to pass
+        with pytest.raises(TypeError):
             car_interval(Annulus(0.5), 0.7, -0.7, tol=tol)
 
 
@@ -210,6 +212,21 @@ class TestSubharmonicity:
         u[np.abs(grid.centers - SQRT_TENTH) < 2.5 * grid.spacing] = np.nan
         report = subharmonicity_check(grid, u, [0.04, 0.06, 0.08])
         assert report.violations == 0
+
+    @pytest.mark.parametrize("radii", [[math.nan], [0.04, math.nan], [math.inf], [0.0], []])
+    def test_radii_must_be_finite_and_positive(self, disk_grid, radii):
+        # a NaN radius got past min(radii) <= 0 and was cast to int
+        u = self._log_distance_field(disk_grid, 0.2 + 0.0137j)
+        with pytest.raises(ValidationError, match="^radii must be finite and positive"):
+            subharmonicity_check(disk_grid, u, radii)
+
+    @pytest.mark.parametrize("tol_scale", [math.nan, -1.0, math.inf, "a"])
+    def test_tol_scale_must_be_finite_and_non_negative(self, disk_grid, tol_scale):
+        # with NaN every comparison was false: the negated control, which
+        # has thousands of violations, reported none
+        u = self._log_distance_field(disk_grid, 0.2 + 0.0137j)
+        with pytest.raises(ValidationError, match="^tol_scale must be finite and non-negative"):
+            subharmonicity_check(disk_grid, -u, [0.04, 0.06, 0.08], tol_scale=tol_scale)
 
     def test_margin_guard(self, disk_grid):
         u = self._log_distance_field(disk_grid, 0.2)

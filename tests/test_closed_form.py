@@ -12,10 +12,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from invmetrics import cli
+from invmetrics.caratheodory import car_interval
 from invmetrics.domains import (
     Annulus,
     Disk,
@@ -33,13 +34,18 @@ REL = 1e-12
 
 
 def exact(domain, p, q) -> float:
+    return float(exact_digits(domain, p, q))
+
+
+def exact_digits(domain, p, q):
+    """The distance as a 60-digit mpmath number."""
     with mpmath.workdps(60):
         a = mpmath.mpc(p.real, p.imag)
         b = mpmath.mpc(q.real, q.imag)
         if isinstance(domain, Disk):
-            return float(mpmath.atanh(abs(a - b) / abs(1 - a * mpmath.conj(b))))
+            return mpmath.atanh(abs(a - b) / abs(1 - a * mpmath.conj(b)))
         if isinstance(domain, HalfPlane):
-            return float(mpmath.atanh(abs(a - b) / abs(a + mpmath.conj(b))))
+            return mpmath.atanh(abs(a - b) / abs(a + mpmath.conj(b)))
         if isinstance(domain, PuncturedDisk):
             def upper(w):
                 return -1j * w
@@ -54,7 +60,7 @@ def exact(domain, p, q) -> float:
             v = upper(mpmath.log(b) + 2j * mpmath.pi * k)
             d = mpmath.asinh(abs(u - v) / (2 * mpmath.sqrt(u.imag * v.imag)))
             best = d if best is None else min(best, d)
-        return float(best)
+        return best
 
 
 def assert_exact(domain, p, q):
@@ -101,9 +107,14 @@ def test_points_near_each_wall(domain, p, q):
     (PuncturedDisk(), 1 - 1e-12, -(1 - 1e-12)),
     (Disk(), 1 - 1e-12, -(1 - 1e-12)),
     (HalfPlane(), -1e-12, -1e-12 + 1j),
+    # s = sinh(a) / sqrt(heights) overflows at a = 692, which the kernel
+    # read as an infinite distance while it switched forms at a = 700
+    (Annulus(0.9953123455163939), -0.5106530004721604 - 0.859786899823892j,
+     -0.5106530004721604 + 0.859786899823892j),
 ])
 def test_distances_above_19(domain, p, q):
     assert assert_exact(domain, p, q) > 19.0
+    assert exact_digits(domain, p, q) in kob_distance(domain, p, q)
 
 
 def test_boundary_pairs_have_values():
@@ -123,6 +134,76 @@ def test_halfplane_heights_whose_product_underflows():
         want = float(mpmath.asinh(abs(a - b) / (2 * mpmath.sqrt(a.real * b.real))))
     assert want == pytest.approx(690.775527898213705, rel=1e-15)
     assert kob_distance(HalfPlane(), p, q).upper == pytest.approx(want, rel=REL)
+
+
+@st.composite
+def regime_pairs(draw, kind):
+    """(regime, domain, p, q) in one of the hard regimes: thin annuli (r up to
+    0.9999, annulus only), a point 1e-12 (relative) from a wall, both
+    points next to walls and far apart (d > 19), and ordinary pairs."""
+    regimes = ["wall", "far", "ordinary"] + (["thin"] if kind == "annulus" else [])
+    regime = draw(st.sampled_from(regimes))
+    if kind == "annulus":
+        r = 1 - 10 ** draw(st.floats(-4, -1)) if regime == "thin" else draw(st.floats(0.01, 0.9))
+        domain = Annulus(r)
+    else:
+        domain = {"disk": Disk(), "halfplane": HalfPlane(), "punctured": PuncturedDisk()}[kind]
+
+    def angle():
+        return draw(st.floats(-math.pi, math.pi))
+
+    def ordinary():
+        if kind == "disk":
+            return cmath.rect(draw(st.floats(0.0, 0.99)), angle())
+        if kind == "halfplane":
+            return complex(-math.exp(draw(st.floats(-3, 1))), draw(st.floats(-3, 3)))
+        if kind == "punctured":
+            return cmath.rect(math.exp(draw(st.floats(math.log(1e-3), math.log(0.99)))), angle())
+        return cmath.rect(r ** draw(st.floats(0.01, 0.99)), angle())
+
+    def at_wall(gap, theta, inner):
+        if kind == "halfplane":
+            return complex(-gap, theta)
+        if inner and kind != "disk":
+            return cmath.rect(r * (1 + gap) if kind == "annulus" else gap, theta)
+        return cmath.rect(1 - gap, theta)
+
+    if regime == "wall":
+        p = at_wall(1e-12 * draw(st.floats(1, 10)), angle(), draw(st.booleans()))
+        return regime, domain, p, ordinary()
+    if regime == "far":
+        # half a turn or more apart next to the walls (the outer one on the
+        # punctured disk, as points next to the puncture are near each other)
+        inner = kind == "annulus" and draw(st.booleans())
+        theta = angle()
+        gap = st.floats(1e-12, 1e-10)
+        p = at_wall(draw(gap), theta, inner)
+        q = at_wall(draw(gap), theta + draw(st.floats(math.pi / 2, 3 * math.pi / 2)),
+                    inner != (kind == "annulus" and draw(st.booleans())))
+        return regime, domain, p, q
+    p = ordinary()
+    if regime == "thin" and draw(st.booleans()):
+        # a small angle apart, where k = pi / 2L magnifies the angles' rounding
+        return regime, domain, p, cmath.rect(r ** draw(st.floats(0.01, 0.99)),
+                                             cmath.phase(p) + 10 ** draw(st.floats(-8, 0)))
+    return regime, domain, p, ordinary()
+
+
+@pytest.mark.parametrize("kind", ["disk", "halfplane", "punctured", "annulus"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_interval_encloses_the_exact_value(kind, data):
+    # compared with the 60-digit value itself, not with its float rounding
+    regime, domain, p, q = data.draw(regime_pairs(kind))
+    assume(contains(domain, p) and contains(domain, q) and p != q)
+    interval = kob_distance(domain, p, q)
+    want = exact_digits(domain, p, q)
+    assert interval.certified
+    assert want in interval, (domain, p, q)
+    assert regime != "far" or want > 19
+    if kind in ("disk", "punctured"):
+        # the dictionary is exact there: the Caratheodory distance is rho(p, q)
+        assert car_interval(domain, p, q).lower <= exact_digits(Disk(), p, q), (p, q)
 
 
 def test_thin_annulus_counterexample():

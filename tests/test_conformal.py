@@ -280,3 +280,21 @@ class TestGroupDescriptor:
         points = sample_points(domain)
         for g in (desc.rotation(0.9), desc.inversion(0.4)):
             assert domain.contains(g(points)).all(), g.tag
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, "a", None])
+@pytest.mark.parametrize("check", [
+    lambda tol: cartan_check(Disk(), blaschke_product([0.5]), 0, tol=tol),
+    lambda tol: watt_check(Disk(), square_map(), 0, 0.5, tol=tol),
+    lambda tol: two_fixed_point_check(Disk(), rotation_map(0.0), 0.1, -0.4 + 0.2j, tol=tol),
+    lambda tol: isotropy_group(0.1, 0.3, tol=tol),
+    lambda tol: maskit_demo(Annulus(0.1), AutomorphismGroupDesc(Annulus(0.1)).rotation(0.0),
+                            SQRT_TENTH, -SQRT_TENTH, 0.5j, tol=tol),
+], ids=["cartan_check", "watt_check", "two_fixed_point_check", "isotropy_group",
+        "maskit_demo"])
+def test_tolerance_must_be_finite_and_non_negative(check, tol):
+    # NaN made every comparison false (cartan_check called z -> z/2 no
+    # contraction, isotropy_group returned a group), -1 rejected exact
+    # fixed points and text leaked a TypeError
+    with pytest.raises(ValidationError, match="^tol must be a finite real number >= 0"):
+        check(tol)

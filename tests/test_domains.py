@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -363,6 +364,25 @@ class TestGridDomain:
         assert load(json.dumps(payload)).mask.shape == grid.mask.shape
         with pytest.raises(ParseError):
             load(corrupt(payload))
+
+    @pytest.mark.parametrize("load", [grid_load, ball_load])
+    @pytest.mark.parametrize("width, height", [(2 ** 62, 4), (10 ** 5, 1000)],
+                             ids=["2**62x4", "1e5x1000"])
+    def test_header_size_waits_for_the_rows(self, load, width, height):
+        # the rows are checked before the mask is sized from the header:
+        # 2**62 x 4 made numpy raise a bare "array is too big", and
+        # 10**5 x 1000 allocated 100 MB before the first row was read
+        payload = {**json.loads(grid_save(grid_annulus(0.5, 0.1))), "metric": "kobayashi",
+                   "center": [0.7, 0.0], "radius": 0.5,
+                   "width": width, "height": height, "rows": ["00000"] * height}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="row 0 "):
+                load(json.dumps(payload))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
 
     @pytest.mark.parametrize("load", [grid_load, ball_load])
     @pytest.mark.parametrize("field, value", [

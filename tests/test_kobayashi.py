@@ -26,6 +26,7 @@ from invmetrics.domains import (
     cell_pairs,
     grid_annulus,
     grid_from_predicate,
+    lift_row,
     rasterize,
 )
 from invmetrics.errors import (
@@ -101,16 +102,17 @@ class TestLiftInfimum:
 class TestKobDistance:
     def test_disk_equals_poincare(self):
         interval = kob_distance(Disk(), 0, 0.5)
-        assert interval.lower == interval.upper == poincare_distance(0, 0.5)
+        assert interval.lower < poincare_distance(0, 0.5) < interval.upper
+        assert interval.width <= 1e-14
         assert interval.certified
 
     def test_halfplane_closed_form(self):
         interval = kob_distance(HalfPlane(), -1, -2)
-        assert interval.upper == pytest.approx(HALF_LOG2, abs=1e-15)
+        assert interval.lower < HALF_LOG2 < interval.upper
+        assert interval.width <= 1e-14
 
     def test_punctured_interval(self):
-        interval = kob_distance(PuncturedDisk(), math.exp(-1), math.exp(-2),
-                                tol=1e-8)
+        interval = kob_distance(PuncturedDisk(), math.exp(-1), math.exp(-2))
         assert interval.upper == pytest.approx(HALF_LOG2, abs=1e-8)
         assert interval.width <= 1e-8
 
@@ -122,8 +124,12 @@ class TestKobDistance:
                                               (Annulus(0.5), 0.7, -0.7)])
     @pytest.mark.parametrize("tol", [NAN, -1.0, math.inf])
     def test_bad_tol(self, domain, p, q, tol):
-        with pytest.raises(ValidationError, match="tol"):
+        # the interval's width comes from the kernel's error bound: there is
+        # no tolerance to pass, good or bad
+        with pytest.raises(TypeError):
             kob_distance(domain, p, q, tol)
+        with pytest.raises(TypeError):
+            kob_distance(domain, p, q, tol=tol)
 
     @given(disk_points(0.9), disk_points(0.9), disk_points(0.9))
     @settings(max_examples=60)
@@ -183,14 +189,20 @@ def catalog_rows(draw, size=6):
 @given(catalog_rows())
 @settings(max_examples=150, deadline=None)
 def test_scalar_query_is_a_row_of_the_batched_kernel(rows):
-    # kob_distance is one row of the vectorized kernel, bit for bit, in
-    # every regime; its checks name the first endpoint that is outside
+    # kob_distance is the enclosure of one row of the vectorized kernel
+    # and its error bound, bit for bit, in every regime; its checks name
+    # the first endpoint that is outside
     domain, P, Q, off = rows
     keep = domain.contains(P) & domain.contains(Q)
     P, Q = P[keep], Q[keep]
-    batch = domain.distance(domain.lift(P), domain.lift(Q))
+    wp, wq = domain.lift(P), domain.lift(Q)
+    batch = domain.distance(wp, wq)
     for i in range(P.size):
-        assert kob_distance(domain, P[i], Q[i]).upper == batch[i]
+        error = domain.distance_error(lift_row(wp, i), lift_row(wq, i), batch[i])
+        # equal points are exactly 0 apart, whatever their row's bound
+        want = (kobayashi.enclosure(batch[i], error) if P[i] != Q[i]
+                else kobayashi.DistanceInterval(0.0, 0.0))
+        assert kob_distance(domain, P[i], Q[i]) == want
     if P.size and not domain.contains(off):
         inside = complex(P[0])
         for p, q in ((off, inside), (inside, off), (off, -off)):
@@ -394,6 +406,13 @@ class TestCurveLength:
         # no level means no length; it used to come back as None
         with pytest.raises(ValidationError, match="max_levels"):
             curve_length(Disk(), PolyPath((0, 0.5)), max_levels=max_levels)
+
+    @pytest.mark.parametrize("rel_tol", [NAN, -1.0, 0.0, math.inf, "a", None])
+    def test_bad_rel_tol_rejected(self, rel_tol):
+        # NaN and -1 ran every level, then reported "not stable to nan";
+        # text leaked a TypeError
+        with pytest.raises(ValidationError, match="^rel_tol must be finite and positive"):
+            curve_length(Disk(), PolyPath((0, 0.5)), rel_tol=rel_tol)
 
     def test_one_level_rejected(self):
         # one total has nothing to be stable against
@@ -1286,13 +1305,12 @@ def test_malformed_pairs_raise_validation_errors(pairs):
     (lambda v: inner_distance(Annulus(0.1), 0.5, -0.5, v), "spacing"),
     (lambda v: kob_ball_raster(Disk(), 0, 0.5, v), "spacing"),
     (lambda v: kob_ball_raster(Disk(), 0, v, 0.05), "ball radius"),
-    (lambda v: kob_distance(Disk(), 0, 0.5, tol=v), "tol"),
     (Annulus, "annulus inner radius"),
     (lambda v: car_ball_components(Disk(), 0, v, spacing=0.05), "ball radius"),
     (lambda v: nerve_cover(Disk(), kob_ball_raster(Disk(), 0, 0.5, 0.05), v), "cover radius"),
     (canonical_annulus_radius, "modulus"),
 ], ids=["disk_inner_distance", "annulus_inner_distance", "ball_spacing", "ball_radius",
-        "kob_distance_tol", "annulus_radius", "car_ball_radius", "nerve_cover_radius",
+        "annulus_radius", "car_ball_radius", "nerve_cover_radius",
         "canonical_annulus_modulus"])
 def test_non_numbers_raise_validation_errors(call, name, bad):
     # a number given as text or left out is named, not a bare TypeError
