@@ -130,6 +130,18 @@ def _parse_selfmap(text: str, domain):
         "blaschke:RE,IM, annulus-rot:THETA, or annulus-inv:THETA")
 
 
+class _Removed(argparse.Action):
+    """An option that is gone: any use of it is a usage error that says why."""
+
+    def __init__(self, option_strings, dest, reason, **kwargs):
+        super().__init__(option_strings, dest, default=argparse.SUPPRESS,
+                         help=argparse.SUPPRESS, **kwargs)
+        self.reason = reason
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise argparse.ArgumentError(self, self.reason)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise SystemExit(self.usage_error(message))
@@ -298,6 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="kobayashi")
     p.add_argument("--p", type=_parse_complex, required=True)
     p.add_argument("--q", type=_parse_complex, required=True)
+    p.add_argument("--tol", action=_Removed,
+                   reason="dist takes no tolerance; the interval's width comes "
+                          "from the kernel's error bound")
     p.add_argument("--format", choices=["text", "csv"], default="text")
     add_common(p)
     p.set_defaults(func=_cmd_dist)
