@@ -4,7 +4,9 @@
 Samples 300 random pairs in each of Disk, HalfPlane, PuncturedDisk and
 Annulus 0.1 / 0.5 / 0.9, and 50 pairs in each hard regime (thin annuli
 up to r = 0.9999, a point 1e-12 (relative) from a wall, distances above
-19, ordinary pairs), all from ``default_rng(0)``.  Each pair's
+19, ordinary pairs, and half-plane pairs whose -Re z is log-uniform down
+to 1e-320, where |z - w| / (2 sqrt(-Re z) sqrt(-Re w)) overflows), all
+from ``default_rng(0)``.  Each pair's
 ``kob_distance`` ends and ``car_interval`` upper end are compared with the
 distance at 60 digits in mpmath, and, on the disk and punctured disk,
 where the dictionary is exact, ``car_interval``'s lower end with the
@@ -31,15 +33,16 @@ REGIME_PAIRS = 50
 
 
 def exact(domain, p, q):
-    """The distance at 60 digits: the disk and half-plane atanh forms; the
-    covered domains lift by log, go to the upper half-plane and take the
-    nearest of three deck translates of q."""
+    """The distance at 60 digits: the disk's atanh form and the half-plane's
+    asinh form (its atanh form would need hundreds of digits next to the
+    wall); the covered domains lift by log, go to the upper half-plane and
+    take the nearest of three deck translates of q."""
     with mpmath.workdps(60):
         a, b = mpmath.mpc(p.real, p.imag), mpmath.mpc(q.real, q.imag)
         if isinstance(domain, Disk):
             return mpmath.atanh(abs(a - b) / abs(1 - a * mpmath.conj(b)))
         if isinstance(domain, HalfPlane):
-            return mpmath.atanh(abs(a - b) / abs(a + mpmath.conj(b)))
+            return mpmath.asinh(abs(a - b) / (2 * mpmath.sqrt(a.real * b.real)))
         if isinstance(domain, PuncturedDisk):
             def upper(w):
                 return -1j * w
@@ -77,7 +80,7 @@ def wall_point(rng, domain, gap):
 
 
 def regime_pair(rng, regime):
-    """(domain, p, q) drawn in one of the four hard regimes."""
+    """(domain, p, q) drawn in one of the hard regimes."""
     if regime == "thin":
         domain = Annulus(1 - 10 ** rng.uniform(-4, -1))
         p = point(rng, domain)
@@ -85,6 +88,9 @@ def regime_pair(rng, regime):
         turn = rng.uniform(-math.pi, math.pi) * (10 ** rng.uniform(-6, 0) if rng.uniform() < 0.5
                                                  else 1.0)
         return domain, p, cmath.rect(domain.r ** rng.uniform(0.01, 0.99), cmath.phase(p) + turn)
+    if regime == "halfplane":
+        return (HalfPlane(), *(complex(-10.0 ** rng.uniform(-320, 0), rng.uniform(-3, 3))
+                               for _ in range(2)))
     domain = [Disk(), HalfPlane(), PuncturedDisk(), Annulus(rng.uniform(0.05, 0.95))][
         rng.integers(4)]
     if regime == "wall":
@@ -116,7 +122,7 @@ def main() -> int:
                for domain in (Disk(), HalfPlane(), PuncturedDisk(),
                               Annulus(0.1), Annulus(0.5), Annulus(0.9))]
     samples += [(regime, [regime_pair(rng, regime) for _ in range(REGIME_PAIRS)])
-                for regime in ("thin", "wall", "far", "ordinary")]
+                for regime in ("thin", "wall", "far", "ordinary", "halfplane")]
     print(f"{'sample':>16} {'pairs':>6} {'misses':>6} {'widest rel':>11}")
     total = 0
     for name, pairs in samples:

@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -93,28 +94,36 @@ def lift_row(w, i):
     return w[i]
 
 
-def lift_pair(domain: "CatalogDomain", p: complex, q: complex):
-    """(wp, wq): the lifts of p and q, from one ``lift`` call on [p, q]."""
-    w = domain.lift(np.array([p, q]))
-    return lift_row(w, 0), lift_row(w, 1)
+def lift_pair(domain: "CatalogDomain", pq: np.ndarray, m=None):
+    """(wp, wq): the rows of one ``lift`` call on the 2-element array
+    pq = [p, q], in Python scalars; m is np.abs(pq) where the caller has it."""
+    w = domain.lift(pq, m)
+    if not isinstance(w, Lift):
+        return tuple(w.tolist())
+    inner = (None, None) if w.inner is None else w.inner.tolist()
+    return tuple(map(Lift, w.im.tolist(), w.outer.tolist(), inner, w.height.tolist()))
 
 
-def _log_ratio(z, c: float, m) -> np.ndarray:
+def _log_ratio(z, c, m) -> np.ndarray:
     """log(|z| / c), m = np.abs(z), with full relative accuracy next to the
     circle |z| = c: log1p of the error-free |z|^2 / c^2 - 1 within a factor
-    2 of c, log of the ratio elsewhere.  Each point's logarithm is taken
-    by the one branch that it reads."""
-    ratio = m / c
+    2 of c, log of the ratio elsewhere.  c is a radius, or a column of radii
+    (shape (walls,) + (1,) * m.ndim) for one row of ratios per circle, all
+    in one pass.  Each point's logarithm is taken by the one branch that it
+    reads."""
+    ratio = np.asarray(m / c)
     near = (ratio > 0.5) & (ratio < 2.0)
     count = np.count_nonzero(near)
     if count == near.size:
         return 0.5 * np.log1p(abs2_minus(z, c, m) / (c * c))
-    out = np.empty(ratio.shape)
-    with np.errstate(divide="ignore"):
-        np.log(ratio, out=out, where=~near)
+    # log(0) = -inf at z = 0 is the only warning either branch can meet, so
+    # the error state is switched only where some |z| is 0
+    with np.errstate(divide="ignore") if np.count_nonzero(m) < m.size else nullcontext():
+        out = np.log(ratio, out=ratio, where=~near)
     if count:
-        np.log1p(abs2_minus(z, c, m) / (c * c), out=out, where=near)
-        np.multiply(out, 0.5, out=out, where=near)
+        x = abs2_minus(z, c, m)
+        x /= c * c
+        np.multiply(np.log1p(x, out=x, where=near), 0.5, out=out, where=near)
     return out
 
 
@@ -145,17 +154,23 @@ def _inside(z, m, c: float) -> np.ndarray:
     edge = out & (m >= c - _ABS_SLACK * c)
     if np.count_nonzero(edge):
         out = np.array(out)
-        out[edge] = abs2_minus(z[edge], c) < 0.0
+        out[edge] = abs2_minus(_array(z)[edge], c) < 0.0
     return out
 
 
-def _outside(z, m, c: float) -> np.ndarray:
-    """|z| > c, as ``_inside`` with the sides swapped."""
-    out = m > c
-    edge = out & (m <= c + _ABS_SLACK * c)
+def _between(z, m, lo: float, hi: float) -> np.ndarray:
+    """lo < |z| < hi, as ``_inside`` on both circles in one pass: when some
+    point is not clear of both circles by the slack, a point within the
+    slack of either circle is decided by both exact signs."""
+    clear = (m > lo + _ABS_SLACK * lo) & (m < hi - _ABS_SLACK * hi)
+    if np.count_nonzero(clear) == clear.size:
+        return clear
+    out = (m > lo) & (m < hi)
+    edge = out & ~clear
     if np.count_nonzero(edge):
         out = np.array(out)
-        out[edge] = abs2_minus(z[edge], c) > 0.0
+        ze = _array(z)[edge]
+        out[edge] = (abs2_minus(ze, lo) > 0.0) & (abs2_minus(ze, hi) < 0.0)
     return out
 
 
@@ -214,14 +229,13 @@ class Disk:
 
     deck_step = 0j
 
-    def contains(self, z):
-        z = _array(z)
-        return _inside(z, np.abs(z), 1.0)
+    def contains(self, z, m=None):
+        return _inside(z, np.abs(_array(z)) if m is None else m, 1.0)
 
     def density(self, z):
         return 1.0 / (1.0 - np.abs(_array(z)) ** 2)
 
-    def lift(self, z):
+    def lift(self, z, m=None):
         return _array(z)
 
     def distance(self, wp, wq):
@@ -243,13 +257,13 @@ class HalfPlane:
 
     deck_step = 0j
 
-    def contains(self, z):
+    def contains(self, z, m=None):
         return _array(z).real < 0.0
 
     def density(self, z):
         return 1.0 / (2.0 * np.abs(_array(z).real))
 
-    def lift(self, z):
+    def lift(self, z, m=None):
         return _array(z)
 
     def distance(self, wp, wq):
@@ -267,18 +281,16 @@ class PuncturedDisk:
 
     deck_step = DECK_STEP
 
-    def contains(self, z):
-        z = _array(z)
-        m = np.abs(z)
-        return (m > 0.0) & _inside(z, m, 1.0)
+    def contains(self, z, m=None):
+        return _between(z, np.abs(_array(z)) if m is None else m, 0.0, 1.0)
 
     def density(self, z):
         m = np.abs(_array(z))
         return 1.0 / (2.0 * m * np.log(1.0 / m))
 
-    def lift(self, z) -> Lift:
+    def lift(self, z, m=None) -> Lift:
         z = _array(z)
-        outer = np.maximum(-_log_ratio(z, 1.0, np.abs(z)), _MIN_GAP)
+        outer = np.maximum(-_log_ratio(z, 1.0, np.abs(z) if m is None else m), _MIN_GAP)
         return Lift(np.arctan2(z.imag, z.real), outer, None, outer)
 
     def distance(self, wp: Lift, wq: Lift):
@@ -299,7 +311,7 @@ class PuncturedDisk:
         return asinh_error(dw / root, (ddw + rel * dw) / root, float(d))
 
     def geodesic(self, p: complex, q: complex, t):
-        wp, wq = lift_pair(self, p, q)
+        wp, wq = lift_pair(self, np.array([p, q]))
         # q's lift at the nearest deck translate, the pair centered on Im w = 0
         dy = float(_deck_offset(wp, wq))
         w = _left_halfplane_geodesic(complex(-wp.outer, 0.5 * dy), complex(-wq.outer, -0.5 * dy),
@@ -324,21 +336,20 @@ class Annulus:
             raise ValidationError(f"annulus inner radius must be a real number in (0, 1): "
                                   f"{self.r!r}")
 
-    def contains(self, z):
-        z = _array(z)
-        m = np.abs(z)
-        return _outside(z, m, self.r) & _inside(z, m, 1.0)
+    def contains(self, z, m=None):
+        return _between(z, np.abs(_array(z)) if m is None else m, self.r, 1.0)
 
     def density(self, z):
         m = np.abs(_array(z))
         big_l = math.log(1.0 / self.r)
         return math.pi / (2.0 * m * big_l * np.sin(math.pi * np.log(m) / math.log(self.r)))
 
-    def lift(self, z) -> Lift:
+    def lift(self, z, m=None) -> Lift:
         z = _array(z)
-        m = np.abs(z)
-        outer = np.maximum(-_log_ratio(z, 1.0, m), _MIN_GAP)
-        inner = np.maximum(_log_ratio(z, self.r, m), _MIN_GAP)
+        m = np.abs(z) if m is None else m
+        # both walls in one pass: row 0 the gap log(1 / |z|), row 1 log(|z| / r)
+        gaps = _log_ratio(z, np.array((1.0, self.r)).reshape((2,) + (1,) * m.ndim), m)
+        outer, inner = np.maximum(-gaps[0], _MIN_GAP), np.maximum(gaps[1], _MIN_GAP)
         scale = math.pi / -math.log(self.r)
         return Lift(np.arctan2(z.imag, z.real), outer, inner,
                     np.sin(scale * np.minimum(inner, outer)))
@@ -349,13 +360,16 @@ class Annulus:
         # Re(wp - wq), read off the wall the pair is nearer to
         dx = np.where(wp.inner + wq.inner < wp.outer + wq.outer,
                       wp.inner - wq.inner, wq.outer - wp.outer)
-        a = k * np.abs(dy)
+        a = k * abs(dy)
         heights = wp.height * wq.height
+        # below a = 350 s cannot overflow (heights > 2^-1016); |dy| <= pi keeps
+        # every a there when k pi < 349, r < e^(-pi^2 / 698) = 0.98596 (the
+        # unit of margin covers the rounding of dy and a)
+        if k * math.pi < 349.0:
+            return np.arcsinh(np.hypot(np.sinh(a), np.sin(k * dx)) / np.sqrt(heights))
         with np.errstate(over="ignore"):
-            s = np.hypot(np.sinh(a), np.sin(k * dx)) / np.sqrt(heights)
-        d = np.arcsinh(s)
-        # past a = 350, asinh s = a - log(heights) / 2 to far below a float
-        # step, and below it s cannot overflow (heights > 2^-1016)
+            d = np.arcsinh(np.hypot(np.sinh(a), np.sin(k * dx)) / np.sqrt(heights))
+        # past a = 350, asinh s = a - log(heights) / 2 to far below a float step
         big = a >= 350.0
         if np.count_nonzero(big):
             d = np.where(big, a - 0.5 * np.log(heights), d)
@@ -399,7 +413,7 @@ class Annulus:
         # u = exp(i scale (w - log r)) sends the band onto the upper half-plane,
         # so log u = -scale Im w + i theta, theta = scale * inner gap, is kept
         # in place of u, whose modulus overflows on thin annuli
-        wp, wq = lift_pair(self, p, q)
+        wp, wq = lift_pair(self, np.array([p, q]))
         scale = math.pi / -math.log(self.r)
         # q's lift at the nearest deck translate, the pair centered on Im w = 0
         dy = float(_deck_offset(wp, wq))
@@ -544,8 +558,9 @@ class GridDomain:
         radius = float(np.abs(cells - center).max()) + self.spacing
         return center, radius
 
-    def contains(self, z):
-        """Membership of the cells containing z; False outside the frame."""
+    def contains(self, z, m=None):
+        """Membership of the cells containing z; False outside the frame.
+        m, the np.abs(z) the catalog classes read, is not needed."""
         z = _array(z)
         # a coordinate too large for an int casts to one outside the frame
         with np.errstate(invalid="ignore"):
@@ -632,8 +647,9 @@ def cell_pairs(mask_a: np.ndarray, mask_b: np.ndarray, dx: int, dy: int):
     return i, i + (dy * mask_a.shape[1] + dx)
 
 
-CatalogDomain = Union[Disk, HalfPlane, PuncturedDisk, Annulus]
-Domain = Union[CatalogDomain, GridDomain]
+# types.UnionType: isinstance against it runs in C, unlike typing.Union
+CatalogDomain = Disk | HalfPlane | PuncturedDisk | Annulus
+Domain = CatalogDomain | GridDomain
 
 
 # ---------------------------------------------------------------------------

@@ -212,21 +212,23 @@ def kob_distance(domain: Domain, p, q) -> DistanceInterval:
     domain's ``distance`` and e its ``distance_error`` bound; it is
     certified.  Grids get a genuine two-sided interval, not certified
     (``_grid_graph``).  A catalog pair is one 2-element call each of the
-    domain's ``contains`` and ``lift``.
+    domain's ``contains`` and ``lift``, which share one [p, q] array and
+    its np.abs.
     """
     p, q = as_finite(p), as_finite(q)
     if not isinstance(domain, Domain):
         raise Unsupported(f"unknown domain {domain!r}")
     # one pass of each vectorized kernel over the pair [p, q]
-    inside = domain.contains(np.array([p, q]))
-    for z, ok in zip((p, q), inside):
+    pq = np.array([p, q])
+    m = np.abs(pq)
+    for z, ok in zip((p, q), domain.contains(pq, m)):
         if not ok:
             raise OutOfDomain(f"{z!r} not in {domain!r}")
     if p == q:
         return DistanceInterval(0.0, 0.0)
     if isinstance(domain, GridDomain):
         return _grid_interval(domain, p, q)
-    wp, wq = lift_pair(domain, p, q)
+    wp, wq = lift_pair(domain, pq, m)
     v = domain.distance(wp, wq)
     return enclosure(v, domain.distance_error(wp, wq, v))
 
@@ -893,11 +895,14 @@ def _lattice_graph(keep, steps, weigh, sources):
 # ---------------------------------------------------------------------------
 
 def distance_field(domain: Domain, center, grid: GridDomain) -> np.ndarray:
-    """Distances from ``center`` to every cell center of ``grid`` (catalog only)."""
+    """Distances from ``center`` to every cell center of ``grid`` (catalog
+    only), inf off the mask.  The grid is the domain's own raster
+    (``grid_from_predicate(domain.contains, ...)``), so its mask already is
+    the domain's membership test on the cell centres."""
     cells = grid.centers
-    inside = grid.mask & domain.contains(cells)
     out = np.full(cells.shape, np.inf)
-    out[inside] = domain.distance(domain.lift(as_finite(center)), domain.lift(cells[inside]))
+    out[grid.mask] = domain.distance(domain.lift(as_finite(center)),
+                                     domain.lift(cells[grid.mask]))
     return out
 
 

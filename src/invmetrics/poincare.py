@@ -51,8 +51,9 @@ def _square(a):
 
 
 def abs2_minus(z, c, m=None):
-    """|z|^2 - c^2 without the cancellation of the naive difference; m is
-    np.abs(z) where the caller has it.
+    """|z|^2 - c^2 without the cancellation of the naive difference; c is a
+    radius, or a column of radii (shape (k,) + (1,) * z.ndim) for k rows of
+    results, and m is np.abs(z) where the caller has it.
 
     (|z| - c)(|z| + c) keeps twelve digits unless |z| is within 1e-3 of c.
     There the nine exact parts of the three squares are added with
@@ -60,15 +61,20 @@ def abs2_minus(z, c, m=None):
     double-double arithmetic would: a point one float step from the
     circle still gets its gap to nearly full relative precision.
     """
-    z = np.asarray(z, dtype=complex)
     if m is None:
         m = np.abs(z)
     gap = m - c
-    out = np.asarray(gap * (m + c))
+    out = gap * (m + c)
     near = np.abs(gap) < NEAR * c
     if np.count_nonzero(near):
-        zn = z[near]
-        terms = (*_square(zn.real), *_square(zn.imag), *(-t for t in _square(np.float64(c))))
+        out = np.asarray(out)
+        z = np.asarray(z, dtype=complex)
+        if near.ndim == z.ndim:
+            zn, cn = z[near], c
+        else:  # a column of radii: one row of entries per radius
+            i = np.flatnonzero(near)
+            zn, cn = z.reshape(-1)[i % z.size], np.ravel(c)[i // z.size]
+        terms = (*_square(zn.real), *_square(zn.imag), *(-t for t in _square(cn)))
         total, err = terms[0], 0.0
         for t in terms[1:]:
             s = total + t
@@ -132,19 +138,36 @@ def halfplane_rho_vec(z, w):
 
     The square roots are taken one by one: the product Re z Re w leaves
     the normal float range once both points are within about 1e-154 of
-    the wall, and reaches 0 a little further in.
+    the wall, and reaches 0 a little further in.  The quotient s itself
+    overflows once they are within about 1e-308 of it (subnormal real
+    parts); from s = 2^1023 on, asinh s = log 2s to far below a float step
+    is taken in log form, log |z - w| - (log(-Re z) + log(-Re w)) / 2.
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    return np.arcsinh(np.abs(z - w) / (2.0 * np.sqrt(-z.real) * np.sqrt(-w.real)))
+    top = np.abs(z - w)
+    den = 2.0 * np.sqrt(-z.real) * np.sqrt(-w.real)
+    big = den < top * 2.0 ** -1023
+    if not np.count_nonzero(big):
+        return np.arcsinh(top / den)
+    with np.errstate(over="ignore"):
+        d = np.arcsinh(top / den)
+    return np.where(big, np.log(top) - 0.5 * (np.log(-z.real) + np.log(-w.real)), d)
 
 
 def halfplane_rho_error(z, w, d) -> float:
     """Error bound of ``halfplane_rho_vec``'s value d for one pair: s is
-    within 9U (-Re z is exact)."""
-    z, w = complex(z), complex(w)
-    s = abs(z - w) / (2.0 * math.sqrt(-z.real) * math.sqrt(-w.real))
-    return asinh_error(s, 9.0 * U * s, float(d))
+    within 9U (-Re z is exact).  Past s = 2^1022 the value may come from
+    the log form, in which |z - w| is within 4U (relative), each logarithm
+    within 8U of its size, and the sum, the halving and the difference
+    add U d; the bound there is the sum of both forms' bounds."""
+    z, w, d = complex(z), complex(w), float(d)
+    top = abs(z - w)
+    s = top / (2.0 * math.sqrt(-z.real) * math.sqrt(-w.real))
+    if s < 2.0 ** 1022:
+        return asinh_error(s, 9.0 * U * s, d)
+    logs = 8.0 * abs(math.log(top)) + 4.0 * (abs(math.log(-z.real)) + abs(math.log(-w.real)))
+    return U * (13.0 + 9.0 * d + logs)
 
 
 def _log_sinh(x):

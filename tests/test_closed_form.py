@@ -136,6 +136,23 @@ def test_halfplane_heights_whose_product_underflows():
     assert kob_distance(HalfPlane(), p, q).upper == pytest.approx(want, rel=REL)
 
 
+@pytest.mark.parametrize("p,q", [
+    (-1e-320, -1e-320 + 1j),
+    (-5e-324, -5e-324 + 1e300j),
+    (-1e-310, -2e-315 + 3j),
+])
+def test_halfplane_subnormal_real_parts(p, q):
+    # |z - w| / (2 sqrt(-Re z) sqrt(-Re w)) overflows: the kernel takes
+    # asinh in log form there, and its bound covers that form
+    p, q = complex(p), complex(q)
+    with mpmath.workdps(60):
+        a, b = mpmath.mpc(p.real, p.imag), mpmath.mpc(q.real, q.imag)
+        want = mpmath.asinh(abs(a - b) / (2 * mpmath.sqrt(a.real * b.real)))
+    interval = kob_distance(HalfPlane(), p, q)
+    assert want in interval
+    assert interval.width <= 1e-14 * interval.upper
+
+
 @st.composite
 def regime_pairs(draw, kind):
     """(regime, domain, p, q) in one of the hard regimes: thin annuli (r up to
