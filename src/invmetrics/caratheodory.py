@@ -32,6 +32,7 @@ from .domains import (
     cell_centers,
     complement_holes,
     contains,
+    disk_box,
     rasterize,
     sample_points,
 )
@@ -344,10 +345,7 @@ def car_ball_components(domain: Domain, p, radius: float,
             # widened by one cell against rounding, can lie in the ball.
             c, s = domain.bounding_circle
             e, rho = poincare_ball_euclidean((p - c) / s, radius)
-            lo = (c + s * (e - rho * (1 + 1j)) - grid.origin) / grid.spacing
-            hi = (c + s * (e + rho * (1 + 1j)) - grid.origin) / grid.spacing
-            rows = slice(max(math.ceil(lo.imag) - 1, 0), max(math.floor(hi.imag) + 2, 0))
-            cols = slice(max(math.ceil(lo.real) - 1, 0), max(math.floor(hi.real) + 2, 0))
+            rows, cols = disk_box(grid, c + s * e, s * rho)
     # the entries' maximum is below the radius exactly when each entry is, so
     # each is evaluated, as in car_lower_field, on the cells kept so far
     iy, ix = np.nonzero(grid.mask[rows, cols])

@@ -33,6 +33,7 @@ from .poincare import (
     halfplane_geodesic,
     halfplane_rho_error,
     halfplane_rho_vec,
+    poincare_ball_euclidean,
     rho_error,
     rho_vec,
 )
@@ -201,6 +202,59 @@ def _left_halfplane_geodesic(wp: complex, wq: complex, d, t) -> np.ndarray:
     return np.exp(s) / np.hypot(1.0, cot) * (1j * cot - 1.0)
 
 
+class BallHull(NamedTuple):
+    """Closed-form hull of a catalog ball B(c, R), from a class's
+    ``ball_hull``: the Euclidean disk |z - center| <= radius, cut, where
+    ``cut`` = (lo, hi, direction, half_width) is given, by the annular sector
+    lo <= |z| <= hi, |arg(z / direction)| <= half_width (no angular cut
+    once the half-width reaches pi).
+
+    ``contains`` widens each bound for rounding by 1e-9 of its size and of
+    the size of what it is compared with (|center| for the disk, pi for an
+    angle), far more than the rounding of the bounds, of the points and of
+    the distance kernel, which all stay within some ulps of the
+    coordinates.  An angular cut is dropped where the widened half-width
+    comes within that margin of pi.
+    """
+
+    center: complex
+    radius: float
+    cut: tuple | None = None
+
+    @property
+    def reach(self) -> float:
+        """The disk's radius as ``contains`` widens it."""
+        return self.radius + 1e-9 * (self.radius + abs(self.center))
+
+    def contains(self, x, y) -> np.ndarray:
+        """Whether the widened hull holds the points x + iy, from real
+        arrays x and y that broadcast (a row and a column of a frame).
+
+        Each circle is tested on the coordinates divided by its radius, so
+        no square leaves the float range but far outside the circle, where
+        it overflows to inf (nan for the origin under a radius of 0).
+        """
+        reach, (cx, cy) = self.reach, (self.center.real, self.center.imag)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            inside = np.square((x - cx) / reach) + np.square((y - cy) / reach) <= 1.0
+            if self.cut is None:
+                return inside
+            lo, hi, direction, half_width = self.cut
+            lo, hi = lo * (1.0 - 1e-9), hi * (1.0 + 1e-9)
+            inside &= np.square(x / hi) + np.square(y / hi) <= 1.0
+            if lo > 0.0:
+                inside &= np.square(x / lo) + np.square(y / lo) >= 1.0
+        margin = 1e-9 * (half_width + math.pi)
+        if half_width + 2.0 * margin < math.pi:
+            # |arg(z / direction)| <= half_width + margin, read as
+            # |z| sin(half_width + margin - |arg|) >= 0, which is at least
+            # |z| sin(margin) inside the unwidened cut
+            sin, cos = math.sin(half_width + margin), math.cos(half_width + margin)
+            a, b = direction.real, direction.imag
+            inside &= x * (a * sin) + y * (b * sin) >= np.abs(y * a - x * b) * cos
+        return inside
+
+
 # ---------------------------------------------------------------------------
 # Catalog variants
 # ---------------------------------------------------------------------------
@@ -243,6 +297,10 @@ class Disk:
 
     distance_error = staticmethod(rho_error)
 
+    def ball_hull(self, c: complex, radius: float) -> BallHull:
+        """The ball itself, a Euclidean disk."""
+        return BallHull(*poincare_ball_euclidean(c, radius))
+
     def geodesic(self, p: complex, q: complex, t):
         # on the hyperboloid, z = X / (1 + X0), X = (1 + |z|^2, 2z) / (1 - |z|^2);
         # every term of the denominator is positive (a + b <= 1)
@@ -270,6 +328,15 @@ class HalfPlane:
         return halfplane_rho_vec(wp, wq)
 
     distance_error = staticmethod(halfplane_rho_error)
+
+    def ball_hull(self, c: complex, radius: float) -> BallHull:
+        """The ball itself: under the density 1/(2|Re z|) the ball of radius
+        R about x + iy is the disk with centre x cosh 2R + iy and radius
+        |x| sinh 2R (infinite past R of about 355)."""
+        x, y = c.real, c.imag
+        with np.errstate(over="ignore"):
+            cosh, sinh = float(np.cosh(2.0 * radius)), float(np.sinh(2.0 * radius))
+        return BallHull(complex(x * cosh, y), abs(x) * sinh)
 
     def geodesic(self, p: complex, q: complex, t):
         return _left_halfplane_geodesic(p, q, self.distance(p, q), t)
@@ -309,6 +376,19 @@ class PuncturedDisk:
         root = 2.0 * math.sqrt(op * oq)
         rel = 0.5 * (ep / op + eq / oq) + 2.5 * U
         return asinh_error(dw / root, (ddw + rel * dw) / root, float(d))
+
+    def ball_hull(self, c: complex, radius: float) -> BallHull:
+        """The disk's ball about c (the inclusion into the disk does not
+        increase distances), cut by the projection of the model ball: with
+        x = log|c| = -g, the ball of radius R about x in Re w < 0 is the disk
+        with centre x cosh 2R and radius g sinh 2R, so |z| lies in
+        [exp(x e^2R), exp(x e^-2R)] and |arg(z / c)| <= g sinh 2R."""
+        g = float(self.lift(c).outer)
+        with np.errstate(over="ignore"):
+            grow = float(np.exp(2.0 * radius))
+            half_width = g * float(np.sinh(2.0 * radius))
+        return BallHull(*poincare_ball_euclidean(c, radius),
+                        (math.exp(-g * grow), math.exp(-g / grow), c / abs(c), half_width))
 
     def geodesic(self, p: complex, q: complex, t):
         wp, wq = lift_pair(self, np.array([p, q]))
@@ -409,6 +489,35 @@ class Annulus:
         h = float(lifts.height.max())
         return math.asinh(math.sinh(a) / h) if a < 700.0 else a - math.log(h)
 
+    def ball_hull(self, c: complex, radius: float) -> BallHull:
+        """The disk's ball about c (the inclusion into the disk does not
+        increase distances), cut by the projection of the model ball.
+
+        u = exp(i scale (log z - log r)), scale = pi / L, sends the band
+        to the upper half-plane, arg u = scale * inner gap and
+        log |u| = -scale arg z.  A ray arg u = theta is the curve at signed
+        distance asinh(cot theta) (density 1/Im u) from the imaginary axis,
+        so the ball of radius R (2R in that density) about u_c holds the
+        rays with signed distances within 2R of c's; its Euclidean disk,
+        for |u_c| = 1, has centre (cos theta_c, sin theta_c cosh 2R) and
+        radius sin theta_c sinh 2R, so log |u| lies within
+        asinh(sin theta_c sinh 2R) of 0.
+        """
+        w = self.lift(c)
+        scale = math.pi / -math.log(self.r)
+        # cot theta_c from the nearer wall, as ``geodesic`` reads it
+        delta = math.asinh(math.copysign(1.0 / math.tan(scale * float(min(w.inner, w.outer))),
+                                         float(w.outer - w.inner)))
+        with np.errstate(over="ignore"):
+            # the nearest rays to either wall: theta = arctan2(1, sinh(delta +- 2R))
+            # from the inner wall, and pi - theta from the outer one
+            inner = float(np.arctan2(1.0, np.sinh(delta + 2.0 * radius)))
+            outer = float(np.arctan2(1.0, np.sinh(2.0 * radius - delta)))
+            half_width = float(np.arcsinh(float(w.height) * np.sinh(2.0 * radius))) / scale
+        return BallHull(*poincare_ball_euclidean(c, radius),
+                        (math.exp((inner - math.pi) / scale), math.exp(-outer / scale),
+                         c / abs(c), half_width))
+
     def geodesic(self, p: complex, q: complex, t):
         # u = exp(i scale (w - log r)) sends the band onto the upper half-plane,
         # so log u = -scale Im w + i theta, theta = scale * inner gap, is kept
@@ -471,7 +580,7 @@ class GridDomain:
             raise ValidationError(f"mask must be 2-D and at least 3x3: {mask.shape}")
         if not mask.any():
             raise ValidationError("mask has no domain cells")
-        _check_ring(mask)
+        check_ring(mask)
         from scipy import ndimage
 
         _, count = ndimage.label(mask, structure=STRUCT_4)
@@ -597,7 +706,30 @@ def cell_centers(origin: complex, spacing: float, iy, ix):
     return (origin.real + spacing * ix) + 1j * (origin.imag + spacing * iy)
 
 
-def _check_ring(mask: np.ndarray):
+def disk_box(grid: GridDomain, center: complex, radius: float):
+    """(rows, cols): slices of ``grid``'s frame that hold the cells of the
+    box of the Euclidean disk |z - center| <= radius, widened by one cell
+    against rounding (clipped below at 0; numpy clips the upper ends)."""
+    lo = (center - radius * (1 + 1j) - grid.origin) / grid.spacing
+    hi = (center + radius * (1 + 1j) - grid.origin) / grid.spacing
+    return (slice(max(math.ceil(lo.imag) - 1, 0), max(math.floor(hi.imag) + 2, 0)),
+            slice(max(math.ceil(lo.real) - 1, 0), max(math.floor(hi.real) + 2, 0)))
+
+
+def hull_cells(grid: GridDomain, hull: BallHull):
+    """(iy, ix): the mask cells of ``grid`` whose centres ``hull`` holds,
+    row-major, as np.nonzero gives them; only the cells of the box of the
+    hull's disk (``disk_box``) are tested, on their centres' coordinates
+    as ``cell_centers`` computes them."""
+    rows, cols = disk_box(grid, hull.center, hull.reach)
+    ix, iy = np.arange(grid.width)[cols], np.arange(grid.height)[rows]
+    keep = grid.mask[rows, cols] & hull.contains(grid.origin.real + grid.spacing * ix,
+                                                 (grid.origin.imag + grid.spacing * iy)[:, None])
+    iy, ix = np.nonzero(keep)
+    return iy + rows.start, ix + cols.start
+
+
+def check_ring(mask: np.ndarray):
     if mask[0].any() or mask[-1].any() or mask[:, 0].any() or mask[:, -1].any():
         raise ValidationError("cells touch the frame border ring")
 
@@ -613,7 +745,7 @@ def complement_holes(mask: np.ndarray):
     *Connectivity in digital pictures*, J. ACM 1970).
     """
     mask = np.asarray(mask, dtype=bool)
-    _check_ring(mask)
+    check_ring(mask)
     from scipy import ndimage
 
     labels, count = ndimage.label(~mask, structure=STRUCT_8)

@@ -37,6 +37,7 @@ from .domains import (
     grid_frame_load,
     grid_from_predicate,
     grid_save,
+    hull_cells,
     is_json_number,
     lift_pair,
     rasterize,
@@ -894,21 +895,32 @@ def _lattice_graph(keep, steps, weigh, sources):
 # Ball rasters
 # ---------------------------------------------------------------------------
 
-def distance_field(domain: Domain, center, grid: GridDomain) -> np.ndarray:
-    """Distances from ``center`` to every cell center of ``grid`` (catalog
-    only), inf off the mask.  The grid is the domain's own raster
-    (``grid_from_predicate(domain.contains, ...)``), so its mask already is
-    the domain's membership test on the cell centres."""
-    cells = grid.centers
-    out = np.full(cells.shape, np.inf)
-    out[grid.mask] = domain.distance(domain.lift(as_finite(center)),
-                                     domain.lift(cells[grid.mask]))
+def distance_field(domain: Domain, center, grid: GridDomain, cells=None) -> np.ndarray:
+    """Distances from ``center`` to the cell centres of ``grid`` (catalog
+    only), as an array of the frame's shape: at ``cells``, index arrays
+    (iy, ix) of mask cells as np.nonzero gives them (by default every mask
+    cell), and inf at every other cell.  The grid is the domain's own
+    raster (``grid_from_predicate(domain.contains, ...)``), so its mask
+    already is the domain's membership test on the cell centres."""
+    iy, ix = np.nonzero(grid.mask) if cells is None else cells
+    out = np.full(grid.mask.shape, np.inf)
+    out[iy, ix] = domain.distance(domain.lift(as_finite(center)),
+                                  domain.lift(cell_centers(grid.origin, grid.spacing, iy, ix)))
     return out
 
 
 def kob_ball_raster(domain: Domain, center, radius: float,
                     spacing: float) -> MetricBall:
-    """Cell true iff the distance from the center is below the radius."""
+    """Cell true iff the distance from the center is below the radius; the
+    center's own cell is always in.
+
+    The frame is ``rasterize``'s, or on the half-plane one around the ball,
+    which is a Euclidean disk.  The distance is evaluated only on the mask
+    cells inside the ball's closed-form hull (the class's ``ball_hull``,
+    ``hull_cells``), which holds every cell whose computed distance is
+    below the radius: the raster is the one ``distance_field`` gives on
+    every mask cell, bit for bit, from about half as many cells.
+    """
     if isinstance(domain, GridDomain):
         raise Unsupported("ball rasters need exact distances: catalog domains only")
     center = as_finite(center)
@@ -924,7 +936,8 @@ def kob_ball_raster(domain: Domain, center, radius: float,
         grid = _halfplane_ball_frame(domain, center, radius, spacing)
     else:
         grid = rasterize(domain, spacing)
-    mask = distance_field(domain, center, grid) < radius
+    hull = domain.ball_hull(center, radius)
+    mask = distance_field(domain, center, grid, hull_cells(grid, hull)) < radius
     idx = grid.cell_index(center)
     if idx is not None and grid.mask[idx[1], idx[0]]:
         mask[idx[1], idx[0]] = True  # the center's own cell is always in
@@ -935,12 +948,7 @@ def kob_ball_raster(domain: Domain, center, radius: float,
 
 def _halfplane_ball_frame(domain: HalfPlane, center: complex, radius: float,
                           spacing: float) -> GridDomain:
-    """Frame around the Euclidean disk the half-plane ball occupies.
-
-    Under the density 1/(2|Re z|) the ball of radius R about x + iy is the
-    disk with centre x cosh 2R + iy and radius |x| sinh 2R.
-    """
-    x, y = center.real, center.imag
-    with np.errstate(over="ignore"):  # a radius past ~355 fails the frame's own check
-        cosh, sinh = float(np.cosh(2.0 * radius)), float(np.sinh(2.0 * radius))
-    return grid_from_predicate(domain.contains, abs(x) * sinh, spacing, complex(x * cosh, y))
+    """Frame around the Euclidean disk the half-plane ball occupies, its
+    ``ball_hull``."""
+    hull = domain.ball_hull(center, radius)
+    return grid_from_predicate(domain.contains, hull.radius, spacing, hull.center)

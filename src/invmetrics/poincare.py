@@ -142,17 +142,27 @@ def halfplane_rho_vec(z, w):
     overflows once they are within about 1e-308 of it (subnormal real
     parts); from s = 2^1023 on, asinh s = log 2s to far below a float step
     is taken in log form, log |z - w| - (log(-Re z) + log(-Re w)) / 2.
+    z - w overflows only where a coordinate passes 2^1021, always in that
+    form's range, and there |z - w| is read as 4 |z/4 - w/4|, whose
+    quarters cannot overflow.
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    top = np.abs(z - w)
+    with np.errstate(over="ignore"):
+        top = np.abs(z - w)
     den = 2.0 * np.sqrt(-z.real) * np.sqrt(-w.real)
     big = den < top * 2.0 ** -1023
     if not np.count_nonzero(big):
         return np.arcsinh(top / den)
     with np.errstate(over="ignore"):
         d = np.arcsinh(top / den)
-    return np.where(big, np.log(top) - 0.5 * (np.log(-z.real) + np.log(-w.real)), d)
+    over = np.isinf(top)
+    if np.count_nonzero(over):
+        log_top = (np.log(np.where(over, np.abs(0.25 * z - 0.25 * w), top))
+                   + math.log(4.0) * over)
+    else:
+        log_top = np.log(top)
+    return np.where(big, log_top - 0.5 * (np.log(-z.real) + np.log(-w.real)), d)
 
 
 def halfplane_rho_error(z, w, d) -> float:
@@ -160,14 +170,22 @@ def halfplane_rho_error(z, w, d) -> float:
     within 9U (-Re z is exact).  Past s = 2^1022 the value may come from
     the log form, in which |z - w| is within 4U (relative), each logarithm
     within 8U of its size, and the sum, the halving and the difference
-    add U d; the bound there is the sum of both forms' bounds."""
+    add U d; the bound there is the sum of both forms' bounds.  Where
+    z - w overflows, the kernel's quarters are exact but for coordinates
+    below 2^-1020, far too small to move |z - w|, and adding log 4 adds
+    U (|log |z - w|| + 2)."""
     z, w, d = complex(z), complex(w), float(d)
     top = abs(z - w)
     s = top / (2.0 * math.sqrt(-z.real) * math.sqrt(-w.real))
     if s < 2.0 ** 1022:
         return asinh_error(s, 9.0 * U * s, d)
-    logs = 8.0 * abs(math.log(top)) + 4.0 * (abs(math.log(-z.real)) + abs(math.log(-w.real)))
-    return U * (13.0 + 9.0 * d + logs)
+    if math.isinf(top):
+        log_top = math.log(abs(0.25 * z - 0.25 * w)) + math.log(4.0)
+        extra = abs(log_top) + 2.0
+    else:
+        log_top, extra = math.log(top), 0.0
+    logs = 8.0 * abs(log_top) + 4.0 * (abs(math.log(-z.real)) + abs(math.log(-w.real)))
+    return U * (13.0 + 9.0 * d + logs + extra)
 
 
 def _log_sinh(x):
@@ -215,7 +233,12 @@ def poincare_ball_euclidean(center, radius: float):
     """Euclidean center and radius of the hyperbolic ball {rho(center,.) < radius}.
 
     Hyperbolic disks in this model are Euclidean disks with shifted
-    centers; for center 0 the Euclidean radius is tanh(radius).
+    centers; for center 0 the Euclidean radius is tanh(radius).  With
+    t = tanh(radius), g = 1 - |c|^2 (``abs2_minus``) and
+    q = sech^2(radius) + t^2 g, the centre is c sech^2(radius) / q and the
+    radius t g / q.  q is the 1 - t^2 |c|^2 of the textbook form written
+    as a sum of positive terms, so both keep their digits for a centre
+    next to the rim and a large radius, where that difference cancels.
     """
     c = check_in_disk(center)
     if not isinstance(radius, numbers.Real) or math.isnan(radius):
@@ -223,6 +246,10 @@ def poincare_ball_euclidean(center, radius: float):
     if radius <= 0:
         raise OutOfDomain(f"ball radius must be positive: {radius!r}")
     t = math.tanh(radius)
-    m = abs(c) ** 2
-    den = 1.0 - t * t * m
-    return c * (1.0 - t * t) / den, t * (1.0 - m) / den
+    # sech^2 = 4e / (1 + e)^2 with e = exp(-2 radius), which underflows to 0
+    # where cosh would overflow
+    e = math.exp(-2.0 * radius)
+    sech2 = 4.0 * e / ((1.0 + e) * (1.0 + e))
+    g = -float(abs2_minus(c, 1.0))
+    q = sech2 + t * t * g
+    return c * sech2 / q, t * g / q

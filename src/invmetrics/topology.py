@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (CatalogDomain, Domain, GridDomain, cell_centers, complement_holes,
-                      lift_row)
+from .domains import (CatalogDomain, Domain, GridDomain, cell_centers, check_ring,
+                      complement_holes, lift_row)
 from .errors import (
     CoverScaleTooLarge,
     EmptyRegion,
@@ -30,11 +30,18 @@ from .errors import (
 
 def connectivity_number(mask: np.ndarray) -> int:
     """Number of bounded complement components (``complement_holes``) of
-    a region that leaves the frame's border ring free."""
+    a region that leaves the frame's border ring free.
+
+    Every cell outside the region's bounding box joins the border ring
+    through cells outside the box, so the holes lie inside it: only the
+    box widened by one cell, whose own ring is then free, is labelled.
+    """
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    if not rows.size:
         raise EmptyRegion("the region mask has no cells")
-    return len(complement_holes(mask)[1])
+    check_ring(mask)
+    return len(complement_holes(mask[rows[0] - 1:rows[-1] + 2, cols[0] - 1:cols[-1] + 2])[1])
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from invmetrics.domains import (
     rasterize,
 )
 from invmetrics.kobayashi import distance_field, kob_distance
-from invmetrics.poincare import poincare_distance
+from invmetrics.poincare import poincare_ball_euclidean, poincare_distance
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -151,6 +151,39 @@ def test_halfplane_subnormal_real_parts(p, q):
     interval = kob_distance(HalfPlane(), p, q)
     assert want in interval
     assert interval.width <= 1e-14 * interval.upper
+
+
+@pytest.mark.parametrize("p,q", [
+    (-1 + 1e308j, -1 - 1e308j),
+    (-1 + 1.7e308j, -1 - 1.7e308j),
+    (-1e-320 + 1.7e308j, -2.5 - 1.7e308j),
+    (-1.7e308 + 1.7e308j, -1e-300 - 1.7e308j),
+])
+def test_halfplane_imaginary_parts_near_the_float_limit(p, q):
+    # z - w overflows: the kernel reads |z - w| as 4 |z/4 - w/4| in the log
+    # form, and its bound covers that form
+    p, q = complex(p), complex(q)
+    with mpmath.workdps(60):
+        a, b = mpmath.mpc(p.real, p.imag), mpmath.mpc(q.real, q.imag)
+        want = mpmath.asinh(abs(a - b) / (2 * mpmath.sqrt(a.real * b.real)))
+    interval = kob_distance(HalfPlane(), p, q)
+    assert want in interval
+    assert interval.width <= 1e-14 * interval.upper
+
+
+@pytest.mark.parametrize("gap, radius", [(1e-12, 14.0), (1e-9, 10.5), (1e-6, 7.0), (0.5, 20.0),
+                                         (1e-12, 1e-3)])
+def test_euclidean_ball_next_to_the_rim(gap, radius):
+    # with 1 - |c|^2 and sech^2 R of one size, 1 - tanh^2 R |c|^2 cancels;
+    # the centre and radius must keep their digits there
+    c = cmath.rect(1.0 - gap, 0.7)
+    centre, rho = poincare_ball_euclidean(c, radius)
+    with mpmath.workdps(60):
+        z, t = mpmath.mpc(c.real, c.imag), mpmath.tanh(radius)
+        den = 1 - t * t * abs(z) ** 2
+        want_centre, want_rho = z * (1 - t * t) / den, t * (1 - abs(z) ** 2) / den
+    assert abs(rho - want_rho) <= 1e-14 * want_rho
+    assert abs(centre - complex(want_centre)) <= 1e-14 * abs(want_centre)
 
 
 @st.composite
