@@ -22,23 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from invmetrics.domains import (Annulus, Disk, HalfPlane, PuncturedDisk, grid_from_predicate,
-                                rasterize)
-from invmetrics.kobayashi import distance_field, kob_ball_raster
+from invmetrics.domains import Annulus, Disk, HalfPlane, PuncturedDisk
+from invmetrics.kobayashi import ball_frame, distance_field, kob_ball_raster
 from invmetrics.render import render_ball_svg
 from invmetrics.topology import connectivity_number
 
 OUT = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("gallery")
 SPACING = 0.02
-
-
-def reference_frame(domain, center, radius):
-    """The frame ``kob_ball_raster`` rasterizes on: the domain's own, or
-    on the half-plane the one around the ball's Euclidean disk."""
-    if isinstance(domain, HalfPlane):
-        hull = domain.ball_hull(center, radius)
-        return grid_from_predicate(domain.contains, hull.radius, SPACING, hull.center)
-    return rasterize(domain, SPACING)
 
 
 def main() -> int:
@@ -55,7 +45,7 @@ def main() -> int:
     mismatches = 0
     for name, domain, center, radius in jobs:
         ball = kob_ball_raster(domain, center, radius, SPACING)
-        frame = reference_frame(domain, center, radius)
+        frame = ball_frame(domain, center, radius, SPACING)
         want = distance_field(domain, center, frame) < radius
         ix, iy = frame.cell_index(center)
         want[iy, ix] = True

@@ -5,9 +5,12 @@ Samples 300 random pairs in each of Disk, HalfPlane, PuncturedDisk and
 Annulus 0.1 / 0.5 / 0.9, and 50 pairs in each hard regime (thin annuli
 up to r = 0.9999, a point 1e-12 (relative) from a wall, distances above
 19, ordinary pairs, and half-plane pairs whose -Re z is log-uniform down
-to 1e-320, where |z - w| / (2 sqrt(-Re z) sqrt(-Re w)) overflows, half of
-them with imaginary parts of 1e308 to 1.7e308 and opposite signs, where
-z - w overflows), all from ``default_rng(0)``.  Each pair's
+to 1e-320, where |z - w| / (2 sqrt(-Re z) sqrt(-Re w)) overflows, and
+half-plane pairs near the float limit: half of them with imaginary parts
+of 1e308 to 1.7e308 and opposite signs, where z - w overflows, and -Re z
+log-uniform from 1e-320 to 1.7e308, the other half with both real parts
+and the imaginary parts of size 1e308, where the denominator overflows
+too), all from ``default_rng(0)``.  Each pair's
 ``kob_distance`` ends and ``car_interval`` upper end are compared with the
 distance at 60 digits in mpmath, and, on the disk and punctured disk,
 where the dictionary is exact, ``car_interval``'s lower end with the
@@ -90,13 +93,17 @@ def regime_pair(rng, regime):
                                                  else 1.0)
         return domain, p, cmath.rect(domain.r ** rng.uniform(0.01, 0.99), cmath.phase(p) + turn)
     if regime == "halfplane":
-        p, q = (complex(-10.0 ** rng.uniform(-320, 0), rng.uniform(-3, 3)) for _ in range(2))
+        return (HalfPlane(), *(complex(-10.0 ** rng.uniform(-320, 0), rng.uniform(-3, 3))
+                               for _ in range(2)))
+    if regime == "float-limit":
         if rng.uniform() < 0.5:
-            # imaginary parts of opposite signs, 1e308 to 1.7e308 apart from
-            # 0, where z - w overflows
+            # z - w overflows; s runs from about 1 to past the float range
             top, bottom = rng.uniform(1.0, 1.7, 2) * 1e308
-            p, q = complex(p.real, top), complex(q.real, -bottom)
-        return HalfPlane(), p, q
+            left, right = -10.0 ** rng.uniform(-320, 308.23, 2)
+            return HalfPlane(), complex(left, top), complex(right, -bottom)
+        # the denominator overflows too, in about two pairs of three
+        return (HalfPlane(), *(1e308 * complex(-rng.uniform(0.5, 1.7), rng.uniform(-1.7, 1.7))
+                               for _ in range(2)))
     domain = [Disk(), HalfPlane(), PuncturedDisk(), Annulus(rng.uniform(0.05, 0.95))][
         rng.integers(4)]
     if regime == "wall":
@@ -128,7 +135,7 @@ def main() -> int:
                for domain in (Disk(), HalfPlane(), PuncturedDisk(),
                               Annulus(0.1), Annulus(0.5), Annulus(0.9))]
     samples += [(regime, [regime_pair(rng, regime) for _ in range(REGIME_PAIRS)])
-                for regime in ("thin", "wall", "far", "ordinary", "halfplane")]
+                for regime in ("thin", "wall", "far", "ordinary", "halfplane", "float-limit")]
     print(f"{'sample':>16} {'pairs':>6} {'misses':>6} {'widest rel':>11}")
     total = 0
     for name, pairs in samples:

@@ -85,13 +85,24 @@ def _validate_entries(domain: Domain, entries, samples: np.ndarray):
                 f"dictionary entry {entry.tag!r} leaves the unit disk on samples")
 
 
+def _cayley(z):
+    """(z + 1) / (z - 1), the half-plane onto the disk.  The division's
+    scaling overflows once both parts of z - 1 pass about 2^1022; there it
+    reads (z/2 + 1/2) / (z/2 - 1/2), the same quotient."""
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = (z + 1.0) / (z - 1.0)
+    if np.isfinite(f).all():
+        return f
+    return (0.5 * z + 0.5) / (0.5 * z - 0.5)
+
+
 def _build_dictionary(domain: Domain) -> MapDictionary:
     if isinstance(domain, Disk):
         entries = [DictionaryMap("identity", lambda z: np.asarray(z, dtype=complex))]
         return MapDictionary(domain, tuple(entries))
     if isinstance(domain, HalfPlane):
-        entries = [DictionaryMap("cayley", lambda z: (np.asarray(z, dtype=complex) + 1.0)
-                                 / (np.asarray(z, dtype=complex) - 1.0), _DIVISION_ROUNDING)]
+        entries = [DictionaryMap("cayley", _cayley, _DIVISION_ROUNDING)]
         return MapDictionary(domain, tuple(entries))
     if isinstance(domain, PuncturedDisk):
         # The puncture is removable for bounded maps, so the inclusion is extremal.

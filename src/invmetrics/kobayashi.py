@@ -914,12 +914,13 @@ def kob_ball_raster(domain: Domain, center, radius: float,
     """Cell true iff the distance from the center is below the radius; the
     center's own cell is always in.
 
-    The frame is ``rasterize``'s, or on the half-plane one around the ball,
-    which is a Euclidean disk.  The distance is evaluated only on the mask
-    cells inside the ball's closed-form hull (the class's ``ball_hull``,
-    ``hull_cells``), which holds every cell whose computed distance is
-    below the radius: the raster is the one ``distance_field`` gives on
-    every mask cell, bit for bit, from about half as many cells.
+    The frame is ``ball_frame``'s: ``rasterize``'s, or on the half-plane
+    one around the ball, which is a Euclidean disk.  The distance is
+    evaluated only on the mask cells inside the ball's closed-form hull
+    (the class's ``ball_hull``, ``hull_cells``), which holds every cell
+    whose computed distance is below the radius: the raster is the one
+    ``distance_field`` gives on every mask cell, bit for bit, from about
+    half as many cells.
     """
     if isinstance(domain, GridDomain):
         raise Unsupported("ball rasters need exact distances: catalog domains only")
@@ -932,10 +933,7 @@ def kob_ball_raster(domain: Domain, center, radius: float,
         raise OutOfDomain(f"ball radius must be positive: {radius!r}")
     if not math.isfinite(radius):
         raise ValidationError(f"ball radius must be finite: {radius!r}")
-    if isinstance(domain, HalfPlane):
-        grid = _halfplane_ball_frame(domain, center, radius, spacing)
-    else:
-        grid = rasterize(domain, spacing)
+    grid = ball_frame(domain, center, radius, spacing)
     hull = domain.ball_hull(center, radius)
     mask = distance_field(domain, center, grid, hull_cells(grid, hull)) < radius
     idx = grid.cell_index(center)
@@ -946,9 +944,11 @@ def kob_ball_raster(domain: Domain, center, radius: float,
                       spacing=grid.spacing, mask=mask)
 
 
-def _halfplane_ball_frame(domain: HalfPlane, center: complex, radius: float,
-                          spacing: float) -> GridDomain:
-    """Frame around the Euclidean disk the half-plane ball occupies, its
-    ``ball_hull``."""
+def ball_frame(domain: Domain, center: complex, radius: float, spacing: float) -> GridDomain:
+    """The frame ``kob_ball_raster`` rasterizes the ball on: ``rasterize``'s,
+    or on the half-plane the one around the Euclidean disk the ball
+    occupies, its ``ball_hull``."""
+    if not isinstance(domain, HalfPlane):
+        return rasterize(domain, spacing)
     hull = domain.ball_hull(center, radius)
     return grid_from_predicate(domain.contains, hull.radius, spacing, hull.center)

@@ -142,48 +142,61 @@ def halfplane_rho_vec(z, w):
     overflows once they are within about 1e-308 of it (subnormal real
     parts); from s = 2^1023 on, asinh s = log 2s to far below a float step
     is taken in log form, log |z - w| - (log(-Re z) + log(-Re w)) / 2.
-    z - w overflows only where a coordinate passes 2^1021, always in that
-    form's range, and there |z - w| is read as 4 |z/4 - w/4|, whose
-    quarters cannot overflow.
+    z - w overflows once a coordinate passes 2^1021, and the denominator
+    once both real parts pass 2^1022, however small s is.  In those rows s
+    is formed from p = sqrt(-Re z) sqrt(-Re w), which cannot overflow, as
+    2 |z/4 - w/4| / p (the quarters cannot overflow) or |z - w| / p / 2,
+    and the log form, where s reaches 2^1023, reads log |z/4 - w/4| + log 4.
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     with np.errstate(over="ignore"):
         top = np.abs(z - w)
-    den = 2.0 * np.sqrt(-z.real) * np.sqrt(-w.real)
+        den = 2.0 * np.sqrt(-z.real) * np.sqrt(-w.real)
     big = den < top * 2.0 ** -1023
-    if not np.count_nonzero(big):
+    huge = np.isinf(den)
+    if not np.count_nonzero(big | huge):
         return np.arcsinh(top / den)
-    with np.errstate(over="ignore"):
-        d = np.arcsinh(top / den)
     over = np.isinf(top)
-    if np.count_nonzero(over):
-        log_top = (np.log(np.where(over, np.abs(0.25 * z - 0.25 * w), top))
-                   + math.log(4.0) * over)
-    else:
-        log_top = np.log(top)
+    huge |= over
+    top = np.where(over, np.abs(0.25 * z - 0.25 * w), top)
+    p = np.sqrt(-z.real) * np.sqrt(-w.real)
+    with np.errstate(over="ignore"):
+        s = np.where(huge, top / p * np.where(over, 2.0, 0.5), top / den)
+    big = np.where(huge, s >= 2.0 ** 1023, big)
+    d = np.arcsinh(s)
+    log_top = np.log(np.where(big, top, 1.0)) + math.log(4.0) * over
     return np.where(big, log_top - 0.5 * (np.log(-z.real) + np.log(-w.real)), d)
 
 
 def halfplane_rho_error(z, w, d) -> float:
     """Error bound of ``halfplane_rho_vec``'s value d for one pair: s is
-    within 9U (-Re z is exact).  Past s = 2^1022 the value may come from
-    the log form, in which |z - w| is within 4U (relative), each logarithm
-    within 8U of its size, and the sum, the halving and the difference
-    add U d; the bound there is the sum of both forms' bounds.  Where
-    z - w overflows, the kernel's quarters are exact but for coordinates
-    below 2^-1020, far too small to move |z - w|, and adding log 4 adds
+    within 9U (-Re z is exact; where z - w or the denominator overflows,
+    the quarters and the halving or doubling are exact but for
+    coordinates below 2^-1020, far too small to move s).  Past s = 2^1022
+    the value may come from the log form, in which |z - w| is within 4U
+    (relative), each logarithm within 8U of its size, and the sum, the
+    halving and the difference add U d; the bound there is the sum of
+    both forms' bounds.  Where z - w overflows, adding log 4 adds
     U (|log |z - w|| + 2)."""
     z, w, d = complex(z), complex(w), float(d)
-    top = abs(z - w)
-    s = top / (2.0 * math.sqrt(-z.real) * math.sqrt(-w.real))
+    try:
+        top = abs(z - w)
+    except OverflowError:  # |z - w| past the float range, its parts not
+        top = math.inf
+    a, b = math.sqrt(-z.real), math.sqrt(-w.real)
+    over = math.isinf(top)
+    if over:
+        top = abs(0.25 * z - 0.25 * w)
+        s = top / (a * b) * 2.0
+    elif math.isinf(2.0 * a * b):
+        s = top / (a * b) * 0.5
+    else:
+        s = top / (2.0 * a * b)
     if s < 2.0 ** 1022:
         return asinh_error(s, 9.0 * U * s, d)
-    if math.isinf(top):
-        log_top = math.log(abs(0.25 * z - 0.25 * w)) + math.log(4.0)
-        extra = abs(log_top) + 2.0
-    else:
-        log_top, extra = math.log(top), 0.0
+    log_top = math.log(top) + over * math.log(4.0)
+    extra = abs(log_top) + 2.0 if over else 0.0
     logs = 8.0 * abs(log_top) + 4.0 * (abs(math.log(-z.real)) + abs(math.log(-w.real)))
     return U * (13.0 + 9.0 * d + logs + extra)
 

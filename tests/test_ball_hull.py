@@ -22,11 +22,9 @@ from invmetrics.domains import (
     HalfPlane,
     PuncturedDisk,
     complement_holes,
-    grid_from_predicate,
-    rasterize,
 )
 from invmetrics.errors import EmptyRegion, InvMetricsError, ValidationError
-from invmetrics.kobayashi import distance_field, kob_ball_raster
+from invmetrics.kobayashi import ball_frame, distance_field, kob_ball_raster
 from invmetrics.topology import connectivity_number
 
 KINDS = ("disk", "halfplane", "punctured", "annulus")
@@ -74,11 +72,7 @@ def random_ball(rng, kind):
 def reference(domain, c, radius, spacing):
     """The uncropped raster: the frame ``kob_ball_raster`` builds, the
     distance on every mask cell, and the centre cell always in."""
-    if isinstance(domain, HalfPlane):
-        hull = domain.ball_hull(c, radius)
-        frame = grid_from_predicate(domain.contains, hull.radius, spacing, hull.center)
-    else:
-        frame = rasterize(domain, spacing)
+    frame = ball_frame(domain, c, radius, spacing)
     want = distance_field(domain, c, frame) < radius
     idx = frame.cell_index(c)
     if idx is not None and frame.mask[idx[1], idx[0]]:

@@ -26,7 +26,7 @@ from invmetrics.domains import (
     rasterize,
 )
 from invmetrics.kobayashi import distance_field, kob_distance
-from invmetrics.poincare import poincare_ball_euclidean, poincare_distance
+from invmetrics.poincare import halfplane_rho_vec, poincare_ball_euclidean, poincare_distance
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -158,10 +158,17 @@ def test_halfplane_subnormal_real_parts(p, q):
     (-1 + 1.7e308j, -1 - 1.7e308j),
     (-1e-320 + 1.7e308j, -2.5 - 1.7e308j),
     (-1.7e308 + 1.7e308j, -1e-300 - 1.7e308j),
+    (-1e305 + 1e308j, -1e305 - 1e308j),
+    (-1.6e308 + 0.8e308j, -1e-300 - 0.8e308j),
+    (-1.7e308 + 1j, -1.7e308 - 1j),
+    (-1.7e308 + 1.7e308j, -1.7e308 - 1.7e308j),
 ])
-def test_halfplane_imaginary_parts_near_the_float_limit(p, q):
-    # z - w overflows: the kernel reads |z - w| as 4 |z/4 - w/4| in the log
-    # form, and its bound covers that form
+def test_halfplane_coordinates_near_the_float_limit(p, q):
+    # z - w or 2 sqrt(-Re z) sqrt(-Re w) overflows: the kernel forms s from
+    # 4 |z/4 - w/4| and sqrt(-Re z) sqrt(-Re w) and takes the asinh form
+    # below s = 2^1023 (asinh 1000 for the pair at -1e305), the log form
+    # past it; its bound covers either.  The Cayley map of car_interval
+    # must not overflow either
     p, q = complex(p), complex(q)
     with mpmath.workdps(60):
         a, b = mpmath.mpc(p.real, p.imag), mpmath.mpc(q.real, q.imag)
@@ -169,6 +176,19 @@ def test_halfplane_imaginary_parts_near_the_float_limit(p, q):
     interval = kob_distance(HalfPlane(), p, q)
     assert want in interval
     assert interval.width <= 1e-14 * interval.upper
+    assert want in car_interval(HalfPlane(), p, q)
+
+
+def test_halfplane_kernel_rows_are_independent():
+    # one batch mixing a zero distance, the asinh and log forms and both
+    # overflows gives each row the value it has alone, with no warning
+    pairs = [(-1 + 0j, -1 + 0j), (-0.5 + 0.2j, -1.3 - 0.7j), (-1e-320 + 0j, -1e-320 + 1j),
+             (-1e305 + 1e308j, -1e305 - 1e308j), (-1 + 1.7e308j, -1 - 1.7e308j),
+             (-1.7e308 + 1j, -1.7e308 - 1j)]
+    z, w = (np.array(column) for column in zip(*pairs))
+    alone = [float(halfplane_rho_vec(p, q)) for p, q in pairs]
+    assert halfplane_rho_vec(z, w).tolist() == alone
+    assert alone[0] == 0.0
 
 
 @pytest.mark.parametrize("gap, radius", [(1e-12, 14.0), (1e-9, 10.5), (1e-6, 7.0), (0.5, 20.0),

@@ -636,8 +636,7 @@ class TestBallRaster:
     @PACKED_BALLS
     def test_mask_is_the_thresholded_field(self, domain, center, radius, digest):
         ball = kob_ball_raster(domain, center, radius, 0.04)
-        frame = (kobayashi._halfplane_ball_frame(domain, center, radius, 0.04)
-                 if isinstance(domain, HalfPlane) else rasterize(domain, 0.04))
+        frame = kobayashi.ball_frame(domain, center, radius, 0.04)
         want = kobayashi.distance_field(domain, center, frame) < radius
         ix, iy = frame.cell_index(center)
         want[iy, ix] = True
