@@ -11,9 +11,10 @@ points, geodesics, curve lengths and ball rasters on top of it.  Grid
 domains get a two-sided interval instead: an upper end from a weighted
 shortest path and a lower bound from the finite holomorphic-map
 dictionary.  It is not certified, since the path's weights are not shown
-to bound its hyperbolic length.  Geodesics, curve lengths, inner
-distances and ball rasters need the closed form and raise
-``Unsupported`` on grids.
+to bound its hyperbolic length.  Geodesics, curve lengths and ball
+rasters need the closed form and raise ``Unsupported`` on grids.  The
+cell-graph inner distance runs on the disk alone, as a convergence check
+of that closed form.
 """
 
 from __future__ import annotations
@@ -55,15 +56,13 @@ from .mobius import as_finite
 from .poincare import poincare_ball_euclidean
 
 
-# scipy.sparse and scipy.ndimage cost about 10 MB and 27 MB at import, and
-# only the graph paths need them
-coo_matrix = csr_matrix = _csgraph_dijkstra = ndimage = None
+# scipy.sparse costs about 10 MB at import, and only the graph paths need it
+coo_matrix = csr_matrix = _csgraph_dijkstra = None
 
 
 def _load_sparse():
-    global coo_matrix, csr_matrix, _csgraph_dijkstra, ndimage
+    global coo_matrix, csr_matrix, _csgraph_dijkstra
     if _csgraph_dijkstra is None:
-        from scipy import ndimage
         from scipy.sparse import coo_matrix, csr_matrix
         from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
@@ -419,8 +418,8 @@ def geodesic(domain: Domain, p, q, samples: int = 256) -> PolyPath:
 _MOVE_RADIUS = 8
 # Each pair's search stops past this multiple of the pair's closed-form
 # distance plus this many cells, and reruns unlimited if that misses the target.
-# The lattice value lies within 0.1% of the closed form on the disk at spacing
-# 0.01 and 0.005; coarser frames (Annulus(0.9) at 0.05) can miss and rerun.
+# The lattice value lies within 0.1% of the closed form at spacing 0.01 and
+# 0.005; a coarser spacing can miss and rerun.
 _LIMIT_FACTOR = 1.004
 _LIMIT_CELLS = 2
 # a lattice graph's rows are assembled this many cells at a time: the block's
@@ -430,13 +429,12 @@ _BLOCK_CELLS = 64
 
 
 def inner_distance(domain: Domain, p, q, grid_spacing: float) -> float:
-    """Shortest weighted cell-graph path between p and q.
+    """Shortest weighted cell-graph path between p and q on the unit disk.
 
-    Converges to the true distance as the spacing shrinks.  On the disk an
-    edge weighs its hyperbolic length, so the value is never below the true
-    distance; elsewhere it weighs its length times the midpoint density.
+    Converges to the true distance as the spacing shrinks.  An edge weighs
+    its hyperbolic length, so the value is never below the true distance.
     The graph is ``inner_distance_many``'s; its move reach is fixed, not a
-    parameter.
+    parameter.  Other domains raise ``Unsupported``.
     """
     return float(inner_distance_many(domain, [(p, q)], grid_spacing)[0])
 
@@ -462,22 +460,25 @@ def _lattice_steps(moves) -> np.ndarray:
 
 
 def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarray:
-    """Batch inner distances, each pair's the shortest path of a cell graph.
+    """Batch inner distances on the unit disk, each pair's the shortest path
+    of a cell graph.
 
-    The cells of a raster frame are joined by every coprime lattice move of
-    at most ``_MOVE_RADIUS`` cells (``_lattice_graph``); the reach is a
-    constant, not a knob.  Each endpoint is linked to the cells within that
-    reach, and a close pair directly.  The frame is ``rasterize``'s, except
-    on the disk, where it is cropped to a round disk about 0 that holds the
-    endpoints (geodesically convex disks about 0 keep the competing paths
-    near them).  On the disk every edge and link weighs the hyperbolic
-    length of its straight segment, in closed form (``_chord_weigher``), so
-    every path's weight is at least the distance between its ends and each
-    value is at least the true distance.  Elsewhere an edge weighs its
-    length times the density at its midpoint, read from one table of the
-    half-spacing lattice per graph, and is kept only if its interior
-    sub-samples and that midpoint lie in the domain
-    (``_midpoint_weigher``).
+    The graph is a convergence check of the closed form.  On a hyperbolic
+    planar domain the Kobayashi distance is the inner distance of its
+    metric, so on every catalog domain ``kob_distance`` gives the inner
+    distance, certified; every domain but the disk raises ``Unsupported``
+    before a cell is built.
+
+    The cells of a round disk |z| <= half about 0 that holds the endpoints
+    (geodesically convex disks about 0 keep the competing paths near them)
+    are joined by every coprime lattice move of at most ``_MOVE_RADIUS``
+    cells (``_lattice_graph``); the reach is a constant, not a knob.  Each
+    endpoint is linked to the cells within that reach, and a close pair
+    directly.  The crop and the disk are convex, so every such segment lies
+    in the disk.  Every edge and link weighs the hyperbolic length of its
+    straight segment, in closed form (``_chord_weigher``), so every path's
+    weight is at least the distance between its ends and each value is at
+    least the true distance.
 
     A graph stores both directions of every lattice edge and an outgoing
     row for a pair's source p, to the cells within a move's reach.  Each
@@ -490,19 +491,18 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     limit; a value above it is recomputed with no limit, so each value is
     the graph's own shortest path either way.
 
-    On the disk each pair's limited search walks a graph of its own.  A
-    path of weight at most the pair's limit keeps its cells in the
-    hyperbolic ellipse d(p, x) + d(x, q) <= limit, since no weight is below
-    the distance between its ends, so the pair's graph joins only the crop
-    cells of that ellipse (``_disk_ellipse``): a value within its limit is
-    the round crop's own.  A value above it is recomputed on the whole
-    crop's graph, built at most once per call, and ``Disconnected`` comes
-    only from that search.  A pair's graph is dropped before the next is
-    built.  Other domains search one graph of the whole frame, with every
-    pair's source.
+    Each pair's limited search walks a graph of its own.  A path of weight
+    at most the pair's limit keeps its cells in the hyperbolic ellipse
+    d(p, x) + d(x, q) <= limit, since no weight is below the distance
+    between its ends, so the pair's graph joins only the crop cells of that
+    ellipse (``_disk_ellipse``): a value within its limit is the round
+    crop's own.  A value above it is recomputed on the whole crop's graph,
+    built at most once per call, and ``Disconnected`` comes only from that
+    search.  A pair's graph is dropped before the next is built.
     """
-    if isinstance(domain, GridDomain):
-        raise Unsupported("inner distance is defined for catalog domains")
+    if not isinstance(domain, Disk):
+        raise Unsupported(f"the cell-graph inner distance runs on the disk only, not on "
+                          f"{type(domain).__name__}; kob_distance gives its distance")
     try:
         pairs = [(p, q) for p, q in pairs]
     except (TypeError, ValueError):
@@ -514,19 +514,17 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         if not contains(domain, z):
             raise OutOfDomain(f"{z!r} not in {domain!r}")
     h = grid_spacing
-    disk = isinstance(domain, Disk)
-    if disk:
-        if not (isinstance(h, numbers.Real) and 0 < h < 1):
-            raise ValidationError(f"spacing must lie between 0 and 1 on the disk: {h!r}")
-        # Hyperbolic disks about 0 are geodesically convex (Beardon, The
-        # Geometry of Discrete Groups, section 7), so the geodesics stay within
-        # the endpoints' reach of 0; a few moves beyond it, the disk |z| <= half
-        # holds every competing path with far fewer cells than the whole disk.
-        reach = max((abs(z) for z in endpoints), default=0.0)
-        half = min(1.0 - h, reach + (_MOVE_RADIUS + 2) * h + 0.02)
-        frame = grid_from_predicate(lambda z: np.abs(z) <= half, half / FRAME_MARGIN, h)
-    else:
-        frame = rasterize(domain, h)
+    # past 0.5 the crop |z| <= 1 - h leaves a frame of fewer than 3 x 3 cells
+    if not (isinstance(h, numbers.Real) and 0 < h <= 0.5):
+        raise ValidationError(f"spacing must lie in (0, 0.5] on the disk; a coarser one leaves "
+                              f"the round crop |z| <= 1 - spacing no 3 x 3 frame: {h!r}")
+    # Hyperbolic disks about 0 are geodesically convex (Beardon, The Geometry
+    # of Discrete Groups, section 7), so the geodesics stay within the
+    # endpoints' reach of 0; a few moves beyond it, the disk |z| <= half holds
+    # every competing path with far fewer cells than the whole disk.
+    reach = max((abs(z) for z in endpoints), default=0.0)
+    half = min(1.0 - h, reach + (_MOVE_RADIUS + 2) * h + 0.02)
+    frame = grid_from_predicate(lambda z: np.abs(z) <= half, half / FRAME_MARGIN, h)
     if not pairs:
         return np.zeros(0)
 
@@ -536,39 +534,21 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     def centers(iy, ix):
         return cell_centers(frame.origin, h, iy, ix)
 
-    def inside(a, b, steps):
-        """Whether the samples a + (b - a) k / steps, 0 < k < steps, and the
-        midpoint, where the weight reads the density, are in the domain."""
-        t = np.append(np.arange(1, steps) / steps, 0.5)[:, None]
-        return domain.contains(a + (b - a) * t).all(axis=0)
-
-    # a kept edge with its midpoint off the domain: a hole that holds no cell
-    # centre, so no edge near it was sampled
-    too_coarse = f"spacing {h!r} is too coarse to resolve {domain!r}"
-
     def edge_weights(a, b):
-        """The weights of the straight links from a to the points b: on the
-        disk their hyperbolic lengths, elsewhere length times the density at
-        the midpoint."""
+        """The hyperbolic lengths of the straight links from a to the points b."""
+        c = np.abs(b - a) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
-            if disk:
-                c = np.abs(b - a) ** 2
-                w = _disk_chord(1.0 - abs(a) ** 2, 1.0 - np.abs(b) ** 2, c)
-                w[c == 0] = 0.0
-            else:
-                w = np.abs(b - a) * domain.density((a + b) / 2.0)
-        if not (np.isfinite(w) & (w >= 0)).all():
-            raise ValidationError(too_coarse)
+            w = _disk_chord(1.0 - abs(a) ** 2, 1.0 - np.abs(b) ** 2, c)
+        w[c == 0] = 0.0
         return w
 
     # the moves that fit in the frame, both ways
     steps = _lattice_steps([(dx, dy) for dx, dy in _coprime_moves(_MOVE_RADIUS)
                             if abs(dx) < width and dy < height])
-    weigher = _chord_weigher(frame, steps) if disk else _midpoint_weigher(
-        domain, frame, steps, inside, too_coarse)
+    weigher = _chord_weigher(frame, steps)
 
-    # the cells within a move's reach of an endpoint that a straight link
-    # joins to it inside the domain, and the links' weights
+    # the cells within a move's reach of an endpoint, and the weights of the
+    # straight links to them
     link_reach = _MOVE_RADIUS * h
 
     def links(z):
@@ -581,15 +561,12 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         iy, ix = iy + y0, ix + x0
         c = centers(iy, ix)
         near_z = np.abs(c - z) <= link_reach
-        iy, ix, c = iy[near_z], ix[near_z], c[near_z]
-        ok = inside(z, c, 8)
-        return (iy * width + ix)[ok], edge_weights(z, c[ok])
+        return (iy * width + ix)[near_z], edge_weights(z, c[near_z])
 
     # the direct link of a very close pair (inf: none)
     direct = np.full(len(pairs), math.inf)
     for k, (p, q) in enumerate(pairs):
-        samples = p + (q - p) * np.linspace(0.0, 1.0, 9)
-        if abs(q - p) <= link_reach and domain.contains(samples).all():
+        if abs(q - p) <= link_reach:
             direct[k] = edge_weights(p, np.array([q]))[0]
 
     def graph(keep, y0, x0, sources):
@@ -612,9 +589,9 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
 
     ps, qs = np.array(pairs).T
     limits = _LIMIT_FACTOR * domain.distance(domain.lift(ps), domain.lift(qs)) + _LIMIT_CELLS * h
-    # the whole frame's graph with every source, built at most once; on the
-    # disk each limited search walks its pair's ellipse, which holds every
-    # path of weight at most the pair's limit
+    # the whole crop's graph with every source, built at most once; each
+    # limited search walks its pair's ellipse, which holds every path of
+    # weight at most the pair's limit
     full = None
 
     def search(k, bound):
@@ -622,7 +599,7 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         own graph and its endpoints' links are dropped on return."""
         nonlocal full
         p, q = pairs[k]
-        if disk and bound < math.inf:
+        if bound < math.inf:
             searched, nodes = graph(*_disk_ellipse(frame, p, q, bound), [links(p)])
             source = searched.shape[0] - 1
         else:
@@ -639,7 +616,7 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         # the search settles only the nodes within the limit of the source;
         # a value within it is exact, as a shorter path would end at a
         # settled link cell, and a value above it is recomputed unlimited
-        # on the whole frame's graph
+        # on the whole crop's graph
         out[k] = search(k, limit)
         if out[k] > limit:
             out[k] = search(k, math.inf)
@@ -706,76 +683,6 @@ def _chord_weigher(frame: GridDomain, steps):
             # a step off the crop can leave the disk; edge drops it
             with np.errstate(divide="ignore", invalid="ignore"):
                 return _disk_chord(g[at, None], g.take(at[:, None] + at_step), c)
-
-        return weigh
-
-    return weigher
-
-
-def _midpoint_weigher(domain: Domain, frame: GridDomain, steps, inside, too_coarse: str):
-    """``inner_distance_many``'s weights off the disk: for the box of
-    ``frame`` from row y0 and column x0 of this shape, ``weigher(y0, x0,
-    shape)`` is the ``_lattice_graph`` weigh that gives each edge its length
-    times the density at its midpoint, and drops it unless ``inside`` finds
-    its interior sub-samples and that midpoint in the domain.
-
-    Every edge midpoint is a point of the half-spacing lattice: cells (x, y)
-    and (x + dx, y + dy) meet at its point (2x + dx, 2y + dy), and its even
-    points are the cell centres, bit for bit.  So the density is read from
-    one table of that lattice per box, never evaluated per edge.
-    """
-    h, width = frame.spacing, frame.width
-    step_x, step_y = steps.T
-    # distance in cells to the nearest frame cell outside the domain
-    near = ndimage.distance_transform_edt(domain.contains(frame.centers)).ravel()
-    # per step its flat offset, the constant h |m| its weights multiply the
-    # density by, the pieces its sub-sample test cuts it into and the
-    # distance to the outside within which it is sampled
-    offset = step_y * width + step_x
-    length = [math.hypot(dx, dy) for dx, dy in steps]
-    factor = h * np.array(length)
-    pieces = np.array([max(2, math.ceil(2 * r)) for r in length])
-    band = np.array(length) / 2 + 2
-    # near is 1-Lipschitz, so no edge from a cell farther out is sampled
-    band_reach = (band + length).max()
-
-    def centers(cells):
-        return cell_centers(frame.origin, h, *np.divmod(cells, width))
-
-    def weigher(y0, x0, shape):
-        mid_x = frame.origin.real + (h / 2) * np.arange(
-            2 * x0 - _MOVE_RADIUS, 2 * (x0 + shape[1]) + _MOVE_RADIUS - 1)
-        mid_y = frame.origin.imag + (h / 2) * np.arange(
-            2 * y0 - _MOVE_RADIUS, 2 * (y0 + shape[0]) + _MOVE_RADIUS - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            table = domain.density(mid_x + 1j * mid_y[:, None]).ravel()
-        off_domain = not (np.isfinite(table) & (table >= 0)).all()
-        at_step = step_y * mid_x.size + step_x
-
-        def weigh(y, x, edge):
-            w = table.take(((2 * y + _MOVE_RADIUS) * mid_x.size + 2 * x + _MOVE_RADIUS)[:, None]
-                           + at_step)
-            cell = (y + y0) * width + x + x0
-            if near[cell].min() <= band_reach:
-                # a sample outside the domain lies within length / 2 of an end
-                # and, where every hole holds a cell centre, within two cells
-                # of a frame cell outside, so only edges with an end in that
-                # band are sampled
-                r, s = np.nonzero(edge)
-                i = cell[r]
-                j = i + offset[s]
-                test = np.minimum(near[i], near[j]) <= band[s]
-                r, s, i, j = r[test], s[test], i[test], j[test]
-                # from the lower cell of the edge, as in either direction
-                lower = np.minimum(i, j)
-                a, b = centers(lower), centers(i + j - lower)
-                for n in np.unique(pieces[s]).tolist():
-                    pick = np.flatnonzero(pieces[s] == n)
-                    drop = pick[~inside(a[pick], b[pick], n)]
-                    edge[r[drop], s[drop]] = False
-            if off_domain and (edge & ~(np.isfinite(w) & (w >= 0))).any():
-                raise ValidationError(too_coarse)
-            return np.multiply(w, factor, out=w)
 
         return weigh
 

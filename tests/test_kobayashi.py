@@ -5,14 +5,12 @@ import math
 import re
 import tracemalloc
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import ndimage
 
 from conftest import annulus_points, disk_points
 from invmetrics import kobayashi
@@ -714,10 +712,9 @@ class TestBallRaster:
         assert ball_load(target.read_bytes()).metric == "caratheodory-approximant"
 
 
-# Inner distances on acceptance C7's 20 disk pairs at spacing 0.01 and 0.005
-# since each disk edge and link weighs the hyperbolic length of its segment
-# (kobayashi._disk_chord), not its length times the midpoint density: every
-# value now lies above the closed form ...
+# Inner distances on acceptance C7's 20 disk pairs at spacing 0.01 and 0.005;
+# each edge and link weighs the hyperbolic length of its segment
+# (kobayashi._disk_chord), so every value lies above the closed form ...
 C7_INNER_001 = [
     0.9415798593545378, 0.9798005673232704, 0.5942466335970399,
     1.1481108299115985, 1.099076076319705, 1.6216578347818893,
@@ -736,24 +733,10 @@ C7_INNER_0005 = [
     0.8326383590998744, 0.4887414310117569, 0.4601656468133378,
     0.23105224589454543, 0.8337814411546604,
 ]
-# ... and _ring_pairs(r) in Annulus(r), _PUNCTURED_PAIRS under the key None,
-# at spacing 0.01 (the frame's half-width moved from 1 + h to 1.1, which
-# changes the cell centres in their last digits; the antipodal pairs of
-# r = 0.1 and 0.9 moved up once no path could run through another pair's
-# endpoint)
-RING_INNER_001 = {
-    0.02: [1.2678314588296127, 0.9673878039366276, 1.9681546203262539],
-    0.1: [2.147365345224361, 1.1865477777441202, 2.380680742268024],
-    0.5: [7.125107330861956, 3.4199747642780696, 5.9651215016585715],
-    0.9: [46.872385714665135, 22.380555830847864, 37.46699966986576],
-    None: [1.0824888044559753, 1.0593755017331894, 1.3012987067918516],
-}
 # ... and the entries of the graphs of the first four C7 pairs at spacing
 # 0.02, one graph a pair: twice the lattice edges between the crop cells in
 # the pair's ellipse d(p, x) + d(x, q) <= limit, plus the pair's links
 ENTRIES_C7_002 = [29504, 31189, 13458, 44123]
-_PUNCTURED_PAIRS = [(0.3, -0.3), (0.05 + 0.02j, -0.6j),
-                    (cmath.rect(0.8, 1.0), cmath.rect(0.2, 2.5))]
 
 
 def _c7_pairs():
@@ -766,13 +749,6 @@ def _c7_pairs():
         if abs(z) < 0.7 and abs(w) < 0.7 and abs(z - w) > 0.05:
             pairs.append((z, w))
     return pairs
-
-
-def _ring_pairs(r):
-    """An antipodal pair on the core circle and two pairs across the ring."""
-    rho, mid = math.sqrt(r), (1 + r) / 2
-    return [(rho, -rho), (cmath.rect(rho, 0.4), cmath.rect(mid, 1.9)),
-            (cmath.rect(mid, -0.3), cmath.rect(0.5 * (1 + mid), -2.8))]
 
 
 def _record_graphs(monkeypatch, calls=None):
@@ -811,40 +787,6 @@ def _frame_nodes(frame_shape, keep, y0=0, x0=0):
     node = np.full(frame_shape, -1)
     node[y0:y0 + keep.shape[0], x0:x0 + keep.shape[1]][keep] = np.arange(keep.sum())
     return node.ravel()
-
-
-def _per_edge_weigh(domain, frame):
-    """``weigh`` edge by edge for graphs over ``frame``'s cells, and the
-    steps it reads: the reference for the density table.  The interior
-    sub-sample test near the complement, from each edge's lower cell, and
-    |b - a| times the density at (a + b) / 2 for each edge."""
-    width = frame.mask.shape[1]
-    centers = frame.centers.ravel()
-    near = ndimage.distance_transform_edt(domain.contains(frame.centers)).ravel()
-    moves = [(dx, dy) for dx, dy in kobayashi._coprime_moves(kobayashi._MOVE_RADIUS)
-             if abs(dx) < width and dy < frame.mask.shape[0]]
-    steps = kobayashi._lattice_steps(moves)
-
-    def weigh(y, x, edge):
-        w = np.full(edge.shape, np.nan)
-        cell = y * width + x
-        for s, (dx, dy) in enumerate(steps):
-            t = np.flatnonzero(edge[:, s])
-            i, j = cell[t], cell[t] + dy * width + dx
-            i, j = np.minimum(i, j), np.maximum(i, j)
-            a, b = centers[i], centers[j]
-            length = math.hypot(dx, dy)
-            band = np.minimum(near[i], near[j]) <= length / 2 + 2
-            n = max(2, math.ceil(2 * length))
-            samples = np.append(np.arange(1, n) / n, 0.5)[:, None]
-            keep = np.ones(t.size, dtype=bool)
-            keep[band] = domain.contains(a[band] + (b[band] - a[band]) * samples).all(axis=0)
-            edge[t[~keep], s] = False
-            a, b = a[keep], b[keep]
-            w[t[keep], s] = np.abs(b - a) * domain.density((a + b) / 2.0)
-        return w
-
-    return weigh, steps
 
 
 def _chord(a, b):
@@ -906,107 +848,57 @@ class TestInnerDistance:
         value = inner_distance(Disk(), 0, 0.5, 0.01)
         assert value == pytest.approx(HALF_LOG3, abs=5e-3)
 
-    def test_annulus_antipodal(self):
-        value = inner_distance(Annulus(0.1), SQRT_TENTH, -SQRT_TENTH, 0.005)
-        assert value == pytest.approx(ANNULUS_CORE_HALF, abs=2e-2)
-
-    def test_diagonal_midpoint_in_the_hole(self):
-        # at this spacing some diagonal edges have both thirds outside the
-        # hole but the midpoint, where the weight is read, inside it
-        value = inner_distance(Annulus(0.25), 0.5, -0.5, 0.02)
-        exact = kob_distance(Annulus(0.25), 0.5, -0.5).upper
-        assert value == pytest.approx(exact, abs=2e-2)
-
     @pytest.mark.parametrize("spacing, expected", [(0.01, C7_INNER_001),
                                                    (0.005, C7_INNER_0005)])
     def test_pinned_disk(self, spacing, expected):
         assert inner_distance_many(Disk(), _c7_pairs(), spacing).tolist() == expected
 
-    @pytest.mark.parametrize("r", sorted(RING_INNER_001, key=str))
-    def test_pinned_covered(self, r):
-        domain, pairs = ((PuncturedDisk(), _PUNCTURED_PAIRS) if r is None
-                         else (Annulus(r), _ring_pairs(r)))
-        values = inner_distance_many(domain, pairs, 0.01)
-        np.testing.assert_allclose(values, RING_INNER_001[r], rtol=1e-12, atol=0)
-
-    @pytest.mark.parametrize("domain, pairs, radii, spacing", [
-        (Annulus(0.5), _ring_pairs(0.5), (0.55, 0.95), 0.02),
-        (PuncturedDisk(), _PUNCTURED_PAIRS, (0.05, 0.9), 0.01),
-    ])
-    def test_values_do_not_depend_on_the_batch(self, domain, pairs, radii, spacing):
-        # the frame does not depend on the pairs here, so a pair's value in
-        # a batch is its value alone: no path runs through another pair's
-        # endpoint
+    def test_values_do_not_depend_on_the_batch(self):
+        # every batch holds the same anchor pair on |z| = 0.69, so the round
+        # crop is the same, and a pair's value in a batch is its value
+        # alone: no path runs through another pair's endpoint
         rng = np.random.default_rng(12)
-        pairs = pairs + [tuple(cmath.rect(rng.uniform(*radii), rng.uniform(0, math.tau))
-                               for _ in range(2)) for _ in range(10)]
-        alone = [inner_distance_many(domain, [pair], spacing)[0] for pair in pairs]
-        assert inner_distance_many(domain, pairs, spacing).tolist() == alone
+        anchor = (cmath.rect(0.69, 1.0), cmath.rect(0.3, -2.0))
+        pairs = [tuple(cmath.rect(rng.uniform(0.05, 0.65), rng.uniform(0, math.tau))
+                       for _ in range(2)) for _ in range(10)]
+        alone = [inner_distance_many(Disk(), [anchor, pair], 0.02)[1] for pair in pairs]
+        assert inner_distance_many(Disk(), [anchor] + pairs, 0.02)[1:].tolist() == alone
 
-    @pytest.mark.parametrize("r", [0.02, 0.1, 0.5, 0.9])
-    def test_segment_band_is_sound(self, r, monkeypatch):
-        # an edge is sampled only near the complement; sampling every edge
-        # (a zero distance transform puts all of them in the band) must
-        # drop no further edge
-        graphs = _record_graphs(monkeypatch)
-        inner_distance_many(Annulus(r), _ring_pairs(r), 0.02)
-        monkeypatch.setattr(kobayashi, "ndimage", SimpleNamespace(
-            distance_transform_edt=lambda inside: np.zeros(inside.shape)))
-        inner_distance_many(Annulus(r), _ring_pairs(r), 0.02)
-        banded, full = graphs
-        assert banded.shape == full.shape and (banded != full).nnz == 0
-
-    @pytest.mark.parametrize("domain, pairs, spacing, entries", [
-        (Annulus(0.1), _ring_pairs(0.1), 0.02, 861855),
-        (Annulus(0.5), _ring_pairs(0.5), 0.02, 611319),
-        (Disk(), [(0, 0.5)], 0.5, 1),
-        (Disk(), _c7_pairs()[:4], 0.02, sum(ENTRIES_C7_002)),
+    @pytest.mark.parametrize("pairs, spacing, entries", [
+        ([(0, 0.5)], 0.5, 1),
+        (_c7_pairs()[:4], 0.02, sum(ENTRIES_C7_002)),
     ])
-    def test_graph_stores_both_directions(self, domain, pairs, spacing, entries, monkeypatch):
+    def test_graph_stores_both_directions(self, pairs, spacing, entries, monkeypatch):
         # entries, over the graphs: every lattice edge twice, then the links
-        # from each source p, one way; the target q is no node of a graph.
-        # On the disk each pair searches a graph of its own, of the crop
-        # cells in its ellipse (a mask of a box of the frame); elsewhere one
-        # graph of the whole frame holds every pair's source
+        # from source p, one way; the target q is no node of a graph.  Each
+        # pair searches a graph of its own, of the crop cells in its ellipse
+        # (a mask of a box of the frame)
         graphs = _record_graphs(monkeypatch)
         boxes = _record_boxes(monkeypatch)
-        inner_distance_many(domain, pairs, spacing)
+        inner_distance_many(Disk(), pairs, spacing)
         assert sum(graph.nnz for graph in graphs) == entries
-        if isinstance(domain, Disk) and spacing < 0.5:
+        if spacing < 0.5:
             assert [graph.nnz for graph in graphs] == ENTRIES_C7_002
-        if isinstance(domain, Disk):
-            # the disk's frame is cropped to |z| <= 0.5 at spacing 0.5
-            frame, _ = _disk_crop(pairs, spacing)
-            owners = [[k] for k in range(len(pairs))]
-        else:
-            frame = rasterize(domain, spacing)
-            boxes, owners = [(frame.mask, 0, 0)], [range(len(pairs))]
-        assert len(boxes) == len(graphs)
+        # the frame is cropped to |z| <= 0.5 at spacing 0.5
+        frame, _ = _disk_crop(pairs, spacing)
+        assert len(boxes) == len(graphs) == len(pairs)
         reach = kobayashi._MOVE_RADIUS * spacing
         centers = frame.centers.ravel()
-        for graph, (keep, y0, x0), ks in zip(graphs, boxes, owners):
+        for graph, (keep, y0, x0), (p, _) in zip(graphs, boxes, pairs):
             cells = int(keep.sum())
             node = _frame_nodes(frame.mask.shape, keep, y0, x0)
             assert not (node >= 0)[~frame.mask.ravel()].any()
-            assert graph.shape == (cells + len(ks),) * 2
+            assert graph.shape == (cells + 1,) * 2
             assert graph.indices.dtype == np.int32
             lattice = graph[:cells]
             assert lattice.nnz == graph.indptr[cells] and (lattice[:, cells:]).nnz == 0
             assert (lattice[:, :cells] != lattice[:, :cells].T).nnz == 0
-            # each source row holds p's links to the graph's cells within a
-            # move's reach, which lie well inside the domain here; a disk
-            # link weighs its hyperbolic length
-            for s, k in enumerate(ks):
-                p = pairs[k][0]
-                row = graph[cells + s]
-                near = np.flatnonzero((node >= 0) & (np.abs(centers - p) <= reach))
-                assert np.array_equal(row.indices, node[near])
-                a = centers[near]
-                if isinstance(domain, Disk):
-                    np.testing.assert_allclose(row.data, _chord(p, a), rtol=1e-13, atol=0)
-                else:
-                    np.testing.assert_allclose(row.data, np.abs(a - p) * domain.density((a + p) / 2),
-                                               rtol=1e-15, atol=0)
+            # the source row holds p's links to the graph's cells within a
+            # move's reach, each weighing its hyperbolic length
+            row = graph[cells]
+            near = np.flatnonzero((node >= 0) & (np.abs(centers - p) <= reach))
+            assert np.array_equal(row.indices, node[near])
+            np.testing.assert_allclose(row.data, _chord(p, centers[near]), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("block, seed", [(3, 7), (9, 3), (9, 2048), (100, 7), (1, 1),
                                              (1000, 1)])
@@ -1066,25 +958,6 @@ class TestInnerDistance:
         assert np.array_equal(graph.indptr, expected.indptr)
         assert np.array_equal(graph.indices, expected.indices)
         assert np.array_equal(graph.data, expected.data)
-
-    @pytest.mark.parametrize("domain, pairs, spacing", [
-        (Annulus(0.1), _ring_pairs(0.1), 0.01),
-        (PuncturedDisk(), _PUNCTURED_PAIRS, 0.01),
-        # edges near the hole, dropped by the sub-sample test
-        (Annulus(0.5), _ring_pairs(0.5), 0.02),
-        (Annulus(0.25), [(0.5, -0.5)], 0.02),
-    ])
-    def test_density_table_matches_per_edge_weights(self, domain, pairs, spacing,
-                                                    monkeypatch):
-        calls = []
-        graphs = _record_graphs(monkeypatch, calls)
-        inner_distance_many(domain, pairs, spacing)
-        (graph,), ((keep, steps, _, sources),) = graphs, calls
-        frame = rasterize(domain, spacing)
-        assert np.array_equal(keep, frame.mask)
-        weigh, reference_steps = _per_edge_weigh(domain, frame)
-        assert np.array_equal(steps, reference_steps)
-        _assert_same_graph(graph, kobayashi._lattice_graph(keep, steps, weigh, sources))
 
     def test_disk_crop_keeps_the_edges_inside_it(self, monkeypatch):
         # each pair's graph is the square frame's, each edge weighing its
@@ -1228,7 +1101,12 @@ class TestInnerDistance:
 
     @pytest.mark.parametrize("domain", [Disk(), Annulus(0.3), PuncturedDisk()])
     def test_no_pairs(self, domain):
-        assert inner_distance_many(domain, [], 0.01).shape == (0,)
+        # off the disk an empty batch is refused like any other
+        if isinstance(domain, Disk):
+            assert inner_distance_many(domain, [], 0.01).shape == (0,)
+        else:
+            with pytest.raises(Unsupported, match="kob_distance"):
+                inner_distance_many(domain, [], 0.01)
 
     def test_coarse_frame_uses_the_direct_link(self):
         # one domain cell at spacing 0.5: the pair is joined directly, and
@@ -1255,12 +1133,16 @@ def _pred_disk(z):
     (lambda: inner_distance(Disk(), 0, 0.5, NAN), ValidationError),
     (lambda: inner_distance(Disk(), 0, 0.5, 0.0), ValidationError),
     (lambda: inner_distance(Disk(), 0, 0.5, -0.01), ValidationError),
+    # past 0.5 the round crop |z| <= 1 - h leaves no 3 x 3 frame
+    (lambda: inner_distance(Disk(), 0, 0.5, 0.6), ValidationError),
+    (lambda: inner_distance(Disk(), 0, 0.5, 0.9), ValidationError),
     # an endpoint in the disk but past the cropped frame
     (lambda: inner_distance(Disk(), 0, 0.999, 0.01), Disconnected),
-    # the raster misses the hole, and an edge midpoint falls into it
-    (lambda: inner_distance(Annulus(0.1), 0.5, -0.5, 0.3), ValidationError),
-    # an edge midpoint exactly at 0, where the annulus density has no value
-    (lambda: inner_distance(Annulus(0.1), 0.5, -0.5, 0.2), ValidationError),
+    # the cell graph runs on the disk only, empty batches included
+    (lambda: inner_distance(Annulus(0.1), 0.5, -0.5, 0.01), Unsupported),
+    (lambda: inner_distance(PuncturedDisk(), 0.3, -0.3, 0.01), Unsupported),
+    (lambda: inner_distance_many(Annulus(0.1), [], 0.01), Unsupported),
+    (lambda: inner_distance_many(PuncturedDisk(), [], 0.01), Unsupported),
     (lambda: inner_distance_many(HalfPlane(), [(-1, -2)], 0.01), Unsupported),
     (lambda: inner_distance_many(grid_annulus(0.5, 0.05), [(0.7, -0.7)], 0.01),
      Unsupported),
@@ -1299,21 +1181,23 @@ def test_malformed_pairs_raise_validation_errors(pairs):
 
 
 @pytest.mark.parametrize("bad", ["0.01", None], ids=["text", "None"])
-@pytest.mark.parametrize("call, name", [
-    (lambda v: inner_distance(Disk(), 0, 0.5, v), "spacing"),
-    (lambda v: inner_distance(Annulus(0.1), 0.5, -0.5, v), "spacing"),
-    (lambda v: kob_ball_raster(Disk(), 0, 0.5, v), "spacing"),
-    (lambda v: kob_ball_raster(Disk(), 0, v, 0.05), "ball radius"),
-    (Annulus, "annulus inner radius"),
-    (lambda v: car_ball_components(Disk(), 0, v, spacing=0.05), "ball radius"),
-    (lambda v: nerve_cover(Disk(), kob_ball_raster(Disk(), 0, 0.5, 0.05), v), "cover radius"),
-    (canonical_annulus_radius, "modulus"),
+@pytest.mark.parametrize("call, error, name", [
+    (lambda v: inner_distance(Disk(), 0, 0.5, v), ValidationError, "spacing"),
+    # refused off the disk before the spacing is read
+    (lambda v: inner_distance(Annulus(0.1), 0.5, -0.5, v), Unsupported, "kob_distance"),
+    (lambda v: kob_ball_raster(Disk(), 0, 0.5, v), ValidationError, "spacing"),
+    (lambda v: kob_ball_raster(Disk(), 0, v, 0.05), ValidationError, "ball radius"),
+    (Annulus, ValidationError, "annulus inner radius"),
+    (lambda v: car_ball_components(Disk(), 0, v, spacing=0.05), ValidationError, "ball radius"),
+    (lambda v: nerve_cover(Disk(), kob_ball_raster(Disk(), 0, 0.5, 0.05), v), ValidationError,
+     "cover radius"),
+    (canonical_annulus_radius, ValidationError, "modulus"),
 ], ids=["disk_inner_distance", "annulus_inner_distance", "ball_spacing", "ball_radius",
         "annulus_radius", "car_ball_radius", "nerve_cover_radius",
         "canonical_annulus_modulus"])
-def test_non_numbers_raise_validation_errors(call, name, bad):
+def test_non_numbers_raise_validation_errors(call, error, name, bad):
     # a number given as text or left out is named, not a bare TypeError
-    with pytest.raises(ValidationError, match=name):
+    with pytest.raises(error, match=name):
         call(bad)
 
 
