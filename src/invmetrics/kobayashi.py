@@ -417,15 +417,19 @@ def geodesic(domain: Domain, p, q, samples: int = 256) -> PolyPath:
 # quantization that the inner distance converges well inside acceptance C7.
 _MOVE_RADIUS = 8
 # Each pair's search stops past this multiple of the pair's closed-form
-# distance plus this many cells, and reruns unlimited if that misses the target.
-# The lattice value lies within 0.1% of the closed form at spacing 0.01 and
-# 0.005; a coarser spacing can miss and rerun.
-_LIMIT_FACTOR = 1.004
-_LIMIT_CELLS = 2
+# distance plus this many cells, its limit.  Over 560 random pairs in
+# |z| < 0.7 at spacing 0.02 / 0.01 / 0.005 the lattice value used at most
+# 0.17 / 0.42 / 0.70 of that slack over the closed form; of 104 pairs with
+# |z| in [0.9, 0.99], 7 / 4 / 2 passed it (by up to 2.3 times) and were
+# searched again on the ellipse at the weight found.
+_LIMIT_FACTOR = 1.001
+_LIMIT_CELLS = 0.5
 # a lattice graph's rows are assembled this many cells at a time: the block's
-# cells x moves buffers (about 60 kB each) stay in cache, and with the disk's
-# chord temporaries they hold about a tenth of a graph of some thousand cells
-_BLOCK_CELLS = 64
+# cells x moves buffers (about 16 kB a float array) and the table and node
+# arrays of the graph's box keep a call's peak within 1.2 times its largest
+# graph on acceptance C7's pairs at spacing 0.01 (about 1 MB); 64-cell blocks
+# are about a fifth faster but pass 1.3 times
+_BLOCK_CELLS = 16
 
 
 def inner_distance(domain: Domain, p, q, grid_spacing: float) -> float:
@@ -474,11 +478,14 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     are joined by every coprime lattice move of at most ``_MOVE_RADIUS``
     cells (``_lattice_graph``); the reach is a constant, not a knob.  Each
     endpoint is linked to the cells within that reach, and a close pair
-    directly.  The crop and the disk are convex, so every such segment lies
-    in the disk.  Every edge and link weighs the hyperbolic length of its
-    straight segment, in closed form (``_chord_weigher``), so every path's
-    weight is at least the distance between its ends and each value is at
-    least the true distance.
+    directly; an endpoint within half a cell of the rim, past the crop
+    |z| <= 1 - spacing, is linked alike (within about 1e-7 of the rim the
+    rounding of its chords can put a value below the true distance).  The
+    crop and the disk are convex, so every such segment lies in the disk.
+    Every edge and link weighs the hyperbolic length of its straight
+    segment, in closed form (``_chord_weigher``), so every path's weight is
+    at least the distance between its ends and each value is at least the
+    true distance.
 
     A graph stores both directions of every lattice edge and an outgoing
     row for a pair's source p, to the cells within a move's reach.  Each
@@ -488,16 +495,18 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     over q's links and the direct link of a close pair, so no path runs
     through another pair's endpoint and no value depends on its batch.  A
     search stops past a margin over the pair's closed-form distance, its
-    limit; a value above it is recomputed with no limit, so each value is
-    the graph's own shortest path either way.
+    limit (``_LIMIT_FACTOR``, ``_LIMIT_CELLS``).
 
-    Each pair's limited search walks a graph of its own.  A path of weight
-    at most the pair's limit keeps its cells in the hyperbolic ellipse
-    d(p, x) + d(x, q) <= limit, since no weight is below the distance
-    between its ends, so the pair's graph joins only the crop cells of that
-    ellipse (``_disk_ellipse``): a value within its limit is the round
-    crop's own.  A value above it is recomputed on the whole crop's graph,
-    built at most once per call, and ``Disconnected`` comes only from that
+    Each pair's search walks a graph of its own.  A path of weight at most
+    a bound keeps its cells in the hyperbolic ellipse d(p, x) + d(x, q) <=
+    bound, since no weight is below the distance between its ends, so the
+    pair's graph joins only the crop cells of the ellipse at its limit
+    (``_disk_ellipse``): a value within the limit is the round crop's own.
+    A value V above it is the weight of a path of the round crop, so the
+    ellipse at V holds the shortest one, and a search to V on that
+    ellipse's graph gives the round crop's value too.  Only a search that
+    reaches no link of q is repeated, unlimited, on the whole crop's graph,
+    built at most once per call; ``Disconnected`` comes only from that
     search.  A pair's graph is dropped before the next is built.
     """
     if not isinstance(domain, Disk):
@@ -552,11 +561,13 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     link_reach = _MOVE_RADIUS * h
 
     def links(z):
-        cell = frame.cell_index(z)
-        if cell is None:
-            raise Disconnected(f"{z!r} lies outside the cell frame at spacing {h!r}")
+        # z's cell as ``frame.cell_index`` finds it, but z may lie past the
+        # crop and its frame, within half a cell of the rim: the crop cells
+        # within a move's reach of it are its links all the same
+        ix = math.floor((z.real - frame.origin.real) / h + 0.5)
+        iy = math.floor((z.imag - frame.origin.imag) / h + 0.5)
         (x0, x1), (y0, y1) = ((max(0, i - _MOVE_RADIUS), min(n, i + _MOVE_RADIUS + 1))
-                              for i, n in zip(cell, (width, height)))
+                              for i, n in ((ix, width), (iy, height)))
         iy, ix = np.nonzero(frame.mask[y0:y1, x0:x1])
         iy, ix = iy + y0, ix + x0
         c = centers(iy, ix)
@@ -574,24 +585,30 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         from row y0 and column x0, with a source row for each of the links
         ``sources``, and the map from links (frame cells, weights) to the
         links to its nodes."""
-        node = np.full(keep.shape, -1, dtype=np.int32)
-        node[keep] = np.arange(np.count_nonzero(keep), dtype=np.int32)
+        # a kept cell's node counts the kept cells of the rows above it and
+        # of its row left of it
+        per_row = np.count_nonzero(keep, axis=1)
+        above = np.cumsum(per_row) - per_row
 
         def nodes(cells, w):
             iy, ix = np.divmod(cells, width)
             iy, ix = iy - y0, ix - x0
             box = (iy >= 0) & (iy < keep.shape[0]) & (ix >= 0) & (ix < keep.shape[1])
-            k = node[iy[box], ix[box]]
-            return k[k >= 0], w[box][k >= 0]
+            iy, ix, w = iy[box], ix[box], w[box]
+            kept = keep[iy, ix]
+            iy, ix, w = iy[kept], ix[kept], w[kept]
+            # links reach a few rows of the box, counted on those rows alone
+            top = iy.min(initial=0)
+            left = keep[top:iy.max(initial=-1) + 1].cumsum(axis=1)
+            return above[iy] + left[iy - top, ix] - 1, w
 
         weigh = weigher(y0, x0, keep.shape)
         return _lattice_graph(keep, steps, weigh, [nodes(*links) for links in sources]), nodes
 
     ps, qs = np.array(pairs).T
     limits = _LIMIT_FACTOR * domain.distance(domain.lift(ps), domain.lift(qs)) + _LIMIT_CELLS * h
-    # the whole crop's graph with every source, built at most once; each
-    # limited search walks its pair's ellipse, which holds every path of
-    # weight at most the pair's limit
+    # the whole crop's graph with every source, built at most once, for a
+    # search that reaches no link of its target
     full = None
 
     def search(k, bound):
@@ -615,13 +632,17 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     for k, limit in enumerate(limits):
         # the search settles only the nodes within the limit of the source;
         # a value within it is exact, as a shorter path would end at a
-        # settled link cell, and a value above it is recomputed unlimited
-        # on the whole crop's graph
-        out[k] = search(k, limit)
-        if out[k] > limit:
-            out[k] = search(k, math.inf)
-        if not math.isfinite(out[k]):
+        # settled link cell.  A value V above it is the weight of a path, so
+        # the ellipse at V holds the shortest one: the search to V on it is
+        # exact.  Only a search that reaches no link of q walks the whole crop.
+        value = search(k, limit)
+        if limit < value < math.inf:
+            value = search(k, value)
+        elif value == math.inf:
+            value = search(k, math.inf)
+        if not math.isfinite(value):
             raise Disconnected("an endpoint failed to connect to the cell graph")
+        out[k] = value
     return out
 
 
@@ -664,25 +685,26 @@ def _chord_weigher(frame: GridDomain, steps):
     cells lies in the disk and none is dropped.
     """
     h = frame.spacing
-    reach = int(np.abs(steps).max(initial=0))
     # per step |u|^2, the same for its reverse
     ux, uy = h * steps.T
     c = ux * ux + uy * uy
 
     def weigher(y0, x0, shape):
-        # the table over the box padded by a step's reach, from
-        # ``cell_centers``' centres, so a cell's entry is the same in every box
-        width = shape[1] + 2 * reach
-        z = cell_centers(frame.origin, h, np.arange(y0 - reach, y0 + shape[0] + reach)[:, None],
-                         np.arange(x0 - reach, x0 + shape[1] + reach))
-        g = (1.0 - (z.real * z.real + z.imag * z.imag)).ravel()
-        at_step = (steps[:, 1] * width + steps[:, 0]).astype(np.int32)
+        # the table over the box, from the coordinates ``cell_centers``
+        # gives, so a cell's entry is the same in every box
+        width = shape[1]
+        x = frame.origin.real + h * np.arange(x0, x0 + width)
+        y = (frame.origin.imag + h * np.arange(y0, y0 + shape[0]))[:, None]
+        g = (1.0 - (x * x + y * y)).ravel()
+        # intp, which take reads without a copy
+        at_step = steps[:, 1] * width + steps[:, 0]
 
         def weigh(y, x, edge):
-            at = (y + reach) * width + x + reach
-            # a step off the crop can leave the disk; edge drops it
+            at = y * width + x
+            # an edge's far end is a cell of the box; the entries that are
+            # no edge read any cell (clipped), and edge drops them
             with np.errstate(divide="ignore", invalid="ignore"):
-                return _disk_chord(g[at, None], g.take(at[:, None] + at_step), c)
+                return _disk_chord(g[at, None], g.take(at[:, None] + at_step, mode="clip"), c)
 
         return weigh
 
@@ -696,30 +718,32 @@ def _disk_ellipse(frame: GridDomain, p, q, limit):
     covers the rounding of the weights, of their sums and of the distances
     compared with them.
 
-    The ellipse lies in the hyperbolic disks of radius bound about p and
-    about q, Euclidean disks (``poincare_ball_euclidean``); the box holds
-    both, widened by a cell, and only its cells are tested.
+    The distance to a point is convex along geodesics (Bridson & Haefliger,
+    Metric Spaces of Non-Positive Curvature, II.2.2), so for the geodesic
+    midpoint m of p and q, d(m, x) <= (d(p, x) + d(x, q)) / 2: the ellipse
+    lies in the hyperbolic disk of radius bound / 2 about m, a Euclidean
+    disk (``poincare_ball_euclidean``).  Only the cells of that disk's box,
+    widened by a cell, are tested, from rows of their real coordinates.
     """
     h = frame.spacing
     bound = limit * (1.0 + 1e-9)
     if not bound > 0:
         return np.zeros((0, 0), dtype=bool), 0, 0  # at most the point p = q
-    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
-    for c in (p, q):
-        e, r = poincare_ball_euclidean(c, bound)
-        e, r = np.array([e.real, e.imag]), r + h
-        lo, hi = np.maximum(lo, e - r), np.minimum(hi, e + r)
-    origin = np.array([frame.origin.real, frame.origin.imag])
-    x0, y0 = np.maximum(0, np.floor((lo - origin) / h)).astype(int)
-    x1, y1 = np.minimum(np.maximum(0, np.ceil((hi - origin) / h) + 1),
-                        [frame.width, frame.height]).astype(int)
-    x1, y1 = max(x0, x1), max(y0, y1)
-    z = cell_centers(frame.origin, h, np.arange(y0, y1)[:, None], np.arange(x0, x1))
+    m = p if p == q else complex(Disk().geodesic(p, q, 0.5))
+    e, r = poincare_ball_euclidean(m, 0.5 * bound)
+    r += h
+    (x0, x1), (y0, y1) = ((max(0, math.floor((c - r - o) / h)),
+                           min(max(0, math.ceil((c + r - o) / h) + 1), n))
+                          for c, o, n in ((e.real, frame.origin.real, frame.width),
+                                          (e.imag, frame.origin.imag, frame.height)))
+    # the cell centres' coordinates, as ``cell_centers`` gives them
+    x = frame.origin.real + h * np.arange(x0, x1)
+    y = (frame.origin.imag + h * np.arange(y0, y1))[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         # sinh d = |z - c| / sqrt((1 - |z|^2)(1 - |c|^2)), with no value off
         # the disk, where the frame holds no cell
-        g = 1.0 - (z.real ** 2 + z.imag ** 2)
-        s = sum(np.arcsinh(np.sqrt(((z.real - c.real) ** 2 + (z.imag - c.imag) ** 2)
+        g = 1.0 - (x ** 2 + y ** 2)
+        s = sum(np.arcsinh(np.sqrt(((x - c.real) ** 2 + (y - c.imag) ** 2)
                                    / (g * (1.0 - abs(c) ** 2)))) for c in (p, q))
     keep = frame.mask[y0:y1, x0:x1] & (s <= bound)
     # the box of the kept cells alone
@@ -747,10 +771,10 @@ def _lattice_graph(keep, steps, weigh, sources):
 
     Neighbours are read from an array of node numbers padded by a step's
     reach: one gather per block of cells, with no bounds test.  The storage
-    is sized by the count of cell pairs one step apart and filled
-    ``_BLOCK_CELLS`` cells at a time, so no cells x steps array of the whole
-    graph is ever held; the work follows the cells of ``keep``, not the
-    frame they lie in.
+    is sized by the count of cell pairs one step apart
+    (``_count_step_pairs``) and filled ``_BLOCK_CELLS`` cells at a time, so
+    no cells x steps array of the whole graph is ever held; the work follows
+    the cells of ``keep``, not the frame they lie in.
     """
     _load_sparse()
     height, width = keep.shape
@@ -762,15 +786,9 @@ def _lattice_graph(keep, steps, weigh, sources):
     cells = y.size
     node[y + reach, x + reach] = np.arange(cells, dtype=np.int32)
     at_cell = (y + reach) * padded + x + reach
-    offset = (steps[:, 1] * padded + steps[:, 0]).astype(np.int32)
-    # the entries: the cell pairs one step apart, counted from the lower
-    # cell and doubled
-    kept = node >= 0
-    edges = 2 * sum(np.count_nonzero(keep & kept[reach + dy:reach + dy + height,
-                                                 reach + dx:reach + dx + width])
-                    for dx, dy in steps if (dy, dx) > (0, 0))
-    del kept
-    data = np.empty(edges + sum(k.size for k, _ in sources))
+    # intp, so the gathers' indices are intp, which take reads without a copy
+    offset = steps[:, 1] * padded + steps[:, 0]
+    data = np.empty(_count_step_pairs(keep, steps, reach) + sum(k.size for k, _ in sources))
     indices = np.empty(data.size, dtype=np.int32)
     indptr = np.zeros(cells + len(sources) + 1, dtype=np.int32)
     at = 0
@@ -778,15 +796,20 @@ def _lattice_graph(keep, steps, weigh, sources):
         k1 = min(k0 + _BLOCK_CELLS, cells)
         column = node.take(at_cell[k0:k1, None] + offset)
         edge = column >= 0
-        weights = weigh(y[k0:k1], x[k0:k1], edge)
-        counts = np.cumsum(np.count_nonzero(edge, axis=1))
-        end = at + int(counts[-1])
-        data[at:end] = weights[edge]
+        end = at + np.count_nonzero(edge)
+        # the block's columns are stored and dropped before its weights are made
         indices[at:end] = column[edge]
+        del column
+        weights = weigh(y[k0:k1], x[k0:k1], edge)
+        counts = np.add.accumulate(np.add.reduce(edge, axis=1, dtype=np.intp))
+        if at + counts[-1] < end:
+            # weigh dropped edges: store the columns of those left
+            indices[at:at + counts[-1]] = node.take(at_cell[k0:k1, None] + offset)[edge]
+        data[at:at + counts[-1]] = weights[edge]
         indptr[k0 + 1:k1 + 1] = at + counts
-        at = end
+        at += int(counts[-1])
         # freed before the next block's are made
-        del column, edge, weights
+        del edge, weights
     for s, (k, w) in enumerate(sources):
         data[at:at + k.size] = w
         indices[at:at + k.size] = k
@@ -796,6 +819,22 @@ def _lattice_graph(keep, steps, weigh, sources):
     data.resize(at)
     indices.resize(at)
     return csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+
+
+def _count_step_pairs(keep, steps, reach):
+    """The number of ordered pairs of cells of ``keep`` one of ``steps``
+    apart, from one autocorrelation of the mask: its sum at the steps.
+
+    The FFT's period pads the mask by ``reach``, the longest step, so no
+    lag of a step wraps around; the values are integers far below 2^52, and
+    the rounding error of the FFT far below a half.
+    """
+    if not keep.any():
+        return 0
+    shape = (keep.shape[0] + reach, keep.shape[1] + reach)
+    f = np.fft.rfft2(keep, shape)
+    f = np.fft.irfft2(f.real ** 2 + f.imag ** 2, shape)
+    return int(np.rint(f[steps[:, 1], steps[:, 0]].sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from invmetrics.domains import (
 )
 from invmetrics.errors import (
     DegenerateEndpoints,
-    Disconnected,
     EmptyBall,
     NonConvergence,
     OutOfDomain,
@@ -736,7 +735,7 @@ C7_INNER_0005 = [
 # ... and the entries of the graphs of the first four C7 pairs at spacing
 # 0.02, one graph a pair: twice the lattice edges between the crop cells in
 # the pair's ellipse d(p, x) + d(x, q) <= limit, plus the pair's links
-ENTRIES_C7_002 = [29504, 31189, 13458, 44123]
+ENTRIES_C7_002 = [8353, 8935, 3558, 13670]
 
 
 def _c7_pairs():
@@ -959,6 +958,22 @@ class TestInnerDistance:
         assert np.array_equal(graph.indices, expected.indices)
         assert np.array_equal(graph.data, expected.data)
 
+    @pytest.mark.parametrize("shape, fill", [((29, 5), 0.8), ((3, 40), 0.5), ((1, 1), 1.0),
+                                             ((0, 0), 1.0), ((60, 61), 0.3), ((9, 9), 1.0)])
+    def test_count_step_pairs_matches_the_shifted_slices(self, shape, fill):
+        # one autocorrelation of the mask against a count over each step's
+        # shifted slice of the mask padded by the reach, on masks narrower
+        # and wider than the reach
+        rng = np.random.default_rng(sum(shape))
+        keep = rng.random(shape) < fill
+        steps = kobayashi._lattice_steps(kobayashi._coprime_moves(kobayashi._MOVE_RADIUS))
+        reach = int(np.abs(steps).max())
+        (height, width), padded = shape, np.pad(keep, reach)
+        expected = sum(np.count_nonzero(keep & padded[reach + dy:reach + dy + height,
+                                                      reach + dx:reach + dx + width])
+                       for dx, dy in steps)
+        assert kobayashi._count_step_pairs(keep, steps, reach) == expected
+
     def test_disk_crop_keeps_the_edges_inside_it(self, monkeypatch):
         # each pair's graph is the square frame's, each edge weighing its
         # hyperbolic length, less every lattice edge with an end outside
@@ -1087,6 +1102,46 @@ class TestInnerDistance:
         assert len(sizes) == 20
         assert peak < 1.2 * max(sizes)
 
+    def test_limit_miss_retries_on_the_ellipse_at_the_weight_found(self, monkeypatch):
+        # limits at the closed form, which every lattice value exceeds.  The
+        # ellipse at that limit holds next to no cell, so the first search
+        # walks the whole crop instead and finds q past its limit, at a
+        # finite weight V; the retry searches the ellipse at V to V and must
+        # give the round crop's value
+        kobayashi._load_sparse()
+        limits = []
+        search = kobayashi._csgraph_dijkstra
+        monkeypatch.setattr(kobayashi, "_csgraph_dijkstra", lambda *args, **kwargs: (
+            limits.append(kwargs["limit"]) or search(*args, **kwargs)))
+        monkeypatch.setattr(kobayashi, "_LIMIT_FACTOR", 1.0)
+        monkeypatch.setattr(kobayashi, "_LIMIT_CELLS", 0)
+        pairs = _c7_pairs()
+        exact = Disk().distance(*np.array(pairs).T)
+        first = dict(zip(pairs, exact))
+        ellipse = kobayashi._disk_ellipse
+        monkeypatch.setattr(kobayashi, "_disk_ellipse", lambda frame, p, q, limit: (
+            (frame.mask, 0, 0) if limit == first[p, q] else ellipse(frame, p, q, limit)))
+        values = inner_distance_many(Disk(), pairs, 0.01)
+        assert values.tolist() == C7_INNER_001
+        assert len(limits) == 2 * len(pairs)
+        assert limits[::2] == exact.tolist()
+        found = np.array(limits[1::2])
+        assert (np.isfinite(found) & (found > exact) & (values <= found)).all()
+
+    @pytest.mark.parametrize("p, q, expected", [
+        (0, 0.999, 3.800201167250205),
+        (-0.999, 0.999, 7.600402334500412),
+        (0.9999j, 0.5, 5.208480481376525),
+    ])
+    def test_rim_endpoints_link_to_the_crop(self, p, q, expected):
+        # an endpoint within half a cell of the rim lies past the crop
+        # |z| <= 1 - h and its frame; it is linked to the crop cells within a
+        # move's reach by chords, which stay in the disk and weigh at least
+        # the distance between their ends
+        value = inner_distance(Disk(), p, q, 0.01)
+        assert value >= Disk().distance(p, q) * (1.0 - 1e-12)
+        assert value == expected
+
     def test_limit_miss_falls_back_to_the_full_search(self, monkeypatch):
         # no margin: every limited search stops short of its target
         kobayashi._load_sparse()
@@ -1136,8 +1191,6 @@ def _pred_disk(z):
     # past 0.5 the round crop |z| <= 1 - h leaves no 3 x 3 frame
     (lambda: inner_distance(Disk(), 0, 0.5, 0.6), ValidationError),
     (lambda: inner_distance(Disk(), 0, 0.5, 0.9), ValidationError),
-    # an endpoint in the disk but past the cropped frame
-    (lambda: inner_distance(Disk(), 0, 0.999, 0.01), Disconnected),
     # the cell graph runs on the disk only, empty batches included
     (lambda: inner_distance(Annulus(0.1), 0.5, -0.5, 0.01), Unsupported),
     (lambda: inner_distance(PuncturedDisk(), 0.3, -0.3, 0.01), Unsupported),
