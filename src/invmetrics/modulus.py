@@ -16,8 +16,12 @@ one V-cycle of smoothed-aggregation multigrid (Vanek, Mandel & Brezina,
 Computing 56, 1996).  Each aggregate is a 3x3 block of cells, a node's
 whole 5-point neighbourhood, so each level has about a ninth of the
 unknowns of the one above and the stored level matrices hold 1.2 times
-the fine matrix's nonzeros (Stueben's operator complexity).  CG converges
-in 12 iterations at spacings 0.01 to 0.0025 on round annuli, where plain
+the fine matrix's nonzeros (Stueben's operator complexity).  The V-cycle
+runs in float32 under a float64 CG: a preconditioner needs only a few
+digits, and CG, its residual and the solution stay in double (Goeddeke,
+Strzodka & Turek, IJPEDS 22, 2007).  The coarsest level is factored in
+float64.  CG converges in 15 / 14 / 14 iterations at spacings 0.01 /
+0.005 / 0.0025 on the round annulus of inner radius 0.25, where plain
 CG needs hundreds.  A solution is returned only when its true residual
 ||b - Ax|| is at most _CG_RTOL times ||b||; otherwise SolverDivergence
 reports the iterations and the residual.
@@ -48,16 +52,17 @@ _CG_MAXITER = 200
 # weight (of the prolongator smoothing and of the sweeps), sweeps before and
 # after each coarse correction, and the size at which a level is factored.
 # 4/5 is the Jacobi weight that damps the 5-point Laplacian's oscillatory
-# modes best; with 3x3 aggregates it takes CG from 14-16 iterations at 2/3
-# to 12 on round annuli, and the solve from about 10% slower than with 2x2
-# aggregates to about 10% faster.
+# modes best; with 3x3 aggregates it takes CG from 18-19 iterations at 2/3
+# to 14-15 on round annuli.  2x2 aggregates take 9 iterations in about the
+# same time (within 5% at 0.01 to 0.0025) but store more levels.  One sweep
+# each way solves about 8% faster than two, which take 12 iterations.
 _AGGREGATE = 3
 _JACOBI_OMEGA = 0.8
-_SMOOTHING_SWEEPS = 2
+_SMOOTHING_SWEEPS = 1
 _COARSEST_UNKNOWNS = 1500
 
 # scipy.sparse costs about 10 MB at import and only the solver needs it
-coo_matrix = diags = LinearOperator = cg = splu = None
+coo_matrix = csr_matrix = diags = LinearOperator = cg = splu = None
 
 
 # grid -> (matrix, rhs, preconditioner); no entry refers to its grid, so it
@@ -66,9 +71,9 @@ _SYSTEMS: "weakref.WeakKeyDictionary[GridDomain, tuple]" = weakref.WeakKeyDictio
 
 
 def _load_sparse():
-    global coo_matrix, diags, LinearOperator, cg, splu
+    global coo_matrix, csr_matrix, diags, LinearOperator, cg, splu
     if cg is None:
-        from scipy.sparse import coo_matrix, diags
+        from scipy.sparse import coo_matrix, csr_matrix, diags
         from scipy.sparse.linalg import LinearOperator, cg, splu
 
 
@@ -79,7 +84,8 @@ def _multigrid(matrix, iy, ix):
     (iy // _AGGREGATE, ix // _AGGREGATE), smooths the piecewise-constant
     prolongator once with damped Jacobi, P = (I - w D^-1 A) P0, and passes
     P^T A P down until at most _COARSEST_UNKNOWNS remain; that level is
-    factored once.
+    factored once, in float64.  The other levels are stored in float32, the
+    fine one as a copy of the matrix's data on its index arrays.
     """
     levels = []
     a = matrix
@@ -93,21 +99,35 @@ def _multigrid(matrix, iy, ix):
         smoother = _JACOBI_OMEGA / a.diagonal()
         p = (p0 - diags(smoother) @ (a @ p0)).tocsr()
         # the restriction is a transposed view of p, sharing its arrays
-        levels.append((a, smoother, p, p.T))
+        p32 = _single(p)
+        levels.append((_single(a), smoother.astype(np.float32), p32, p32.T))
         a = p.T.tocsr() @ (a @ p)
         iy, ix = np.divmod(blocks, width)
+    coarsest = splu(a.tocsc())
     # a partial, not a closure over itself, so the hierarchy is freed by
-    # reference counting as soon as its grid is
-    return LinearOperator(matrix.shape, dtype=float,
-                          matvec=partial(_v_cycle, levels, splu(a.tocsc())))
+    # reference counting as soon as its grid is; a grid with no level above
+    # the coarsest keeps the exact solve, which a float32 round trip of the
+    # residual would cost an iteration of CG
+    matvec = partial(_precondition, levels, coarsest) if levels else coarsest.solve
+    return LinearOperator(matrix.shape, dtype=float, matvec=matvec)
+
+
+def _single(a):
+    """The float32 copy of the CSR matrix a's data, on a's index arrays."""
+    return csr_matrix((a.data.astype(np.float32), a.indices, a.indptr), shape=a.shape)
+
+
+def _precondition(levels, coarsest, r):
+    """One float32 V-cycle on the float64 residual r, returned in float64."""
+    return _v_cycle(levels, coarsest, r.astype(np.float32)).astype(float)
 
 
 def _v_cycle(levels, coarsest, r):
     """Apply one V-cycle to the residual r.
 
     The same damped-Jacobi sweeps run before and after each coarse
-    correction, so the cycle is a symmetric positive definite operator,
-    as CG requires.
+    correction, so the cycle is, up to rounding, a symmetric positive
+    definite operator, as CG requires.
     """
     if not levels:
         return coarsest.solve(r)

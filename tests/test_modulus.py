@@ -62,6 +62,14 @@ def moved_annulus(spacing):
     return grid_from_predicate(pred, 0.9, spacing * 0.9, center=0.11 + 0.06j)
 
 
+def off_centre_ring(spacing):
+    """The unit disk less the disk of radius 0.25 about 0.3."""
+    def pred(z):
+        return (np.abs(z) < 1.0) & (np.abs(z - 0.3) > 0.25)
+
+    return grid_from_predicate(pred, 1.0, spacing)
+
+
 @pytest.fixture
 def patch_cg(monkeypatch):
     """Replace the solver's ``cg`` with ``fake(real_cg, matrix, rhs, **kwargs)``."""
@@ -144,8 +152,10 @@ class TestSolver:
         lambda: square_frame(0.01),
         lambda: grid_annulus(0.96, 0.01),    # four cells wide
         lambda: grid_annulus(0.25, 0.05),    # below the coarsest multigrid level
+        lambda: off_centre_ring(0.01),
+        lambda: grid_annulus(0.96, 0.005),   # eight cells wide
     ], ids=["ring-0.01", "ring-0.005", "moved-ring", "square-frame",
-            "thin-ring", "coarse-ring"])
+            "thin-ring", "coarse-ring", "off-centre-ring", "thin-band"])
     def test_matches_direct_solve(self, grid, patch_cg):
         grid = grid()
         value = ring_modulus(grid)
@@ -163,7 +173,9 @@ class TestSolver:
             return real(a, b, callback=step, **kw)
         patch_cg(counted)
         ring_modulus(grid_annulus(0.25, 0.005))
-        assert 0 < len(steps) <= 20
+        # the measured count: a preconditioner that loses precision costs
+        # iterations here first
+        assert 0 < len(steps) <= 14
 
     def test_operator_complexity(self, monkeypatch):
         # Stueben's operator complexity: the nonzeros of the stored level
@@ -175,7 +187,11 @@ class TestSolver:
         grid = grid_annulus(0.25, 0.005)
         ring_modulus(grid)
         levels, matrix = hierarchies[0], modulus._SYSTEMS[grid][0]
-        assert levels[0][0] is matrix
+        # the fine level is a float32 copy of the system matrix's data only
+        assert np.shares_memory(levels[0][0].indices, matrix.indices)
+        assert np.shares_memory(levels[0][0].indptr, matrix.indptr)
+        for a, smoother, p, pt in levels:
+            assert a.dtype == smoother.dtype == p.dtype == pt.dtype == np.float32
         assert sum(a.nnz for a, *_ in levels) / matrix.nnz <= 1.3
 
     def test_hierarchy_freed_without_cycle_collector(self):
