@@ -7,11 +7,12 @@ hole and picks up connectivity.  A punctured-disk ball and a half-plane
 ball (on the frame around it) close the gallery.
 
 Each ball is also checked against its uncropped reference: the distance
-on every domain cell of the same frame (``distance_field``) below the
-radius, with the centre's own cell in.  ``kob_ball_raster`` evaluates the
-distance only inside the ball's closed-form hull, so the two must agree
-bit for bit, with the same origin, spacing and shape.  The script prints
-each mismatch and exits 1 on any.
+on every domain cell of a new frame equal to the ball's, each cell lifted
+here, below the radius, with the centre's own cell in.
+``kob_ball_raster`` evaluates the distance only inside the ball's
+closed-form hull, on wall gaps read from the table it keeps with its
+frame, so the two must agree bit for bit, with the same origin, spacing
+and shape.  The script prints each mismatch and exits 1 on any.
 
 Usage: python scripts/ball_gallery.py [OUTDIR]
 """
@@ -22,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from invmetrics.domains import Annulus, Disk, HalfPlane, PuncturedDisk
-from invmetrics.kobayashi import ball_frame, distance_field, kob_ball_raster
+from invmetrics.domains import Annulus, Disk, HalfPlane, PuncturedDisk, rasterize
+from invmetrics.kobayashi import ball_frame, kob_ball_raster
 from invmetrics.render import render_ball_svg
 from invmetrics.topology import connectivity_number
 
@@ -45,8 +46,13 @@ def main() -> int:
     mismatches = 0
     for name, domain, center, radius in jobs:
         ball = kob_ball_raster(domain, center, radius, SPACING)
-        frame = ball_frame(domain, center, radius, SPACING)
-        want = distance_field(domain, center, frame) < radius
+        if isinstance(domain, HalfPlane):
+            frame = ball_frame(domain, center, radius, SPACING)
+        else:
+            frame = rasterize(domain, SPACING)
+        want = np.zeros(frame.mask.shape, dtype=bool)
+        want[frame.mask] = domain.distance(domain.lift(center),
+                                           domain.lift(frame.centers[frame.mask])) < radius
         ix, iy = frame.cell_index(center)
         want[iy, ix] = True
         if (ball.bits != np.packbits(want).tobytes()

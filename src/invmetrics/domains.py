@@ -355,10 +355,19 @@ class PuncturedDisk:
         m = np.abs(_array(z))
         return 1.0 / (2.0 * m * np.log(1.0 / m))
 
+    def wall_gaps(self, z: np.ndarray, m=None) -> np.ndarray:
+        """The costly part of ``lift`` on a complex array z: the gap
+        log(1/|z|) from Re w to the wall, the one row of an array shaped
+        (1,) + z.shape."""
+        return np.maximum(-_log_ratio(z, 1.0, np.abs(z) if m is None else m), _MIN_GAP)[None]
+
+    def lift_from_gaps(self, x, y, gaps) -> Lift:
+        """The lift of the points x + iy whose ``wall_gaps`` are ``gaps``."""
+        return Lift(np.arctan2(y, x), gaps[0], None, gaps[0])
+
     def lift(self, z, m=None) -> Lift:
         z = _array(z)
-        outer = np.maximum(-_log_ratio(z, 1.0, np.abs(z) if m is None else m), _MIN_GAP)
-        return Lift(np.arctan2(z.imag, z.real), outer, None, outer)
+        return self.lift_from_gaps(z.real, z.imag, self.wall_gaps(z, m))
 
     def distance(self, wp: Lift, wq: Lift):
         dw = np.hypot(wq.outer - wp.outer, _deck_offset(wp, wq))
@@ -424,15 +433,25 @@ class Annulus:
         big_l = math.log(1.0 / self.r)
         return math.pi / (2.0 * m * big_l * np.sin(math.pi * np.log(m) / math.log(self.r)))
 
+    def wall_gaps(self, z: np.ndarray, m=None) -> np.ndarray:
+        """The costly part of ``lift`` on a complex array z: the gaps from
+        Re w to the walls, row 0 the outer gap log(1 / |z|), row 1 the
+        inner gap log(|z| / r), of an array shaped (2,) + z.shape."""
+        m = np.abs(z) if m is None else m
+        # both walls in one pass, row 0 read off as log(|z| / 1) <= 0
+        gaps = _log_ratio(z, np.array((1.0, self.r)).reshape((2,) + (1,) * m.ndim), m)
+        gaps[0] *= -1.0
+        return np.maximum(gaps, _MIN_GAP, out=gaps)
+
+    def lift_from_gaps(self, x, y, gaps) -> Lift:
+        """The lift of the points x + iy whose ``wall_gaps`` are ``gaps``."""
+        outer, inner = gaps
+        scale = math.pi / -math.log(self.r)
+        return Lift(np.arctan2(y, x), outer, inner, np.sin(scale * np.minimum(inner, outer)))
+
     def lift(self, z, m=None) -> Lift:
         z = _array(z)
-        m = np.abs(z) if m is None else m
-        # both walls in one pass: row 0 the gap log(1 / |z|), row 1 log(|z| / r)
-        gaps = _log_ratio(z, np.array((1.0, self.r)).reshape((2,) + (1,) * m.ndim), m)
-        outer, inner = np.maximum(-gaps[0], _MIN_GAP), np.maximum(gaps[1], _MIN_GAP)
-        scale = math.pi / -math.log(self.r)
-        return Lift(np.arctan2(z.imag, z.real), outer, inner,
-                    np.sin(scale * np.minimum(inner, outer)))
+        return self.lift_from_gaps(z.real, z.imag, self.wall_gaps(z, m))
 
     def distance(self, wp: Lift, wq: Lift):
         dy = _deck_offset(wp, wq)

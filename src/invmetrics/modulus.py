@@ -27,11 +27,12 @@ CG needs hundreds.  A solution is returned only when its true residual
 reports the iterations and the residual.
 
 A grid has one such system, since validation fixes which component is
-inner and which outer.  Its matrix, right-hand side and preconditioner
-are kept per grid, for as long as the grid lives, so a repeat call pays
-only the solve; the ghost cells, boundary values and energy are
-recomputed on every call, and every call validates its labels, runs CG
-from zero and checks its residual.
+inner and which outer.  Everything the grid fixes is kept per grid, for
+as long as the grid lives: the matrix, right-hand side and
+preconditioner, the frame of ghost values and the cell indices of the
+energy's edge groups.  A repeat call validates its labels, runs CG from
+zero, checks its residual, scatters the solution into a copy of the
+ghost values and sums the energy.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ _COARSEST_UNKNOWNS = 1500
 coo_matrix = csr_matrix = diags = LinearOperator = cg = splu = None
 
 
-# grid -> (matrix, rhs, preconditioner); no entry refers to its grid, so it
-# goes with the grid
+# grid -> (matrix, rhs, preconditioner, ghost values, energy groups); no
+# entry refers to its grid, so it goes with the grid
 _SYSTEMS: "weakref.WeakKeyDictionary[GridDomain, tuple]" = weakref.WeakKeyDictionary()
 
 
@@ -141,13 +142,27 @@ def _v_cycle(levels, coarsest, r):
     return x
 
 
-def _assemble(mask, ghost, values):
-    """The 5-point system on the domain cells and its preconditioner.
+def _assemble(mask, inner, outer):
+    """A grid's kept system: the 5-point matrix on the domain cells, its
+    right-hand side and preconditioner, the flat frame of ghost values, and
+    the energy's edge groups.
 
-    Domain-domain edges have conductance 1 and domain-ghost cut edges
-    conductance 2, which puts the boundary at the cut-edge midpoints;
-    ``values`` holds the ghost values by flat cell number.
+    The ghost cells are the cells of the inner and outer complement
+    components (boolean frames ``inner`` and ``outer``) 4-adjacent to the
+    domain, valued 1 and 0.  Domain-domain edges have conductance 1 and
+    domain-ghost cut edges conductance 2, which puts the boundary at the
+    cut-edge midpoints.  Each energy group is (i, step, conductance): the
+    int32 flat numbers i of the first cells of its edges, whose second
+    cells are i + step, as ``cell_pairs`` pairs them.
     """
+    from scipy import ndimage
+
+    near_domain = ndimage.binary_dilation(mask, STRUCT_4)
+    inner_ghost = inner & near_domain
+    ghost = inner_ghost | (outer & near_domain)
+    # flat array, indexed by the cell numbers cell_pairs returns
+    values = inner_ghost.ravel().astype(float)
+    values.flags.writeable = False
     h, w = mask.shape
     index = -np.ones(h * w, dtype=np.int64)
     n_unknown = int(mask.sum())
@@ -169,7 +184,11 @@ def _assemble(mask, ghost, values):
         (np.concatenate([-np.ones(len(rows)), degree]),
          (np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal]))),
         shape=(n_unknown, n_unknown)).tocsr()
-    return matrix, rhs, _multigrid(matrix, *np.nonzero(mask))
+    groups = tuple((cell_pairs(a, b, dx, dy)[0].astype(np.int32), dy * w + dx, conductance)
+                   for dx, dy in ((1, 0), (0, 1))
+                   for a, b, conductance in ((mask, mask, 1.0), (mask, ghost, 2.0),
+                                             (ghost, mask, 2.0)))
+    return matrix, rhs, _multigrid(matrix, *np.nonzero(mask)), values, groups
 
 
 def conformal_modulus(grid: GridDomain, inner_label: int, outer_label: int) -> float:
@@ -186,18 +205,11 @@ def conformal_modulus(grid: GridDomain, inner_label: int, outer_label: int) -> f
         raise ValidationError(f"label {outer_label} is not the unbounded component")
 
     _load_sparse()
-    from scipy import ndimage
-
-    mask = grid.mask
-    near_domain = ndimage.binary_dilation(mask, STRUCT_4)
-    inner_ghost = (labels == inner_label) & near_domain
-    ghost = inner_ghost | ((labels == outer_label) & near_domain)
-    # flat array, indexed by the cell numbers cell_pairs returns
-    values = inner_ghost.ravel().astype(float)
     system = _SYSTEMS.get(grid)
     if system is None:
-        system = _SYSTEMS[grid] = _assemble(mask, ghost, values)
-    matrix, rhs, preconditioner = system
+        system = _SYSTEMS[grid] = _assemble(grid.mask, labels == inner_label,
+                                            labels == outer_label)
+    matrix, rhs, preconditioner, ghost_values, groups = system
     iterations = 0
 
     def count(_):
@@ -211,14 +223,13 @@ def conformal_modulus(grid: GridDomain, inner_label: int, outer_label: int) -> f
     if info != 0 or not residual <= _CG_RTOL:
         raise SolverDivergence(f"conjugate gradients stopped with code {info}",
                                iterations, residual)
-    values[mask.ravel()] = solution
+    values = ghost_values.copy()
+    values[grid.mask.ravel()] = solution
 
     energy = 0.0
-    for dx, dy in ((1, 0), (0, 1)):
-        for a, b, conductance in ((mask, mask, 1.0), (mask, ghost, 2.0), (ghost, mask, 2.0)):
-            i, j = cell_pairs(a, b, dx, dy)
-            diff = values[i] - values[j]
-            energy += conductance * float((diff * diff).sum())
+    for i, step, conductance in groups:
+        diff = values[i] - values[i + step]
+        energy += conductance * float((diff * diff).sum())
     if energy <= 0:
         raise SolverDivergence("Dirichlet energy vanished; degenerate input")
     return 1.0 / energy

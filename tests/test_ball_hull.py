@@ -1,9 +1,11 @@
 """Closed-form ball hulls and the rasters cropped to them.
 
 ``kob_ball_raster`` evaluates the distance only on the mask cells inside
-the class's ``ball_hull``; these tests hold it to the uncropped reference,
-``distance_field`` on every mask cell of the same frame thresholded at the
-radius, with the centre cell always in.  The hulls themselves are checked
+the class's ``ball_hull``, reading their wall gaps from the table kept
+with its frame; these tests hold it to the uncropped reference, the
+distance on every mask cell of a new frame, lifted per call, thresholded
+at the radius, with the centre cell always in.  The table's rows are
+checked against the per-call lifts.  The hulls themselves are checked
 against the kernel: every point whose computed distance is below the
 radius must pass the hull test, including points a float step inside the
 ball's edge.  ``connectivity_number`` labels only the region's box, and is
@@ -12,19 +14,25 @@ checked against the full-frame count.
 
 import cmath
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from invmetrics import domains, kobayashi
 from invmetrics.domains import (
     Annulus,
     Disk,
     HalfPlane,
     PuncturedDisk,
+    cell_centers,
     complement_holes,
+    grid_annulus,
+    hull_cells,
+    rasterize,
 )
 from invmetrics.errors import EmptyRegion, InvMetricsError, ValidationError
-from invmetrics.kobayashi import ball_frame, distance_field, kob_ball_raster
+from invmetrics.kobayashi import ball_frame, kob_ball_raster
 from invmetrics.topology import connectivity_number
 
 KINDS = ("disk", "halfplane", "punctured", "annulus")
@@ -70,10 +78,16 @@ def random_ball(rng, kind):
 
 
 def reference(domain, c, radius, spacing):
-    """The uncropped raster: the frame ``kob_ball_raster`` builds, the
-    distance on every mask cell, and the centre cell always in."""
-    frame = ball_frame(domain, c, radius, spacing)
-    want = distance_field(domain, c, frame) < radius
+    """The uncropped raster: a new frame equal to the one ``kob_ball_raster``
+    reads, the distance on every mask cell, each lifted here, and the
+    centre cell always in."""
+    if isinstance(domain, HalfPlane):
+        frame = ball_frame(domain, c, radius, spacing)
+    else:
+        frame = rasterize(domain, spacing)
+    want = np.zeros(frame.mask.shape, dtype=bool)
+    want[frame.mask] = domain.distance(domain.lift(c),
+                                       domain.lift(frame.centers[frame.mask])) < radius
     idx = frame.cell_index(c)
     if idx is not None and frame.mask[idx[1], idx[0]]:
         want[idx[1], idx[0]] = True
@@ -109,6 +123,100 @@ def test_cropped_raster_is_the_reference(kind):
     # the frames that fail (coarse spacings on thin annuli, half-plane balls
     # smaller than a cell) must fail alike, but most balls are rasters
     assert rasters >= 100
+
+
+TABLE_DOMAINS = (Annulus(0.05), Annulus(0.5), Annulus(0.9), PuncturedDisk())
+
+
+@pytest.fixture
+def frames(monkeypatch):
+    """An empty frame cache for the test, the shared one restored after."""
+    monkeypatch.setattr(kobayashi, "_FRAMES", OrderedDict())
+    return kobayashi._FRAMES
+
+
+def spy(monkeypatch, cls, name):
+    """Record the arguments of every call of cls.name."""
+    calls, method = [], getattr(cls, name)
+
+    def spied(self, *args):
+        calls.append(args)
+        return method(self, *args)
+    monkeypatch.setattr(cls, name, spied)
+    return calls
+
+
+@pytest.mark.parametrize("domain", TABLE_DOMAINS, ids=repr)
+def test_table_rows_are_the_lifts_of_the_hull_cells(domain, monkeypatch):
+    # the lifts a raster reads from its frame's table are the ones lifting
+    # its hull cells would give, bit for bit, centres next to a wall included
+    rng = np.random.default_rng([33, TABLE_DOMAINS.index(domain)])
+    spacing = 0.01
+    inner = getattr(domain, "r", 0.0)
+    kob_ball_raster(domain, 0.5 + 0.5 * inner, 0.1, spacing)  # the table, before the spies
+    distances = spy(monkeypatch, type(domain), "distance")
+    gaps = spy(monkeypatch, type(domain), "wall_gaps")
+    for k in range(12):
+        # a third of the centres within 1e-6 of a wall (relative to the width)
+        t = (near_wall(rng) if k % 2 else 1.0 - near_wall(rng)) if k % 3 == 0 else rng.uniform()
+        c = cmath.rect(inner + (1.0 - inner) * t, rng.uniform(-math.pi, math.pi))
+        radius = 10.0 ** rng.uniform(-1.5, 0.3)
+        del distances[:], gaps[:]
+        kob_ball_raster(domain, c, radius, spacing)
+        # only the centre was lifted, on its own
+        assert {np.size(z) for z, *_ in gaps} == {1}
+        frame = ball_frame(domain, c, radius, spacing)
+        (_, read), = distances
+        want = domain.lift(cell_centers(frame.origin, spacing,
+                                        *hull_cells(frame, domain.ball_hull(c, radius))))
+        for got, lifted in zip(read, want):
+            if lifted is None:
+                assert got is None
+            else:
+                assert got.tobytes() == lifted.tobytes(), (domain, c, radius)
+
+
+def test_second_raster_reuses_the_frame_and_its_table(frames, monkeypatch):
+    predicates, build = [], domains.grid_from_predicate
+    monkeypatch.setattr(domains, "grid_from_predicate",
+                        lambda *args, **kw: predicates.append(args) or build(*args, **kw))
+    gaps = spy(monkeypatch, Annulus, "wall_gaps")
+    first = kob_ball_raster(Annulus(0.3), 0.55, 0.8, 0.02)
+    frame = ball_frame(Annulus(0.3), 0.55, 0.8, 0.02)
+    assert len(predicates) == 1 and [np.size(z) for z, *_ in gaps if np.size(z) > 1] == [
+        np.count_nonzero(frame.mask)]
+    # an equal domain and spacing, another ball
+    again = kob_ball_raster(Annulus(0.3), -0.4j, 1.2, 0.02)
+    assert ball_frame(Annulus(0.3), -0.4j, 1.2, 0.02) is frame
+    assert len(predicates) == 1 and sum(np.size(z) > 1 for z, *_ in gaps) == 1
+    assert (first.origin, first.shape) == (again.origin, again.shape) == (frame.origin,
+                                                                          frame.mask.shape)
+    assert list(frames) == [(Annulus(0.3), float, 0.02)]
+
+
+def test_frame_cache_keeps_recent_frames_within_its_budget(frames, monkeypatch):
+    for r in (0.2, 0.3):
+        kob_ball_raster(Annulus(r), 0.6, 0.5, 0.02)
+    budget = sum(entry.nbytes for entry in frames.values())
+    monkeypatch.setattr(kobayashi, "_FRAMES_BYTES", budget)
+    kob_ball_raster(Annulus(0.2), 0.6, 0.5, 0.02)  # now the most recent
+    kob_ball_raster(Disk(), 0.6, 0.5, 0.02)
+    assert [key[0] for key in frames] == [Annulus(0.2), Disk()]
+    # a frame larger than the whole budget is not kept, and evicts the rest
+    kob_ball_raster(PuncturedDisk(), 0.6, 0.5, 0.005)
+    assert not frames
+    kob_ball_raster(Disk(), 0.6, 0.5, 0.02)
+    assert list(frames) == [(Disk(), float, 0.02)]
+
+
+def test_rasterize_and_grid_annulus_return_fresh_grids():
+    frame = ball_frame(Annulus(0.25), 0.6, 0.5, 0.02)
+    kob_ball_raster(Annulus(0.25), 0.6, 0.5, 0.02)
+    grids = [rasterize(Annulus(0.25), 0.02), rasterize(Annulus(0.25), 0.02),
+             grid_annulus(0.25, 0.02), grid_annulus(0.25, 0.02)]
+    assert len({id(g) for g in grids + [frame]}) == 5
+    for grid in grids:
+        assert np.array_equal(grid.mask, frame.mask) and grid.origin == frame.origin
 
 
 def boundary_points(domain, c, radius, hull, rays=256):

@@ -25,7 +25,7 @@ from invmetrics.domains import (
     contains,
     rasterize,
 )
-from invmetrics.kobayashi import distance_field, kob_distance
+from invmetrics.kobayashi import ball_frame, distance_field, kob_distance
 from invmetrics.poincare import halfplane_rho_vec, poincare_ball_euclidean, poincare_distance
 
 mpmath = pytest.importorskip("mpmath")
@@ -327,8 +327,9 @@ def test_kernel_is_finite_on_every_accepted_point(domain, inner):
 
 
 def test_raster_field_is_finite_inside():
-    # Annulus(0.35) at spacing 0.01 has a raster cell at |z| = 0.35000000000000003
+    # Annulus(0.35) at spacing 0.01 has a raster cell at |z| = 0.35000000000000003,
+    # lifted per call on a new raster and read from the table of the ball frame
     domain = Annulus(0.35)
-    grid = rasterize(domain, 0.01)
-    field = distance_field(domain, 0.6, grid)
-    assert np.isfinite(field[grid.mask]).all()
+    for grid in (rasterize(domain, 0.01), ball_frame(domain, 0.6, 1.0, 0.01)):
+        field = distance_field(domain, 0.6, grid)
+        assert np.isfinite(field[grid.mask]).all()
