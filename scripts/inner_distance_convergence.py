@@ -7,15 +7,17 @@ spacing: twelve random pairs in |z| < 0.7 (acceptance C7's sampling) and
 the README's five pairs near the rim.  Each row gives the largest and
 mean absolute errors, the least signed relative error, the largest
 excess over the closed form as a share of the search limit's slack over
-it (above 1: the limited search missed), and the pairs searched again:
-on the ellipse at the weight found (retried), or on the whole crop's
-graph (whole).
+it (above 1: the limited search missed), and the pairs searched again
+on the ellipse at the weight found: a finite weight (retried), or inf,
+where the limited search reached no link of the target (whole), so the
+ellipse is the whole round crop.
 
 Exits 1 when a value lies below its closed-form distance by more than
 1e-12 (relative), which no path of the disk's graph can do since every edge
 weighs at least the distance between its ends; when a random pair's
-error exceeds acceptance C7's tolerance of 5e-3; or when any pair needs
-the whole crop's graph, many times a pair's own in memory.
+error exceeds acceptance C7's tolerance of 5e-3; or when any pair is
+searched again to inf, on the whole crop's graph, many times a pair's own
+in memory.
 
 Usage: python scripts/inner_distance_convergence.py
 """
@@ -52,7 +54,7 @@ def random_pairs():
 
 def main() -> int:
     # each search's Dijkstra limit: a pair's limit, then the weight it found
-    # (a retry) or inf (the whole crop)
+    # (a retry), inf where that is none (the whole crop)
     kobayashi._load_sparse()
     dijkstra, limits = kobayashi._csgraph_dijkstra, []
 
@@ -85,8 +87,8 @@ def main() -> int:
                 failed = True
     if failed:
         print(f"FAIL: a value lies below its distance by more than {BELOW:g} (relative), "
-              f"a random pair's is off it by more than {TOLERANCE:g}, or a pair needed the "
-              f"whole crop's graph")
+              f"a random pair's is off it by more than {TOLERANCE:g}, or a pair was searched "
+              f"again to inf, on the whole crop's graph")
     return 1 if failed else 0
 
 

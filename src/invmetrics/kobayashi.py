@@ -490,7 +490,7 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     true distance.
 
     A graph stores both directions of every lattice edge and an outgoing
-    row for a pair's source p, to the cells within a move's reach.  Each
+    row for the pair's source p, to the cells within a move's reach.  Each
     pair gets its own search from that row (one multi-source search to the
     largest limit settles every node within it of every source, about twice
     as slow).  The target q is no node: its value is the least dist[k] + w
@@ -506,10 +506,10 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
     (``_disk_ellipse``): a value within the limit is the round crop's own.
     A value V above it is the weight of a path of the round crop, so the
     ellipse at V holds the shortest one, and a search to V on that
-    ellipse's graph gives the round crop's value too.  Only a search that
-    reaches no link of q is repeated, unlimited, on the whole crop's graph,
-    built at most once per call; ``Disconnected`` comes only from that
-    search.  A pair's graph is dropped before the next is built.
+    ellipse's graph gives the round crop's value too.  That one rule holds
+    for a search that reaches no link of q: V is inf, and the ellipse at inf
+    is the round crop itself; ``Disconnected`` comes only from that search.
+    A pair's graph is dropped before the next is built.
     """
     if not isinstance(domain, Disk):
         raise Unsupported(f"the cell-graph inner distance runs on the disk only, not on "
@@ -582,17 +582,19 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
         if abs(q - p) <= link_reach:
             direct[k] = edge_weights(p, np.array([q]))[0]
 
-    def graph(keep, y0, x0, sources):
-        """The lattice graph of the frame cells of ``keep``, the box of cells
-        from row y0 and column x0, with a source row for each of the links
-        ``sources``, and the map from links (frame cells, weights) to the
-        links to its nodes."""
+    def search(k, bound):
+        """Pair k's value from a search to ``bound`` on the lattice graph of
+        its ellipse at ``bound``; the graph and the endpoints' links are
+        dropped on return."""
+        p, q = pairs[k]
+        keep, y0, x0 = _disk_ellipse(frame, p, q, bound)
         # a kept cell's node counts the kept cells of the rows above it and
         # of its row left of it
         per_row = np.count_nonzero(keep, axis=1)
         above = np.cumsum(per_row) - per_row
 
         def nodes(cells, w):
+            """The links (frame cells, weights) to the graph's nodes."""
             iy, ix = np.divmod(cells, width)
             iy, ix = iy - y0, ix - x0
             box = (iy >= 0) & (iy < keep.shape[0]) & (ix >= 0) & (ix < keep.shape[1])
@@ -604,44 +606,24 @@ def inner_distance_many(domain: Domain, pairs, grid_spacing: float) -> np.ndarra
             left = keep[top:iy.max(initial=-1) + 1].cumsum(axis=1)
             return above[iy] + left[iy - top, ix] - 1, w
 
-        weigh = weigher(y0, x0, keep.shape)
-        return _lattice_graph(keep, steps, weigh, [nodes(*links) for links in sources]), nodes
-
-    ps, qs = np.array(pairs).T
-    limits = _LIMIT_FACTOR * domain.distance(domain.lift(ps), domain.lift(qs)) + _LIMIT_CELLS * h
-    # the whole crop's graph with every source, built at most once, for a
-    # search that reaches no link of its target
-    full = None
-
-    def search(k, bound):
-        """Pair k's value on the graph a search to ``bound`` walks; a pair's
-        own graph and its endpoints' links are dropped on return."""
-        nonlocal full
-        p, q = pairs[k]
-        if bound < math.inf:
-            searched, nodes = graph(*_disk_ellipse(frame, p, q, bound), [links(p)])
-            source = searched.shape[0] - 1
-        else:
-            if full is None:
-                full = graph(frame.mask, 0, 0, [links(z) for z, _ in pairs])
-            searched, nodes = full
-            source = searched.shape[0] - len(pairs) + k
-        dist = _csgraph_dijkstra(searched, directed=True, indices=source, limit=bound)
+        searched = _lattice_graph(keep, steps, weigher(y0, x0, keep.shape), nodes(*links(p)))
+        dist = _csgraph_dijkstra(searched, directed=True, indices=searched.shape[0] - 1,
+                                 limit=bound)
         cols, w = nodes(*links(q))
         return min(direct[k], (dist[cols] + w).min(initial=math.inf))
 
+    ps, qs = np.array(pairs).T
+    limits = _LIMIT_FACTOR * domain.distance(domain.lift(ps), domain.lift(qs)) + _LIMIT_CELLS * h
     out = np.empty(len(pairs))
     for k, limit in enumerate(limits):
         # the search settles only the nodes within the limit of the source;
         # a value within it is exact, as a shorter path would end at a
-        # settled link cell.  A value V above it is the weight of a path, so
-        # the ellipse at V holds the shortest one: the search to V on it is
-        # exact.  Only a search that reaches no link of q walks the whole crop.
+        # settled link cell.  A value V above it is the weight of a path (or
+        # inf), so the ellipse at V holds the shortest one: the search to V
+        # on it is exact.
         value = search(k, limit)
-        if limit < value < math.inf:
+        if value > limit:
             value = search(k, value)
-        elif value == math.inf:
-            value = search(k, math.inf)
         if not math.isfinite(value):
             raise Disconnected("an endpoint failed to connect to the cell graph")
         out[k] = value
@@ -684,7 +666,7 @@ def _chord_weigher(frame: GridDomain, steps):
     each edge its hyperbolic length (``_disk_chord``), read from a table of
     1 - |z|^2 at the box's cell centres.  Both directions of an edge weigh
     the same to the bit.  The crop is convex, so every edge between its
-    cells lies in the disk and none is dropped.
+    cells lies in the disk, and every one has a weight.
     """
     h = frame.spacing
     # per step |u|^2, the same for its reverse
@@ -701,10 +683,10 @@ def _chord_weigher(frame: GridDomain, steps):
         # intp, which take reads without a copy
         at_step = steps[:, 1] * width + steps[:, 0]
 
-        def weigh(y, x, edge):
+        def weigh(y, x):
             at = y * width + x
             # an edge's far end is a cell of the box; the entries that are
-            # no edge read any cell (clipped), and edge drops them
+            # no edge read any cell (clipped), and the graph stores none of them
             with np.errstate(divide="ignore", invalid="ignore"):
                 return _disk_chord(g[at, None], g.take(at[:, None] + at_step, mode="clip"), c)
 
@@ -756,24 +738,24 @@ def _disk_ellipse(frame: GridDomain, p, q, limit):
     return keep, int(y0 + rows[0]), int(x0 + cols[0])
 
 
-def _lattice_graph(keep, steps, weigh, sources):
+def _lattice_graph(keep, steps, weigh, source):
     """CSR graph over the cells of the 2-D mask ``keep``, compact: node k is
-    its k-th cell in row-major order and node ``cells + s`` source s.
+    its k-th cell in row-major order and the last node, ``cells``, the
+    source.
 
     ``steps`` lists lattice moves (dx, dy) in ascending (dy, dx) order, each
     with its reverse (``_lattice_steps``).  A cell's row holds an entry for
     each step that lands on a cell of ``keep``, in that order, so that its
     columns ascend.  For the cells at rows y and columns x of ``keep`` (a
-    block of them in row-major order), ``weigh(y, x, edge)`` returns the
-    weights, cells x steps, of those entries, where ``edge`` holds, and
-    clears ``edge`` where it drops one.  An edge must weigh and be dropped
-    alike in both directions: the graph then stores both, and a directed
-    search walks it as undirected.  ``sources[s]`` is (ascending nodes,
-    weights), an outgoing row that no path enters.
+    block of them in row-major order), ``weigh(y, x)`` returns weights,
+    cells x steps, of which those of the entries are stored.  An edge must
+    weigh the same in both directions: the graph then stores both, and a
+    directed search walks it as undirected.  ``source`` is (ascending
+    nodes, weights), the source's outgoing row, which no path enters.
 
     Neighbours are read from an array of node numbers padded by a step's
     reach: one gather per block of cells, with no bounds test.  The storage
-    is sized by the count of cell pairs one step apart
+    is sized exactly by the count of cell pairs one step apart
     (``_count_step_pairs``) and filled ``_BLOCK_CELLS`` cells at a time, so
     no cells x steps array of the whole graph is ever held; the work follows
     the cells of ``keep``, not the frame they lie in.
@@ -790,37 +772,28 @@ def _lattice_graph(keep, steps, weigh, sources):
     at_cell = (y + reach) * padded + x + reach
     # intp, so the gathers' indices are intp, which take reads without a copy
     offset = steps[:, 1] * padded + steps[:, 0]
-    data = np.empty(_count_step_pairs(keep, steps, reach) + sum(k.size for k, _ in sources))
+    edges, (k, w) = _count_step_pairs(keep, steps, reach), source
+    data = np.empty(edges + k.size)
     indices = np.empty(data.size, dtype=np.int32)
-    indptr = np.zeros(cells + len(sources) + 1, dtype=np.int32)
+    indptr = np.zeros(cells + 2, dtype=np.int32)
+    # the source's row follows the cells'
+    data[edges:], indices[edges:], indptr[-1] = w, k, data.size
     at = 0
     for k0 in range(0, cells, _BLOCK_CELLS):
         k1 = min(k0 + _BLOCK_CELLS, cells)
         column = node.take(at_cell[k0:k1, None] + offset)
         edge = column >= 0
-        end = at + np.count_nonzero(edge)
+        counts = np.add.accumulate(np.add.reduce(edge, axis=1, dtype=np.intp))
+        end = at + int(counts[-1])
         # the block's columns are stored and dropped before its weights are made
         indices[at:end] = column[edge]
         del column
-        weights = weigh(y[k0:k1], x[k0:k1], edge)
-        counts = np.add.accumulate(np.add.reduce(edge, axis=1, dtype=np.intp))
-        if at + counts[-1] < end:
-            # weigh dropped edges: store the columns of those left
-            indices[at:at + counts[-1]] = node.take(at_cell[k0:k1, None] + offset)[edge]
-        data[at:at + counts[-1]] = weights[edge]
+        data[at:end] = weigh(y[k0:k1], x[k0:k1])[edge]
         indptr[k0 + 1:k1 + 1] = at + counts
-        at += int(counts[-1])
+        at = end
         # freed before the next block's are made
-        del edge, weights
-    for s, (k, w) in enumerate(sources):
-        data[at:at + k.size] = w
-        indices[at:at + k.size] = k
-        at += k.size
-        indptr[cells + s + 1] = at
-    # drop the room left by the edges weigh dropped
-    data.resize(at)
-    indices.resize(at)
-    return csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+        del edge
+    return csr_matrix((data, indices, indptr), shape=(cells + 1,) * 2)
 
 
 def _count_step_pairs(keep, steps, reach):

@@ -50,8 +50,8 @@ from .errors import NonPositive, SolverDivergence, ValidationError, WrongConnect
 _CG_RTOL = 1e-10
 _CG_MAXITER = 200
 # smoothed-aggregation multigrid: cells per aggregate side, the damped-Jacobi
-# weight (of the prolongator smoothing and of the sweeps), sweeps before and
-# after each coarse correction, and the size at which a level is factored.
+# weight (of the prolongator smoothing and of the V-cycle's sweep before and
+# after each coarse correction), and the size at which a level is factored.
 # 4/5 is the Jacobi weight that damps the 5-point Laplacian's oscillatory
 # modes best; with 3x3 aggregates it takes CG from 18-19 iterations at 2/3
 # to 14-15 on round annuli.  2x2 aggregates take 9 iterations in about the
@@ -59,7 +59,6 @@ _CG_MAXITER = 200
 # each way solves about 8% faster than two, which take 12 iterations.
 _AGGREGATE = 3
 _JACOBI_OMEGA = 0.8
-_SMOOTHING_SWEEPS = 1
 _COARSEST_UNKNOWNS = 1500
 
 # scipy.sparse costs about 10 MB at import and only the solver needs it
@@ -126,19 +125,16 @@ def _precondition(levels, coarsest, r):
 def _v_cycle(levels, coarsest, r):
     """Apply one V-cycle to the residual r.
 
-    The same damped-Jacobi sweeps run before and after each coarse
-    correction, so the cycle is, up to rounding, a symmetric positive
-    definite operator, as CG requires.
+    One damped-Jacobi sweep runs before each coarse correction (from x = 0)
+    and the same sweep after it, so the cycle is, up to rounding, a
+    symmetric positive definite operator, as CG requires.
     """
     if not levels:
         return coarsest.solve(r)
     a, smoother, p, pt = levels[0]
     x = smoother * r
-    for _ in range(_SMOOTHING_SWEEPS - 1):
-        x += smoother * (r - a @ x)
     x += p @ _v_cycle(levels[1:], coarsest, pt @ (r - a @ x))
-    for _ in range(_SMOOTHING_SWEEPS):
-        x += smoother * (r - a @ x)
+    x += smoother * (r - a @ x)
     return x
 
 

@@ -804,21 +804,21 @@ def _chord(a, b):
 
 
 def _per_edge_chord_weigh(frame):
-    """``weigh`` edge by edge for disk graphs over ``frame``'s cells, and the
-    steps it reads: each edge's hyperbolic length from its lower cell, and
-    no edge dropped."""
+    """``weigh`` step by step for disk graphs over ``frame``'s cells, and the
+    steps it reads: each step's hyperbolic length from its lower cell, for
+    every step that stays in the frame (nan for the others)."""
     width = frame.mask.shape[1]
     centers = frame.centers.ravel()
     moves = [(dx, dy) for dx, dy in kobayashi._coprime_moves(kobayashi._MOVE_RADIUS)
              if abs(dx) < width and dy < frame.mask.shape[0]]
     steps = kobayashi._lattice_steps(moves)
 
-    def weigh(y, x, edge):
-        w = np.full(edge.shape, np.nan)
-        cell = y * width + x
+    def weigh(y, x):
+        w = np.full((y.size, len(steps)), np.nan)
         for s, (dx, dy) in enumerate(steps):
-            t = np.flatnonzero(edge[:, s])
-            i, j = cell[t], cell[t] + dy * width + dx
+            t = np.flatnonzero((y + dy >= 0) & (y + dy < frame.mask.shape[0])
+                               & (x + dx >= 0) & (x + dx < width))
+            i, j = y[t] * width + x[t], (y[t] + dy) * width + x[t] + dx
             i, j = np.minimum(i, j), np.maximum(i, j)
             w[t, s] = _chord(centers[i], centers[j])
         return w
@@ -899,13 +899,16 @@ class TestInnerDistance:
             assert np.array_equal(row.indices, node[near])
             np.testing.assert_allclose(row.data, _chord(p, centers[near]), rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("block, seed", [(3, 7), (9, 3), (9, 2048), (100, 7), (1, 1),
-                                             (1000, 1)])
-    def test_banded_assembly_matches_an_edge_list(self, block, seed, monkeypatch):
-        # a 29 x 5 mask of random cells, with random weights and dropped
-        # edges (alike both ways) and random source rows, assembled in bands
-        # of one cell, 3, 9 and 100 cells, which split rows every way, and all
-        # of them at once; the longest move reaches _MOVE_RADIUS rows
+    @pytest.mark.parametrize("block, seed, links", [
+        pytest.param(block, seed, links, id=f"{block}-{seed}" + ("" if links else "-unlinked"))
+        for block, seed in [(3, 7), (9, 3), (9, 2048), (100, 7), (1, 1), (1000, 1)]
+        for links in ([0, 60, -1], [])])
+    def test_banded_assembly_matches_an_edge_list(self, block, seed, links, monkeypatch):
+        # a 29 x 5 mask of random cells, with random weights (alike both
+        # ways) and a source row to the given nodes (-1: the last) or none,
+        # assembled in bands of one cell, 3, 9 and 100 cells, which split
+        # rows every way, and all of them at once; the longest move reaches
+        # _MOVE_RADIUS rows
         rng = np.random.default_rng(seed)
         height, width = 29, 5
         keep = rng.random((height, width)) < 0.8
@@ -921,38 +924,34 @@ class TestInnerDistance:
         for y, x in zip(*np.nonzero(keep)):
             for dx, dy in moves:
                 v, u = y + dy, x + dx
-                if 0 <= v < height and 0 <= u < width and keep[v, u] and rng.random() > 0.3:
+                if 0 <= v < height and 0 <= u < width and keep[v, u]:
                     weight[node[y, x], node[v, u]] = weight[node[v, u], node[y, x]] = rng.random()
         blocks = []
 
-        def weigh(y, x, edge):
+        def weigh(y, x):
+            # the weights of the entries; every other slot is nan and must
+            # not be stored
             blocks.append(y.size)
-            w = np.full(edge.shape, np.nan)
-            for t, s in zip(*np.nonzero(edge)):
-                (dx, dy), v, u = steps[s], y[t] + steps[s][1], x[t] + steps[s][0]
-                assert 0 <= v < height and 0 <= u < width and keep[v, u]
-                pair = node[y[t], x[t]], node[v, u]
-                if pair in weight:
-                    w[t, s] = weight[pair]
-                else:
-                    edge[t, s] = False
+            w = np.full((y.size, len(steps)), np.nan)
+            for t in range(y.size):
+                for s, (dx, dy) in enumerate(steps):
+                    v, u = y[t] + dy, x[t] + dx
+                    if 0 <= v < height and 0 <= u < width and keep[v, u]:
+                        w[t, s] = weight[node[y[t], x[t]], node[v, u]]
             return w
 
-        # five sources, one of them with no link
-        links = [np.array([0, 60, cells - 1]), np.array([2]), np.array([], dtype=int),
-                 np.array([60, 61, 62, 100]), np.array([cells - 1])]
-        sources = [(k, rng.random(k.size)) for k in links]
+        k = np.array(links, dtype=int) % cells
+        source = k, rng.random(k.size)
         monkeypatch.setattr(kobayashi, "_BLOCK_CELLS", block)
-        graph = kobayashi._lattice_graph(keep, steps, weigh, sources)
+        graph = kobayashi._lattice_graph(keep, steps, weigh, source)
         assert sum(blocks) == cells and max(blocks) == min(block, cells)
         ends = np.array(list(weight), dtype=int).reshape(-1, 2)
-        a = np.concatenate([ends[:, 0]] + [np.full(k.size, cells + s) for s, k in enumerate(links)])
-        b = np.concatenate([ends[:, 1]] + links)
-        w = np.concatenate([list(weight.values())] + [w for _, w in sources])
-        size = cells + len(sources)
-        expected = kobayashi.coo_matrix((w, (a, b)), shape=(size, size)).tocsr()
+        a = np.concatenate([ends[:, 0], np.full(k.size, cells)])
+        b = np.concatenate([ends[:, 1], k])
+        w = np.concatenate([list(weight.values()), source[1]])
+        expected = kobayashi.coo_matrix((w, (a, b)), shape=(cells + 1,) * 2).tocsr()
         expected.sort_indices()
-        assert graph.shape == (size, size)
+        assert graph.shape == (cells + 1,) * 2
         assert graph.has_sorted_indices
         assert np.array_equal(graph.indptr, expected.indptr)
         assert np.array_equal(graph.indices, expected.indices)
@@ -1003,7 +1002,7 @@ class TestInnerDistance:
             c = z.ravel()
             near = np.flatnonzero(kept.ravel() & (np.abs(c - p) <= kobayashi._MOVE_RADIUS * h))
             links = node[near], _chord(p, c[near])
-            _assert_same_graph(graph, kobayashi._lattice_graph(kept, steps, weigh, [links]))
+            _assert_same_graph(graph, kobayashi._lattice_graph(kept, steps, weigh, links))
 
     @pytest.mark.parametrize("h", [0.02, 0.01])
     def test_disk_weights_bound_hyperbolic_lengths(self, h, monkeypatch):
@@ -1080,7 +1079,9 @@ class TestInnerDistance:
         # each pair's graph is dropped before the next is assembled, and edge
         # weights are held a block of cells at a time, so the call's traced
         # peak stays near the largest pair's graph; a moves x cells float
-        # array would add over a third of it here
+        # array would add over a third of it here.  A first call, untraced,
+        # loads what any call loads once (scipy.ndimage for the crop's frame)
+        inner_distance_many(Disk(), _c7_pairs(), 0.01)
         sizes, built = [], []
         build = kobayashi._lattice_graph
 
@@ -1092,7 +1093,6 @@ class TestInnerDistance:
             return graph
 
         monkeypatch.setattr(kobayashi, "_lattice_graph", record)
-        kobayashi._load_sparse()
         tracemalloc.start()
         try:
             inner_distance_many(Disk(), _c7_pairs(), 0.01)
@@ -1143,16 +1143,40 @@ class TestInnerDistance:
         assert value == expected
 
     def test_limit_miss_falls_back_to_the_full_search(self, monkeypatch):
-        # no margin: every limited search stops short of its target
+        # no margin: every limited search stops short of its target, so each
+        # pair is searched again to inf, on the ellipse at inf: the whole
+        # round crop, every one of its cells and the source
         kobayashi._load_sparse()
-        limits = []
+        limits, rows = [], []
         search = kobayashi._csgraph_dijkstra
         monkeypatch.setattr(kobayashi, "_csgraph_dijkstra", lambda *args, **kwargs: (
             limits.append(kwargs.get("limit", math.inf)) or search(*args, **kwargs)))
+        build = kobayashi._lattice_graph
+
+        def record(*args):
+            graph = build(*args)
+            rows.append(graph.shape[0])
+            return graph
+
+        monkeypatch.setattr(kobayashi, "_lattice_graph", record)
         monkeypatch.setattr(kobayashi, "_LIMIT_FACTOR", 0.0)
         monkeypatch.setattr(kobayashi, "_LIMIT_CELLS", 0)
-        assert inner_distance_many(Disk(), _c7_pairs(), 0.01).tolist() == C7_INNER_001
+        pairs = _c7_pairs()
+        assert inner_distance_many(Disk(), pairs, 0.01).tolist() == C7_INNER_001
         assert limits == [0.0, math.inf] * 20
+        crop, _ = _disk_crop(pairs, 0.01)
+        assert rows[1::2] == [crop.mask.sum() + 1] * 20
+
+    def test_ellipse_at_inf_is_the_round_crop(self):
+        # the bound inf keeps every cell of the crop, whatever the pair:
+        # apart, equal, and with an endpoint past the crop, next to the rim
+        for pairs, h in [(_c7_pairs(), 0.01), ([(0.97, -0.96j), (-0.5, -0.5)], 0.02),
+                         ([(0, 0.999), (0.9999j, 0.5)], 0.01)]:
+            crop, _ = _disk_crop(pairs, h)
+            for p, q in pairs:
+                keep, y0, x0 = kobayashi._disk_ellipse(crop, p, q, math.inf)
+                kept = _frame_nodes(crop.mask.shape, keep, y0, x0) >= 0
+                assert np.array_equal(kept, crop.mask.ravel())
 
     @pytest.mark.parametrize("domain", [Disk(), Annulus(0.3), PuncturedDisk()])
     def test_no_pairs(self, domain):
